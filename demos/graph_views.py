@@ -5,61 +5,66 @@ Three views of one session
 A session is a short item sequence.  The model reads it three ways:
 as a directed transition graph, as one factor-similarity graph per
 latent factor, and as the transition graph with an extra hub node wired
-to random members.  This script builds all three for a single session
-and prints the matrices.
+to random members.  This script packs a single session into a batch of
+one, builds all three views the way training does, and prints the
+matrices.
 """
 
 import numpy as np
 
+from sessrec.dataio import Example
 from sessrec.disentangle import FactorProjection, project
-from sessrec.graphs import (build_factor_adjacency, build_session_graph,
-                            build_star_graph)
-from sessrec.propagation import GGNNWeights, run_original, run_star
+from sessrec.model import _factor_adjacency, _star_edges, pack_batch
+from sessrec.propagation import GGNNWeights, ggnn_step, star_step
 from sessrec.rng import substream
 
 np.set_printoptions(precision=3, suppress=True)
 
 session = [4, 2, 9, 2, 7]
-g = build_session_graph(session)
+pack = pack_batch([Example(session, target=0)])
 
 # repeated items share a node, so 5 positions give 4 nodes
 print("session", session)
-print("nodes (catalog ids):", g.nodes)
-print("alias (position -> node slot):", g.alias)
+print("nodes (catalog ids):", pack.node_ids[0])
+print("alias (position -> node slot):", pack.alias[0])
 
 # edges follow consecutive clicks; rows are normalized by degree so a
 # node that fans out splits its influence
 print("\noutgoing adjacency:")
-print(g.adj_out)
+print(pack.adj_out[0])
 print("incoming adjacency:")
-print(g.adj_in)
+print(pack.adj_in[0])
 
 # factor view: embed the nodes, slice the embedding into factors, and
 # reweight the same edge pattern by per-factor cosine similarity
 rng = substream(0, "demo")
-x = rng.normal(size=(g.n_nodes, 8))
+x = rng.normal(size=pack.node_ids.shape + (8,))
 proj = FactorProjection.init(input_dim=8, factor_dim=3, num_factors=2,
                              rng=rng)
 factors = project(x, proj)
-fa = build_factor_adjacency(g, factors[0].value, k=0)
+_, factor_adj = _factor_adjacency(factors[0], pack)
 print("\nfactor 0 adjacency (cosine-weighted edges, signed):")
-print(fa.matrix)
+print(factor_adj.value[0])
 
 # hub view: a satellite node averages the sequence, then connects to
 # each real node in each direction with probability theta
-star, satellite = build_star_graph(g, x, theta=0.6, seed=2)
-print("\nhub edges out of the satellite:", star.to_real)
-print("hub edges into the satellite:  ", star.from_real)
+satellite = x[0, pack.alias[0]].mean(axis=0)[None]
+to_real, from_real = _star_edges(pack, theta=0.6, seed=2, epoch=0)
+print("\nhub edges out of the satellite:", to_real[0])
+print("hub edges into the satellite:  ", from_real[0])
 
 # propagation over the plain and hub views from the same weights; the
 # hub nudges exactly the nodes it touches
 w = GGNNWeights.init(8, substream(1, "init"), layers=1)
-plain = run_original(g, x, w).embeddings.value
-hubbed = run_star(star, x, satellite, w).embeddings.value
+plain = ggnn_step(x, pack.adj_in, pack.adj_out, w).value
+hubbed, _ = star_step(x, satellite, pack.adj_in, pack.adj_out, to_real,
+                      from_real, w)
 print("\nper-node drift caused by the hub:",
-      np.abs(hubbed - plain).max(axis=1))
+      np.abs(hubbed.value - plain).max(axis=-1)[0])
 
 # with theta = 0 the hub is disconnected and the view collapses back
-star0, satellite0 = build_star_graph(g, x, theta=0.0, seed=2)
-same = (run_star(star0, x, satellite0, w).embeddings.value == plain).all()
-print("theta=0 reproduces plain propagation bit for bit:", same)
+to_real0, from_real0 = _star_edges(pack, theta=0.0, seed=2, epoch=0)
+hubbed0, _ = star_step(x, satellite, pack.adj_in, pack.adj_out, to_real0,
+                       from_real0, w)
+print("theta=0 reproduces plain propagation bit for bit:",
+      bool((hubbed0.value == plain).all()))

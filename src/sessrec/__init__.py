@@ -1,12 +1,13 @@
 """Session-based recommendation with dual-granularity contrastive learning.
 
 A numpy library implementing the full pipeline: raw interaction logs to
-prefix-augmented sessions (dataio), three graph views per session
+prefix-augmented sessions (dataio), the transition graph of each session
 (graphs), factor disentanglement with a distance-correlation penalty
-(disentangle), gated graph propagation per view (propagation), item- and
-factor-level contrastive losses (contrast), soft-attention session
-encoding (encoder), dual-head scoring (predictor), and a training /
-evaluation / ablation harness with a CLI (harness, cli).
+(disentangle), the gated propagation layers (propagation), the pair
+discriminator (contrast), soft-attention session encoding (encoder),
+dual-head scoring (predictor), padded batches with the three graph views
+and both contrastive terms (model), and a training / evaluation /
+ablation harness with a CLI (harness, cli).
 """
 
 __version__ = "0.1.0"

@@ -1,11 +1,9 @@
-"""Contrastive objectives tying the augmented views to the original.
+"""The pair scorer behind both contrastive terms.
 
-Two granularities share one loss shape: a discriminator scores
-(anchor, partner) pairs, aligned pairs are pushed up and mismatched
-pairs down with a binary objective, and the item- and factor-level
-terms are mixed by a fixed weight alpha.  Every positive gets one
-sampled negative by default; a two-node session pairs each node with
-the other, and a one-node session contributes nothing.
+The item- and factor-level terms share one loss shape: a discriminator
+scores (anchor, partner) pairs, and aligned pairs are pushed up and
+mismatched pairs down with a binary objective.  The batched terms, their
+negative draws and the alpha mix live in ``model.training_forward``.
 """
 
 from __future__ import annotations
@@ -15,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tape
-from .rng import substream
-from .tape import Parameter, Tensor
+from .tape import Parameter
 
 
 @dataclass
@@ -47,101 +44,3 @@ class Discriminator:
     def named_parameters(self, prefix):
         if self.weight is not None:
             yield f"{prefix}.weight", self.weight
-
-
-@dataclass
-class ContrastConfig:
-    alpha: float = 0.5
-    negatives_per_positive: int = 1
-    negative_seed: int = 0
-    factor_negatives: str = "within_view"   # or "cross_view"
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.negatives_per_positive < 1:
-            raise ValueError("negatives_per_positive must be >= 1")
-        if self.factor_negatives not in ("within_view", "cross_view"):
-            raise ValueError(f"unknown negative scheme {self.factor_negatives!r}")
-
-
-def sample_negative_indices(n, rng, per_positive: int = 1):
-    """For each anchor 0..n-1 draw uniform partners j != i; shape (n, per)."""
-    if n < 2:
-        raise ValueError("negative sampling needs at least 2 nodes")
-    draws = rng.integers(0, n - 1, size=(n, per_positive))
-    anchors = np.arange(n)[:, None]
-    return draws + (draws >= anchors)
-
-
-def _pair_loss(pos_scores, neg_scores):
-    """Mean over anchors of -log s(pos) - mean_j log(1 - s(neg_j)).
-
-    ``s`` is the logistic squash, so each term is a softplus of the raw
-    score; a discriminator stuck at 0 yields exactly 2 ln 2 per anchor.
-    """
-    pos_term = tape.softplus(tape.mul(pos_scores, Tensor(np.float64(-1.0))))
-    neg_term = tape.tmean(tape.softplus(neg_scores), axis=-1)
-    return tape.tmean(tape.add(pos_term, neg_term))
-
-
-def item_cl_loss(original, augmented, disc: Discriminator,
-                 cfg: ContrastConfig, rng=None):
-    """Item-level term for one session: nodes of the original view vs the
-    same nodes under the augmented (star) view.
-
-    Positives pair each node with itself across views; negatives pair it
-    with a different node of the augmented view.  Returns 0 for a
-    single-node session.
-    """
-    original = tape.as_tensor(original)
-    augmented = tape.as_tensor(augmented)
-    n = original.value.shape[0]
-    if augmented.value.shape[0] != n:
-        raise ValueError("view size mismatch")
-    if n < 2:
-        return Tensor(np.float64(0.0))
-    if rng is None:
-        rng = substream(cfg.negative_seed, "negatives")
-    neg_idx = sample_negative_indices(n, rng, cfg.negatives_per_positive)
-    pos = disc.score(original, augmented)
-    neg = disc.score(tape.getitem(original, np.arange(n)[:, None]),
-                     tape.getitem(augmented, neg_idx))
-    return _pair_loss(pos, neg)
-
-
-def factor_cl_loss(original_factors, augmented_factors, disc: Discriminator,
-                   cfg: ContrastConfig, rng=None):
-    """Factor-level term for one session, summed over factors.
-
-    Positives pair a node's factor view across the two channels.  With
-    the default ``within_view`` scheme both sides of a negative pair
-    come from the original channel; ``cross_view`` mirrors the item
-    level and draws the partner from the augmented channel.
-    """
-    k = len(original_factors)
-    if k != len(augmented_factors):
-        raise ValueError("factor count mismatch")
-    n = tape.as_tensor(original_factors[0]).value.shape[0]
-    if n < 2:
-        return Tensor(np.float64(0.0))
-    if rng is None:
-        rng = substream(cfg.negative_seed, "negatives")
-    total = None
-    for orig, aug in zip(original_factors, augmented_factors):
-        orig = tape.as_tensor(orig)
-        aug = tape.as_tensor(aug)
-        neg_idx = sample_negative_indices(n, rng, cfg.negatives_per_positive)
-        partner = orig if cfg.factor_negatives == "within_view" else aug
-        pos = disc.score(orig, aug)
-        neg = disc.score(tape.getitem(orig, np.arange(n)[:, None]),
-                         tape.getitem(partner, neg_idx))
-        term = _pair_loss(pos, neg)
-        total = term if total is None else tape.add(total, term)
-    return total
-
-
-def mix(item_term, factor_term, alpha: float):
-    """alpha * item + (1 - alpha) * factor."""
-    return tape.add(tape.mul(tape.as_tensor(item_term), Tensor(np.float64(alpha))),
-                    tape.mul(tape.as_tensor(factor_term), Tensor(np.float64(1.0 - alpha))))

@@ -208,6 +208,18 @@ def prefix_augment(sessions):
     return examples
 
 
+def check_examples(examples, n_items: int):
+    """Raise ``DataError`` on the first example with an empty prefix or an
+    item id outside the catalog [0, n_items)."""
+    for i, ex in enumerate(examples):
+        if len(ex.prefix) == 0:
+            raise DataError(f"example {i} has an empty prefix")
+        bad = [v for v in [*ex.prefix, ex.target] if not 0 <= v < n_items]
+        if bad:
+            raise DataError(f"example {i} references items {bad} outside "
+                            f"the catalog of {n_items}")
+
+
 def stats(train, test, catalog: ItemCatalog) -> CorpusStats:
     interactions = sum(len(s) for s in train) + sum(len(s) for s in test)
     n_sessions = len(train) + len(test)

@@ -1,9 +1,9 @@
-"""Session graphs and their two derived views.
+"""The directed transition graph of one session.
 
 A session graph has one node per distinct item (first-occurrence order)
-and a directed edge for every observed transition.  Two augmented views
-are built on top: a per-factor reweighting of the same edge pattern, and
-a star graph that adds a virtual hub node with random connections.
+and a directed edge for every observed transition.  ``model.pack_batch``
+pads these into a batch; the factor and hub views are built on the
+padded batch there.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .rng import substream
 
 
 @dataclass
@@ -68,103 +66,3 @@ def build_session_graph(session, normalize: bool = True) -> SessionGraph:
 
     return SessionGraph(nodes=nodes, alias=alias, adj_out=adj_out,
                         adj_in=adj_in, edge_out=edge_out)
-
-
-@dataclass
-class FactorAdjacency:
-    """Edge pattern of one session graph reweighted by factor similarity."""
-    factor: int
-    matrix: np.ndarray         # (n, n), source -> target orientation
-
-    @property
-    def matrix_in(self) -> np.ndarray:
-        # cosine is symmetric, so the incoming view is the pattern transpose
-        return self.matrix.T
-
-
-def cosine_matrix(x: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarity of rows; zero rows give zero similarity."""
-    x = np.asarray(x, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
-    safe = np.where(norms > 0, norms, 1.0)
-    unit = x / safe
-    return unit @ unit.T
-
-
-def build_factor_adjacency(graph: SessionGraph, factor_embeddings, k: int) -> FactorAdjacency:
-    """Weight each edge of ``graph`` by the cosine similarity of its
-    endpoints under factor ``k``; non-edges stay zero.
-
-    ``factor_embeddings`` has one row per graph node.  Similarities are
-    kept signed and unclamped.
-    """
-    f = np.asarray(factor_embeddings, dtype=np.float64)
-    if f.shape[0] != graph.n_nodes:
-        raise ValueError(f"factor embeddings rows {f.shape[0]} != nodes {graph.n_nodes}")
-    sim = cosine_matrix(f)
-    return FactorAdjacency(factor=k, matrix=sim * graph.edge_out)
-
-
-@dataclass
-class StarGraph:
-    """A session graph plus one virtual hub (satellite) node.
-
-    ``to_real[i]`` marks an edge satellite -> node i, ``from_real[i]``
-    an edge node i -> satellite; both carry weight 1 and are sampled
-    independently with probability ``theta``.  The real-node block of
-    the full adjacency is exactly the base adjacency.
-    """
-    base: SessionGraph
-    theta: float
-    to_real: np.ndarray        # (n,) 0/1
-    from_real: np.ndarray      # (n,) 0/1
-
-    @property
-    def satellite_index(self) -> int:
-        return self.base.n_nodes
-
-    @property
-    def adjacency(self) -> np.ndarray:
-        """(n+1, n+1) outgoing-orientation adjacency; last row/col is the hub."""
-        n = self.base.n_nodes
-        full = np.zeros((n + 1, n + 1), dtype=np.float64)
-        full[:n, :n] = self.base.adj_out
-        full[n, :n] = self.to_real
-        full[:n, n] = self.from_real
-        return full
-
-    @property
-    def adjacency_in(self) -> np.ndarray:
-        n = self.base.n_nodes
-        full = np.zeros((n + 1, n + 1), dtype=np.float64)
-        full[:n, :n] = self.base.adj_in
-        full[:n, n] = self.to_real       # node i receives from the hub
-        full[n, :n] = self.from_real     # the hub receives from node i
-        return full
-
-
-def build_star_graph(graph: SessionGraph, item_embeddings, theta: float,
-                     seed: int, epoch: int = 0, session_index: int = 0):
-    """Attach a satellite hub to ``graph``.
-
-    The satellite embedding is the mean of the item embeddings over
-    sequence positions (repeats count once per occurrence).  Each
-    direction of each node-hub edge is sampled independently with
-    probability ``theta`` from the ``star`` substream, so resampling
-    with the same (seed, epoch, session_index) is reproducible.
-    Returns ``(star, satellite_embedding)``.
-    """
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    x = np.asarray(item_embeddings, dtype=np.float64)
-    if x.shape[0] != graph.n_nodes:
-        raise ValueError(f"item embeddings rows {x.shape[0]} != nodes {graph.n_nodes}")
-
-    satellite = x[graph.alias].mean(axis=0)
-    n = graph.n_nodes
-    rng = substream(seed, "star", epoch, session_index)
-    draws = rng.random((2, n))
-    to_real = (draws[0] < theta).astype(np.float64)
-    from_real = (draws[1] < theta).astype(np.float64)
-    star = StarGraph(base=graph, theta=theta, to_real=to_real, from_real=from_real)
-    return star, satellite

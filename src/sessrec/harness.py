@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataio import Session, prefix_augment
+from .dataio import Session, check_examples, prefix_augment
 from .model import VARIANTS, pack_batch, score_batch, training_forward
 from .optim import Adam
 from .params import ParameterSet, init_parameters, save_checkpoint
@@ -65,8 +65,14 @@ class TrainConfig:
                      "batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
+        for name in ("theta", "alpha", "dropout_edge", "dropout_node"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], "
+                                 f"got {getattr(self, name)}")
+        if self.negatives_per_positive < 1:
+            raise ValueError("negatives_per_positive must be >= 1")
+        if self.factor_negatives not in ("within_view", "cross_view"):
+            raise ValueError(f"unknown negative scheme {self.factor_negatives!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -146,6 +152,7 @@ def train(train_examples, n_items: int, cfg: TrainConfig,
     """
     if not train_examples:
         raise ValueError("no training examples")
+    check_examples(train_examples, n_items)
     if params is None:
         params = init_parameters(n_items, cfg.dim, cfg.factor_dim,
                                  cfg.num_factors, cfg.layers, cfg.seed,
@@ -217,6 +224,7 @@ def evaluate(params: ParameterSet, examples, cfg: TrainConfig,
     """
     if not examples:
         raise ValueError("no evaluation examples")
+    check_examples(examples, params.embeddings.value.shape[0])
     ks = tuple(sorted(int(k) for k in ks))
     if any(k < 1 for k in ks):
         raise ValueError("cutoffs must be positive")

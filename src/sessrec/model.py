@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tape
-from .contrast import ContrastConfig
 from .disentangle import independence_loss, project
 from .encoder import encode, encode_factors
 from .graphs import build_session_graph
@@ -128,6 +127,26 @@ def _star_edges(pack: PackedBatch, theta, seed, epoch):
         to_real[i, :k] = draws[0] < theta
         from_real[i, :k] = draws[1] < theta
     return to_real, from_real
+
+
+def _hub_channel(x0, pack: PackedBatch, weights, theta, seed, epoch):
+    """Propagate over the star view; the returned states exclude the hub.
+
+    The hub starts at the mean of the item embeddings over sequence
+    positions (repeats count once per occurrence) and links to each real
+    node in each direction with probability ``theta``.
+    """
+    seq0 = _gather_sequence(x0, pack)
+    masked0 = tape.mul(seq0, Tensor(pack.pos_mask[..., None]))
+    x_sat = tape.mul(tape.tsum(masked0, axis=-2),
+                     Tensor((1.0 / pack.lengths)[:, None]))
+    to_real, from_real = _star_edges(pack, theta, seed, epoch)
+    adj_in, adj_out = Tensor(pack.adj_in), Tensor(pack.adj_out)
+    x = x0
+    for _ in range(weights.layers):
+        x, x_sat = star_step(x, x_sat, adj_in, adj_out, to_real, from_real,
+                             weights)
+    return x
 
 
 def _dropout_adjacency(pack: PackedBatch, edge_rate, node_rate, seed, epoch):
@@ -252,23 +271,11 @@ def training_forward(params: ParameterSet, pack: PackedBatch, cfg,
         h_aug = _run_channel(x0, Tensor(adj_in_d), Tensor(adj_out_d),
                              params.ggnn_star)
     else:
-        seq0 = _gather_sequence(x0, pack)
-        masked0 = tape.mul(seq0, Tensor(pack.pos_mask[..., None]))
-        x_sat = tape.mul(tape.tsum(masked0, axis=-2),
-                         Tensor((1.0 / pack.lengths)[:, None]))
-        to_real, from_real = _star_edges(pack, cfg.theta, cfg.seed, epoch)
-        h_aug, sat = x0, x_sat
-        for _ in range(params.ggnn_star.layers):
-            h_aug, sat = star_step(h_aug, sat, Tensor(pack.adj_in),
-                                   Tensor(pack.adj_out), to_real, from_real,
-                                   params.ggnn_star)
-
-    ccfg = ContrastConfig(alpha=cfg.alpha,
-                          negatives_per_positive=cfg.negatives_per_positive,
-                          factor_negatives=cfg.factor_negatives)
+        h_aug = _hub_channel(x0, pack, params.ggnn_star, cfg.theta, cfg.seed,
+                             epoch)
 
     neg_item = _negative_draws(pack, cfg.seed, epoch, 0,
-                               ccfg.negatives_per_positive)[0]
+                               cfg.negatives_per_positive)[0]
     item_terms = _pairwise_terms(h_orig, h_aug, h_aug, neg_item,
                                  params.disc_item)
     l_item = _masked_session_mean(item_terms, pack)
@@ -281,21 +288,21 @@ def training_forward(params: ParameterSet, pack: PackedBatch, cfg,
         l_contrast = l_item
     else:
         neg_fac = _negative_draws(pack, cfg.seed, epoch, 1,
-                                  ccfg.negatives_per_positive,
+                                  cfg.negatives_per_positive,
                                   count=params.proj.num_factors)
         l_factor = None
         for k in range(params.proj.num_factors):
             a_in, a_out = _factor_adjacency(f0[k], pack)
             h_fac = _run_channel(f0[k], a_in, a_out, params.ggnn_factors[k])
-            partner = orig_factors[k] if ccfg.factor_negatives == "within_view" \
+            partner = orig_factors[k] if cfg.factor_negatives == "within_view" \
                 else h_fac
             terms = _pairwise_terms(orig_factors[k], h_fac, partner,
                                     neg_fac[k], params.disc_factor)
             lk = _masked_session_mean(terms, pack)
             l_factor = lk if l_factor is None else tape.add(l_factor, lk)
         l_contrast = tape.add(
-            tape.mul(l_item, Tensor(np.float64(ccfg.alpha))),
-            tape.mul(l_factor, Tensor(np.float64(1.0 - ccfg.alpha))))
+            tape.mul(l_item, Tensor(np.float64(cfg.alpha))),
+            tape.mul(l_factor, Tensor(np.float64(1.0 - cfg.alpha))))
 
     rows = np.nonzero(pack.node_mask)
     l_ind = independence_loss([tape.getitem(f, rows) for f in f0])
@@ -312,46 +319,15 @@ def training_forward(params: ParameterSet, pack: PackedBatch, cfg,
 
 def score_batch(params: ParameterSet, pack: PackedBatch, cfg) -> np.ndarray:
     """Inference probabilities (B, N); only the original channel runs."""
-    x0 = tape.getitem(Tensor(params.embeddings.value), pack.node_ids)
-    h_orig = _run_channel(x0, Tensor(pack.adj_in), Tensor(pack.adj_out),
-                          _frozen(params.ggnn_original))
-    frozen = _frozen_set(params)
-    e_item, e_factor, _ = _readout(frozen, pack, h_orig,
-                                   cfg.normalize_attention)
-    catalog = Tensor(params.embeddings.value)
-    catalog_factors = catalog_factor_embeddings(catalog, frozen.proj)
-    sv = score(e_item, e_factor, catalog, catalog_factors=catalog_factors,
-               use_factor_head=cfg.variant != "fp")
+    with tape.no_grad():
+        x0 = tape.getitem(params.embeddings, pack.node_ids)
+        h_orig = _run_channel(x0, Tensor(pack.adj_in), Tensor(pack.adj_out),
+                              params.ggnn_original)
+        e_item, e_factor, _ = _readout(params, pack, h_orig,
+                                       cfg.normalize_attention)
+        catalog_factors = catalog_factor_embeddings(params.embeddings,
+                                                    params.proj)
+        sv = score(e_item, e_factor, params.embeddings,
+                   catalog_factors=catalog_factors,
+                   use_factor_head=cfg.variant != "fp")
     return np.asarray(sv.combined.value)
-
-
-def _frozen(weights):
-    """Copy of a weight container with grad tracking off."""
-    import copy
-    out = copy.copy(weights)
-    for name in vars(weights):
-        v = getattr(weights, name)
-        if isinstance(v, Tensor):
-            setattr(out, name, Tensor(v.value))
-    return out
-
-
-def _frozen_set(params: ParameterSet) -> ParameterSet:
-    from .contrast import Discriminator
-    from .disentangle import FactorProjection
-    proj = FactorProjection(
-        params.proj.num_factors, params.proj.input_dim, params.proj.factor_dim,
-        [Tensor(w.value) for w in params.proj.weights],
-        [Tensor(b.value) for b in params.proj.biases],
-        params.proj.bias_inside)
-    return ParameterSet(
-        embeddings=Tensor(params.embeddings.value),
-        proj=proj,
-        ggnn_original=_frozen(params.ggnn_original),
-        ggnn_factors=[_frozen(g) for g in params.ggnn_factors],
-        ggnn_star=_frozen(params.ggnn_star),
-        attn_item=_frozen(params.attn_item),
-        attn_factors=[_frozen(a) for a in params.attn_factors],
-        disc_item=params.disc_item,
-        disc_factor=params.disc_factor,
-    )

@@ -1,8 +1,9 @@
-"""Gated graph propagation over session graphs and their views.
+"""Gated graph propagation: the channel weights and the two layer steps.
 
-One shared cell implementation serves all three channels; only the
-adjacency pair and the weight set differ.  Inputs may be single graphs
-(n, d) or padded batches (B, n, d); everything broadcasts.
+One shared cell serves all three channels; only the adjacency pair and
+the weight set differ.  ``ggnn_step`` is a plain layer and ``star_step``
+a layer over a hub-augmented graph.  States are padded batches
+(B, n, d); the ops broadcast, so one session as (n, d) works too.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import numpy as np
 
 from . import tape
 from .tape import Parameter
-
-from .graphs import FactorAdjacency, SessionGraph, StarGraph
 
 
 @dataclass
@@ -61,13 +60,6 @@ class GGNNWeights:
             yield f"{prefix}.{name}", getattr(self, name)
 
 
-@dataclass
-class ChannelOutput:
-    """Per-node embeddings produced by one propagation channel."""
-    embeddings: object         # Tensor, (..., n, d)
-    channel: str
-
-
 def _aggregate(x, adj_in, adj_out, w: GGNNWeights, star_terms=None):
     """Concatenated neighborhood summary [incoming, outgoing] + biases.
 
@@ -80,10 +72,8 @@ def _aggregate(x, adj_in, adj_out, w: GGNNWeights, star_terms=None):
     agg_out = tape.matmul(tape.as_tensor(adj_out), x)
     if star_terms is not None:
         extra_in, extra_out = star_terms
-        if extra_in is not None:
-            agg_in = tape.add(agg_in, extra_in)
-        if extra_out is not None:
-            agg_out = tape.add(agg_out, extra_out)
+        agg_in = tape.add(agg_in, extra_in)
+        agg_out = tape.add(agg_out, extra_out)
     part_in = tape.add(tape.matmul(agg_in, w.weight_in), w.bias_in)
     part_out = tape.add(tape.matmul(agg_out, w.weight_out), w.bias_out)
     return tape.concat([part_in, part_out], axis=-1)
@@ -100,30 +90,11 @@ def _gated_update(x, c, w: GGNNWeights):
     return tape.add(tape.mul(tape.sub(one, z), x), tape.mul(z, cand))
 
 
-def ggnn_step(x, adj_in, adj_out, w: GGNNWeights, star_terms=None):
+def ggnn_step(x, adj_in, adj_out, w: GGNNWeights):
     """One propagation layer: aggregate neighbors, then gate the update."""
     x = tape.as_tensor(x)
-    c = _aggregate(x, adj_in, adj_out, w, star_terms)
+    c = _aggregate(x, adj_in, adj_out, w)
     return _gated_update(x, c, w)
-
-
-def run_layers(x, adj_in, adj_out, w: GGNNWeights):
-    x = tape.as_tensor(x)
-    for _ in range(w.layers):
-        x = ggnn_step(x, adj_in, adj_out, w)
-    return x
-
-
-def run_original(graph: SessionGraph, x0, w: GGNNWeights) -> ChannelOutput:
-    """Propagate item embeddings over the observed transition graph."""
-    out = run_layers(x0, graph.adj_in, graph.adj_out, w)
-    return ChannelOutput(embeddings=out, channel="original")
-
-
-def run_factor(adj: FactorAdjacency, f0, w: GGNNWeights) -> ChannelOutput:
-    """Propagate one factor view over its similarity-weighted edges."""
-    out = run_layers(f0, adj.matrix_in, adj.matrix, w)
-    return ChannelOutput(embeddings=out, channel=f"factor{adj.factor}")
 
 
 def star_step(x, x_sat, adj_in, adj_out, to_real, from_real, w: GGNNWeights):
@@ -165,13 +136,3 @@ def star_step(x, x_sat, adj_in, adj_out, to_real, from_real, w: GGNNWeights):
     sat_next = _gated_update(sat_row, c_sat, w)
     x_sat_next = tape.reshape(sat_next, x_sat.value.shape)
     return x_next, x_sat_next
-
-
-def run_star(star: StarGraph, x0, satellite_embedding, w: GGNNWeights) -> ChannelOutput:
-    """Propagate over the star view; the returned embeddings exclude the hub."""
-    x = tape.as_tensor(x0)
-    x_sat = tape.as_tensor(satellite_embedding)
-    for _ in range(w.layers):
-        x, x_sat = star_step(x, x_sat, star.base.adj_in, star.base.adj_out,
-                             star.to_real, star.from_real, w)
-    return ChannelOutput(embeddings=x, channel="star")

@@ -9,6 +9,8 @@ mutation, accumulation order fixed by the topological order of the graph.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 from scipy.special import expit
 
@@ -142,8 +144,22 @@ def _accum(t: Tensor, g: np.ndarray):
         t.grad = g if t.grad is None else t.grad + g
 
 
+_recording = True
+
+
+@contextmanager
+def no_grad():
+    """Ops inside the block record no graph: every result is a constant."""
+    global _recording
+    saved, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = saved
+
+
 def _make(value, parents, backward):
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         return Tensor(value, requires_grad=True, parents=parents, backward=backward)
     return Tensor(value)
 

@@ -107,6 +107,13 @@ def factor_cl_oracle(origs, augs, neg_idx_per_factor, scheme="within_view"):
     return total
 
 
+def session_average(per_session, n_nodes):
+    """Mean of ``per_session(i, k)`` over the sessions i of a padded batch
+    whose node count k is at least 2; 0 when none qualifies."""
+    values = [per_session(i, int(k)) for i, k in enumerate(n_nodes) if k >= 2]
+    return float(np.mean(values)) if values else 0.0
+
+
 def dcor_oracle(x, y):
     """Distance correlation computed from explicit distance loops."""
     m = x.shape[0]

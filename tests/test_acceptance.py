@@ -17,26 +17,27 @@ import pytest
 
 from oracles import (attention_oracle, bce_oracle, dcor_oracle,
                      factor_cl_oracle, ggnn_step_oracle, item_cl_oracle,
-                     ranking_metrics_oracle, scores_oracle)
+                     ranking_metrics_oracle, scores_oracle, session_average)
 
 from sessrec import reference
 from sessrec.cli import EXIT_OK, main
-from sessrec.contrast import (ContrastConfig, Discriminator, factor_cl_loss,
-                              item_cl_loss, sample_negative_indices)
+from sessrec.contrast import Discriminator
 from sessrec.dataio import (Example, ItemCatalog, write_catalog,
                             write_examples)
 from sessrec.disentangle import FactorProjection, dcor, project
 from sessrec.encoder import AttentionWeights, encode
 from sessrec.gradcheck import gradient_errors
-from sessrec.graphs import build_session_graph, build_star_graph
+from sessrec.graphs import build_session_graph
 from sessrec.harness import (TrainConfig, _metrics, ablate, evaluate,
                              make_planted_corpus, metrics_csv_rows, train)
-from sessrec.model import pack_batch, training_forward
+from sessrec.model import (_hub_channel, _masked_session_mean,
+                           _negative_draws, _pairwise_terms, _run_channel,
+                           pack_batch, training_forward)
 from sessrec.params import init_parameters
 from sessrec.predictor import prediction_loss, rank_of, score
-from sessrec.propagation import GGNNWeights, ggnn_step, run_original, run_star
+from sessrec.propagation import GGNNWeights, ggnn_step
 from sessrec.rng import substream
-from sessrec.tape import Parameter
+from sessrec.tape import Parameter, Tensor
 
 
 def _verdict(num, ok, text):
@@ -47,6 +48,27 @@ def _verdict(num, ok, text):
 def _ggnn_dict(w):
     return {name.split(".")[-1]: p.value
             for name, p in w.named_parameters("g")}
+
+
+# The batched contrastive checks run on a batch of one and on a mixed
+# batch whose sessions have 4, 1, 3 and 2 distinct nodes.
+CONTRAST_PACKS = (
+    ([Example([4, 2, 0, 3, 1], 0)], [3]),
+    ([Example([3, 1, 3, 2, 0], 0), Example([2], 4), Example([0, 4, 1], 2),
+      Example([1, 2, 1], 3)], [7, 8, 9, 10]),
+)
+
+
+def _contrast_term(pack, anchor, positive, partner, neg_idx, disc):
+    """One view's contrastive term, assembled as training_forward does."""
+    terms = _pairwise_terms(Tensor(anchor), Tensor(positive), Tensor(partner),
+                            neg_idx, disc)
+    return float(_masked_session_mean(terms, pack).value)
+
+
+def _factor_contrast(pack, origs, augs, negs, scheme, disc):
+    return sum(_contrast_term(pack, o, a, o if scheme == "within_view" else a,
+                              n, disc) for o, a, n in zip(origs, augs, negs))
 
 
 # Desk-scale settings for the learnability check, fixed after hand
@@ -126,21 +148,30 @@ def test_c02_oracle_equivalence():
     loss = prediction_loss(sv, target=4)
     worst = max(worst, abs(float(loss.value) - bce_oracle(probs, 4)))
 
-    # both contrastive terms against the loop oracles
-    orig = rng.normal(size=(5, 6))
-    aug = rng.normal(size=(5, 6))
-    ccfg = ContrastConfig(negative_seed=15)
-    mine = float(item_cl_loss(orig, aug, Discriminator(), ccfg).value)
-    neg = sample_negative_indices(5, substream(15, "negatives"), 1)
-    worst = max(worst, abs(mine - item_cl_oracle(orig, aug, neg)))
+    # both contrastive terms on padded batches against the loop oracles,
+    # averaged over the sessions with at least two nodes
+    disc = Discriminator()
+    for examples, sessions in CONTRAST_PACKS:
+        pack = pack_batch(examples, sessions)
+        shape = pack.node_ids.shape + (6,)
+        orig, aug = rng.normal(size=shape), rng.normal(size=shape)
+        neg = _negative_draws(pack, 15, 0, 0, 1)[0]
+        mine = _contrast_term(pack, orig, aug, aug, neg, disc)
+        worst = max(worst, abs(mine - session_average(
+            lambda i, k: item_cl_oracle(orig[i, :k], aug[i, :k], neg[i, :k]),
+            pack.n_nodes)))
 
-    origs = [rng.normal(size=(5, 3)) for _ in range(2)]
-    augs = [rng.normal(size=(5, 3)) for _ in range(2)]
-    mine = float(factor_cl_loss(origs, augs, Discriminator(), ccfg).value)
-    nrng = substream(15, "negatives")
-    negs = [sample_negative_indices(5, nrng, 1) for _ in range(2)]
-    worst = max(worst, abs(mine - factor_cl_oracle(origs, augs, negs,
-                                                   scheme="within_view")))
+        shape = pack.node_ids.shape + (3,)
+        origs = [rng.normal(size=shape) for _ in range(2)]
+        augs = [rng.normal(size=shape) for _ in range(2)]
+        negs = _negative_draws(pack, 15, 0, 1, 1, count=2)
+        for scheme in ("within_view", "cross_view"):
+            mine = _factor_contrast(pack, origs, augs, negs, scheme, disc)
+            worst = max(worst, abs(mine - session_average(
+                lambda i, k: factor_cl_oracle(
+                    [o[i, :k] for o in origs], [a[i, :k] for a in augs],
+                    [n[i, :k] for n in negs], scheme=scheme),
+                pack.n_nodes)))
 
     # distance correlation
     for _ in range(3):
@@ -194,19 +225,20 @@ def test_c04_hub_channel_reduces_to_plain_propagation():
     rng = substream(31, "x")
     w = GGNNWeights.init(5, substream(32, "init"), layers=2)
     identical = True
-    for trial in range(100):
-        session = rng.integers(0, 12,
-                               size=int(rng.integers(2, 8))).tolist()
-        g = build_session_graph(session)
-        x = rng.normal(size=(g.n_nodes, 5))
-        star, satellite = build_star_graph(g, x, theta=0.0, seed=trial)
-        plain = run_original(g, x, w).embeddings.value
-        hubbed = run_star(star, x, satellite, w).embeddings.value
+    for trial in range(10):
+        pack = pack_batch([
+            Example(rng.integers(0, 12, size=int(rng.integers(1, 8))).tolist(),
+                    0) for _ in range(10)])
+        x = rng.normal(size=pack.node_ids.shape + (5,))
+        plain = _run_channel(x, pack.adj_in, pack.adj_out, w).value
+        hubbed = _hub_channel(Tensor(x), pack, w, 0.0, seed=trial,
+                              epoch=0).value
         identical = identical and (plain == hubbed).all()
     dt = time.perf_counter() - t0
     _verdict(4, identical and dt < 5.0,
              f"theta=0 with tied weights bit-identical to plain "
-             f"propagation on 100 random sessions in {dt:.1f}s")
+             f"propagation on 100 random sessions in 10 batches in "
+             f"{dt:.1f}s")
 
 
 def test_c05_dcor_properties():
@@ -234,13 +266,19 @@ def test_c06_contrastive_calibration_at_zero_scores():
     rng = substream(51, "x")
     zero_disc = Discriminator(form="bilinear",
                               weight=Parameter(np.zeros((4, 4))))
-    ccfg = ContrastConfig()
-    item = float(item_cl_loss(rng.normal(size=(6, 4)),
-                              rng.normal(size=(6, 4)), zero_disc, ccfg).value)
-    origs = [rng.normal(size=(6, 4)) for _ in range(3)]
-    augs = [rng.normal(size=(6, 4)) for _ in range(3)]
-    factor = float(factor_cl_loss(origs, augs, zero_disc, ccfg).value)
-    gap = max(abs(item - two_ln2), abs(factor / 3.0 - two_ln2))
+    gap = 0.0
+    for examples, sessions in CONTRAST_PACKS:
+        pack = pack_batch(examples, sessions)
+        shape = pack.node_ids.shape + (4,)
+        neg = _negative_draws(pack, 0, 0, 0, 1)[0]
+        orig, aug = rng.normal(size=shape), rng.normal(size=shape)
+        item = _contrast_term(pack, orig, aug, aug, neg, zero_disc)
+        origs = [rng.normal(size=shape) for _ in range(3)]
+        augs = [rng.normal(size=shape) for _ in range(3)]
+        negs = _negative_draws(pack, 0, 0, 1, 1, count=3)
+        factor = _factor_contrast(pack, origs, augs, negs, "within_view",
+                                  zero_disc)
+        gap = max(gap, abs(item - two_ln2), abs(factor / 3.0 - two_ln2))
     _verdict(6, gap < 1e-9,
              f"zero discriminator puts both terms at 2 ln 2 per pair "
              f"(off by {gap:.2e})")

@@ -123,6 +123,20 @@ class TestTrain:
     def test_missing_required_flag_is_usage_error(self):
         assert main(["train"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("record", [
+        '{"session": [0, 1, -1], "target": 2}',
+        '{"session": [0, 1], "target": -1}',
+        '{"session": [0, 20], "target": 1}',
+    ], ids=["negative_item", "negative_target", "out_of_range"])
+    def test_out_of_catalog_items_is_data_error(self, corpus_dir, tmp_path,
+                                                record):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(record + "\n", encoding="utf-8")
+        code = main(["train", "--train", str(bad),
+                     "--catalog", str(corpus_dir / "catalog.json"),
+                     "--out", str(tmp_path / "r")] + TINY_FLAGS)
+        assert code == EXIT_DATA
+
 
 class TestEvalCommand:
     @pytest.fixture()

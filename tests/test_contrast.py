@@ -1,117 +1,177 @@
-"""Contrastive losses: oracle equivalence, calibration, sampling."""
+"""Contrastive terms on padded batches: oracle equivalence, calibration,
+negative sampling, and the alpha mix."""
 
 import numpy as np
 import pytest
 
-from oracles import factor_cl_oracle, item_cl_oracle
+from oracles import factor_cl_oracle, item_cl_oracle, session_average
 
-from sessrec.contrast import (ContrastConfig, Discriminator, factor_cl_loss,
-                              item_cl_loss, mix, sample_negative_indices)
+from sessrec import tape
+from sessrec.contrast import Discriminator
+from sessrec.dataio import Example
+from sessrec.harness import TrainConfig
+from sessrec.model import (_masked_session_mean, _negative_draws,
+                           _pairwise_terms, pack_batch, training_forward)
+from sessrec.params import init_parameters
 from sessrec.rng import substream
-from sessrec.tape import Parameter
+from sessrec.tape import Parameter, Tensor
 
 TWO_LN2 = 2.0 * np.log(2.0)
 
 
+def single_pack():
+    """One session of five distinct nodes."""
+    return pack_batch([Example([4, 2, 0, 3, 1], 0)], session_indices=[3])
+
+
+def mixed_pack():
+    """Sessions of 4, 1, 3 and 2 distinct nodes, padded to 4 slots."""
+    return pack_batch([Example([3, 1, 3, 2, 0], 0), Example([2], 4),
+                       Example([0, 4, 1], 2), Example([1, 2, 1], 3)],
+                      session_indices=[7, 8, 9, 10])
+
+
+PACKS = (single_pack, mixed_pack)
+
+
+def views(pack, seed, count, d=4):
+    """Random node states, padded slots included, so masking must hold."""
+    rng = substream(seed, "x")
+    return [rng.normal(size=pack.node_ids.shape + (d,)) for _ in range(count)]
+
+
+def contrast_term(pack, anchor, positive, partner, neg_idx,
+                  disc=Discriminator()):
+    """The per-view term exactly as training_forward assembles it."""
+    terms = _pairwise_terms(tape.as_tensor(anchor), tape.as_tensor(positive),
+                            tape.as_tensor(partner), neg_idx, disc)
+    return _masked_session_mean(terms, pack)
+
+
+def item_term(pack, orig, aug, seed=0, disc=Discriminator()):
+    neg = _negative_draws(pack, seed, 0, 0, 1)[0]
+    return contrast_term(pack, orig, aug, aug, neg, disc)
+
+
+def factor_term(pack, origs, augs, scheme="within_view", seed=0,
+                disc=Discriminator()):
+    negs = _negative_draws(pack, seed, 0, 1, 1, count=len(origs))
+    total = Tensor(np.float64(0.0))
+    for orig, aug, neg in zip(origs, augs, negs):
+        partner = orig if scheme == "within_view" else aug
+        total = tape.add(total, contrast_term(pack, orig, aug, partner, neg,
+                                              disc))
+    return total
+
+
 class TestSampling:
     def test_never_returns_anchor(self):
-        rng = substream(0, "negatives")
-        for n in (2, 3, 7):
-            idx = sample_negative_indices(n, rng, per_positive=4)
-            anchors = np.arange(n)[:, None]
-            assert (idx != anchors).all()
-            assert idx.min() >= 0 and idx.max() < n
+        pack = pack_batch([Example([0, 1], 2), Example([0, 1, 2], 3),
+                           Example(list(range(7)), 8), Example([5], 0)])
+        draws = _negative_draws(pack, 0, 0, 0, per=4, count=2)
+        for i, k in enumerate(pack.n_nodes[:3]):
+            for idx in draws[:, i, :k]:
+                assert (idx != np.arange(k)[:, None]).all()
+                assert idx.min() >= 0 and idx.max() < k
 
     def test_deterministic_given_stream(self):
-        a = sample_negative_indices(5, substream(1, "negatives", 3), 2)
-        b = sample_negative_indices(5, substream(1, "negatives", 3), 2)
+        pack = mixed_pack()
+        a = _negative_draws(pack, 1, 3, 0, per=2)
+        b = _negative_draws(pack, 1, 3, 0, per=2)
         np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, _negative_draws(pack, 1, 4, 0, per=2))
+        # a session's draws follow its index, not its batch neighbours
+        alone = pack_batch([Example([0, 4, 1], 2)], session_indices=[9])
+        np.testing.assert_array_equal(
+            _negative_draws(alone, 1, 3, 0, per=2)[0, 0, :3], a[0, 2, :3])
 
     def test_needs_two(self):
-        with pytest.raises(ValueError):
-            sample_negative_indices(1, substream(0, "negatives"))
+        pack = mixed_pack()
+        draws = _negative_draws(pack, 0, 0, 0, per=3)
+        assert (draws[0, 1] == 0).all()       # the one-node session
 
 
 class TestItemLevel:
     def test_matches_oracle(self):
-        rng = substream(2, "x")
-        orig = rng.normal(size=(5, 4))
-        aug = rng.normal(size=(5, 4))
-        cfg = ContrastConfig(negative_seed=7)
-        loss = item_cl_loss(orig, aug, Discriminator(), cfg)
-        neg_idx = sample_negative_indices(5, substream(7, "negatives"), 1)
-        expect = item_cl_oracle(orig, aug, neg_idx)
-        assert float(loss.value) == pytest.approx(expect, abs=1e-10)
+        for make in PACKS:
+            pack = make()
+            orig, aug = views(pack, 2, 2)
+            neg = _negative_draws(pack, 7, 0, 0, 1)[0]
+            mine = float(item_term(pack, orig, aug, seed=7).value)
+            expect = session_average(
+                lambda i, k: item_cl_oracle(orig[i, :k], aug[i, :k],
+                                            neg[i, :k]), pack.n_nodes)
+            assert mine == pytest.approx(expect, abs=1e-10)
 
     def test_zero_discriminator_calibration(self):
         # all scores 0 -> each pair contributes softplus(0) twice
-        cfg = ContrastConfig()
-        loss = item_cl_loss(np.zeros((4, 3)), np.zeros((4, 3)),
-                            Discriminator(), cfg)
-        assert abs(float(loss.value) - TWO_LN2) < 1e-9
+        for make in PACKS:
+            pack = make()
+            zeros = np.zeros(pack.node_ids.shape + (3,))
+            loss = item_term(pack, zeros, zeros)
+            assert abs(float(loss.value) - TWO_LN2) < 1e-9
 
     def test_single_node_skipped(self):
-        cfg = ContrastConfig()
-        loss = item_cl_loss(np.ones((1, 3)), np.ones((1, 3)),
-                            Discriminator(), cfg)
-        assert float(loss.value) == 0.0
+        ones = pack_batch([Example([2], 3), Example([4], 0)])
+        x = np.ones(ones.node_ids.shape + (3,))
+        assert float(item_term(ones, x, x).value) == 0.0
+        # the one-node session of a mixed batch does not move the term
+        pack = mixed_pack()
+        orig, aug = views(pack, 3, 2)
+        before = float(item_term(pack, orig, aug).value)
+        orig[1], aug[1] = 100.0, -100.0
+        assert float(item_term(pack, orig, aug).value) == before
 
     def test_aligned_views_score_lower_than_shuffled(self):
-        rng = substream(3, "x")
-        orig = rng.normal(size=(6, 8))
-        cfg = ContrastConfig(negative_seed=1)
-        aligned = float(item_cl_loss(orig, orig.copy(), Discriminator(),
-                                     cfg).value)
-        shuffled = float(item_cl_loss(orig, orig[::-1].copy(), Discriminator(),
-                                      cfg).value)
+        pack = pack_batch([Example([0, 1, 2, 3, 4, 5], 6)])
+        (orig,) = views(pack, 3, 1, d=8)
+        aligned = float(item_term(pack, orig, orig.copy(), seed=1).value)
+        shuffled = float(item_term(pack, orig, orig[:, ::-1].copy(),
+                                   seed=1).value)
         assert aligned < shuffled
 
     def test_gradient_flows_to_both_views(self):
-        rng = substream(4, "x")
-        orig = Parameter(rng.normal(size=(4, 3)))
-        aug = Parameter(rng.normal(size=(4, 3)))
-        item_cl_loss(orig, aug, Discriminator(), ContrastConfig()).backward()
-        assert np.abs(orig.grad).max() > 0
-        assert np.abs(aug.grad).max() > 0
+        pack = mixed_pack()
+        orig, aug = (Parameter(v) for v in views(pack, 4, 2))
+        item_term(pack, orig, aug).backward()
+        real = pack.node_mask.astype(bool) & (pack.n_nodes >= 2)[:, None]
+        for view in (orig, aug):
+            assert (np.abs(view.grad[real]).max(axis=-1) > 0).all()
+            assert (view.grad[~real] == 0).all()
 
 
 class TestFactorLevel:
-    def make_views(self, seed, k=3, n=5, d=4):
-        rng = substream(seed, "x")
-        origs = [rng.normal(size=(n, d)) for _ in range(k)]
-        augs = [rng.normal(size=(n, d)) for _ in range(k)]
-        return origs, augs
+    def check_oracle(self, scheme):
+        for make in PACKS:
+            pack = make()
+            origs = views(pack, 5, 3)
+            augs = views(pack, 6, 3)
+            negs = _negative_draws(pack, 9, 0, 1, 1, count=3)
+            mine = float(factor_term(pack, origs, augs, scheme, seed=9).value)
+            expect = session_average(
+                lambda i, k: factor_cl_oracle(
+                    [o[i, :k] for o in origs], [a[i, :k] for a in augs],
+                    [n[i, :k] for n in negs], scheme=scheme), pack.n_nodes)
+            assert mine == pytest.approx(expect, abs=1e-10)
 
     def test_matches_oracle_within_view(self):
-        origs, augs = self.make_views(5)
-        cfg = ContrastConfig(negative_seed=9)
-        loss = factor_cl_loss(origs, augs, Discriminator(), cfg)
-        rng = substream(9, "negatives")
-        neg = [sample_negative_indices(5, rng, 1) for _ in range(3)]
-        expect = factor_cl_oracle(origs, augs, neg, scheme="within_view")
-        assert float(loss.value) == pytest.approx(expect, abs=1e-10)
+        self.check_oracle("within_view")
 
     def test_matches_oracle_cross_view(self):
-        origs, augs = self.make_views(6)
-        cfg = ContrastConfig(negative_seed=9, factor_negatives="cross_view")
-        loss = factor_cl_loss(origs, augs, Discriminator(), cfg)
-        rng = substream(9, "negatives")
-        neg = [sample_negative_indices(5, rng, 1) for _ in range(3)]
-        expect = factor_cl_oracle(origs, augs, neg, scheme="cross_view")
-        assert float(loss.value) == pytest.approx(expect, abs=1e-10)
+        self.check_oracle("cross_view")
 
     def test_zero_discriminator_calibration_per_factor(self):
         k = 4
-        cfg = ContrastConfig()
-        loss = factor_cl_loss([np.zeros((3, 2))] * k, [np.zeros((3, 2))] * k,
-                              Discriminator(), cfg)
-        assert abs(float(loss.value) - k * TWO_LN2) < 1e-9
+        for make in PACKS:
+            pack = make()
+            zeros = [np.zeros(pack.node_ids.shape + (2,))] * k
+            loss = factor_term(pack, zeros, zeros)
+            assert abs(float(loss.value) - k * TWO_LN2) < 1e-9
 
     def test_single_node_skipped(self):
-        cfg = ContrastConfig()
-        loss = factor_cl_loss([np.ones((1, 2))], [np.ones((1, 2))],
-                              Discriminator(), cfg)
-        assert float(loss.value) == 0.0
+        pack = pack_batch([Example([2], 3)])
+        x = [np.ones((1, 1, 2))]
+        assert float(factor_term(pack, x, x).value) == 0.0
 
 
 class TestDiscriminatorForms:
@@ -131,10 +191,18 @@ class TestDiscriminatorForms:
 
 class TestMix:
     def test_endpoints_and_midpoint(self):
-        assert float(mix(2.0, 4.0, 1.0).value) == pytest.approx(2.0)
-        assert float(mix(2.0, 4.0, 0.0).value) == pytest.approx(4.0)
-        assert float(mix(2.0, 4.0, 0.5).value) == pytest.approx(3.0)
+        # alpha weighs item against factor term inside training_forward;
+        # the draws do not depend on alpha, so the endpoints isolate each
+        pack = mixed_pack()
 
-    def test_alpha_validated(self):
-        with pytest.raises(ValueError):
-            ContrastConfig(alpha=1.5)
+        def contrastive(alpha):
+            cfg = TrainConfig(dim=6, factor_dim=3, num_factors=2, seed=4,
+                              alpha=alpha)
+            params = init_parameters(5, 6, 3, 2, 1, 4)
+            return float(training_forward(params, pack, cfg, 0)
+                         .contrastive.value)
+
+        item, factor = contrastive(1.0), contrastive(0.0)
+        assert item != factor
+        assert contrastive(0.5) == pytest.approx(0.5 * (item + factor),
+                                                 abs=1e-12)

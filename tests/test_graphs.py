@@ -1,10 +1,16 @@
-"""Session graph construction and the factor / star views."""
+"""Session graph construction, and the factor and hub views the model
+builds on padded batches."""
 
 import numpy as np
 import pytest
 
-from sessrec.graphs import (build_factor_adjacency, build_session_graph,
-                            build_star_graph, cosine_matrix)
+from sessrec.dataio import Example
+from sessrec.graphs import build_session_graph
+from sessrec.model import (_factor_adjacency, _hub_channel, _run_channel,
+                           _star_edges, pack_batch)
+from sessrec.propagation import GGNNWeights, star_step
+from sessrec.rng import substream
+from sessrec.tape import Tensor
 
 
 class TestSessionGraph:
@@ -63,111 +69,114 @@ class TestSessionGraph:
         np.testing.assert_array_equal(a.alias, b.alias)
 
 
+def pack_of(*sessions, session_indices=None):
+    return pack_batch([Example(list(s), 0) for s in sessions], session_indices)
+
+
+def factor_weights(pack, f):
+    """Outgoing factor adjacency of a batch for factor rows ``f``."""
+    _, a_out = _factor_adjacency(Tensor(np.asarray(f, dtype=float)), pack)
+    return a_out.value
+
+
 class TestFactorAdjacency:
     def test_cosine_on_edges_only(self):
-        g = build_session_graph([1, 2, 3])
-        f = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
-        fa = build_factor_adjacency(g, f, k=0)
-        assert fa.matrix[0, 1] == pytest.approx(1.0)
-        assert fa.matrix[1, 2] == pytest.approx(0.0)
-        assert fa.matrix[0, 2] == 0.0         # not an edge
-        assert fa.factor == 0
+        pack = pack_of([1, 2, 3], [4])
+        f = np.array([[[1.0, 0.0], [1.0, 0.0], [0.0, 2.0]],
+                      [[3.0, 1.0], [5.0, 5.0], [1.0, 1.0]]])
+        a = factor_weights(pack, f)
+        assert a[0, 0, 1] == pytest.approx(1.0)
+        assert a[0, 1, 2] == pytest.approx(0.0)
+        assert a[0, 0, 2] == 0.0         # not an edge
+        assert (a[1] == 0).all()         # one node, padded slots
 
     def test_signed_similarity_kept(self):
-        g = build_session_graph([1, 2])
-        f = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        fa = build_factor_adjacency(g, f, k=1)
-        assert fa.matrix[0, 1] == pytest.approx(-1.0)
+        a = factor_weights(pack_of([1, 2]), [[[1.0, 0.0], [-1.0, 0.0]]])
+        assert a[0, 0, 1] == pytest.approx(-1.0)
 
     def test_incoming_view_is_transpose(self):
-        g = build_session_graph([1, 2, 1])
-        rng = np.random.default_rng(0)
-        fa = build_factor_adjacency(g, rng.normal(size=(2, 3)), k=0)
-        np.testing.assert_array_equal(fa.matrix_in, fa.matrix.T)
+        pack = pack_of([1, 2, 1], [3, 4, 5, 3])
+        f = np.random.default_rng(0).normal(size=(2, 3, 3))
+        a_in, a_out = _factor_adjacency(Tensor(f), pack)
+        np.testing.assert_array_equal(a_in.value,
+                                      np.swapaxes(a_out.value, 1, 2))
 
     def test_zero_row_embedding(self):
-        g = build_session_graph([1, 2])
-        fa = build_factor_adjacency(g, np.array([[0.0, 0.0], [1.0, 1.0]]), 0)
-        assert fa.matrix[0, 1] == 0.0
+        a = factor_weights(pack_of([1, 2]), [[[0.0, 0.0], [1.0, 1.0]]])
+        assert a[0, 0, 1] == 0.0
 
     def test_row_count_checked(self):
-        g = build_session_graph([1, 2])
         with pytest.raises(ValueError):
-            build_factor_adjacency(g, np.ones((3, 2)), 0)
+            factor_weights(pack_of([1, 2]), np.ones((1, 3, 2)))
 
 
 def test_cosine_matrix_self_similarity():
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=(4, 6))
-    c = cosine_matrix(x)
-    np.testing.assert_allclose(np.diag(c), 1.0, atol=1e-12)
-    np.testing.assert_allclose(c, c.T, atol=1e-12)
+    # a self loop weighs 1 and a reciprocated edge the same both ways
+    pack = pack_of([5, 5, 6, 5])
+    a = factor_weights(pack, np.random.default_rng(1).normal(size=(1, 2, 6)))
+    assert a[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert a[0, 0, 1] == pytest.approx(a[0, 1, 0], abs=1e-12)
 
 
 class TestStarGraph:
     def test_satellite_is_position_mean(self):
-        g = build_session_graph([1, 2, 1])
-        x = np.array([[3.0, 0.0], [0.0, 3.0]])
-        _, satellite = build_star_graph(g, x, theta=0.5, seed=0)
-        np.testing.assert_allclose(satellite, [2.0, 1.0])
+        # at theta = 1 the hub feeds every node, so its start state shows
+        pack = pack_of([1, 2, 1])
+        x = np.array([[[3.0, 0.0], [0.0, 3.0]]])
+        w = GGNNWeights.init(2, substream(0, "init"))
+        to_real, from_real = _star_edges(pack, 1.0, seed=0, epoch=0)
+        expect, _ = star_step(x, np.array([[2.0, 1.0]]), pack.adj_in,
+                              pack.adj_out, to_real, from_real, w)
+        out = _hub_channel(Tensor(x), pack, w, 1.0, seed=0, epoch=0)
+        np.testing.assert_allclose(out.value, expect.value, atol=1e-12)
 
     def test_theta_zero_adds_nothing(self):
-        g = build_session_graph([1, 2, 3])
-        star, _ = build_star_graph(g, np.zeros((3, 2)), theta=0.0, seed=9)
-        assert star.to_real.sum() == 0 and star.from_real.sum() == 0
-        np.testing.assert_array_equal(star.adjacency[:3, :3], g.adj_out)
+        pack = pack_of([1, 2, 3], [4, 5], [6])
+        to_real, from_real = _star_edges(pack, 0.0, seed=9, epoch=0)
+        assert to_real.sum() == 0 and from_real.sum() == 0
 
     def test_theta_one_connects_everything(self):
-        g = build_session_graph([1, 2, 3])
-        star, _ = build_star_graph(g, np.zeros((3, 2)), theta=1.0, seed=9)
-        assert star.to_real.sum() == 3 and star.from_real.sum() == 3
+        pack = pack_of([1, 2, 3], [4, 5], [6])
+        to_real, from_real = _star_edges(pack, 1.0, seed=9, epoch=0)
+        np.testing.assert_array_equal(to_real, pack.node_mask)
+        np.testing.assert_array_equal(from_real, pack.node_mask)
 
     def test_real_block_unchanged(self):
-        g = build_session_graph([5, 6, 5, 7])
-        star, _ = build_star_graph(g, np.zeros((3, 4)), theta=0.7, seed=3)
-        np.testing.assert_array_equal(star.adjacency[:3, :3], g.adj_out)
-        np.testing.assert_array_equal(star.adjacency_in[:3, :3], g.adj_in)
-        assert star.satellite_index == 3
-
-    def test_adjacency_matches_indicator_vectors(self):
-        g = build_session_graph([1, 2, 3])
-        star, _ = build_star_graph(g, np.zeros((3, 2)), theta=0.5, seed=11)
-        n = g.n_nodes
-        np.testing.assert_array_equal(star.adjacency[n, :n], star.to_real)
-        np.testing.assert_array_equal(star.adjacency[:n, n], star.from_real)
-        np.testing.assert_array_equal(star.adjacency_in[:n, n], star.to_real)
-        np.testing.assert_array_equal(star.adjacency_in[n, :n], star.from_real)
+        # the hub adds to its neighbours' aggregates and leaves the
+        # transition block alone: nodes without a hub edge update exactly
+        # as in plain propagation
+        pack = pack_of([5, 6, 5, 7], [1, 2, 3, 4], [8, 9])
+        x = substream(3, "x").normal(size=pack.node_ids.shape + (4,))
+        w = GGNNWeights.init(4, substream(3, "init"))
+        to_real, from_real = _star_edges(pack, 0.3, seed=3, epoch=0)
+        hubbed = _hub_channel(Tensor(x), pack, w, 0.3, seed=3, epoch=0).value
+        plain = _run_channel(Tensor(x), pack.adj_in, pack.adj_out, w).value
+        untouched = (to_real == 0) & (from_real == 0) & (pack.node_mask > 0)
+        touched = (to_real + from_real > 0)
+        assert untouched.any() and touched.any()
+        assert (hubbed[untouched] == plain[untouched]).all()
+        assert (hubbed[touched] != plain[touched]).any(axis=-1).all()
 
     def test_resampling_reproducible(self):
-        g = build_session_graph([1, 2, 3, 4])
-        a, _ = build_star_graph(g, np.zeros((4, 2)), 0.5, seed=1, epoch=2,
-                                session_index=7)
-        b, _ = build_star_graph(g, np.zeros((4, 2)), 0.5, seed=1, epoch=2,
-                                session_index=7)
-        c, _ = build_star_graph(g, np.zeros((4, 2)), 0.5, seed=1, epoch=3,
-                                session_index=7)
-        np.testing.assert_array_equal(a.to_real, b.to_real)
-        np.testing.assert_array_equal(a.from_real, b.from_real)
-        assert not (np.array_equal(a.to_real, c.to_real)
-                    and np.array_equal(a.from_real, c.from_real))
+        pack = pack_of([1, 2, 3, 4], [5, 6, 7, 8], session_indices=[7, 8])
+        a = _star_edges(pack, 0.5, seed=1, epoch=2)
+        b = _star_edges(pack, 0.5, seed=1, epoch=2)
+        c = _star_edges(pack, 0.5, seed=1, epoch=3)
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, c)
+        # the draws follow the session index, not the batch neighbours
+        alone = _star_edges(pack_of([1, 2, 3, 4], session_indices=[7]),
+                            0.5, seed=1, epoch=2)
+        np.testing.assert_array_equal(np.asarray(alone)[:, 0],
+                                      np.asarray(a)[:, 0])
 
     def test_expected_edge_count(self):
-        # mean satellite edges over many draws approaches 2 * theta * n
-        theta, n = 0.3, 6
-        g = build_session_graph(list(range(n)))
-        total = 0.0
-        draws = 400
-        for i in range(draws):
-            star, _ = build_star_graph(g, np.zeros((n, 2)), theta, seed=5,
-                                       epoch=0, session_index=i)
-            total += star.to_real.sum() + star.from_real.sum()
-        mean = total / draws
+        # mean hub edges over many sessions approaches 2 * theta * n
+        theta, n, draws = 0.3, 6, 400
+        pack = pack_of(*[range(n)] * draws)
+        to_real, from_real = _star_edges(pack, theta, seed=5, epoch=0)
+        mean = (to_real.sum() + from_real.sum()) / draws
         expect = 2 * theta * n
         # binomial std of the mean: sqrt(2n p (1-p) / draws)
         std = np.sqrt(2 * n * theta * (1 - theta) / draws)
         assert abs(mean - expect) < 4 * std
-
-    def test_theta_validated(self):
-        g = build_session_graph([1, 2])
-        with pytest.raises(ValueError):
-            build_star_graph(g, np.zeros((2, 2)), theta=1.5, seed=0)

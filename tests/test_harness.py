@@ -7,7 +7,7 @@ import pytest
 
 from oracles import ranking_metrics_oracle
 
-from sessrec.dataio import Example
+from sessrec.dataio import DataError, Example
 from sessrec.harness import (LossBreakdown, NumericsError, TrainConfig,
                              ablate, evaluate, make_planted_corpus,
                              metrics_csv_rows, train, train_step,
@@ -55,6 +55,17 @@ class TestConfig:
     def test_bad_theta_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(theta=2.0)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(alpha=1.5), dict(negatives_per_positive=0),
+        dict(factor_negatives="both_views"),
+        dict(dropout_edge=1.5, variant="star"),
+        dict(dropout_node=-0.1, variant="star"),
+    ], ids=["alpha", "negatives_per_positive", "factor_negatives",
+            "dropout_edge", "dropout_node"])
+    def test_invalid_value_rejected(self, overrides):
+        with pytest.raises(ValueError):
+            TrainConfig(**overrides)
 
 
 class TestPlantedCorpus:
@@ -126,6 +137,15 @@ class TestTrain:
     def test_empty_examples_rejected(self):
         with pytest.raises(ValueError):
             train([], 10, tiny_config())
+
+    @pytest.mark.parametrize("bad", [
+        Example([0, 1, -1], 2), Example([0, 1], -1), Example([0, 20], 1),
+        Example([], 1),
+    ], ids=["negative_item", "negative_target", "out_of_range", "empty"])
+    def test_bad_example_rejected(self, bad):
+        train_ex, _, n_items = tiny_corpus()
+        with pytest.raises(DataError, match="example 3 "):
+            train(train_ex[:3] + [bad], n_items, tiny_config(epochs=1))
 
 
 class TestEvaluate:

@@ -5,14 +5,15 @@ import pytest
 
 from sessrec.dataio import Example
 from sessrec.encoder import encode, encode_factors
-from sessrec.graphs import build_session_graph, build_star_graph
+from sessrec.graphs import build_session_graph
 from sessrec.harness import TrainConfig
 from sessrec.model import (PackedBatch, _star_edges, pack_batch, score_batch,
                            training_forward)
 from sessrec.params import init_parameters
 from sessrec.disentangle import project
 from sessrec.predictor import score as score_one
-from sessrec.propagation import run_original
+from sessrec.propagation import ggnn_step
+from sessrec.rng import substream
 from sessrec.tape import Tensor
 
 
@@ -63,18 +64,18 @@ class TestPackBatch:
 
 class TestStarEdgeSampling:
     def test_matches_single_graph_builder(self):
+        # session i draws (2, k) uniforms from the (seed, "star", epoch,
+        # session index) substream: row 0 hub -> node, row 1 node -> hub
         examples = toy_examples()
         pack = pack_batch(examples, session_indices=[5, 9, 40])
         to_real, from_real = _star_edges(pack, theta=0.6, seed=3, epoch=2)
-        for i, ex in enumerate(examples):
-            g = build_session_graph(ex.prefix)
-            star, _ = build_star_graph(
-                g, np.zeros((g.n_nodes, 2)), theta=0.6, seed=3, epoch=2,
-                session_index=int(pack.session_indices[i]))
-            k = g.n_nodes
-            np.testing.assert_array_equal(to_real[i, :k], star.to_real)
-            np.testing.assert_array_equal(from_real[i, :k], star.from_real)
+        for i, k in enumerate(pack.n_nodes):
+            draws = substream(3, "star", 2, int(pack.session_indices[i])
+                              ).random((2, k))
+            np.testing.assert_array_equal(to_real[i, :k], draws[0] < 0.6)
+            np.testing.assert_array_equal(from_real[i, :k], draws[1] < 0.6)
             assert (to_real[i, k:] == 0).all()
+            assert (from_real[i, k:] == 0).all()
 
 
 class TestTrainingForward:
@@ -161,7 +162,7 @@ class TestScoreBatch:
         probs = score_batch(params, pack_batch([ex]), cfg)
         g = build_session_graph(ex.prefix)
         x0 = params.embeddings.value[g.nodes]
-        h = run_original(g, x0, params.ggnn_original).embeddings.value
+        h = ggnn_step(x0, g.adj_in, g.adj_out, params.ggnn_original).value
         seq = h[g.alias]
         e_item = encode(seq, params.attn_item)
         factor_seqs = [f.value[g.alias] for f in project(h, params.proj)]

@@ -1,13 +1,15 @@
-"""Gated propagation: oracle equivalence and the star channel."""
+"""Gated propagation: oracle equivalence and the batched channels."""
 
 import numpy as np
 
 from oracles import ggnn_step_oracle
 
 from sessrec import tape
-from sessrec.graphs import build_session_graph, build_star_graph
-from sessrec.propagation import (GGNNWeights, ggnn_step, run_factor,
-                                 run_original, run_star, star_step)
+from sessrec.dataio import Example
+from sessrec.graphs import build_session_graph
+from sessrec.model import (_factor_adjacency, _hub_channel, _run_channel,
+                           pack_batch)
+from sessrec.propagation import GGNNWeights, ggnn_step, star_step
 from sessrec.rng import substream
 
 
@@ -72,41 +74,47 @@ class TestCellOracle:
         np.testing.assert_allclose(mine, (1 - z) * x + z * cand, atol=1e-12)
 
 
+def random_pack(rng, sessions, max_len=7):
+    """Random sessions of 1..max_len clicks over 8 items."""
+    return pack_batch([
+        Example(rng.integers(0, 8, size=int(rng.integers(1, max_len + 1)))
+                .tolist(), 0) for _ in range(sessions)])
+
+
 class TestChannels:
     def test_run_original_layers_compose(self):
         w = weights_for(4, seed=5, layers=2)
-        g = build_session_graph([1, 2, 3, 1])
-        x = substream(5, "x").normal(size=(g.n_nodes, 4))
-        out = run_original(g, x, w)
-        assert out.channel == "original"
-        step1 = ggnn_step(x, g.adj_in, g.adj_out, w).value
-        step2 = ggnn_step(step1, g.adj_in, g.adj_out, w).value
-        np.testing.assert_allclose(out.embeddings.value, step2, atol=1e-12)
+        pack = pack_batch([Example([1, 2, 3, 1], 0), Example([4], 0)])
+        x = substream(5, "x").normal(size=pack.node_ids.shape + (4,))
+        out = _run_channel(x, pack.adj_in, pack.adj_out, w).value
+        step1 = ggnn_step(x, pack.adj_in, pack.adj_out, w).value
+        step2 = ggnn_step(step1, pack.adj_in, pack.adj_out, w).value
+        assert (out == step2).all()
 
     def test_run_factor_uses_similarity_edges(self):
-        from sessrec.graphs import build_factor_adjacency
         w = weights_for(3, seed=6)
-        g = build_session_graph([1, 2, 3])
-        f = substream(6, "x").normal(size=(3, 3))
-        fa = build_factor_adjacency(g, f, k=1)
-        out = run_factor(fa, f, w)
-        assert out.channel == "factor1"
-        ref = ggnn_step_oracle(f, fa.matrix.T, fa.matrix, as_dict(w))
-        np.testing.assert_allclose(out.embeddings.value, ref, atol=1e-10,
-                                   rtol=0)
+        pack = pack_batch([Example([1, 2, 3], 0), Example([4, 5, 4], 0),
+                           Example([6], 0)])
+        f = substream(6, "x").normal(size=pack.node_ids.shape + (3,))
+        a_in, a_out = _factor_adjacency(tape.Tensor(f), pack)
+        out = _run_channel(f, a_in, a_out, w).value
+        for b, k in enumerate(pack.n_nodes):
+            unit = f[b, :k] / np.linalg.norm(f[b, :k], axis=1, keepdims=True)
+            adj = unit @ unit.T * pack.edge_out[b, :k, :k]
+            ref = ggnn_step_oracle(f[b, :k], adj.T, adj, as_dict(w))
+            np.testing.assert_allclose(out[b, :k], ref, atol=1e-10, rtol=0)
 
 
 class TestStarChannel:
     def test_theta_zero_bit_identical(self):
         rng = substream(7, "x")
         w = weights_for(5, seed=8, layers=2)
-        for _ in range(20):
-            session = rng.integers(0, 8, size=int(rng.integers(2, 7))).tolist()
-            g = build_session_graph(session)
-            x = rng.normal(size=(g.n_nodes, 5))
-            star, satellite = build_star_graph(g, x, theta=0.0, seed=1)
-            plain = run_original(g, x, w).embeddings.value
-            hubbed = run_star(star, x, satellite, w).embeddings.value
+        for trial in range(20):
+            pack = random_pack(rng, 5)
+            x = rng.normal(size=pack.node_ids.shape + (5,))
+            plain = _run_channel(x, pack.adj_in, pack.adj_out, w).value
+            hubbed = _hub_channel(tape.Tensor(x), pack, w, 0.0, seed=trial,
+                                  epoch=0).value
             assert hubbed.shape == plain.shape
             assert (hubbed == plain).all(), "theta=0 must not change bits"
 
@@ -148,11 +156,9 @@ class TestStarChannel:
 
     def test_gradients_flow_through_star(self):
         w = weights_for(3, seed=11)
-        g = build_session_graph([1, 2, 3])
-        x = tape.Parameter(substream(10, "x").normal(size=(3, 3)))
-        star, _ = build_star_graph(g, x.value, theta=1.0, seed=2)
-        sat = tape.tmean(x, axis=0)
-        out = run_star(star, x, sat, w)
-        tape.tsum(tape.mul(out.embeddings, out.embeddings)).backward()
+        pack = pack_batch([Example([1, 2, 3], 0), Example([4], 0)])
+        x = tape.Parameter(substream(10, "x").normal(size=(2, 3, 3)))
+        out = _hub_channel(x, pack, w, 1.0, seed=2, epoch=0)
+        tape.tsum(tape.mul(out, out)).backward()
         assert np.abs(x.grad).max() > 0
         assert np.abs(w.weight_in.grad).max() > 0
