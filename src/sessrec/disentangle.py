@@ -4,6 +4,9 @@ Item embeddings are mapped to K low-dimensional factor spaces by
 per-factor sigmoid projections.  Training pushes the factors apart with
 a penalty summing pairwise distance correlation over all ordered factor
 pairs, so that each factor captures a distinct aspect of the items.
+Every pair's terms come from one tape kernel,
+``tape.centered_distance_gram``: the K double-centred distance matrices
+and their (K, K) Gram matrix, with a hand-written backward.
 """
 
 from __future__ import annotations
@@ -58,29 +61,34 @@ def project(items, proj: FactorProjection):
     return out
 
 
-def _centered_distances(x: Tensor) -> Tensor:
-    """Double-centered pairwise Euclidean distance matrix of rows of x."""
-    d = tape.pairwise_distances(x)
-    row = tape.tmean(d, axis=1, keepdims=True)
-    col = tape.tmean(d, axis=0, keepdims=True)
-    grand = tape.tmean(d)
-    return tape.add(tape.sub(tape.sub(d, row), col), grand)
+def _dcor_sum(views):
+    """Sum of the distance correlations of all unordered pairs of views.
 
-
-def _dcor_from_centered(a: Tensor, b: Tensor):
-    dcov2 = tape.tmean(tape.mul(a, b))
-    dvar_x2 = tape.tmean(tape.mul(a, a))
-    dvar_y2 = tape.tmean(tape.mul(b, b))
-    # Degenerate cases carry no usable signal: a factor with zero
-    # distance variance, or a squared covariance that cancels to <= 0
-    # in floating point, defines the correlation as exactly 0.
-    if float(dvar_x2.value) == 0.0 or float(dvar_y2.value) == 0.0:
+    ``views`` are K >= 2 samples of the same m >= 2 observations, one row
+    each.  Degenerate pairs carry no usable signal and add exactly 0: a
+    view with zero distance variance, or a squared covariance that
+    cancels to <= 0 in floating point.
+    """
+    views = [tape.as_tensor(v) for v in views]
+    if any(v.value.ndim != 2 for v in views):
+        raise ValueError("dcor expects 2-d inputs (rows are observations)")
+    rows = [v.value.shape[0] for v in views]
+    for m in rows[1:]:
+        if m != rows[0]:
+            raise ValueError(f"row count mismatch: {rows[0]} vs {m}")
+    if rows[0] < 2:
+        raise ValueError("dcor needs at least 2 observations")
+    g = tape.centered_distance_gram(views)
+    i, j = np.triu_indices(len(views), 1)
+    var = np.diag(g.value)
+    keep = (var[i] != 0.0) & (var[j] != 0.0) & (g.value[i, j] > 0.0)
+    if not keep.any():
         return Tensor(np.float64(0.0))
-    if float(dcov2.value) <= 0.0:
-        return Tensor(np.float64(0.0))
-    num = tape.sqrt(dcov2)
-    den = tape.sqrt(tape.mul(tape.sqrt(dvar_x2), tape.sqrt(dvar_y2)))
-    return tape.div(num, den)
+    i, j = i[keep], j[keep]
+    den = tape.mul(tape.sqrt(tape.getitem(g, (i, i))),
+                   tape.sqrt(tape.getitem(g, (j, j))))
+    return tape.tsum(tape.div(tape.sqrt(tape.getitem(g, (i, j))),
+                              tape.sqrt(den)))
 
 
 def dcor(x, y):
@@ -89,16 +97,7 @@ def dcor(x, y):
     Rows are observations.  Returns a scalar in [0, 1]; independent
     samples score near 0, any exact monotone relation scores 1.
     """
-    x = tape.as_tensor(x)
-    y = tape.as_tensor(y)
-    if x.value.ndim != 2 or y.value.ndim != 2:
-        raise ValueError("dcor expects 2-d inputs (rows are observations)")
-    if x.value.shape[0] != y.value.shape[0]:
-        raise ValueError(
-            f"row count mismatch: {x.value.shape[0]} vs {y.value.shape[0]}")
-    if x.value.shape[0] < 2:
-        raise ValueError("dcor needs at least 2 observations")
-    return _dcor_from_centered(_centered_distances(x), _centered_distances(y))
+    return _dcor_sum([x, y])
 
 
 def independence_loss(factors):
@@ -109,13 +108,6 @@ def independence_loss(factors):
     symmetric, so the pair sum is doubled.  With fewer than two factors
     there is nothing to separate and the loss is 0.
     """
-    k = len(factors)
-    if k < 2:
+    if len(factors) < 2:
         return Tensor(np.float64(0.0))
-    centered = [_centered_distances(tape.as_tensor(f)) for f in factors]
-    total = None
-    for i in range(k):
-        for j in range(i + 1, k):
-            term = _dcor_from_centered(centered[i], centered[j])
-            total = term if total is None else tape.add(total, term)
-    return tape.mul(total, Tensor(np.float64(2.0)))
+    return tape.mul(_dcor_sum(factors), Tensor(np.float64(2.0)))

@@ -1,10 +1,11 @@
 """Reverse-mode automatic differentiation over numpy float64 arrays.
 
 Small tape just big enough for this library: dense ops, broadcasting,
-advanced indexing, and a few custom kernels (pairwise distances, safe row
-normalization, log-softmax) with hand-written backward rules.  Everything
-runs in float64 and is deterministic: no threads, no in-place gradient
-mutation, accumulation order fixed by the topological order of the graph.
+advanced indexing, and a few custom kernels (log-softmax, the Gram matrix
+of double-centred distance matrices, safe row normalization) with
+hand-written backward rules.  Everything runs in float64 and is
+deterministic: no threads, no in-place gradient mutation, accumulation
+order fixed by the topological order of the graph.
 """
 
 from __future__ import annotations
@@ -409,30 +410,54 @@ def log_softmax(a, axis: int = -1) -> Tensor:
 
 # -- custom kernels ---------------------------------------------------------
 
-def pairwise_distances(a) -> Tensor:
-    """Euclidean distance matrix of the rows of a 2-d array.
+def _distances(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Euclidean distance matrix of the rows of a 2-d array, into ``out``.
 
-    The diagonal is exactly zero and carries no gradient; off-diagonal
-    zeros (duplicate rows) also get zero gradient, the subgradient choice
-    at the non-differentiable point.
+    Equal rows, the diagonal included, are exactly 0 apart; the expanded
+    square ``|x_i|^2 + |x_j|^2 - 2 x_i.x_j`` alone leaves rounding noise
+    of about 1e-8 there.
     """
-    a = as_tensor(a)
-    x = a.value
-    if x.ndim != 2:
-        raise ValueError("pairwise_distances expects a 2-d array")
     sq = (x * x).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    dist = np.sqrt(d2)
+    np.add(sq[:, None], sq[None, :], out=out)
+    out -= 2.0 * (x @ x.T)
+    np.maximum(out, 0.0, out=out)
+    group = np.unique(x, axis=0, return_inverse=True)[1].ravel()
+    out[group[:, None] == group[None, :]] = 0.0
+    return np.sqrt(out, out=out)
+
+
+def centered_distance_gram(xs) -> Tensor:
+    """(K, K) matrix ``G_ij = mean(A_i * A_j)`` of K samples' distances.
+
+    ``xs`` is a list of K arrays of shape (m, d_k) with a shared row count
+    m; A_k is the double-centred Euclidean distance matrix of the rows of
+    ``xs[k]``.  G holds every squared distance covariance (off-diagonal)
+    and squared distance variance (diagonal) of the samples, from one
+    (K, m*m) @ (m*m, K) product.  Zero distances get zero gradient, the
+    subgradient choice at the non-differentiable point.
+    """
+    xs = [as_tensor(x) for x in xs]
+    k, m = len(xs), xs[0].value.shape[0]
+    dist = np.empty((k, m, m))
+    for x, d in zip(xs, dist):
+        _distances(x.value, d)
+    row = dist.mean(axis=2, keepdims=True)
+    v = dist - row
+    v -= dist.mean(axis=1, keepdims=True) - row.mean(axis=1, keepdims=True)
+    v = v.reshape(k, m * m)
 
     def _bw():
-        g = out.grad + out.grad.T
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(dist > 0.0, g / np.where(dist > 0.0, dist, 1.0), 0.0)
-        _accum(a, ratio.sum(axis=1, keepdims=True) * x - ratio @ x)
+        # Double centring is a self-adjoint projection and every A_k is
+        # already centred, so (grad + grad.T) @ A / m^2 is the gradient
+        # w.r.t. the distances as it stands.  Its slices are symmetric,
+        # and d_ij = d_ji, so each pair's two entries fold into a factor 2.
+        gd = ((out.grad + out.grad.T) * (2.0 / (m * m)) @ v).reshape(k, m, m)
+        for t, d, g in zip(xs, dist, gd):
+            if t.requires_grad:
+                ratio = np.divide(g, d, out=np.zeros_like(d), where=d > 0.0)
+                _accum(t, ratio.sum(axis=1, keepdims=True) * t.value - ratio @ t.value)
 
-    out = _make(dist, (a,), _bw)
+    out = _make(v @ v.T / (m * m), tuple(xs), _bw)
     return out
 
 

@@ -205,6 +205,16 @@ class TestAblateCommand:
                      "--out", str(tmp_path / "x"), "--variants", "mega"])
         assert code == EXIT_USAGE
 
+    def test_out_of_catalog_items_is_data_error(self, corpus_dir, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"session": [0, 20], "target": 1}\n', encoding="utf-8")
+        code = main(["ablate", "--train", str(bad),
+                     "--test", str(corpus_dir / "test.jsonl"),
+                     "--catalog", str(corpus_dir / "catalog.json"),
+                     "--out", str(tmp_path / "ab"), "--variants", "full"]
+                    + TINY_FLAGS)
+        assert code == EXIT_DATA
+
 
 def test_entry_point_function_exists():
     # the installed script calls cli.main and exits with its return value

@@ -8,6 +8,7 @@ from oracles import dcor_oracle, sigmoid
 from sessrec import tape
 from sessrec.disentangle import (FactorProjection, dcor, independence_loss,
                                  project)
+from sessrec.gradcheck import gradient_errors
 from sessrec.rng import substream
 from sessrec.tape import Parameter, Tensor
 
@@ -150,3 +151,53 @@ class TestIndependenceLoss:
             a.value = a.value - 0.05 * a.grad
             b.value = b.value - 0.05 * b.grad
         assert float(independence_loss([a, b]).value) < first
+
+    def test_matches_oracle_with_duplicate_rows(self):
+        # Items repeat across the sessions of a batch, so factor rows do.
+        rng = substream(15, "x")
+        rows = rng.integers(0, 20, size=30)
+        fs = [rng.normal(size=(20, 4))[rows] for _ in range(5)]
+        expect = sum(dcor_oracle(fs[i], fs[j])
+                     for i in range(5) for j in range(5) if i != j)
+        assert float(independence_loss(fs).value) == pytest.approx(expect, abs=1e-10)
+
+    def test_gradient_matches_finite_differences_with_duplicate_rows(self):
+        rng = substream(16, "x")
+        rows = [0, 1, 2, 3, 4, 5, 1, 4, 4]
+        fs = [Parameter(rng.normal(size=(6, 3))[rows]) for _ in range(3)]
+        errs = gradient_errors(lambda: independence_loss(fs), dict(enumerate(fs)))
+        assert max(errs.values()) < 1e-4, errs
+
+    def test_dcor_gradient_with_unequal_widths(self):
+        rng = substream(17, "x")
+        x = Parameter(rng.normal(size=(7, 4)))
+        y = Parameter(np.tanh(x.value[:, :3]) + 0.3 * rng.normal(size=(7, 3)))
+        errs = gradient_errors(lambda: dcor(x, y), {"x": x, "y": y})
+        assert max(errs.values()) < 1e-4, errs
+
+    def test_constant_factor_drops_out(self):
+        rng = substream(18, "x")
+        a = Parameter(rng.normal(size=(7, 3)))
+        const = Parameter(np.full((7, 3), 0.4))
+        b = Parameter(rng.normal(size=(7, 3)))
+        loss = independence_loss([a, const, b])
+        loss.backward()
+        assert float(dcor(a, const).value) == 0.0
+        assert float(dcor(const, b).value) == 0.0
+        assert float(loss.value) == pytest.approx(
+            2.0 * dcor_oracle(a.value, b.value), abs=1e-10)
+        np.testing.assert_array_equal(const.grad, np.zeros((7, 3)))
+
+    def test_few_tape_nodes(self):
+        rng = substream(19, "x")
+        fs = [Parameter(rng.normal(size=(10, 3))) for _ in range(5)]
+        nodes = [n for n in tape._topo_order(independence_loss(fs)) if n._parents]
+        assert len(nodes) <= 15
+
+    def test_malformed_factors_rejected(self):
+        with pytest.raises(ValueError, match="row count mismatch: 4 vs 5"):
+            independence_loss([np.ones((4, 2)), np.ones((5, 2))])
+        with pytest.raises(ValueError, match="2-d inputs"):
+            independence_loss([np.ones((4, 2)), np.ones(4)])
+        with pytest.raises(ValueError, match="at least 2 observations"):
+            independence_loss([np.ones((1, 2)), np.ones((1, 2))])

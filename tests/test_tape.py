@@ -167,20 +167,32 @@ class TestReductionsAndNonlinear:
 
 
 class TestGeometry:
+    # The two tests below cover the distance step of centered_distance_gram.
     def test_pairwise_distances_value(self):
         x = np.array([[0.0, 0.0], [3.0, 4.0]])
-        d = tape.pairwise_distances(Tensor(x)).value
+        d = tape._distances(x, np.empty((2, 2)))
         np.testing.assert_allclose(d, [[0.0, 5.0], [5.0, 0.0]], atol=1e-12)
+        # centred: [[-2.5, 2.5], [2.5, -2.5]]
+        gram = tape.centered_distance_gram([Tensor(x)]).value
+        np.testing.assert_allclose(gram, [[6.25]], atol=1e-12)
+        rng = np.random.default_rng(10)
+        group = rng.integers(0, 12, size=40)
+        x = rng.uniform(size=(12, 6))[group]
+        d = tape._distances(x, np.empty((40, 40)))
+        assert (d[group[:, None] == group[None, :]] == 0.0).all()
+        explicit = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(-1))
+        np.testing.assert_allclose(d, explicit, rtol=1e-12, atol=1e-12)
 
     def test_pairwise_distances_grad(self):
         rng = np.random.default_rng(11)
-        a = Parameter(rng.normal(size=(5, 3)))
+        a = Parameter(rng.normal(size=(5, 3))[[0, 1, 2, 3, 4, 1, 3]])
+        b = Parameter(rng.normal(size=(7, 2)))
+        w = Tensor(rng.normal(size=(2, 2)))
 
         def loss():
-            d = tape.pairwise_distances(a)
-            return tape.tsum(tape.mul(d, d))
+            return tape.tsum(tape.mul(tape.centered_distance_gram([a, b]), w))
 
-        check(loss, {"a": a})
+        check(loss, {"a": a, "b": b})
 
     def test_normalize_rows(self):
         rng = np.random.default_rng(12)
