@@ -4,9 +4,7 @@ Item embeddings are mapped to K low-dimensional factor spaces by
 per-factor sigmoid projections.  Training pushes the factors apart with
 a penalty summing pairwise distance correlation over all ordered factor
 pairs, so that each factor captures a distinct aspect of the items.
-Every pair's terms come from one tape kernel,
-``tape.centered_distance_gram``: the K double-centred distance matrices
-and their (K, K) Gram matrix, with a hand-written backward.
+All pairs come from one Gram matrix, ``tape.centered_distance_gram``.
 """
 
 from __future__ import annotations
@@ -61,13 +59,13 @@ def project(items, proj: FactorProjection):
     return out
 
 
-def _dcor_sum(views):
+def _dcor_sum(views, min_rows):
     """Sum of the distance correlations of all unordered pairs of views.
 
-    ``views`` are K >= 2 samples of the same m >= 2 observations, one row
-    each.  Degenerate pairs carry no usable signal and add exactly 0: a
-    view with zero distance variance, or a squared covariance that
-    cancels to <= 0 in floating point.
+    ``views`` are K >= 2 samples of the same m >= ``min_rows``
+    observations, one row each.  Degenerate pairs carry no usable signal
+    and add exactly 0: a view with zero distance variance (every view if
+    m < 2), or a squared covariance that cancels to <= 0 in floating point.
     """
     views = [tape.as_tensor(v) for v in views]
     if any(v.value.ndim != 2 for v in views):
@@ -76,8 +74,10 @@ def _dcor_sum(views):
     for m in rows[1:]:
         if m != rows[0]:
             raise ValueError(f"row count mismatch: {rows[0]} vs {m}")
+    if rows[0] < min_rows:
+        raise ValueError(f"dcor needs at least {min_rows} observations")
     if rows[0] < 2:
-        raise ValueError("dcor needs at least 2 observations")
+        return Tensor(np.float64(0.0))
     g = tape.centered_distance_gram(views)
     i, j = np.triu_indices(len(views), 1)
     var = np.diag(g.value)
@@ -97,7 +97,7 @@ def dcor(x, y):
     Rows are observations.  Returns a scalar in [0, 1]; independent
     samples score near 0, any exact monotone relation scores 1.
     """
-    return _dcor_sum([x, y])
+    return _dcor_sum([x, y], min_rows=2)
 
 
 def independence_loss(factors):
@@ -105,9 +105,9 @@ def independence_loss(factors):
 
     ``factors`` is a list of (m, d_f) views of the same m items.  Each
     unordered pair appears twice in the ordered sum and dcor is
-    symmetric, so the pair sum is doubled.  With fewer than two factors
-    there is nothing to separate and the loss is 0.
+    symmetric, so the pair sum is doubled.  With fewer than two factors,
+    or fewer than two items, there is nothing to separate: the loss is 0.
     """
     if len(factors) < 2:
         return Tensor(np.float64(0.0))
-    return tape.mul(_dcor_sum(factors), Tensor(np.float64(2.0)))
+    return tape.mul(_dcor_sum(factors, min_rows=0), Tensor(np.float64(2.0)))

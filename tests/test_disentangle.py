@@ -199,5 +199,13 @@ class TestIndependenceLoss:
             independence_loss([np.ones((4, 2)), np.ones((5, 2))])
         with pytest.raises(ValueError, match="2-d inputs"):
             independence_loss([np.ones((4, 2)), np.ones(4)])
+
+    def test_single_row_is_zero(self):
+        # Only dcor(x, y) needs 2 rows; a one-node batch trains with loss 0.
+        rng = substream(20, "x")
+        fs = [Parameter(rng.normal(size=(1, 3))) for _ in range(3)]
+        loss = independence_loss(fs)
+        loss.backward()
+        assert float(loss.value) == 0.0
         with pytest.raises(ValueError, match="at least 2 observations"):
-            independence_loss([np.ones((1, 2)), np.ones((1, 2))])
+            dcor(fs[0], fs[1])

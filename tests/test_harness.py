@@ -134,6 +134,16 @@ class TestTrain:
         assert a.epoch_losses == b.epoch_losses
         assert (a.params.embeddings.value == b.params.embeddings.value).all()
 
+    @pytest.mark.parametrize("variant", ["full", "fcl", "star", "fp"])
+    def test_batches_of_one_single_item_example(self, variant):
+        # Every batch is one example whose prefix is one item, as the
+        # remainder batch is whenever len(train) % batch_size == 1.
+        examples = [Example([3], 4), Example([1], 2), Example([4], 3)]
+        cfg = tiny_config(batch_size=1, epochs=1, variant=variant)
+        result = train(examples, 6, cfg)
+        lb = result.epoch_losses[0]
+        assert np.isfinite(lb.total) and lb.independence == 0.0
+
     def test_empty_examples_rejected(self):
         with pytest.raises(ValueError):
             train([], 10, tiny_config())
