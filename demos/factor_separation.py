@@ -27,15 +27,17 @@ proj = FactorProjection.init(input_dim=10, factor_dim=4, num_factors=K,
 
 
 def pairwise(views):
+    """dcor of every pair of the (K, items, width) factor views."""
+    v = views.value
     m = np.eye(K)
     for a in range(K):
         for b in range(a + 1, K):
-            m[a, b] = m[b, a] = float(dcor(views[a].value, views[b].value).value)
+            m[a, b] = m[b, a] = float(dcor(v[a], v[b]).value)
     return m
 
 
 np.set_printoptions(precision=3, suppress=True)
-views = project(x, proj)
+views = project(x, proj)          # all K views in one (K, 40, 4) tensor
 print("pairwise distance correlation at init:")
 print(pairwise(views))
 

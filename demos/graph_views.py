@@ -36,15 +36,18 @@ print("incoming adjacency:")
 print(pack.adj_in[0])
 
 # factor view: embed the nodes, slice the embedding into factors, and
-# reweight the same edge pattern by per-factor cosine similarity
+# reweight the same edge pattern by per-factor cosine similarity; all
+# factors at once, as (batch, factor, node, width) states
 rng = substream(0, "demo")
 x = rng.normal(size=pack.node_ids.shape + (8,))
 proj = FactorProjection.init(input_dim=8, factor_dim=3, num_factors=2,
                              rng=rng)
 factors = project(x, proj)
-_, factor_adj = _factor_adjacency(factors[0], pack)
-print("\nfactor 0 adjacency (cosine-weighted edges, signed):")
-print(factor_adj.value[0])
+print("\nfactor views (batch, factor, node, width):", factors.value.shape)
+_, factor_adj = _factor_adjacency(factors, pack)
+for k in range(proj.num_factors):
+    print(f"factor {k} adjacency (cosine-weighted edges, signed):")
+    print(factor_adj.value[0, k])
 
 # hub view: a satellite node averages the sequence, then connects to
 # each real node in each direction with probability theta

@@ -37,8 +37,7 @@ class Discriminator:
         a = tape.as_tensor(a)
         b = tape.as_tensor(b)
         if self.form == "bilinear":
-            a = tape.matmul(a, self.weight) if a.value.ndim > 1 else \
-                tape.reshape(tape.matmul(tape.reshape(a, (1, -1)), self.weight), (-1,))
+            a = tape.matmul(a, self.weight)
         return tape.tsum(tape.mul(a, b), axis=-1)
 
     def named_parameters(self, prefix):

@@ -261,9 +261,20 @@ def write_catalog(path, catalog: ItemCatalog):
 
 
 def read_catalog(path) -> ItemCatalog:
+    """Read a catalog file; ``DataError`` unless it is a JSON object whose
+    ``item_to_index`` maps raw ids onto the dense indices 0..count-1."""
     with open(path, encoding="utf-8") as fh:
-        rec = json.load(fh)
-    catalog = ItemCatalog(dict(rec["item_to_index"]))
+        try:
+            rec = json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"{path}: catalog is not valid JSON: {exc}") from exc
+    mapping = rec.get("item_to_index") if isinstance(rec, dict) else None
+    if not isinstance(mapping, dict):
+        raise DataError(f"{path}: catalog has no item_to_index object")
+    if set(mapping.values()) != set(range(len(mapping))):
+        raise DataError(f"{path}: item_to_index must map onto 0.."
+                        f"{len(mapping) - 1} one to one")
+    catalog = ItemCatalog(dict(mapping))
     if catalog.count != rec.get("count", catalog.count):
         raise DataError(f"{path}: catalog count mismatch")
     return catalog

@@ -1,15 +1,16 @@
 """Factor projections and the distance-correlation independence penalty.
 
-Item embeddings are mapped to K low-dimensional factor spaces by
-per-factor sigmoid projections.  Training pushes the factors apart with
-a penalty summing pairwise distance correlation over all ordered factor
+Item embeddings are mapped to K low-dimensional factor spaces by sigmoid
+projections whose weights carry a leading factor axis, so all K views
+come from one matrix product.  Training pushes the factors apart with a
+penalty summing pairwise distance correlation over all ordered factor
 pairs, so that each factor captures a distinct aspect of the items.
 All pairs come from one Gram matrix, ``tape.centered_distance_gram``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,67 +20,60 @@ from .tape import Parameter, Tensor
 
 @dataclass
 class FactorProjection:
-    """K independent projections from item space to factor space."""
-    num_factors: int
-    input_dim: int
-    factor_dim: int
-    weights: list = field(default_factory=list)    # K Parameters (d, d_f)
-    biases: list = field(default_factory=list)     # K Parameters (d_f,)
-    bias_inside: bool = False
+    """K projections from item space to factor space, stacked on axis 0."""
+    weight: Parameter          # (K, d, d_f)
+    bias: Parameter            # (K, d_f)
 
     @classmethod
-    def init(cls, input_dim, factor_dim, num_factors, rng, bias_inside=False):
+    def init(cls, input_dim, factor_dim, num_factors, rng):
         stdv = 1.0 / np.sqrt(factor_dim)
-        weights = [Parameter(rng.uniform(-stdv, stdv, (input_dim, factor_dim)))
-                   for _ in range(num_factors)]
-        biases = [Parameter(rng.uniform(-stdv, stdv, factor_dim))
-                  for _ in range(num_factors)]
-        return cls(num_factors, input_dim, factor_dim, weights, biases, bias_inside)
+        return cls(
+            Parameter(rng.uniform(-stdv, stdv,
+                                  (num_factors, input_dim, factor_dim))),
+            Parameter(rng.uniform(-stdv, stdv, (num_factors, factor_dim))))
+
+    @property
+    def num_factors(self) -> int:
+        return self.weight.value.shape[0]
 
     def named_parameters(self):
-        for k in range(self.num_factors):
-            yield f"factor_proj.{k}.weight", self.weights[k]
-            yield f"factor_proj.{k}.bias", self.biases[k]
+        yield "factor_proj.weight", self.weight
+        yield "factor_proj.bias", self.bias
+
+
+def project_flat(items, proj: FactorProjection):
+    """All K factor views side by side, (..., d) -> (..., K * d_f), from one
+    product: columns [k d_f, (k+1) d_f) hold ``sigmoid(x W_k) + b_k``."""
+    k, d, f = proj.weight.value.shape
+    w = tape.reshape(tape.swap_last(proj.weight, (0, 1)), (d, k * f))
+    b = tape.reshape(proj.bias, (k * f,))
+    return tape.add(tape.sigmoid(tape.matmul(tape.as_tensor(items), w)), b)
 
 
 def project(items, proj: FactorProjection):
-    """Map item embeddings (..., d) to K factor views, each (..., d_f).
-
-    The gate squashes the linear map through a sigmoid; by default the
-    bias is added after the squash, ``bias_inside`` moves it before.
-    """
-    x = tape.as_tensor(items)
-    out = []
-    for k in range(proj.num_factors):
-        h = tape.matmul(x, proj.weights[k])
-        if proj.bias_inside:
-            out.append(tape.sigmoid(tape.add(h, proj.biases[k])))
-        else:
-            out.append(tape.add(tape.sigmoid(h), proj.biases[k]))
-    return out
+    """Map item rows (..., n, d) to the K factor views (..., K, n, d_f)."""
+    flat = project_flat(items, proj)
+    k, _, f = proj.weight.value.shape
+    split = tape.reshape(flat, flat.value.shape[:-1] + (k, f))
+    return tape.swap_last(split, (-3, -2))
 
 
 def _dcor_sum(views, min_rows):
     """Sum of the distance correlations of all unordered pairs of views.
 
-    ``views`` are K >= 2 samples of the same m >= ``min_rows``
-    observations, one row each.  Degenerate pairs carry no usable signal
-    and add exactly 0: a view with zero distance variance (every view if
-    m < 2), or a squared covariance that cancels to <= 0 in floating point.
+    ``views`` stacks K >= 2 samples of the same m >= ``min_rows``
+    observations as (K, m, d), one row each.  Degenerate pairs carry no
+    usable signal and add exactly 0: a view with zero distance variance
+    (every view if m < 2), or a squared covariance that cancels to <= 0
+    in floating point.
     """
-    views = [tape.as_tensor(v) for v in views]
-    if any(v.value.ndim != 2 for v in views):
-        raise ValueError("dcor expects 2-d inputs (rows are observations)")
-    rows = [v.value.shape[0] for v in views]
-    for m in rows[1:]:
-        if m != rows[0]:
-            raise ValueError(f"row count mismatch: {rows[0]} vs {m}")
-    if rows[0] < min_rows:
+    m = views.value.shape[1]
+    if m < min_rows:
         raise ValueError(f"dcor needs at least {min_rows} observations")
-    if rows[0] < 2:
+    if m < 2:
         return Tensor(np.float64(0.0))
     g = tape.centered_distance_gram(views)
-    i, j = np.triu_indices(len(views), 1)
+    i, j = np.triu_indices(views.value.shape[0], 1)
     var = np.diag(g.value)
     keep = (var[i] != 0.0) & (var[j] != 0.0) & (g.value[i, j] > 0.0)
     if not keep.any():
@@ -95,19 +89,35 @@ def dcor(x, y):
     """Distance correlation between two samples with matching row count.
 
     Rows are observations.  Returns a scalar in [0, 1]; independent
-    samples score near 0, any exact monotone relation scores 1.
+    samples score near 0, any exact monotone relation scores 1.  Zero
+    columns pad the narrower sample (distances stay) to stack both.
     """
-    return _dcor_sum([x, y], min_rows=2)
+    x, y = tape.as_tensor(x), tape.as_tensor(y)
+    if x.value.ndim != 2 or y.value.ndim != 2:
+        raise ValueError("dcor expects 2-d inputs (rows are observations)")
+    (m, dx), (my, dy) = x.value.shape, y.value.shape
+    if m != my:
+        raise ValueError(f"row count mismatch: {m} vs {my}")
+    width = max(dx, dy)
+    stacked = tape.concat([
+        tape.reshape(tape.concat([v, Tensor(np.zeros((m, width - dv)))], -1),
+                     (1, m, width))
+        for v, dv in ((x, dx), (y, dy))], axis=0)
+    return _dcor_sum(stacked, min_rows=2)
 
 
 def independence_loss(factors):
     """Sum of dcor over all ordered pairs of factor views.
 
-    ``factors`` is a list of (m, d_f) views of the same m items.  Each
+    ``factors`` stacks K views of the same m items as (K, m, d_f).  Each
     unordered pair appears twice in the ordered sum and dcor is
     symmetric, so the pair sum is doubled.  With fewer than two factors,
     or fewer than two items, there is nothing to separate: the loss is 0.
     """
-    if len(factors) < 2:
+    factors = tape.as_tensor(factors)
+    if factors.value.ndim != 3:
+        raise ValueError("independence_loss expects factor views stacked "
+                         "as (K, m, d_f)")
+    if factors.value.shape[0] < 2:
         return Tensor(np.float64(0.0))
     return tape.mul(_dcor_sum(factors, min_rows=0), Tensor(np.float64(2.0)))

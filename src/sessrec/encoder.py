@@ -14,25 +14,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tape
+from .rng import uniform_fields
 from .tape import Parameter
 
 
 @dataclass
 class AttentionWeights:
+    """One readout's weights; K factor readouts stack on a leading axis."""
     query: Parameter           # (d,)
     w_current: Parameter       # (d, d)
     w_last: Parameter          # (d, d)
     w_merge: Parameter         # (2d, d)
 
     @classmethod
-    def init(cls, dim, rng):
-        stdv = 1.0 / np.sqrt(dim)
-        return cls(
-            query=Parameter(rng.uniform(-stdv, stdv, dim)),
-            w_current=Parameter(rng.uniform(-stdv, stdv, (dim, dim))),
-            w_last=Parameter(rng.uniform(-stdv, stdv, (dim, dim))),
-            w_merge=Parameter(rng.uniform(-stdv, stdv, (2 * dim, dim))),
-        )
+    def init(cls, dim, rng, num_factors=None):
+        """U(+-1/sqrt(dim)) in field order; ``num_factors`` K stacks K
+        readouts on a leading axis (see ``rng.uniform_fields``)."""
+        lead = () if num_factors is None else (num_factors,)
+        shapes = [(dim,), (dim, dim), (dim, dim), (2 * dim, dim)]
+        return cls(*map(Parameter, uniform_fields(rng, 1.0 / np.sqrt(dim),
+                                                  shapes, lead)))
 
     def named_parameters(self, prefix):
         for name in ("query", "w_current", "w_last", "w_merge"):
@@ -51,8 +52,7 @@ def attention_scores(seq, last, w: AttentionWeights):
     last_row = tape.reshape(last, last.value.shape[:-1] + (1, last.value.shape[-1]))
     h = tape.sigmoid(tape.add(tape.matmul(seq, w.w_current),
                               tape.matmul(last_row, w.w_last)))
-    d = w.query.value.shape[0]
-    q_col = tape.reshape(w.query, (d, 1))
+    q_col = tape.reshape(w.query, w.query.value.shape + (1,))
     return tape.matmul(h, q_col)      # (..., T, 1)
 
 
@@ -62,36 +62,23 @@ def encode(seq, w: AttentionWeights, last_position=None, pos_mask=None,
 
     ``last_position`` defaults to the final position; for padded batches
     pass the per-session index array and a 0/1 ``pos_mask`` so padding
-    neither scores nor contributes.  ``normalize_scores`` switches the
-    raw attention weights to a softmax over (real) positions.
+    neither scores nor contributes.  Both broadcast against the leading
+    axes of ``seq``.  ``normalize_scores`` switches the raw attention
+    weights to a softmax over (real) positions.
     """
     seq = tape.as_tensor(seq)
     shape = seq.value.shape
-    t = shape[-2]
-
-    if last_position is None:
-        if seq.value.ndim == 2:
-            last = tape.getitem(seq, t - 1)
-        else:
-            idx = np.full(shape[:-2], t - 1, dtype=np.int64)
-            last = _gather_positions(seq, idx)
-    else:
-        idx = np.asarray(last_position, dtype=np.int64)
-        if seq.value.ndim == 2:
-            last = tape.getitem(seq, int(idx))
-        else:
-            last = _gather_positions(seq, idx)
+    idx = shape[-2] - 1 if last_position is None else last_position
+    idx = np.broadcast_to(np.asarray(idx, dtype=np.int64), shape[:-2])
+    last = tape.getitem(seq, tuple(np.indices(idx.shape)) + (idx,))
 
     scores = attention_scores(seq, last, w)
-    if pos_mask is not None:
-        mask = np.asarray(pos_mask, dtype=np.float64)[..., None]
-    else:
-        mask = None
+    mask = None if pos_mask is None else \
+        np.asarray(pos_mask, dtype=np.float64)[..., None]
 
     if normalize_scores:
         if mask is not None:
-            neg = tape.Tensor((1.0 - mask) * -1e30)
-            scores = tape.add(scores, neg)
+            scores = tape.add(scores, tape.Tensor((1.0 - mask) * -1e30))
         alpha = tape.exp(tape.log_softmax(scores, axis=-2))
         if mask is not None:
             alpha = tape.mul(alpha, tape.Tensor(mask))
@@ -100,29 +87,29 @@ def encode(seq, w: AttentionWeights, last_position=None, pos_mask=None,
 
     mixed = tape.tsum(tape.mul(alpha, seq), axis=-2)      # (..., d)
     merged = tape.concat([last, mixed], axis=-1)          # (..., 2d)
-    if merged.value.ndim == 1:
-        wide = tape.reshape(merged, (1, merged.value.shape[-1]))
-        out = tape.matmul(wide, w.w_merge)
-        return tape.reshape(out, (out.value.shape[-1],))
-    return tape.matmul(merged, w.w_merge)
-
-
-def _gather_positions(seq, idx):
-    """Pick one (d,) row per leading index from (..., T, d)."""
-    lead = np.indices(idx.shape)
-    return tape.getitem(seq, tuple(lead) + (idx,))
+    if merged.value.ndim == 2 and w.w_merge.value.ndim == 2:
+        return tape.matmul(merged, w.w_merge)
+    # one (1, 2d) row per readout, so a factor-stacked (K, 2d, d) merge
+    # maps each factor's row through its own slice
+    lead = merged.value.shape[:-1]
+    wide = tape.reshape(merged, lead + (1, merged.value.shape[-1]))
+    out = tape.matmul(wide, w.w_merge)
+    return tape.reshape(out, lead + (out.value.shape[-1],))
 
 
 def encode_factors(factor_seqs, weights, last_position=None, pos_mask=None,
                    normalize_scores: bool = False):
-    """Encode each factor view with its own attention, concatenated last.
+    """Read out all K factor views at once, concatenated on the last axis.
 
-    ``factor_seqs`` is a list of K position-aligned (..., T, d_f)
-    tensors; ``weights`` a matching list of AttentionWeights.  Returns
-    (..., K * d_f).
+    ``factor_seqs`` is (..., K, T, d_f) and ``weights`` an
+    AttentionWeights with a leading K axis, slice k reading view k;
+    ``last_position`` and ``pos_mask`` broadcast as for ``encode``, so a
+    padded batch passes them with a unit factor axis.  Returns
+    (..., K * d_f), view k in columns [k d_f, (k+1) d_f).
     """
-    if len(factor_seqs) != len(weights):
-        raise ValueError("one attention weight set per factor required")
-    parts = [encode(f, w, last_position, pos_mask, normalize_scores)
-             for f, w in zip(factor_seqs, weights)]
-    return tape.concat(parts, axis=-1)
+    seqs = tape.as_tensor(factor_seqs)
+    lead = seqs.value.shape[:-2]
+    if lead[-1:] != weights.query.value.shape[:1]:
+        raise ValueError("one attention weight slice per factor required")
+    out = encode(seqs, weights, last_position, pos_mask, normalize_scores)
+    return tape.reshape(out, lead[:-1] + (-1,))

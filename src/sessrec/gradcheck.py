@@ -14,9 +14,9 @@ def numerical_gradient(loss_fn, param, step: float = 1e-5) -> np.ndarray:
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + step
-        plus = loss_fn().item()
+        plus = float(loss_fn().value)
         flat[i] = orig - step
-        minus = loss_fn().item()
+        minus = float(loss_fn().value)
         flat[i] = orig
         num[i] = (plus - minus) / (2.0 * step)
     return num.reshape(param.value.shape)

@@ -26,13 +26,13 @@ class SessionGraph:
         return len(self.nodes)
 
 
-def build_session_graph(session, normalize: bool = True) -> SessionGraph:
+def build_session_graph(session) -> SessionGraph:
     """Build the directed transition graph of one session.
 
     ``adj_out[i, j]`` holds the weight of edge i->j, each row divided by
     the node's out-degree; ``adj_in[i, j]`` the weight of j->i divided by
-    i's in-degree.  With ``normalize=False`` both keep the raw 0/1
-    pattern.  Repeated transitions contribute a single edge.
+    i's in-degree; ``edge_out`` keeps the raw 0/1 pattern.  Repeated
+    transitions contribute a single edge.
     """
     seq = np.asarray(list(session), dtype=np.int64)
     if seq.size == 0:
@@ -49,20 +49,15 @@ def build_session_graph(session, normalize: bool = True) -> SessionGraph:
     n = len(slot)
 
     edge_out = np.zeros((n, n), dtype=np.float64)
-    for t in range(seq.size - 1):
-        edge_out[alias[t], alias[t + 1]] = 1.0
+    edge_out[alias[:-1], alias[1:]] = 1.0
 
-    if normalize:
-        out_deg = edge_out.sum(axis=1, keepdims=True)
-        adj_out = np.divide(edge_out, out_deg, out=np.zeros_like(edge_out),
-                            where=out_deg > 0)
-        edge_in = edge_out.T
-        in_deg = edge_in.sum(axis=1, keepdims=True)
-        adj_in = np.divide(edge_in, in_deg, out=np.zeros_like(edge_out),
-                           where=in_deg > 0)
-    else:
-        adj_out = edge_out.copy()
-        adj_in = edge_out.T.copy()
+    out_deg = edge_out.sum(axis=1, keepdims=True)
+    adj_out = np.divide(edge_out, out_deg, out=np.zeros_like(edge_out),
+                        where=out_deg > 0)
+    edge_in = edge_out.T
+    in_deg = edge_in.sum(axis=1, keepdims=True)
+    adj_in = np.divide(edge_in, in_deg, out=np.zeros_like(edge_out),
+                       where=in_deg > 0)
 
     return SessionGraph(nodes=nodes, alias=alias, adj_out=adj_out,
                         adj_in=adj_in, edge_out=edge_out)

@@ -2,10 +2,12 @@
 
 Sessions are padded into dense (B, n, ...) arrays so one pass serves a
 whole batch; masks keep padded slots from ever touching a real value.
-The training forward runs the original channel, the per-factor channels
-over similarity-weighted edges, and the star (or dropout) augmentation
-channel, then assembles the prediction, contrastive and independence
-terms.  Inference reuses the original channel and the projections only.
+The training forward runs the original channel, the K factor channels
+(one pass over (B, K, n, d_f) states, where factor-stacked weights
+broadcast) over similarity-weighted edges, and the star (or dropout)
+augmentation channel, then assembles the prediction, contrastive and
+independence terms.  Inference reuses the original channel and the
+projections only.
 """
 
 from __future__ import annotations
@@ -91,10 +93,21 @@ def pack_batch(examples, session_indices=None) -> PackedBatch:
                        session_indices=np.asarray(session_indices, dtype=np.int64))
 
 
+def _lined_up(a, ndim):
+    """(B, ...) array padded with unit axes after B to broadcast at ``ndim``."""
+    return a.reshape(a.shape[:1] + (1,) * (ndim - a.ndim) + a.shape[1:])
+
+
+def _lead_index(shape, trailing):
+    """Open-mesh indices over leading axes ``shape``, ``trailing`` axes on."""
+    return tuple(i.reshape(i.shape + (1,) * trailing)
+                 for i in np.ix_(*map(np.arange, shape)))
+
+
 def _gather_sequence(h, pack: PackedBatch):
-    """Lay node states back along positions: (B, n, d) -> (B, T, d)."""
-    b_idx = np.arange(pack.size)[:, None]
-    return tape.getitem(h, (b_idx, pack.alias))
+    """Lay node states back along positions: (B, [K,] n, d) -> (B, [K,] T, d)."""
+    lead = _lead_index(h.value.shape[:-2], 1)
+    return tape.getitem(h, lead + (_lined_up(pack.alias, h.value.ndim - 1),))
 
 
 def _run_channel(x, adj_in, adj_out, weights):
@@ -103,15 +116,16 @@ def _run_channel(x, adj_in, adj_out, weights):
     return x
 
 
-def _factor_adjacency(f0_k, pack: PackedBatch):
+def _factor_adjacency(f0, pack: PackedBatch):
     """Cosine of the raw factor embeddings at the session's edge slots.
 
-    Built on the tape so edge weights pass gradient back into the
-    projections; signed, unclamped, incoming view is the transpose.
+    ``f0`` is (B, K, n, d_f), the result (B, K, n, n).  Built on the tape
+    so edge weights pass gradient back into the projections; signed,
+    unclamped, incoming view is the transpose.
     """
-    unit = tape.normalize_rows(f0_k)
+    unit = tape.normalize_rows(f0)
     sim = tape.matmul(unit, tape.swap_last(unit))
-    a_out = tape.mul(sim, Tensor(pack.edge_out))
+    a_out = tape.mul(sim, Tensor(_lined_up(pack.edge_out, f0.value.ndim)))
     return tape.swap_last(a_out), a_out
 
 
@@ -163,12 +177,10 @@ def _dropout_adjacency(pack: PackedBatch, edge_rate, node_rate, seed, epoch):
         rng = substream(seed, "dropout", epoch, int(pack.session_indices[i]))
         keep_edge = rng.random((k, k)) >= edge_rate
         pat = pack.edge_out[i, :k, :k] * keep_edge
-        node_draws = rng.random(k)
-        last_slot = int(pack.alias[i, pack.last_pos[i]])
-        for slot in range(k):
-            if slot != last_slot and node_draws[slot] < node_rate:
-                pat[slot, :] = 0.0
-                pat[:, slot] = 0.0
+        isolated = rng.random(k) < node_rate
+        isolated[pack.alias[i, pack.last_pos[i]]] = False
+        pat[isolated, :] = 0.0
+        pat[:, isolated] = 0.0
         pattern[i, :k, :k] = pat
 
     out_deg = pattern.sum(axis=2, keepdims=True)
@@ -183,25 +195,29 @@ def _dropout_adjacency(pack: PackedBatch, edge_rate, node_rate, seed, epoch):
 
 def _masked_session_mean(per_node, pack: PackedBatch):
     """Mean over real nodes per session, then mean over sessions with
-    at least 2 nodes; returns a scalar tensor (0 if none qualify)."""
+    at least 2 nodes, summed over views if ``per_node`` is (B, K, n);
+    returns a scalar tensor (0 if no session qualifies)."""
     session_ok = (pack.n_nodes >= 2).astype(np.float64)
     if session_ok.sum() == 0:
         return Tensor(np.float64(0.0))
     inv = np.divide(1.0, pack.n_nodes, where=pack.n_nodes > 0,
                     out=np.zeros(pack.size)) * session_ok
-    masked = tape.mul(per_node, Tensor(pack.node_mask))
-    per_session = tape.mul(tape.tsum(masked, axis=-1), Tensor(inv))
+    ndim = per_node.value.ndim
+    masked = tape.mul(per_node, Tensor(_lined_up(pack.node_mask, ndim)))
+    per_session = tape.mul(tape.tsum(masked, axis=-1),
+                           Tensor(_lined_up(inv, ndim - 1)))
     return tape.mul(tape.tsum(per_session),
                     Tensor(np.float64(1.0 / session_ok.sum())))
 
 
 def _pairwise_terms(anchor, positive, partner, neg_idx, disc):
-    """softplus(-H_pos) + mean_j softplus(H_neg_j) per node slot."""
+    """softplus(-H_pos) + mean_j softplus(H_neg_j) per node slot of
+    (B, [K,] n, d) states; ``neg_idx`` is (B, [K,] n, per)."""
     pos = disc.score(anchor, positive)
-    b_idx = np.arange(anchor.value.shape[0])[:, None, None]
-    i_idx = np.arange(anchor.value.shape[1])[None, :, None]
-    neg = disc.score(tape.getitem(anchor, (b_idx, i_idx)),
-                     tape.getitem(partner, (b_idx, neg_idx)))
+    shape = anchor.value.shape
+    key = _lead_index(neg_idx.shape[:-2], 2) + (neg_idx,)
+    neg = disc.score(tape.reshape(anchor, shape[:-1] + (1, shape[-1])),
+                     tape.getitem(partner, key))
     pos_term = tape.softplus(tape.mul(pos, Tensor(np.float64(-1.0))))
     neg_term = tape.tmean(tape.softplus(neg), axis=-1)
     return tape.add(pos_term, neg_term)
@@ -221,10 +237,8 @@ def _negative_draws(pack: PackedBatch, seed, epoch, stream_tag, per, count=1):
             continue
         rng = substream(seed, "negatives", epoch,
                         int(pack.session_indices[i]), stream_tag)
-        for c in range(count):
-            draws = rng.integers(0, k - 1, size=(k, per))
-            anchors = np.arange(k)[:, None]
-            out[c, i, :k] = draws + (draws >= anchors)
+        draws = rng.integers(0, k - 1, size=(count, k, per))
+        out[:, i, :k] = draws + (draws >= np.arange(k)[:, None])
     return out
 
 
@@ -242,10 +256,10 @@ def _readout(params: ParameterSet, pack: PackedBatch, h_orig,
     seq = _gather_sequence(h_orig, pack)
     e_item = encode(seq, params.attn_item, pack.last_pos, pack.pos_mask,
                     normalize_scores)
-    orig_factors = project(h_orig, params.proj)
-    factor_seqs = [_gather_sequence(f, pack) for f in orig_factors]
-    e_factor = encode_factors(factor_seqs, params.attn_factors, pack.last_pos,
-                              pack.pos_mask, normalize_scores)
+    orig_factors = project(h_orig, params.proj)          # (B, K, n, d_f)
+    e_factor = encode_factors(_gather_sequence(orig_factors, pack),
+                              params.attn_factor, pack.last_pos[:, None],
+                              pack.pos_mask[:, None], normalize_scores)
     return e_item, e_factor, orig_factors
 
 
@@ -283,29 +297,28 @@ def training_forward(params: ParameterSet, pack: PackedBatch, cfg,
     e_item, e_factor, orig_factors = _readout(params, pack, h_orig,
                                               cfg.normalize_attention)
 
-    f0 = project(x0, params.proj)
+    f0 = project(x0, params.proj)                        # (B, K, n, d_f)
     if cfg.variant == "fcl":
         l_contrast = l_item
     else:
+        a_in, a_out = _factor_adjacency(f0, pack)
+        h_fac = _run_channel(f0, a_in, a_out, params.ggnn_factor)
+        partner = orig_factors if cfg.factor_negatives == "within_view" \
+            else h_fac
         neg_fac = _negative_draws(pack, cfg.seed, epoch, 1,
                                   cfg.negatives_per_positive,
                                   count=params.proj.num_factors)
-        l_factor = None
-        for k in range(params.proj.num_factors):
-            a_in, a_out = _factor_adjacency(f0[k], pack)
-            h_fac = _run_channel(f0[k], a_in, a_out, params.ggnn_factors[k])
-            partner = orig_factors[k] if cfg.factor_negatives == "within_view" \
-                else h_fac
-            terms = _pairwise_terms(orig_factors[k], h_fac, partner,
-                                    neg_fac[k], params.disc_factor)
-            lk = _masked_session_mean(terms, pack)
-            l_factor = lk if l_factor is None else tape.add(l_factor, lk)
+        terms = _pairwise_terms(orig_factors, h_fac, partner,
+                                np.swapaxes(neg_fac, 0, 1), params.disc_factor)
+        l_factor = _masked_session_mean(terms, pack)
         l_contrast = tape.add(
             tape.mul(l_item, Tensor(np.float64(cfg.alpha))),
             tape.mul(l_factor, Tensor(np.float64(1.0 - cfg.alpha))))
 
-    rows = np.nonzero(pack.node_mask)
-    l_ind = independence_loss([tape.getitem(f, rows) for f in f0])
+    # every real node slot once per view: (K, m, d_f)
+    b_idx, slot = np.nonzero(pack.node_mask)
+    views = np.arange(f0.value.shape[1])[:, None]
+    l_ind = independence_loss(tape.getitem(f0, (b_idx, views, slot)))
 
     catalog_factors = catalog_factor_embeddings(params.embeddings, params.proj)
     sv = score(e_item, e_factor, params.embeddings,

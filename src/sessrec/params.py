@@ -2,7 +2,8 @@
 
 All weights are created in one fixed order from a single named RNG
 substream, so a seed pins every initial value regardless of which
-variant later trains.  Checkpoints are a flat little-endian float64
+variant later trains; the K factor weights of each kind stack on a
+leading factor axis.  Checkpoints are a flat little-endian float64
 binary next to a JSON manifest recording names, shapes, offsets (in
 elements) and the run configuration.
 """
@@ -10,8 +11,9 @@ elements) and the run configuration.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from .propagation import GGNNWeights
 from .rng import substream
 from .tape import Parameter
 
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 
 
 @dataclass
@@ -30,10 +32,10 @@ class ParameterSet:
     embeddings: Parameter
     proj: FactorProjection
     ggnn_original: GGNNWeights
-    ggnn_factors: list
+    ggnn_factor: GGNNWeights       # K channels on a leading factor axis
     ggnn_star: GGNNWeights
     attn_item: AttentionWeights
-    attn_factors: list
+    attn_factor: AttentionWeights  # K readouts on a leading factor axis
     disc_item: Discriminator
     disc_factor: Discriminator
 
@@ -42,12 +44,10 @@ class ParameterSet:
         out = [("embeddings", self.embeddings)]
         out.extend(self.proj.named_parameters())
         out.extend(self.ggnn_original.named_parameters("ggnn.original"))
-        for k, g in enumerate(self.ggnn_factors):
-            out.extend(g.named_parameters(f"ggnn.factor{k}"))
+        out.extend(self.ggnn_factor.named_parameters("ggnn.factor"))
         out.extend(self.ggnn_star.named_parameters("ggnn.star"))
         out.extend(self.attn_item.named_parameters("attention.item"))
-        for k, a in enumerate(self.attn_factors):
-            out.extend(a.named_parameters(f"attention.factor{k}"))
+        out.extend(self.attn_factor.named_parameters("attention.factor"))
         out.extend(self.disc_item.named_parameters("discriminator.item"))
         out.extend(self.disc_factor.named_parameters("discriminator.factor"))
         return out
@@ -64,21 +64,29 @@ def init_parameters(n_items, dim, factor_dim, num_factors, layers, seed,
     embeddings and item-space weights use 1/sqrt(dim), factor-space
     weights 1/sqrt(factor_dim).
     """
-    rng = substream(seed, "init")
+    return _build(substream(seed, "init"), n_items, dim, factor_dim,
+                  num_factors, layers, disc_form)
+
+
+# Stands in for the init generator when only the layout is needed: every
+# "draw" is zeros, which costs no random numbers and no touched memory.
+_NO_DRAWS = SimpleNamespace(uniform=lambda low, high, size: np.zeros(size))
+
+
+def _build(rng, n_items, dim, factor_dim, num_factors, layers, disc_form):
+    """The parameter layout, in draw order; the one place it is spelled out."""
     stdv = 1.0 / np.sqrt(dim)
     embeddings = Parameter(rng.uniform(-stdv, stdv, (n_items, dim)))
     proj = FactorProjection.init(dim, factor_dim, num_factors, rng)
     ggnn_original = GGNNWeights.init(dim, rng, layers)
-    ggnn_factors = [GGNNWeights.init(factor_dim, rng, layers)
-                    for _ in range(num_factors)]
+    ggnn_factor = GGNNWeights.init(factor_dim, rng, layers, num_factors)
     ggnn_star = GGNNWeights.init(dim, rng, layers)
     attn_item = AttentionWeights.init(dim, rng)
-    attn_factors = [AttentionWeights.init(factor_dim, rng)
-                    for _ in range(num_factors)]
+    attn_factor = AttentionWeights.init(factor_dim, rng, num_factors)
     disc_item = Discriminator.init(disc_form, dim, rng)
     disc_factor = Discriminator.init(disc_form, factor_dim, rng)
-    return ParameterSet(embeddings, proj, ggnn_original, ggnn_factors,
-                        ggnn_star, attn_item, attn_factors, disc_item,
+    return ParameterSet(embeddings, proj, ggnn_original, ggnn_factor,
+                        ggnn_star, attn_item, attn_factor, disc_item,
                         disc_factor)
 
 
@@ -119,37 +127,42 @@ def load_checkpoint(base):
     """Rebuild a ParameterSet from ``<base>.bin`` / ``<base>.json``.
 
     The structural fields of the stored config (dims, factor count,
-    layers, discriminator form) drive reconstruction; every stored
-    array must match its rebuilt shape exactly.  Returns
-    ``(params, config, n_items)``.
+    layers, discriminator form) lay out the parameters without drawing
+    any; every stored array must match its laid-out shape exactly, and a
+    malformed manifest raises ``CheckpointError``.  Returns ``(params,
+    config, n_items)``.
     """
     bin_path, json_path = _paths(base)
     try:
         manifest = json.loads(json_path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise CheckpointError(f"cannot read manifest {json_path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{json_path}: manifest is not a JSON object")
     if manifest.get("format_version") != CHECKPOINT_FORMAT:
         raise CheckpointError(
             f"unsupported checkpoint format {manifest.get('format_version')!r}")
     try:
+        config = manifest["config"]
+        n_items = int(manifest["n_items"])
+        total = int(manifest["total_elements"])
+        stored = {e["name"]: (tuple(e["shape"]), int(e["offset"]))
+                  for e in manifest["entries"]}
+        params = _build(_NO_DRAWS, n_items, int(config["dim"]),
+                        int(config["factor_dim"]), int(config["num_factors"]),
+                        int(config["layers"]), config.get("disc_form", "dot"))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CheckpointError(
+            f"{json_path}: malformed manifest ({type(exc).__name__}: {exc})"
+        ) from exc
+    try:
         raw = np.frombuffer(bin_path.read_bytes(), dtype="<f8")
     except OSError as exc:
         raise CheckpointError(f"cannot read weights {bin_path}: {exc}") from exc
-    if raw.size != manifest["total_elements"]:
+    if raw.size != total:
         raise CheckpointError(
-            f"{bin_path}: holds {raw.size} elements, manifest says "
-            f"{manifest['total_elements']}")
+            f"{bin_path}: holds {raw.size} elements, manifest says {total}")
 
-    config = manifest["config"]
-    n_items = int(manifest["n_items"])
-    params = init_parameters(
-        n_items=n_items, dim=int(config["dim"]),
-        factor_dim=int(config["factor_dim"]),
-        num_factors=int(config["num_factors"]),
-        layers=int(config["layers"]), seed=int(config.get("seed", 0)),
-        disc_form=config.get("disc_form", "dot"))
-
-    stored = {e["name"]: e for e in manifest["entries"]}
     expected = [name for name, _ in params.named_parameters()]
     missing = [n for n in expected if n not in stored]
     extra = [n for n in stored if n not in expected]
@@ -157,15 +170,14 @@ def load_checkpoint(base):
         raise CheckpointError(
             f"parameter name mismatch: missing={missing} extra={extra}")
     for name, p in params.named_parameters():
-        e = stored[name]
-        shape = tuple(e["shape"])
+        shape, offset = stored[name]
         if shape != p.value.shape:
             raise CheckpointError(
                 f"{name}: stored shape {shape} != expected {p.value.shape}")
-        size = int(np.prod(shape)) if shape else 1
-        block = raw[e["offset"]:e["offset"] + size]
-        if block.size != size:
-            raise CheckpointError(f"{name}: binary blob truncated")
-        p.value = block.reshape(shape).astype(np.float64).copy()
+        size = p.value.size
+        if not 0 <= offset <= raw.size - size:
+            raise CheckpointError(f"{name}: elements {offset}..{offset + size} "
+                                  f"lie outside the {raw.size}-element blob")
+        p.value = raw[offset:offset + size].reshape(shape).astype(np.float64)
         p.grad = None
     return params, config, n_items

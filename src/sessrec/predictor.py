@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tape
-from .disentangle import FactorProjection, project
+from .disentangle import FactorProjection, project_flat
 from .tape import Tensor
 
 PROB_FLOOR = 1e-12
@@ -29,8 +29,13 @@ class ScoreVector:
 
 
 def catalog_factor_embeddings(catalog_embeddings, proj: FactorProjection):
-    """Concatenated factor views of the whole catalog, (N, K * d_f)."""
-    return tape.concat(project(catalog_embeddings, proj), axis=-1)
+    """Concatenated factor views of the whole catalog, (N, K * d_f).
+
+    One (N, d) @ (d, K * d_f) product: batching the catalog rows against
+    the (K, d, d_f) weight instead would leave matmul's backward an
+    (N, K, d, d_f) block to reduce.
+    """
+    return project_flat(catalog_embeddings, proj)
 
 
 def _head_probs(embeddings, session_embedding):
@@ -46,22 +51,19 @@ def _head_probs(embeddings, session_embedding):
 
 
 def score(session_item_emb, session_factor_emb, catalog_embeddings,
-          catalog_factors=None, proj: FactorProjection = None,
-          use_factor_head: bool = True) -> ScoreVector:
+          catalog_factors=None, use_factor_head: bool = True) -> ScoreVector:
     """Probability of each catalog item being next.
 
-    ``catalog_factors`` (the concatenated factor views of the catalog)
-    can be passed precomputed; otherwise it is derived from ``proj``.
-    With ``use_factor_head=False`` only the item head contributes and
-    the combined vector equals it.
+    ``catalog_factors`` holds the concatenated factor views of the
+    catalog (see ``catalog_factor_embeddings``); the factor head needs
+    it.  With ``use_factor_head=False`` only the item head contributes
+    and the combined vector equals it.
     """
     p_item = _head_probs(catalog_embeddings, session_item_emb)
     if not use_factor_head:
         return ScoreVector(combined=p_item, item_head=p_item)
     if catalog_factors is None:
-        if proj is None:
-            raise ValueError("need catalog_factors or proj for the factor head")
-        catalog_factors = catalog_factor_embeddings(catalog_embeddings, proj)
+        raise ValueError("the factor head needs catalog_factors")
     p_factor = _head_probs(catalog_factors, session_factor_emb)
     combined = tape.mul(tape.add(p_item, p_factor), Tensor(np.float64(0.5)))
     return ScoreVector(combined=combined, item_head=p_item, factor_head=p_factor)
@@ -75,14 +77,7 @@ def prediction_loss(scores: ScoreVector, target):
     logs so a saturated head cannot produce infinities.
     """
     p = tape.as_tensor(scores.combined)
-    n = p.value.shape[-1]
-    if p.value.ndim == 1:
-        y = np.zeros(n)
-        y[int(target)] = 1.0
-    else:
-        t = np.asarray(target, dtype=np.int64)
-        y = np.zeros(p.value.shape)
-        y[np.arange(len(t)), t] = 1.0
+    y = np.arange(p.value.shape[-1]) == np.asarray(target)[..., None]
     y_t = Tensor(y)
     one = Tensor(np.float64(1.0))
     log_p = tape.log(tape.clip_min(p, PROB_FLOOR))

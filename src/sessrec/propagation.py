@@ -3,7 +3,9 @@
 One shared cell serves all three channels; only the adjacency pair and
 the weight set differ.  ``ggnn_step`` is a plain layer and ``star_step``
 a layer over a hub-augmented graph.  States are padded batches
-(B, n, d); the ops broadcast, so one session as (n, d) works too.
+(B, n, d); the ops broadcast, so one session as (n, d) works too, and so
+do the K factor channels at once as (B, K, n, d) states over (B, K, n, n)
+adjacencies with factor-stacked weights.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tape
+from .rng import uniform_fields
 from .tape import Parameter
 
 
@@ -23,7 +26,7 @@ class GGNNWeights:
     The incoming and outgoing aggregations get separate linear maps and
     biases; the update and reset gates and the candidate state each mix
     the concatenated aggregation (width 2d) with the previous state.
-    Gates carry no bias terms.
+    Gates carry no bias terms.  K factor channels stack on a leading axis.
     """
     weight_in: Parameter       # (d, d)
     weight_out: Parameter      # (d, d)
@@ -38,20 +41,15 @@ class GGNNWeights:
     layers: int = 1
 
     @classmethod
-    def init(cls, dim, rng, layers=1):
-        stdv = 1.0 / np.sqrt(dim)
-
-        def u(*shape):
-            return Parameter(rng.uniform(-stdv, stdv, shape))
-
-        return cls(
-            weight_in=u(dim, dim), weight_out=u(dim, dim),
-            bias_in=u(dim), bias_out=u(dim),
-            weight_update=u(2 * dim, dim), weight_reset=u(2 * dim, dim),
-            weight_cand=u(2 * dim, dim),
-            u_update=u(dim, dim), u_reset=u(dim, dim), u_cand=u(dim, dim),
-            layers=layers,
-        )
+    def init(cls, dim, rng, layers=1, num_factors=None):
+        """U(+-1/sqrt(dim)) in field order; ``num_factors`` K stacks K
+        channels on a leading axis (see ``rng.uniform_fields``)."""
+        lead = () if num_factors is None else (num_factors,)
+        d = dim
+        shapes = [(d, d), (d, d), (d,), (d,), (2 * d, d), (2 * d, d),
+                  (2 * d, d), (d, d), (d, d), (d, d)]
+        values = uniform_fields(rng, 1.0 / np.sqrt(dim), shapes, lead)
+        return cls(*map(Parameter, values), layers=layers)
 
     def named_parameters(self, prefix):
         for name in ("weight_in", "weight_out", "bias_in", "bias_out",
@@ -74,9 +72,17 @@ def _aggregate(x, adj_in, adj_out, w: GGNNWeights, star_terms=None):
         extra_in, extra_out = star_terms
         agg_in = tape.add(agg_in, extra_in)
         agg_out = tape.add(agg_out, extra_out)
-    part_in = tape.add(tape.matmul(agg_in, w.weight_in), w.bias_in)
-    part_out = tape.add(tape.matmul(agg_out, w.weight_out), w.bias_out)
+    part_in = tape.add(tape.matmul(agg_in, w.weight_in), _per_row(w.bias_in))
+    part_out = tape.add(tape.matmul(agg_out, w.weight_out),
+                        _per_row(w.bias_out))
     return tape.concat([part_in, part_out], axis=-1)
+
+
+def _per_row(bias):
+    """Bias (..., d) as (..., 1, d): a leading factor axis then lines up
+    with the factor axis of (B, K, n, d) states, not with their nodes."""
+    shape = bias.value.shape
+    return tape.reshape(bias, shape[:-1] + (1, shape[-1]))
 
 
 def _gated_update(x, c, w: GGNNWeights):

@@ -51,15 +51,8 @@ class Tensor:
     def shape(self):
         return self.value.shape
 
-    @property
-    def ndim(self):
-        return self.value.ndim
-
-    def item(self) -> float:
-        return float(self.value)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.value.shape}, requires_grad={self.requires_grad})"
+    def __getitem__(self, key):
+        return getitem(self, key)
 
     # -- graph traversal ---------------------------------------------------
 
@@ -73,42 +66,6 @@ class Tensor:
             if node._backward is not None:
                 node._backward()
                 node._backward = None  # free closures as we go
-
-    # -- operators ---------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
-    def __getitem__(self, key):
-        return getitem(self, key)
 
 
 class Parameter(Tensor):
@@ -212,20 +169,9 @@ def div(a, b) -> Tensor:
     return out
 
 
-def power(a, exponent: float) -> Tensor:
-    a = as_tensor(a)
-    exponent = float(exponent)
-
-    def _bw():
-        _accum(a, out.grad * exponent * a.value ** (exponent - 1.0))
-
-    out = _make(a.value ** exponent, (a,), _bw)
-    return out
-
-
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
+    if a.value.ndim < 2 or b.value.ndim < 2:
         raise ValueError("matmul operands must have ndim >= 2")
 
     def _bw():
@@ -250,14 +196,15 @@ def reshape(a, shape) -> Tensor:
     return out
 
 
-def swap_last(a) -> Tensor:
-    """Transpose the last two axes."""
+def swap_last(a, axes=(-2, -1)) -> Tensor:
+    """Swap two axes, the last two by default: the tape's one axis move."""
     a = as_tensor(a)
+    i, j = axes
 
     def _bw():
-        _accum(a, np.swapaxes(out.grad, -1, -2))
+        _accum(a, np.swapaxes(out.grad, i, j))
 
-    out = _make(np.swapaxes(a.value, -1, -2), (a,), _bw)
+    out = _make(np.swapaxes(a.value, i, j), (a,), _bw)
     return out
 
 
@@ -410,37 +357,41 @@ def log_softmax(a, axis: int = -1) -> Tensor:
 
 # -- custom kernels ---------------------------------------------------------
 
-def _distances(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Euclidean distance matrix of the rows of a 2-d array, into ``out``.
+def _distances(x: np.ndarray) -> np.ndarray:
+    """Euclidean distance matrices (K, m, m) of the rows of each slice of
+    a (K, m, d) array.
 
     Equal rows, the diagonal included, are exactly 0 apart; the expanded
     square ``|x_i|^2 + |x_j|^2 - 2 x_i.x_j`` alone leaves rounding noise
-    of about 1e-8 there.
+    of about 1e-8 there.  Rows are grouped by value within their slice:
+    the slice index rides along as an extra leading column.
     """
-    sq = (x * x).sum(axis=1)
-    np.add(sq[:, None], sq[None, :], out=out)
-    out -= 2.0 * (x @ x.T)
+    k, m, d = x.shape
+    sq = (x * x).sum(axis=-1)
+    out = sq[:, :, None] + sq[:, None, :]
+    inner = x @ np.swapaxes(x, -1, -2)
+    out -= np.multiply(inner, 2.0, out=inner)
     np.maximum(out, 0.0, out=out)
-    group = np.unique(x, axis=0, return_inverse=True)[1].ravel()
-    out[group[:, None] == group[None, :]] = 0.0
+    tagged = np.concatenate([np.repeat(np.arange(k, dtype=np.float64), m)[:, None],
+                             x.reshape(k * m, d)], axis=1)
+    group = np.unique(tagged, axis=0, return_inverse=True)[1].reshape(k, m)
+    out[group[:, :, None] == group[:, None, :]] = 0.0
     return np.sqrt(out, out=out)
 
 
-def centered_distance_gram(xs) -> Tensor:
+def centered_distance_gram(x) -> Tensor:
     """(K, K) matrix ``G_ij = mean(A_i * A_j)`` of K samples' distances.
 
-    ``xs`` is a list of K arrays of shape (m, d_k) with a shared row count
-    m; A_k is the double-centred Euclidean distance matrix of the rows of
-    ``xs[k]``.  G holds every squared distance covariance (off-diagonal)
-    and squared distance variance (diagonal) of the samples, from one
+    ``x`` stacks K samples of m rows as (K, m, d); A_k is the
+    double-centred Euclidean distance matrix of the rows of ``x[k]``.
+    G holds every squared distance covariance (off-diagonal) and squared
+    distance variance (diagonal) of the samples, from one
     (K, m*m) @ (m*m, K) product.  Zero distances get zero gradient, the
     subgradient choice at the non-differentiable point.
     """
-    xs = [as_tensor(x) for x in xs]
-    k, m = len(xs), xs[0].value.shape[0]
-    dist = np.empty((k, m, m))
-    for x, d in zip(xs, dist):
-        _distances(x.value, d)
+    x = as_tensor(x)
+    k, m = x.value.shape[:2]
+    dist = _distances(x.value)
     row = dist.mean(axis=2, keepdims=True)
     v = dist - row
     v -= dist.mean(axis=1, keepdims=True) - row.mean(axis=1, keepdims=True)
@@ -451,13 +402,14 @@ def centered_distance_gram(xs) -> Tensor:
         # already centred, so (grad + grad.T) @ A / m^2 is the gradient
         # w.r.t. the distances as it stands.  Its slices are symmetric,
         # and d_ij = d_ji, so each pair's two entries fold into a factor 2.
-        gd = ((out.grad + out.grad.T) * (2.0 / (m * m)) @ v).reshape(k, m, m)
-        for t, d, g in zip(xs, dist, gd):
-            if t.requires_grad:
-                ratio = np.divide(g, d, out=np.zeros_like(d), where=d > 0.0)
-                _accum(t, ratio.sum(axis=1, keepdims=True) * t.value - ratio @ t.value)
+        # the (K, m, m) blocks are large, so the ratio is formed in place
+        ratio = ((out.grad + out.grad.T) * (2.0 / (m * m)) @ v).reshape(k, m, m)
+        zero = dist == 0.0
+        np.divide(ratio, dist, out=ratio, where=~zero)
+        ratio[zero] = 0.0
+        _accum(x, ratio.sum(axis=2, keepdims=True) * x.value - ratio @ x.value)
 
-    out = _make(v @ v.T / (m * m), tuple(xs), _bw)
+    out = _make(v @ v.T / (m * m), (x,), _bw)
     return out
 
 

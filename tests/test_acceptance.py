@@ -34,7 +34,8 @@ from sessrec.model import (_hub_channel, _masked_session_mean,
                            _negative_draws, _pairwise_terms, _run_channel,
                            pack_batch, training_forward)
 from sessrec.params import init_parameters
-from sessrec.predictor import prediction_loss, rank_of, score
+from sessrec.predictor import (catalog_factor_embeddings, prediction_loss,
+                               rank_of, score)
 from sessrec.propagation import GGNNWeights, ggnn_step
 from sessrec.rng import substream
 from sessrec.tape import Parameter, Tensor
@@ -141,8 +142,9 @@ def test_c02_oracle_equivalence():
     catalog = rng.normal(size=(10, 6))
     e_item = rng.normal(size=6)
     e_factor = rng.normal(size=6)
-    cat_f = np.concatenate([p.value for p in project(catalog, proj)], axis=-1)
-    sv = score(e_item, e_factor, catalog, proj=proj)
+    cat_f = np.concatenate(list(project(catalog, proj).value), axis=-1)
+    sv = score(e_item, e_factor, catalog,
+               catalog_factors=catalog_factor_embeddings(catalog, proj))
     probs = scores_oracle(e_item, e_factor, catalog, cat_f)
     worst = max(worst, float(np.max(np.abs(sv.combined.value - probs))))
     loss = prediction_loss(sv, target=4)

@@ -138,6 +138,20 @@ class TestTrain:
         assert code == EXIT_DATA
 
 
+    @pytest.mark.parametrize("content", [
+        '{"count": 3, "item_to_index": {"a": 0,',
+        '{"count": 3}',
+        '{"count": 2, "item_to_index": {"a": 0, "b": 5}}',
+    ], ids=["malformed_json", "missing_map", "indices_not_dense"])
+    def test_bad_catalog_is_data_error(self, corpus_dir, tmp_path, content):
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text(content, encoding="utf-8")
+        code = main(["train", "--train", str(corpus_dir / "train.jsonl"),
+                     "--catalog", str(catalog),
+                     "--out", str(tmp_path / "r")] + TINY_FLAGS)
+        assert code == EXIT_DATA
+
+
 class TestEvalCommand:
     @pytest.fixture()
     def trained(self, corpus_dir, tmp_path):
@@ -171,6 +185,15 @@ class TestEvalCommand:
 
     def test_missing_checkpoint_is_data_error(self, corpus_dir, tmp_path):
         code = main(["eval", "--checkpoint", str(tmp_path / "none"),
+                     "--test", str(corpus_dir / "test.jsonl")])
+        assert code == EXIT_DATA
+
+    def test_manifest_without_config_is_data_error(self, trained, corpus_dir):
+        manifest_path = trained.with_suffix(".json")
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["config"]
+        manifest_path.write_text(json.dumps(manifest))
+        code = main(["eval", "--checkpoint", str(trained),
                      "--test", str(corpus_dir / "test.jsonl")])
         assert code == EXIT_DATA
 

@@ -21,38 +21,34 @@ class TestProjection:
     def test_shapes_and_count(self):
         proj = make_proj()
         out = project(np.ones((4, 6)), proj)
-        assert len(out) == 2
-        assert all(o.value.shape == (4, 3) for o in out)
+        assert out.value.shape == (2, 4, 3)      # (K, n, d_f)
 
     def test_matches_direct_formula(self):
         proj = make_proj()
         x = substream(1, "x").normal(size=(5, 6))
         out = project(x, proj)
         for k in range(2):
-            expect = sigmoid(x @ proj.weights[k].value) + proj.biases[k].value
-            np.testing.assert_allclose(out[k].value, expect, atol=1e-12)
-
-    def test_bias_inside_variant(self):
-        proj = make_proj()
-        proj.bias_inside = True
-        x = substream(2, "x").normal(size=(3, 6))
-        out = project(x, proj)
-        expect = sigmoid(x @ proj.weights[0].value + proj.biases[0].value)
-        np.testing.assert_allclose(out[0].value, expect, atol=1e-12)
+            expect = sigmoid(x @ proj.weight.value[k]) + proj.bias.value[k]
+            np.testing.assert_allclose(out.value[k], expect, atol=1e-12)
 
     def test_batched_input(self):
         proj = make_proj()
         x = substream(3, "x").normal(size=(2, 4, 6))
         out = project(x, proj)
-        assert out[0].value.shape == (2, 4, 3)
+        assert out.value.shape == (2, 2, 4, 3)   # (B, K, n, d_f)
+        for b in range(2):
+            np.testing.assert_allclose(out.value[b], project(x[b], proj).value,
+                                       atol=1e-12)
 
     def test_gradient_reaches_weights(self):
         proj = make_proj()
         x = Tensor(substream(4, "x").normal(size=(3, 6)))
         loss = tape.tsum(tape.mul(project(x, proj)[0], project(x, proj)[0]))
         loss.backward()
-        assert proj.weights[0].grad is not None
-        assert np.abs(proj.weights[0].grad).max() > 0
+        assert proj.weight.grad is not None
+        assert np.abs(proj.weight.grad[0]).max() > 0
+        # only factor 0 feeds the loss
+        assert (proj.weight.grad[1] == 0).all()
 
 
 class TestDcorOracle:
@@ -130,27 +126,24 @@ class TestIndependenceLoss:
 
     def test_gradient_flows(self):
         rng = substream(13, "x")
-        a = Parameter(rng.normal(size=(6, 3)))
-        b = Parameter(rng.normal(size=(6, 3)))
-        independence_loss([a, b]).backward()
-        assert np.abs(a.grad).max() > 0
-        assert np.abs(b.grad).max() > 0
+        fs = Parameter(rng.normal(size=(2, 6, 3)))
+        independence_loss(fs).backward()
+        assert np.abs(fs.grad[0]).max() > 0
+        assert np.abs(fs.grad[1]).max() > 0
 
     def test_decreases_under_gradient_descent(self):
         rng = substream(14, "x")
-        a = Parameter(rng.normal(size=(8, 2)))
-        b = Parameter(a.value * 2.0 + 0.1 * rng.normal(size=(8, 2)))
+        a = rng.normal(size=(8, 2))
+        fs = Parameter(np.stack([a, a * 2.0 + 0.1 * rng.normal(size=(8, 2))]))
         first = None
         for _ in range(30):
-            loss = independence_loss([a, b])
+            loss = independence_loss(fs)
             if first is None:
                 first = float(loss.value)
-            a.grad = None
-            b.grad = None
+            fs.grad = None
             loss.backward()
-            a.value = a.value - 0.05 * a.grad
-            b.value = b.value - 0.05 * b.grad
-        assert float(independence_loss([a, b]).value) < first
+            fs.value = fs.value - 0.05 * fs.grad
+        assert float(independence_loss(fs).value) < first
 
     def test_matches_oracle_with_duplicate_rows(self):
         # Items repeat across the sessions of a batch, so factor rows do.
@@ -164,8 +157,9 @@ class TestIndependenceLoss:
     def test_gradient_matches_finite_differences_with_duplicate_rows(self):
         rng = substream(16, "x")
         rows = [0, 1, 2, 3, 4, 5, 1, 4, 4]
-        fs = [Parameter(rng.normal(size=(6, 3))[rows]) for _ in range(3)]
-        errs = gradient_errors(lambda: independence_loss(fs), dict(enumerate(fs)))
+        fs = Parameter(np.stack([rng.normal(size=(6, 3))[rows]
+                                 for _ in range(3)]))
+        errs = gradient_errors(lambda: independence_loss(fs), {"fs": fs})
         assert max(errs.values()) < 1e-4, errs
 
     def test_dcor_gradient_with_unequal_widths(self):
@@ -177,35 +171,38 @@ class TestIndependenceLoss:
 
     def test_constant_factor_drops_out(self):
         rng = substream(18, "x")
-        a = Parameter(rng.normal(size=(7, 3)))
-        const = Parameter(np.full((7, 3), 0.4))
-        b = Parameter(rng.normal(size=(7, 3)))
-        loss = independence_loss([a, const, b])
+        a = rng.normal(size=(7, 3))
+        const = np.full((7, 3), 0.4)
+        b = rng.normal(size=(7, 3))
+        fs = Parameter(np.stack([a, const, b]))
+        loss = independence_loss(fs)
         loss.backward()
         assert float(dcor(a, const).value) == 0.0
         assert float(dcor(const, b).value) == 0.0
         assert float(loss.value) == pytest.approx(
-            2.0 * dcor_oracle(a.value, b.value), abs=1e-10)
-        np.testing.assert_array_equal(const.grad, np.zeros((7, 3)))
+            2.0 * dcor_oracle(a, b), abs=1e-10)
+        np.testing.assert_array_equal(fs.grad[1], np.zeros((7, 3)))
 
     def test_few_tape_nodes(self):
         rng = substream(19, "x")
-        fs = [Parameter(rng.normal(size=(10, 3))) for _ in range(5)]
+        fs = Parameter(rng.normal(size=(5, 10, 3)))
         nodes = [n for n in tape._topo_order(independence_loss(fs)) if n._parents]
         assert len(nodes) <= 15
 
     def test_malformed_factors_rejected(self):
         with pytest.raises(ValueError, match="row count mismatch: 4 vs 5"):
-            independence_loss([np.ones((4, 2)), np.ones((5, 2))])
+            dcor(np.ones((4, 2)), np.ones((5, 2)))
         with pytest.raises(ValueError, match="2-d inputs"):
-            independence_loss([np.ones((4, 2)), np.ones(4)])
+            dcor(np.ones((4, 2)), np.ones(4))
+        with pytest.raises(ValueError, match=r"\(K, m, d_f\)"):
+            independence_loss(np.ones((4, 2)))
 
     def test_single_row_is_zero(self):
         # Only dcor(x, y) needs 2 rows; a one-node batch trains with loss 0.
         rng = substream(20, "x")
-        fs = [Parameter(rng.normal(size=(1, 3))) for _ in range(3)]
+        fs = Parameter(rng.normal(size=(3, 1, 3)))
         loss = independence_loss(fs)
         loss.backward()
         assert float(loss.value) == 0.0
         with pytest.raises(ValueError, match="at least 2 observations"):
-            dcor(fs[0], fs[1])
+            dcor(fs.value[0], fs.value[1])

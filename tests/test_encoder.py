@@ -86,21 +86,55 @@ class TestEncode:
         assert np.abs(raw - soft).max() > 1e-8
 
 
+def factor_slice(w, k):
+    """Factor k's readout weights out of a factor-stacked set."""
+    return AttentionWeights(*(tape.Parameter(p.value[k])
+                              for _, p in w.named_parameters("a")))
+
+
 class TestEncodeFactors:
     def test_concatenates_per_factor_readouts(self):
         rng = substream(7, "x")
-        ws = [make_weights(2, seed=8), make_weights(2, seed=9)]
-        seqs = [rng.normal(size=(3, 2)) for _ in range(2)]
+        ws = AttentionWeights.init(2, substream(8, "init"), num_factors=2)
+        seqs = rng.normal(size=(2, 3, 2))               # (K, T, d_f)
         out = encode_factors(seqs, ws).value
         assert out.shape == (4,)
-        np.testing.assert_allclose(out[:2], encode(seqs[0], ws[0]).value,
+        np.testing.assert_allclose(out[:2], encode(seqs[0], factor_slice(ws, 0)).value,
                                    atol=1e-12)
-        np.testing.assert_allclose(out[2:], encode(seqs[1], ws[1]).value,
+        np.testing.assert_allclose(out[2:], encode(seqs[1], factor_slice(ws, 1)).value,
+                                   atol=1e-12)
+        # a padded batch (B, K, T, d_f) reads each session as if alone
+        batch = np.zeros((2, 2, 4, 2))
+        batch[0, :, :3] = seqs
+        batch[1] = rng.normal(size=(2, 4, 2))
+        mask = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
+        both = encode_factors(batch, ws, np.array([[2], [3]]),
+                              mask[:, None]).value
+        assert both.shape == (2, 4)
+        np.testing.assert_allclose(both[0], out, atol=1e-12)
+        np.testing.assert_allclose(both[1], encode_factors(batch[1], ws).value,
                                    atol=1e-12)
 
+    def test_normalized_padded_batch_matches_alone(self):
+        # the softmax readout masks padding in the factor-stacked batch too
+        rng = substream(11, "x")
+        ws = AttentionWeights.init(3, substream(12, "init"), num_factors=2)
+        short = rng.normal(size=(2, 2, 3))
+        batch = np.zeros((2, 2, 5, 3))
+        batch[0, :, :2] = short
+        batch[0, :, 2:] = 50.0                 # padding that must not count
+        batch[1] = rng.normal(size=(2, 5, 3))
+        mask = np.array([[1.0, 1.0, 0.0, 0.0, 0.0], [1.0] * 5])
+        both = encode_factors(batch, ws, np.array([[1], [4]]), mask[:, None],
+                              normalize_scores=True).value
+        for row, seqs in zip(both, (short, batch[1])):
+            alone = encode_factors(seqs, ws, normalize_scores=True).value
+            np.testing.assert_allclose(row, alone, atol=1e-12)
+
     def test_length_mismatch_rejected(self):
+        ws = AttentionWeights.init(2, substream(0, "init"), num_factors=2)
         with pytest.raises(ValueError):
-            encode_factors([np.ones((2, 2))], [])
+            encode_factors(np.ones((1, 2, 2)), ws)
 
     def test_gradients_reach_attention(self):
         rng = substream(8, "x")

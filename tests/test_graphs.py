@@ -45,11 +45,6 @@ class TestSessionGraph:
         assert g.edge_out[0, 1] == 1.0
         np.testing.assert_allclose(g.adj_out[0], [0.0, 1.0])
 
-    def test_unnormalized_flag(self):
-        g = build_session_graph([1, 2, 3], normalize=False)
-        np.testing.assert_array_equal(g.adj_out, g.edge_out)
-        np.testing.assert_array_equal(g.adj_in, g.edge_out.T)
-
     def test_single_item_session(self):
         g = build_session_graph([42])
         assert g.n_nodes == 1

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sessrec import tape
 from sessrec.dataio import Example
 from sessrec.encoder import encode, encode_factors
 from sessrec.graphs import build_session_graph
@@ -11,6 +12,7 @@ from sessrec.model import (PackedBatch, _star_edges, pack_batch, score_batch,
                            training_forward)
 from sessrec.params import init_parameters
 from sessrec.disentangle import project
+from sessrec.predictor import catalog_factor_embeddings
 from sessrec.predictor import score as score_one
 from sessrec.propagation import ggnn_step
 from sessrec.rng import substream
@@ -109,19 +111,22 @@ class TestTrainingForward:
         out = training_forward(params, pack_batch(toy_examples()), cfg, 0)
         out.loss.backward()
         for probe in (params.embeddings, params.ggnn_original.weight_in,
-                      params.ggnn_star.weight_in,
-                      params.ggnn_factors[0].weight_in,
-                      params.attn_item.query, params.attn_factors[0].query,
-                      params.proj.weights[0], params.proj.biases[1]):
+                      params.ggnn_star.weight_in, params.attn_item.query):
             assert probe.grad is not None
             assert np.abs(probe.grad).max() > 0
+        # factor-stacked weights: every factor's slice learns
+        for probe in (params.ggnn_factor.weight_in, params.attn_factor.query,
+                      params.proj.weight, params.proj.bias):
+            assert probe.grad is not None
+            per_factor = np.abs(probe.grad).reshape(cfg.num_factors, -1)
+            assert (per_factor.max(axis=1) > 0).all()
 
     def test_fcl_skips_factor_channels(self):
         cfg = toy_config(variant="fcl")
         params = toy_params(cfg)
         out = training_forward(params, pack_batch(toy_examples()), cfg, 0)
         out.loss.backward()
-        assert params.ggnn_factors[0].weight_in.grad is None
+        assert params.ggnn_factor.weight_in.grad is None
         assert params.ggnn_star.weight_in.grad is not None
 
     def test_fp_keeps_factor_contrast(self):
@@ -129,15 +134,36 @@ class TestTrainingForward:
         params = toy_params(cfg)
         out = training_forward(params, pack_batch(toy_examples()), cfg, 0)
         out.loss.backward()
-        assert params.ggnn_factors[0].weight_in.grad is not None
+        assert params.ggnn_factor.weight_in.grad is not None
         # the factor readout feeds only the dropped head
-        assert params.attn_factors[0].query.grad is None
+        assert params.attn_factor.query.grad is None
 
     def test_fp_scores_with_item_head_only(self):
         cfg = toy_config(variant="fp")
         params = toy_params(cfg)
         out = training_forward(params, pack_batch(toy_examples()), cfg, 0)
         assert out.scores.factor_head is None
+
+    def test_cross_view_negatives_reach_factor_term(self):
+        # cross_view draws the factor negatives from the propagated views
+        pack = pack_batch(toy_examples())
+        terms = {}
+        for scheme in ("within_view", "cross_view"):
+            cfg = toy_config(factor_negatives=scheme, alpha=0.0)
+            out = training_forward(toy_params(cfg), pack, cfg, epoch=0)
+            terms[scheme] = float(out.contrastive.value)
+        assert np.isfinite(list(terms.values())).all()
+        assert terms["within_view"] != terms["cross_view"]
+
+    def test_node_count_independent_of_factor_count(self):
+        # the K factor channels run as one pass over a factor axis
+        def nodes(num_factors):
+            cfg = toy_config(num_factors=num_factors)
+            out = training_forward(toy_params(cfg), pack_batch(toy_examples()),
+                                   cfg, epoch=0)
+            return sum(1 for n in tape._topo_order(out.loss) if n._parents)
+
+        assert nodes(2) == nodes(5)
 
     def test_single_node_batch_contrast_skipped(self):
         cfg = toy_config()
@@ -165,11 +191,12 @@ class TestScoreBatch:
         h = ggnn_step(x0, g.adj_in, g.adj_out, params.ggnn_original).value
         seq = h[g.alias]
         e_item = encode(seq, params.attn_item)
-        factor_seqs = [f.value[g.alias] for f in project(h, params.proj)]
-        e_factor = encode_factors([Tensor(s) for s in factor_seqs],
-                                  params.attn_factors)
+        factor_seqs = project(h, params.proj).value[:, g.alias]   # (K, T, d_f)
+        e_factor = encode_factors(Tensor(factor_seqs), params.attn_factor)
+        catalog_factors = catalog_factor_embeddings(params.embeddings.value,
+                                                    params.proj)
         sv = score_one(e_item, e_factor, params.embeddings.value,
-                       proj=params.proj)
+                       catalog_factors=catalog_factors)
         np.testing.assert_allclose(probs[0], sv.combined.value, atol=1e-10,
                                    rtol=0)
 

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from sessrec import params as params_module
 from sessrec.params import (CheckpointError, init_parameters, load_checkpoint,
                             save_checkpoint)
+from sessrec.rng import substream
 
 
 def small_params(seed=0, disc_form="dot"):
@@ -34,15 +36,60 @@ class TestInit:
         assert len(names) == len(set(names))
         assert names[0] == "embeddings"
         assert "ggnn.original.weight_in" in names
-        assert "ggnn.factor2.u_cand" in names
+        assert "ggnn.factor.u_cand" in names
         assert "attention.item.query" in names
+        # one parameter per weight; the factor axis leads
+        shapes = {n: p.value.shape for n, p in small_params().named_parameters()}
+        assert shapes["ggnn.factor.u_cand"] == (3, 2, 2)
+        assert shapes["ggnn.factor.bias_in"] == (3, 2)
+        assert shapes["attention.factor.w_merge"] == (3, 4, 2)
+        assert shapes["factor_proj.weight"] == (3, 4, 2)
+        assert shapes["factor_proj.bias"] == (3, 2)
 
     def test_init_range_follows_width(self):
         p = small_params()
         stdv = 1.0 / np.sqrt(4)
         assert np.abs(p.embeddings.value).max() <= stdv
         stdv_f = 1.0 / np.sqrt(2)
-        assert np.abs(p.ggnn_factors[0].weight_in.value).max() <= stdv_f
+        assert np.abs(p.ggnn_factor.weight_in.value).max() <= stdv_f
+
+    def test_factor_slices_equal_sequential_draws(self):
+        # slice k of each stacked weight holds the draws of the k-th of K
+        # per-factor inits taken one after another from the same substream
+        p = init_parameters(n_items=7, dim=4, factor_dim=2, num_factors=3,
+                            layers=1, seed=9, disc_form="bilinear")
+        rng = substream(9, "init")
+
+        def draw(width, *shapes):
+            stdv = 1.0 / np.sqrt(width)
+            return [rng.uniform(-stdv, stdv, s) for s in shapes]
+
+        ggnn = [(2, 2), (2, 2), (2,), (2,), (4, 2), (4, 2), (4, 2), (2, 2),
+                (2, 2), (2, 2)]
+        ggnn_item = [tuple(4 if n == 2 else 8 for n in s) for s in ggnn]
+        (emb,) = draw(4, (7, 4))
+        proj_w = draw(2, *[(4, 2)] * 3)
+        proj_b = draw(2, *[(2,)] * 3)
+        draw(4, *ggnn_item)                                   # original
+        factor_ggnn = [draw(2, *ggnn) for _ in range(3)]
+        draw(4, *ggnn_item)                                   # star
+        draw(4, (4,), (4, 4), (4, 4), (8, 4))                 # item readout
+        factor_attn = [draw(2, (2,), (2, 2), (2, 2), (4, 2)) for _ in range(3)]
+        (disc_item,) = draw(4, (4, 4))
+        (disc_factor,) = draw(2, (2, 2))
+
+        np.testing.assert_array_equal(p.embeddings.value, emb)
+        np.testing.assert_array_equal(p.disc_item.weight.value, disc_item)
+        np.testing.assert_array_equal(p.disc_factor.weight.value, disc_factor)
+        ggnn_fields = [q for _, q in p.ggnn_factor.named_parameters("g")]
+        attn_fields = [q for _, q in p.attn_factor.named_parameters("a")]
+        for k in range(3):
+            assert (p.proj.weight.value[k] == proj_w[k]).all()
+            assert (p.proj.bias.value[k] == proj_b[k]).all()
+            for field, expect in zip(ggnn_fields, factor_ggnn[k]):
+                assert (field.value[k] == expect).all()
+            for field, expect in zip(attn_fields, factor_attn[k]):
+                assert (field.value[k] == expect).all()
 
     def test_bilinear_adds_discriminator_weights(self):
         p = small_params(disc_form="bilinear")
@@ -111,6 +158,49 @@ class TestCheckpoint:
         (tmp_path / "m.json").write_text(json.dumps(manifest))
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "m")
+
+    def test_format_1_manifest_rejected(self, tmp_path):
+        save_checkpoint(tmp_path / "m", small_params(), SMALL_CONFIG, 7)
+        manifest = json.loads((tmp_path / "m.json").read_text())
+        manifest["format_version"] = 1
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="format 1"):
+            load_checkpoint(tmp_path / "m")
+
+    @pytest.mark.parametrize("damage", [
+        "not_an_object", "config", "n_items", "total_elements", "entries",
+        "entry.name", "entry.shape", "entry.offset", "config.dim",
+        "negative_offset"])
+    def test_malformed_manifest_rejected(self, tmp_path, damage):
+        save_checkpoint(tmp_path / "m", small_params(), SMALL_CONFIG, 7)
+        manifest = json.loads((tmp_path / "m.json").read_text())
+        if damage == "not_an_object":
+            manifest = [manifest]
+        elif damage.startswith("entry."):
+            del manifest["entries"][2][damage.split(".")[1]]
+        elif damage == "config.dim":
+            del manifest["config"]["dim"]
+        elif damage == "negative_offset":
+            manifest["entries"][1]["offset"] = -4
+        else:
+            del manifest[damage]
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(tmp_path / "m")
+
+    def test_load_draws_nothing(self, tmp_path, monkeypatch):
+        # the layout comes from the config alone, not from a random init
+        params = small_params(5)
+        save_checkpoint(tmp_path / "m", params, SMALL_CONFIG, 7)
+
+        def no_draws(*args):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+        monkeypatch.setattr(params_module, "substream", no_draws)
+        loaded, _, _ = load_checkpoint(tmp_path / "m")
+        for (name, pa), (_, pb) in zip(params.named_parameters(),
+                                       loaded.named_parameters()):
+            assert (pa.value == pb.value).all(), name
 
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(CheckpointError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import bce_oracle, scores_oracle
+from oracles import bce_oracle, scores_oracle, sigmoid
 
 from sessrec import tape
 from sessrec.disentangle import FactorProjection, project
@@ -14,77 +14,82 @@ from sessrec.tape import Parameter, Tensor
 
 
 def setup_scoring(seed=0, n=8, d=5, d_f=3, k=2):
+    """Catalog, its concatenated factor views, and one session's pair."""
     rng = substream(seed, "x")
     catalog = rng.normal(size=(n, d))
     proj = FactorProjection.init(d, d_f, k, substream(seed, "init"))
     e_item = rng.normal(size=d)
     e_factor = rng.normal(size=k * d_f)
-    return catalog, proj, e_item, e_factor
+    return catalog, catalog_factor_embeddings(catalog, proj), e_item, e_factor
 
 
 class TestScore:
     def test_matches_oracle(self):
-        catalog, proj, e_item, e_factor = setup_scoring()
-        sv = score(e_item, e_factor, catalog, proj=proj)
-        cat_f = np.concatenate([p.value for p in project(catalog, proj)],
-                               axis=-1)
-        expect = scores_oracle(e_item, e_factor, catalog, cat_f)
+        catalog, cat_f, e_item, e_factor = setup_scoring()
+        sv = score(e_item, e_factor, catalog, catalog_factors=cat_f)
+        proj = FactorProjection.init(5, 3, 2, substream(0, "init"))
+        direct = np.concatenate([sigmoid(catalog @ w) + b for w, b in
+                                 zip(proj.weight.value, proj.bias.value)], -1)
+        expect = scores_oracle(e_item, e_factor, catalog, direct)
         np.testing.assert_allclose(sv.combined.value, expect, atol=1e-10,
                                    rtol=0)
 
     def test_heads_are_distributions(self):
-        catalog, proj, e_item, e_factor = setup_scoring(1)
-        sv = score(e_item, e_factor, catalog, proj=proj)
+        catalog, cat_f, e_item, e_factor = setup_scoring(1)
+        sv = score(e_item, e_factor, catalog, catalog_factors=cat_f)
         assert float(tape.tsum(sv.item_head).value) == pytest.approx(1.0)
         assert float(tape.tsum(sv.factor_head).value) == pytest.approx(1.0)
         assert float(tape.tsum(sv.combined).value) == pytest.approx(1.0)
 
     def test_item_only_head(self):
-        catalog, proj, e_item, e_factor = setup_scoring(2)
-        sv = score(e_item, e_factor, catalog, proj=proj,
+        catalog, cat_f, e_item, e_factor = setup_scoring(2)
+        sv = score(e_item, e_factor, catalog, catalog_factors=cat_f,
                    use_factor_head=False)
         assert sv.factor_head is None
         np.testing.assert_array_equal(sv.combined.value, sv.item_head.value)
 
     def test_precomputed_factors_match_proj_path(self):
-        catalog, proj, e_item, e_factor = setup_scoring(3)
-        cat_f = catalog_factor_embeddings(Tensor(catalog), proj)
-        a = score(e_item, e_factor, catalog, catalog_factors=cat_f)
-        b = score(e_item, e_factor, catalog, proj=proj)
-        np.testing.assert_allclose(a.combined.value, b.combined.value,
+        # the catalog's one-GEMM projection equals the per-view projection
+        # laid side by side
+        rng = substream(3, "x")
+        catalog = rng.normal(size=(8, 5))
+        proj = FactorProjection.init(5, 3, 2, substream(3, "init"))
+        flat = catalog_factor_embeddings(Tensor(catalog), proj).value
+        views = project(catalog, proj).value                   # (K, N, d_f)
+        np.testing.assert_allclose(flat, np.concatenate(list(views), -1),
                                    atol=1e-12)
 
     def test_batched_scoring(self):
-        catalog, proj, _, _ = setup_scoring(4)
+        catalog, cat_f, _, _ = setup_scoring(4)
         rng = substream(5, "x")
         e_item = rng.normal(size=(3, 5))
         e_factor = rng.normal(size=(3, 6))
-        sv = score(e_item, e_factor, catalog, proj=proj)
+        sv = score(e_item, e_factor, catalog, catalog_factors=cat_f)
         assert sv.combined.value.shape == (3, 8)
         for b in range(3):
-            single = score(e_item[b], e_factor[b], catalog, proj=proj)
+            single = score(e_item[b], e_factor[b], catalog, catalog_factors=cat_f)
             np.testing.assert_allclose(sv.combined.value[b],
                                        single.combined.value, atol=1e-10)
 
 
 class TestPredictionLoss:
     def test_matches_oracle(self):
-        catalog, proj, e_item, e_factor = setup_scoring(6)
-        sv = score(e_item, e_factor, catalog, proj=proj)
+        catalog, cat_f, e_item, e_factor = setup_scoring(6)
+        sv = score(e_item, e_factor, catalog, catalog_factors=cat_f)
         loss = prediction_loss(sv, target=3)
         expect = bce_oracle(sv.combined.value, 3)
         assert float(loss.value) == pytest.approx(expect, abs=1e-10)
 
     def test_batch_mean(self):
-        catalog, proj, _, _ = setup_scoring(7)
+        catalog, cat_f, _, _ = setup_scoring(7)
         rng = substream(8, "x")
         e_item = rng.normal(size=(2, 5))
         e_factor = rng.normal(size=(2, 6))
-        sv = score(e_item, e_factor, catalog, proj=proj)
+        sv = score(e_item, e_factor, catalog, catalog_factors=cat_f)
         loss = float(prediction_loss(sv, np.array([1, 4])).value)
         singles = []
         for b, t in enumerate([1, 4]):
-            row = score(e_item[b], e_factor[b], catalog, proj=proj)
+            row = score(e_item[b], e_factor[b], catalog, catalog_factors=cat_f)
             singles.append(float(prediction_loss(row, t).value))
         assert loss == pytest.approx(np.mean(singles), abs=1e-10)
 
@@ -96,8 +101,8 @@ class TestPredictionLoss:
         assert np.isfinite(float(loss.value))
 
     def test_correct_target_lowers_loss(self):
-        catalog, proj, e_item, e_factor = setup_scoring(9)
-        sv = score(e_item, e_factor, catalog, proj=proj)
+        catalog, cat_f, e_item, e_factor = setup_scoring(9)
+        sv = score(e_item, e_factor, catalog, catalog_factors=cat_f)
         best = int(np.argmax(sv.combined.value))
         worst = int(np.argmin(sv.combined.value))
         l_best = float(prediction_loss(sv, best).value)

@@ -92,17 +92,24 @@ class TestChannels:
         assert (out == step2).all()
 
     def test_run_factor_uses_similarity_edges(self):
-        w = weights_for(3, seed=6)
+        # K = 2 factor channels in one pass: (B, K, n, d_f) states, weights
+        # stacked on a leading factor axis, each slice checked on its own
+        w = GGNNWeights.init(3, substream(6, "init"), num_factors=2)
         pack = pack_batch([Example([1, 2, 3], 0), Example([4, 5, 4], 0),
                            Example([6], 0)])
-        f = substream(6, "x").normal(size=pack.node_ids.shape + (3,))
+        b_, n = pack.node_ids.shape
+        f = substream(6, "x").normal(size=(b_, 2, n, 3))
         a_in, a_out = _factor_adjacency(tape.Tensor(f), pack)
         out = _run_channel(f, a_in, a_out, w).value
-        for b, k in enumerate(pack.n_nodes):
-            unit = f[b, :k] / np.linalg.norm(f[b, :k], axis=1, keepdims=True)
-            adj = unit @ unit.T * pack.edge_out[b, :k, :k]
-            ref = ggnn_step_oracle(f[b, :k], adj.T, adj, as_dict(w))
-            np.testing.assert_allclose(out[b, :k], ref, atol=1e-10, rtol=0)
+        for c in range(2):
+            w_c = {name: value[c] for name, value in as_dict(w).items()}
+            for b, k in enumerate(pack.n_nodes):
+                v = f[b, c, :k]
+                unit = v / np.linalg.norm(v, axis=1, keepdims=True)
+                adj = unit @ unit.T * pack.edge_out[b, :k, :k]
+                ref = ggnn_step_oracle(v, adj.T, adj, w_c)
+                np.testing.assert_allclose(out[b, c, :k], ref, atol=1e-10,
+                                           rtol=0)
 
 
 class TestStarChannel:

@@ -10,6 +10,10 @@ from sessrec.tape import Parameter, Tensor
 TOL = 1e-4
 
 
+def square(t):
+    return tape.mul(t, t)
+
+
 def check(loss_fn, params):
     errs = gradient_errors(loss_fn, params)
     worst = max(errs.values())
@@ -34,7 +38,7 @@ class TestArithmetic:
         b = Parameter(rng.uniform(0.5, 2.0, (5,)))
 
         def loss():
-            return tape.tsum(tape.div(tape.power(a, 3.0), b))
+            return tape.tsum(tape.div(tape.mul(a, square(a)), b))
 
         check(loss, {"a": a, "b": b})
 
@@ -51,7 +55,7 @@ class TestMatmul:
         b = Parameter(rng.normal(size=(4, 2)))
 
         def loss():
-            return tape.tsum(tape.power(tape.matmul(a, b), 2.0))
+            return tape.tsum(square(tape.matmul(a, b)))
 
         check(loss, {"a": a, "b": b})
 
@@ -61,7 +65,7 @@ class TestMatmul:
         b = Parameter(rng.normal(size=(4, 5)))
 
         def loss():
-            return tape.tsum(tape.power(tape.matmul(a, b), 2.0))
+            return tape.tsum(square(tape.matmul(a, b)))
 
         check(loss, {"a": a, "b": b})
 
@@ -71,7 +75,7 @@ class TestMatmul:
         x = Parameter(rng.normal(size=(2, 3, 4)))
 
         def loss():
-            return tape.tsum(tape.power(tape.matmul(adj, x), 2.0))
+            return tape.tsum(square(tape.matmul(adj, x)))
 
         check(loss, {"adj": adj, "x": x})
 
@@ -85,9 +89,18 @@ class TestShape:
         def loss():
             wide = tape.concat([a, b], axis=-1)
             cube = tape.reshape(wide, (2, 3, 3))
-            return tape.tsum(tape.power(tape.swap_last(cube), 2.0))
+            return tape.tsum(square(tape.swap_last(cube)))
 
         check(loss, {"a": a, "b": b})
+
+    def test_swap_any_two_axes(self):
+        rng = np.random.default_rng(6)
+        a = Parameter(rng.normal(size=(2, 3, 4)))
+        w = Tensor(rng.normal(size=(3, 2, 4)))
+        np.testing.assert_array_equal(tape.swap_last(a, (0, -2)).value,
+                                      np.swapaxes(a.value, 0, 1))
+        check(lambda: tape.tsum(tape.mul(tape.swap_last(a, (0, 1)), w)),
+              {"a": a})
 
     def test_getitem_fancy_accumulates(self):
         a = Parameter(np.ones((4, 2)))
@@ -109,7 +122,7 @@ class TestShape:
         lead = np.arange(3)[:, None]
 
         def loss():
-            return tape.tsum(tape.power(tape.getitem(a, (lead, rows)), 2.0))
+            return tape.tsum(square(tape.getitem(a, (lead, rows))))
 
         check(loss, {"a": a})
 
@@ -121,7 +134,7 @@ class TestReductionsAndNonlinear:
 
         def loss():
             part = tape.tmean(a, axis=0, keepdims=True)
-            return tape.tsum(tape.power(tape.sub(a, part), 2.0))
+            return tape.tsum(square(tape.sub(a, part)))
 
         check(loss, {"a": a})
 
@@ -170,29 +183,38 @@ class TestGeometry:
     # The two tests below cover the distance step of centered_distance_gram.
     def test_pairwise_distances_value(self):
         x = np.array([[0.0, 0.0], [3.0, 4.0]])
-        d = tape._distances(x, np.empty((2, 2)))
+        d = tape._distances(x[None])[0]
         np.testing.assert_allclose(d, [[0.0, 5.0], [5.0, 0.0]], atol=1e-12)
         # centred: [[-2.5, 2.5], [2.5, -2.5]]
-        gram = tape.centered_distance_gram([Tensor(x)]).value
+        gram = tape.centered_distance_gram(Tensor(x[None])).value
         np.testing.assert_allclose(gram, [[6.25]], atol=1e-12)
+        # repeats are grouped within a slice only: slice 1 holds the rows
+        # of slice 0 in another order, plus noise on every other row
         rng = np.random.default_rng(10)
         group = rng.integers(0, 12, size=40)
         x = rng.uniform(size=(12, 6))[group]
-        d = tape._distances(x, np.empty((40, 40)))
-        assert (d[group[:, None] == group[None, :]] == 0.0).all()
-        explicit = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(-1))
-        np.testing.assert_allclose(d, explicit, rtol=1e-12, atol=1e-12)
+        other = x[::-1].copy()
+        other[::2] += 1e-3
+        stack = np.stack([x, other])
+        d = tape._distances(stack)
+        assert (d[0][group[:, None] == group[None, :]] == 0.0).all()
+        for s, dist in zip(stack, d):
+            explicit = np.sqrt(((s[:, None, :] - s[None, :, :]) ** 2).sum(-1))
+            np.testing.assert_allclose(dist, explicit, rtol=1e-12, atol=1e-12)
 
     def test_pairwise_distances_grad(self):
         rng = np.random.default_rng(11)
-        a = Parameter(rng.normal(size=(5, 3))[[0, 1, 2, 3, 4, 1, 3]])
-        b = Parameter(rng.normal(size=(7, 2)))
+        # slice 0 repeats rows; slice 1 is 2 wide, zero-padded to 3 as
+        # dcor pads a narrower sample
+        a = rng.normal(size=(5, 3))[[0, 1, 2, 3, 4, 1, 3]]
+        b = np.concatenate([rng.normal(size=(7, 2)), np.zeros((7, 1))], 1)
+        x = Parameter(np.stack([a, b]))
         w = Tensor(rng.normal(size=(2, 2)))
 
         def loss():
-            return tape.tsum(tape.mul(tape.centered_distance_gram([a, b]), w))
+            return tape.tsum(tape.mul(tape.centered_distance_gram(x), w))
 
-        check(loss, {"a": a, "b": b})
+        check(loss, {"x": x})
 
     def test_normalize_rows(self):
         rng = np.random.default_rng(12)
