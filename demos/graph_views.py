@@ -14,9 +14,11 @@ import numpy as np
 
 from sessrec.dataio import Example
 from sessrec.disentangle import FactorProjection, project
-from sessrec.model import _factor_adjacency, _star_edges, pack_batch
-from sessrec.propagation import GGNNWeights, ggnn_step, star_step
+from sessrec.model import (_factor_adjacency, _hub_channel, _star_edges,
+                           pack_batch)
+from sessrec.propagation import GGNNWeights, ggnn_step
 from sessrec.rng import substream
+from sessrec.tape import Tensor
 
 np.set_printoptions(precision=3, suppress=True)
 
@@ -51,23 +53,20 @@ for k in range(proj.num_factors):
 
 # hub view: a satellite node averages the sequence, then connects to
 # each real node in each direction with probability theta
-satellite = x[0, pack.alias[0]].mean(axis=0)[None]
 to_real, from_real = _star_edges(pack, theta=0.6, seed=2, epoch=0)
 print("\nhub edges out of the satellite:", to_real[0])
 print("hub edges into the satellite:  ", from_real[0])
 
 # propagation over the plain and hub views from the same weights; the
-# hub nudges exactly the nodes it touches
+# hub is one more node slot of the graph, and it nudges exactly the
+# nodes it touches
 w = GGNNWeights.init(8, substream(1, "init"), layers=1)
 plain = ggnn_step(x, pack.adj_in, pack.adj_out, w).value
-hubbed, _ = star_step(x, satellite, pack.adj_in, pack.adj_out, to_real,
-                      from_real, w)
+hubbed = _hub_channel(Tensor(x), pack, w, theta=0.6, seed=2, epoch=0)
 print("\nper-node drift caused by the hub:",
       np.abs(hubbed.value - plain).max(axis=-1)[0])
 
 # with theta = 0 the hub is disconnected and the view collapses back
-to_real0, from_real0 = _star_edges(pack, theta=0.0, seed=2, epoch=0)
-hubbed0, _ = star_step(x, satellite, pack.adj_in, pack.adj_out, to_real0,
-                       from_real0, w)
+hubbed0 = _hub_channel(Tensor(x), pack, w, theta=0.0, seed=2, epoch=0)
 print("theta=0 reproduces plain propagation bit for bit:",
       bool((hubbed0.value == plain).all()))

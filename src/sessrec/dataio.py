@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -73,8 +74,9 @@ class CorpusStats:
 def ingest(path, delimiter: str = ",", has_header: bool = False):
     """Parse a raw event file.
 
-    Returns ``(events, n_malformed)``; malformed lines are skipped and
-    counted, an unreadable file is fatal.
+    Returns ``(events, n_malformed)``; malformed lines (also a negative,
+    ``nan`` or ``inf`` timestamp) are skipped and counted, an unreadable
+    file is fatal.
     """
     path = Path(path)
     try:
@@ -97,7 +99,7 @@ def ingest(path, delimiter: str = ",", has_header: bool = False):
         except ValueError:
             malformed += 1
             continue
-        if timestamp < 0 or not sid or not item:
+        if not math.isfinite(timestamp) or timestamp < 0 or not (sid and item):
             malformed += 1
             continue
         events.append(RawEvent(sid, timestamp, item))
@@ -129,6 +131,9 @@ def preprocess(events, min_item_freq: int = 5, min_session_len: int = 2,
     """
     if min_item_freq < 1 or min_session_len < 2:
         raise ValueError("min_item_freq >= 1 and min_session_len >= 2 required")
+    if max_session_len is not None and max_session_len < min_session_len:
+        raise ValueError(f"max_session_len {max_session_len} is below "
+                         f"min_session_len {min_session_len}")
 
     raw_total = len(events)
     sessions = _group_events(events)
@@ -242,6 +247,8 @@ def write_examples(path, examples):
 
 
 def read_examples(path):
+    """Read JSON lines ``{"session": [...], "target": k}``; ``DataError``
+    naming ``path:line`` unless every id is a JSON integer."""
     examples = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -249,9 +256,14 @@ def read_examples(path):
                 continue
             try:
                 rec = json.loads(line)
-                examples.append(Example(list(map(int, rec["session"])), int(rec["target"])))
+                session, target = rec["session"], rec["target"]
             except (ValueError, KeyError, TypeError) as exc:
                 raise DataError(f"{path}:{lineno}: bad example record: {exc}") from exc
+            if not (type(session) is list and type(target) is int
+                    and all(type(v) is int for v in session)):
+                raise DataError(f"{path}:{lineno}: session and target must "
+                                f"hold JSON integers")
+            examples.append(Example(session, target))
     return examples
 
 

@@ -51,13 +51,16 @@ def build_session_graph(session) -> SessionGraph:
     edge_out = np.zeros((n, n), dtype=np.float64)
     edge_out[alias[:-1], alias[1:]] = 1.0
 
-    out_deg = edge_out.sum(axis=1, keepdims=True)
-    adj_out = np.divide(edge_out, out_deg, out=np.zeros_like(edge_out),
-                        where=out_deg > 0)
-    edge_in = edge_out.T
-    in_deg = edge_in.sum(axis=1, keepdims=True)
-    adj_in = np.divide(edge_in, in_deg, out=np.zeros_like(edge_out),
-                       where=in_deg > 0)
-
+    adj_in, adj_out = normalized_pair(edge_out)
     return SessionGraph(nodes=nodes, alias=alias, adj_out=adj_out,
                         adj_in=adj_in, edge_out=edge_out)
+
+
+def normalized_pair(edge_out):
+    """``(adj_in, adj_out)`` of a 0/1 pattern (..., n, n): each row of the
+    pattern and of its transpose divided by its sum, empty rows left 0."""
+    def by_row(pattern):
+        deg = pattern.sum(axis=-1, keepdims=True)
+        return np.divide(pattern, deg, out=np.zeros_like(pattern),
+                         where=deg > 0)
+    return by_row(np.swapaxes(edge_out, -1, -2)), by_row(edge_out)

@@ -4,10 +4,11 @@ Sessions are padded into dense (B, n, ...) arrays so one pass serves a
 whole batch; masks keep padded slots from ever touching a real value.
 The training forward runs the original channel, the K factor channels
 (one pass over (B, K, n, d_f) states, where factor-stacked weights
-broadcast) over similarity-weighted edges, and the star (or dropout)
-augmentation channel, then assembles the prediction, contrastive and
-independence terms.  Inference reuses the original channel and the
-projections only.
+broadcast) over similarity-weighted edges, and the augmentation channel
+(the star view, its hub one more node slot, or graph dropout), all
+through the same ``ggnn_step``, then assembles the prediction,
+contrastive and independence terms.  Inference reuses the original
+channel and the projections only.
 """
 
 from __future__ import annotations
@@ -19,13 +20,16 @@ import numpy as np
 from . import tape
 from .disentangle import independence_loss, project
 from .encoder import encode, encode_factors
-from .graphs import build_session_graph
+from .graphs import build_session_graph, normalized_pair
 from .params import ParameterSet
 from .predictor import (ScoreVector, catalog_factor_embeddings,
                         prediction_loss, score, total_loss)
-from .propagation import ggnn_step, star_step
+from .propagation import ggnn_step
 from .rng import substream
 from .tape import Tensor
+
+# perfbench/tracer.py patches this name; ROADMAP item 1 drops it.
+star_step = ggnn_step
 
 VARIANTS = ("full", "fcl", "star", "fp")
 
@@ -143,24 +147,34 @@ def _star_edges(pack: PackedBatch, theta, seed, epoch):
     return to_real, from_real
 
 
-def _hub_channel(x0, pack: PackedBatch, weights, theta, seed, epoch):
-    """Propagate over the star view; the returned states exclude the hub.
+def _star_graph(x0, pack: PackedBatch, to_real, from_real):
+    """The star view as an (n + 1)-slot graph: ``(states, adj_in, adj_out)``.
 
-    The hub starts at the mean of the item embeddings over sequence
-    positions (repeats count once per occurrence) and links to each real
-    node in each direction with probability ``theta``.
+    Slot n is the hub.  It starts at the mean of the item embeddings over
+    sequence positions (repeats count once per occurrence).  A node with
+    ``to_real`` set receives the hub, one with ``from_real`` set feeds
+    it; hub edges weigh 1.  The transition block is copied as it is, so a
+    node without a hub edge aggregates exactly as in plain propagation.
     """
-    seq0 = _gather_sequence(x0, pack)
-    masked0 = tape.mul(seq0, Tensor(pack.pos_mask[..., None]))
-    x_sat = tape.mul(tape.tsum(masked0, axis=-2),
-                     Tensor((1.0 / pack.lengths)[:, None]))
+    b, n = pack.node_ids.shape
+    share = np.zeros((b, 1, n))          # each node's share of the positions
+    np.add.at(share[:, 0], (np.arange(b)[:, None], pack.alias),
+              pack.pos_mask / pack.lengths[:, None])
+    hub = tape.matmul(Tensor(share), x0)
+    pad = ((0, 0), (0, 1), (0, 1))                  # the hub's row and column
+    adj_in, adj_out = (np.pad(a, pad) for a in (pack.adj_in, pack.adj_out))
+    adj_in[:, :n, n] = adj_out[:, n, :n] = to_real
+    adj_out[:, :n, n] = adj_in[:, n, :n] = from_real
+    return tape.concat([x0, hub], axis=-2), adj_in, adj_out
+
+
+def _hub_channel(x0, pack: PackedBatch, weights, theta, seed, epoch):
+    """Propagate over the star view; the returned states exclude the hub,
+    which links to each real node in each direction with probability
+    ``theta``."""
     to_real, from_real = _star_edges(pack, theta, seed, epoch)
-    adj_in, adj_out = Tensor(pack.adj_in), Tensor(pack.adj_out)
-    x = x0
-    for _ in range(weights.layers):
-        x, x_sat = star_step(x, x_sat, adj_in, adj_out, to_real, from_real,
-                             weights)
-    return x
+    h = _run_channel(*_star_graph(x0, pack, to_real, from_real), weights)
+    return tape.getitem(h, (slice(None), slice(None, -1)))
 
 
 def _dropout_adjacency(pack: PackedBatch, edge_rate, node_rate, seed, epoch):
@@ -182,15 +196,7 @@ def _dropout_adjacency(pack: PackedBatch, edge_rate, node_rate, seed, epoch):
         pat[isolated, :] = 0.0
         pat[:, isolated] = 0.0
         pattern[i, :k, :k] = pat
-
-    out_deg = pattern.sum(axis=2, keepdims=True)
-    adj_out = np.divide(pattern, out_deg, out=np.zeros_like(pattern),
-                        where=out_deg > 0)
-    pat_t = np.swapaxes(pattern, 1, 2)
-    in_deg = pat_t.sum(axis=2, keepdims=True)
-    adj_in = np.divide(pat_t, in_deg, out=np.zeros_like(pattern),
-                       where=in_deg > 0)
-    return adj_in, adj_out
+    return normalized_pair(pattern)
 
 
 def _masked_session_mean(per_node, pack: PackedBatch):

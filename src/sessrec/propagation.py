@@ -1,11 +1,11 @@
-"""Gated graph propagation: the channel weights and the two layer steps.
+"""Gated graph propagation: the channel weights and the one layer step.
 
-One shared cell serves all three channels; only the adjacency pair and
-the weight set differ.  ``ggnn_step`` is a plain layer and ``star_step``
-a layer over a hub-augmented graph.  States are padded batches
-(B, n, d); the ops broadcast, so one session as (n, d) works too, and so
-do the K factor channels at once as (B, K, n, d) states over (B, K, n, n)
-adjacencies with factor-stacked weights.
+One cell, ``ggnn_step``, serves every channel; only the adjacency pair
+and the weight set differ.  The star view is no special case: its hub is
+one more node slot of the graph it propagates over.  States are padded
+batches (B, n, d); the ops broadcast, so one session as (n, d) works
+too, and so do the K factor channels at once as (B, K, n, d) states over
+(B, K, n, n) adjacencies with factor-stacked weights.
 """
 
 from __future__ import annotations
@@ -58,20 +58,10 @@ class GGNNWeights:
             yield f"{prefix}.{name}", getattr(self, name)
 
 
-def _aggregate(x, adj_in, adj_out, w: GGNNWeights, star_terms=None):
-    """Concatenated neighborhood summary [incoming, outgoing] + biases.
-
-    ``star_terms``, when given, is a pair of extra contribution tensors
-    added inside the respective halves before the linear maps; the base
-    matmuls stay untouched, which keeps a hub with no edges bit-identical
-    to plain propagation.
-    """
+def _aggregate(x, adj_in, adj_out, w: GGNNWeights):
+    """Concatenated neighborhood summary [incoming, outgoing] + biases."""
     agg_in = tape.matmul(tape.as_tensor(adj_in), x)
     agg_out = tape.matmul(tape.as_tensor(adj_out), x)
-    if star_terms is not None:
-        extra_in, extra_out = star_terms
-        agg_in = tape.add(agg_in, extra_in)
-        agg_out = tape.add(agg_out, extra_out)
     part_in = tape.add(tape.matmul(agg_in, w.weight_in), _per_row(w.bias_in))
     part_out = tape.add(tape.matmul(agg_out, w.weight_out),
                         _per_row(w.bias_out))
@@ -101,44 +91,3 @@ def ggnn_step(x, adj_in, adj_out, w: GGNNWeights):
     x = tape.as_tensor(x)
     c = _aggregate(x, adj_in, adj_out, w)
     return _gated_update(x, c, w)
-
-
-def star_step(x, x_sat, adj_in, adj_out, to_real, from_real, w: GGNNWeights):
-    """One layer over a star-augmented graph, hub row updated separately.
-
-    ``x`` holds the real nodes (..., n, d), ``x_sat`` the hub state
-    (..., d).  ``to_real``/``from_real`` are the 0/1 hub edge indicator
-    vectors (..., n).  The real-node update reuses exactly the base
-    adjacency matmuls and adds the hub contribution as a separate term,
-    skipped entirely when no hub edge exists, so a hub with no edges
-    leaves the real nodes bit-identical to plain propagation.  Returns
-    ``(x_next, x_sat_next)``.
-    """
-    x = tape.as_tensor(x)
-    x_sat = tape.as_tensor(x_sat)
-    to_real = np.asarray(to_real, dtype=np.float64)
-    from_real = np.asarray(from_real, dtype=np.float64)
-    has_edges = bool(to_real.any() or from_real.any())
-
-    star_terms = None
-    if has_edges:
-        # node i receives the hub state when to_real[i] is set
-        sat_col = tape.reshape(x_sat, x_sat.value.shape[:-1] + (1, x_sat.value.shape[-1]))
-        extra_in = tape.mul(tape.Tensor(to_real[..., :, None]), sat_col)
-        extra_out = tape.mul(tape.Tensor(from_real[..., :, None]), sat_col)
-        star_terms = (extra_in, extra_out)
-
-    c = _aggregate(x, adj_in, adj_out, w, star_terms)
-    x_next = _gated_update(x, c, w)
-
-    # hub update: it receives from_real nodes and points at to_real nodes
-    row_in = tape.matmul(tape.Tensor(from_real[..., None, :]), x)
-    row_out = tape.matmul(tape.Tensor(to_real[..., None, :]), x)
-    c_sat = tape.concat([
-        tape.add(tape.matmul(row_in, w.weight_in), w.bias_in),
-        tape.add(tape.matmul(row_out, w.weight_out), w.bias_out),
-    ], axis=-1)
-    sat_row = tape.reshape(x_sat, x_sat.value.shape[:-1] + (1, x_sat.value.shape[-1]))
-    sat_next = _gated_update(sat_row, c_sat, w)
-    x_sat_next = tape.reshape(sat_next, x_sat.value.shape)
-    return x_next, x_sat_next

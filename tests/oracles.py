@@ -39,6 +39,33 @@ def ggnn_step_oracle(x, adj_in, adj_out, w):
     return out
 
 
+
+def star_channel_oracle(x, adj_in, adj_out, alias, to_real, from_real, w,
+                        layers=1):
+    """One session's star view, propagated ``layers`` times.
+
+    The graph is written out with k + 1 slots: the k real nodes ``x``
+    (k, d), then a hub at slot k that starts at the mean of ``x`` over
+    the sequence positions ``alias``.  The hub feeds node i when
+    ``to_real[i]`` is set and is fed by it when ``from_real[i]`` is set,
+    with weight 1.  Returns the (k + 1, d) states, hub last.
+    """
+    k, d = x.shape
+    states = np.zeros((k + 1, d))
+    states[:k] = x
+    for slot in alias:
+        states[k] += x[slot] / len(alias)
+    a_in = np.zeros((k + 1, k + 1))
+    a_out = np.zeros((k + 1, k + 1))
+    a_in[:k, :k] = adj_in
+    a_out[:k, :k] = adj_out
+    for i in range(k):
+        a_in[i, k] = a_out[k, i] = to_real[i]      # hub -> i
+        a_out[i, k] = a_in[k, i] = from_real[i]    # i -> hub
+    for _ in range(layers):
+        states = ggnn_step_oracle(states, a_in, a_out, w)
+    return states
+
 def attention_oracle(seq, w):
     """Session readout for one sequence (T, d); ``w`` maps names to arrays."""
     t, d = seq.shape

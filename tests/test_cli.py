@@ -73,6 +73,16 @@ class TestPreprocess:
                      "--min-item-freq", "1"])
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("max_len", ["1", "0", "-1"])
+    def test_max_session_len_below_min_is_usage_error(self, raw_events,
+                                                       tmp_path, max_len):
+        out = tmp_path / "o"
+        code = main(["preprocess", "--input", str(raw_events),
+                     "--out", str(out), "--boundary", "100",
+                     "--min-item-freq", "2", "--max-session-len", max_len])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
 
 class TestTrain:
     def test_full_run_writes_artifacts(self, corpus_dir, tmp_path):
@@ -130,6 +140,20 @@ class TestTrain:
     ], ids=["negative_item", "negative_target", "out_of_range"])
     def test_out_of_catalog_items_is_data_error(self, corpus_dir, tmp_path,
                                                 record):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(record + "\n", encoding="utf-8")
+        code = main(["train", "--train", str(bad),
+                     "--catalog", str(corpus_dir / "catalog.json"),
+                     "--out", str(tmp_path / "r")] + TINY_FLAGS)
+        assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("record", [
+        '{"session": "123", "target": 4}',
+        '{"session": [1.9, true], "target": 2}',
+        '{"session": [0, 1], "target": 2.7}',
+    ], ids=["string_session", "float_and_bool_ids", "float_target"])
+    def test_non_integer_ids_is_data_error(self, corpus_dir, tmp_path,
+                                           record):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(record + "\n", encoding="utf-8")
         code = main(["train", "--train", str(bad),

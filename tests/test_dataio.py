@@ -40,6 +40,15 @@ class TestIngest:
         events, malformed = ingest(path)
         assert len(events) == 1 and malformed == 2
 
+    def test_non_finite_timestamp_counts(self, tmp_path):
+        # a session stamped nan would otherwise fall out of both halves of
+        # the temporal split without a trace
+        path = write_events(tmp_path, ["s1,nan,a", "s1,inf,b", "s2,-inf,c",
+                                       "s2,NaN,d", "s3,2,e"])
+        events, malformed = ingest(path)
+        assert [e.item_id for e in events] == ["e"]
+        assert malformed == 4
+
     def test_missing_file_fatal(self, tmp_path):
         with pytest.raises(DataError):
             ingest(tmp_path / "nope.csv")
@@ -105,6 +114,17 @@ class TestPreprocess:
                                        max_session_len=3)
         names = [catalog.index_to_item[i] for i in sessions[0].items]
         assert names == ["i3", "i4", "i5"]
+
+    @pytest.mark.parametrize("max_len", [1, 0, -1])
+    def test_max_below_min_rejected(self, max_len):
+        # items[-0:] would keep whole sessions, items[-1:] drop all but one
+        with pytest.raises(ValueError, match="max_session_len"):
+            preprocess(self.events(), min_item_freq=1, max_session_len=max_len)
+
+    def test_max_equal_to_min_allowed(self):
+        sessions, _ = preprocess(self.events(), min_item_freq=1,
+                                 max_session_len=2)
+        assert sessions and all(len(s) == 2 for s in sessions)
 
     def test_everything_removed_is_fatal(self):
         events = [dataio.RawEvent("s1", 1, "a")]
@@ -174,6 +194,23 @@ class TestRoundTrip:
         path = tmp_path / "ex.jsonl"
         path.write_text('{"session": [1], "target": "x"}\n', encoding="utf-8")
         with pytest.raises(DataError):
+            dataio.read_examples(path)
+
+    @pytest.mark.parametrize("record", [
+        '{"session": "123", "target": 4}',
+        '{"session": [1.9, true], "target": 4}',
+        '{"session": [1, 2], "target": 2.7}',
+        '{"session": [1, "2"], "target": 3}',
+        '{"session": [1, 2], "target": false}',
+        '{"session": [1, 2.0], "target": 3}',
+        '{"session": {"1": 2}, "target": 3}',
+    ], ids=["string_session", "float_and_bool_ids", "float_target",
+            "string_id", "bool_target", "integral_float", "object_session"])
+    def test_non_integer_ids_fatal(self, tmp_path, record):
+        path = tmp_path / "ex.jsonl"
+        path.write_text('{"session": [1], "target": 2}\n' + record + "\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=f"{path}:2:"):
             dataio.read_examples(path)
 
     def test_catalog_json(self, tmp_path):

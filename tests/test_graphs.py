@@ -4,11 +4,13 @@ builds on padded batches."""
 import numpy as np
 import pytest
 
+from oracles import star_channel_oracle
+
 from sessrec.dataio import Example
 from sessrec.graphs import build_session_graph
 from sessrec.model import (_factor_adjacency, _hub_channel, _run_channel,
-                           _star_edges, pack_batch)
-from sessrec.propagation import GGNNWeights, star_step
+                           _star_edges, _star_graph, pack_batch)
+from sessrec.propagation import GGNNWeights
 from sessrec.rng import substream
 from sessrec.tape import Tensor
 
@@ -115,15 +117,20 @@ def test_cosine_matrix_self_similarity():
 
 class TestStarGraph:
     def test_satellite_is_position_mean(self):
-        # at theta = 1 the hub feeds every node, so its start state shows
+        # slot n of the star view starts at the mean over positions; at
+        # theta = 1 the hub feeds every node, so that start state shows
         pack = pack_of([1, 2, 1])
         x = np.array([[[3.0, 0.0], [0.0, 3.0]]])
         w = GGNNWeights.init(2, substream(0, "init"))
         to_real, from_real = _star_edges(pack, 1.0, seed=0, epoch=0)
-        expect, _ = star_step(x, np.array([[2.0, 1.0]]), pack.adj_in,
-                              pack.adj_out, to_real, from_real, w)
+        states, _, _ = _star_graph(Tensor(x), pack, to_real, from_real)
+        np.testing.assert_allclose(states.value[0, 2], [2.0, 1.0], atol=1e-12)
         out = _hub_channel(Tensor(x), pack, w, 1.0, seed=0, epoch=0)
-        np.testing.assert_allclose(out.value, expect.value, atol=1e-12)
+        expect = star_channel_oracle(
+            x[0], pack.adj_in[0], pack.adj_out[0], pack.alias[0], to_real[0],
+            from_real[0], {name.split(".")[-1]: p.value
+                           for name, p in w.named_parameters("g")})
+        np.testing.assert_allclose(out.value[0], expect[:2], atol=1e-12)
 
     def test_theta_zero_adds_nothing(self):
         pack = pack_of([1, 2, 3], [4, 5], [6])

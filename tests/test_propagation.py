@@ -2,14 +2,14 @@
 
 import numpy as np
 
-from oracles import ggnn_step_oracle
+from oracles import ggnn_step_oracle, star_channel_oracle
 
 from sessrec import tape
 from sessrec.dataio import Example
 from sessrec.graphs import build_session_graph
 from sessrec.model import (_factor_adjacency, _hub_channel, _run_channel,
-                           pack_batch)
-from sessrec.propagation import GGNNWeights, ggnn_step, star_step
+                           _star_edges, _star_graph, pack_batch)
+from sessrec.propagation import GGNNWeights, ggnn_step
 from sessrec.rng import substream
 
 
@@ -112,6 +112,23 @@ class TestChannels:
                                            rtol=0)
 
 
+def star_against_oracle(x, pack, to_real, from_real, w, atol=1e-12):
+    """Propagate the batched star view and check every real row and the
+    hub row (slot n) against the explicit per-session graph; returns
+    the (B, n + 1, d) states."""
+    states, adj_in, adj_out = _star_graph(tape.Tensor(x), pack, to_real,
+                                          from_real)
+    out = _run_channel(states, adj_in, adj_out, w).value
+    for b, k in enumerate(pack.n_nodes):
+        ref = star_channel_oracle(
+            x[b, :k], pack.adj_in[b, :k, :k], pack.adj_out[b, :k, :k],
+            pack.alias[b, :pack.lengths[b]], to_real[b, :k],
+            from_real[b, :k], as_dict(w), w.layers)
+        np.testing.assert_allclose(out[b, :k], ref[:k], atol=atol, rtol=0)
+        np.testing.assert_allclose(out[b, -1], ref[k], atol=atol, rtol=0)
+    return out
+
+
 class TestStarChannel:
     def test_theta_zero_bit_identical(self):
         rng = substream(7, "x")
@@ -127,39 +144,40 @@ class TestStarChannel:
 
     def test_hub_edges_change_connected_nodes_only(self):
         w = weights_for(4, seed=9)
-        g = build_session_graph([1, 2, 3])
-        x = substream(8, "x").normal(size=(3, 4))
-        sat = x.mean(axis=0)
-        base = ggnn_step(x, g.adj_in, g.adj_out, w).value
+        pack = pack_batch([Example([1, 2, 3], 0)])
+        x = substream(8, "x").normal(size=(1, 3, 4))
+        base = ggnn_step(x, pack.adj_in, pack.adj_out, w).value
         # hub points at node 1 only; nothing points back
-        to_real = np.array([0.0, 1.0, 0.0])
-        from_real = np.zeros(3)
-        out, _ = star_step(x, sat, g.adj_in, g.adj_out, to_real, from_real, w)
-        changed = np.abs(out.value - base).max(axis=1)
+        to_real = np.array([[0.0, 1.0, 0.0]])
+        from_real = np.zeros((1, 3))
+        out = star_against_oracle(x, pack, to_real, from_real, w)
+        changed = np.abs(out[0, :3] - base[0]).max(axis=1)
         assert changed[1] > 0
         assert changed[0] == 0 and changed[2] == 0
 
     def test_hub_state_receives_from_real(self):
+        # the hub row aggregates the nodes pointing at it and none else
         w = weights_for(3, seed=10)
-        g = build_session_graph([1, 2])
-        x = substream(9, "x").normal(size=(2, 3))
-        sat = x.mean(axis=0)
-        to_real = np.zeros(2)
-        from_real = np.array([1.0, 1.0])
-        _, sat_next = star_step(x, sat, g.adj_in, g.adj_out, to_real,
-                                from_real, w)
-        # the hub aggregate is the sum over pointing nodes
-        agg = x.sum(axis=0)
-        c = np.concatenate([agg @ w.weight_in.value + w.bias_in.value,
-                            (to_real[None, :] @ x)[0] @ w.weight_out.value
-                            + w.bias_out.value])
-        z = 1 / (1 + np.exp(-(c @ w.weight_update.value
-                              + sat @ w.u_update.value)))
-        r = 1 / (1 + np.exp(-(c @ w.weight_reset.value
-                              + sat @ w.u_reset.value)))
-        cand = np.tanh(c @ w.weight_cand.value + (r * sat) @ w.u_cand.value)
-        np.testing.assert_allclose(sat_next.value, (1 - z) * sat + z * cand,
-                                   atol=1e-12)
+        pack = pack_batch([Example([1, 2], 0)])
+        x = substream(9, "x").normal(size=(1, 2, 3))
+        to_real = np.zeros((1, 2))
+        from_real = np.ones((1, 2))
+        states, adj_in, adj_out = _star_graph(tape.Tensor(x), pack, to_real,
+                                              from_real)
+        np.testing.assert_array_equal(adj_in[0, 2], [1.0, 1.0, 0.0])
+        np.testing.assert_array_equal(adj_out[0, 2], 0.0)
+        star_against_oracle(x, pack, to_real, from_real, w)
+
+    def test_two_layers_match_oracle_on_mixed_batch(self):
+        w = weights_for(4, seed=12, layers=2)
+        pack = pack_batch([Example([1, 2, 3, 1], 0), Example([4], 0),
+                           Example([5, 6, 5, 6, 7], 0), Example([2, 2], 0)])
+        x = substream(12, "x").normal(size=pack.node_ids.shape + (4,))
+        to_real, from_real = _star_edges(pack, 0.3, seed=4, epoch=1)
+        assert to_real.any() and from_real.any()
+        out = star_against_oracle(x, pack, to_real, from_real, w, atol=1e-10)
+        hubbed = _hub_channel(tape.Tensor(x), pack, w, 0.3, seed=4, epoch=1)
+        assert (hubbed.value == out[:, :-1]).all()
 
     def test_gradients_flow_through_star(self):
         w = weights_for(3, seed=11)
