@@ -15,7 +15,7 @@ penalty alone pull the pairwise correlations down.
 
 import numpy as np
 
-from sessrec.disentangle import FactorProjection, dcor, independence_loss, project
+from sessrec.disentangle import FactorProjection, independence_loss, project
 from sessrec.optim import Adam
 from sessrec.rng import substream
 
@@ -27,12 +27,13 @@ proj = FactorProjection.init(input_dim=10, factor_dim=4, num_factors=K,
 
 
 def pairwise(views):
-    """dcor of every pair of the (K, items, width) factor views."""
+    """dcor of every pair of the (K, items, width) factor views, read off
+    the penalty of the two-view stack, which counts the pair twice."""
     v = views.value
     m = np.eye(K)
     for a in range(K):
         for b in range(a + 1, K):
-            m[a, b] = m[b, a] = float(dcor(v[a], v[b]).value)
+            m[a, b] = m[b, a] = float(independence_loss(v[[a, b]]).value) / 2
     return m
 
 

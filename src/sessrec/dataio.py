@@ -81,7 +81,7 @@ def ingest(path, delimiter: str = ",", has_header: bool = False):
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read event file {path}: {exc}") from exc
 
     events, malformed = [], 0
@@ -248,22 +248,27 @@ def write_examples(path, examples):
 
 def read_examples(path):
     """Read JSON lines ``{"session": [...], "target": k}``; ``DataError``
-    naming ``path:line`` unless every id is a JSON integer."""
+    naming ``path:line`` unless every id is a JSON integer, and naming
+    ``path`` if the file is not UTF-8."""
     examples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                session, target = rec["session"], rec["target"]
-            except (ValueError, KeyError, TypeError) as exc:
-                raise DataError(f"{path}:{lineno}: bad example record: {exc}") from exc
-            if not (type(session) is list and type(target) is int
-                    and all(type(v) is int for v in session)):
-                raise DataError(f"{path}:{lineno}: session and target must "
-                                f"hold JSON integers")
-            examples.append(Example(session, target))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    rec = json.loads(line)
+                    session, target = rec["session"], rec["target"]
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise DataError(f"{path}:{lineno}: bad example "
+                                    f"record: {exc}") from exc
+                if not (type(session) is list and type(target) is int
+                        and all(type(v) is int for v in session)):
+                    raise DataError(f"{path}:{lineno}: session and target must "
+                                    f"hold JSON integers")
+                examples.append(Example(session, target))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     return examples
 
 

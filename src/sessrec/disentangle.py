@@ -58,22 +58,26 @@ def project(items, proj: FactorProjection):
     return tape.swap_last(split, (-3, -2))
 
 
-def _dcor_sum(views, min_rows):
-    """Sum of the distance correlations of all unordered pairs of views.
+def independence_loss(factors):
+    """Sum of distance correlation over all ordered pairs of factor views.
 
-    ``views`` stacks K >= 2 samples of the same m >= ``min_rows``
-    observations as (K, m, d), one row each.  Degenerate pairs carry no
-    usable signal and add exactly 0: a view with zero distance variance
-    (every view if m < 2), or a squared covariance that cancels to <= 0
-    in floating point.
+    ``factors`` stacks K views of the same m items as (K, m, d_f).  All
+    pairs come from one Gram matrix; each unordered pair appears twice
+    in the ordered sum and dcor is symmetric, so the pair sum is
+    doubled.  Degenerate pairs carry no usable signal and add exactly 0:
+    a view with zero distance variance, or a squared covariance that
+    cancels to <= 0 in floating point.  With fewer than two factors, or
+    fewer than two items, there is nothing to separate: the loss is 0.
     """
-    m = views.value.shape[1]
-    if m < min_rows:
-        raise ValueError(f"dcor needs at least {min_rows} observations")
-    if m < 2:
+    factors = tape.as_tensor(factors)
+    if factors.value.ndim != 3:
+        raise ValueError("independence_loss expects factor views stacked "
+                         "as (K, m, d_f)")
+    k, m = factors.value.shape[:2]
+    if k < 2 or m < 2:
         return Tensor(np.float64(0.0))
-    g = tape.centered_distance_gram(views)
-    i, j = np.triu_indices(views.value.shape[0], 1)
+    g = tape.centered_distance_gram(factors)
+    i, j = np.triu_indices(k, 1)
     var = np.diag(g.value)
     keep = (var[i] != 0.0) & (var[j] != 0.0) & (g.value[i, j] > 0.0)
     if not keep.any():
@@ -81,43 +85,6 @@ def _dcor_sum(views, min_rows):
     i, j = i[keep], j[keep]
     den = tape.mul(tape.sqrt(tape.getitem(g, (i, i))),
                    tape.sqrt(tape.getitem(g, (j, j))))
-    return tape.tsum(tape.div(tape.sqrt(tape.getitem(g, (i, j))),
-                              tape.sqrt(den)))
-
-
-def dcor(x, y):
-    """Distance correlation between two samples with matching row count.
-
-    Rows are observations.  Returns a scalar in [0, 1]; independent
-    samples score near 0, any exact monotone relation scores 1.  Zero
-    columns pad the narrower sample (distances stay) to stack both.
-    """
-    x, y = tape.as_tensor(x), tape.as_tensor(y)
-    if x.value.ndim != 2 or y.value.ndim != 2:
-        raise ValueError("dcor expects 2-d inputs (rows are observations)")
-    (m, dx), (my, dy) = x.value.shape, y.value.shape
-    if m != my:
-        raise ValueError(f"row count mismatch: {m} vs {my}")
-    width = max(dx, dy)
-    stacked = tape.concat([
-        tape.reshape(tape.concat([v, Tensor(np.zeros((m, width - dv)))], -1),
-                     (1, m, width))
-        for v, dv in ((x, dx), (y, dy))], axis=0)
-    return _dcor_sum(stacked, min_rows=2)
-
-
-def independence_loss(factors):
-    """Sum of dcor over all ordered pairs of factor views.
-
-    ``factors`` stacks K views of the same m items as (K, m, d_f).  Each
-    unordered pair appears twice in the ordered sum and dcor is
-    symmetric, so the pair sum is doubled.  With fewer than two factors,
-    or fewer than two items, there is nothing to separate: the loss is 0.
-    """
-    factors = tape.as_tensor(factors)
-    if factors.value.ndim != 3:
-        raise ValueError("independence_loss expects factor views stacked "
-                         "as (K, m, d_f)")
-    if factors.value.shape[0] < 2:
-        return Tensor(np.float64(0.0))
-    return tape.mul(_dcor_sum(factors, min_rows=0), Tensor(np.float64(2.0)))
+    pairs = tape.tsum(tape.div(tape.sqrt(tape.getitem(g, (i, j))),
+                               tape.sqrt(den)))
+    return tape.mul(pairs, Tensor(np.float64(2.0)))

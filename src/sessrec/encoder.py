@@ -56,34 +56,30 @@ def attention_scores(seq, last, w: AttentionWeights):
     return tape.matmul(h, q_col)      # (..., T, 1)
 
 
-def encode(seq, w: AttentionWeights, last_position=None, pos_mask=None,
+def encode(seq, w: AttentionWeights, last_position, pos_mask,
            normalize_scores: bool = False):
     """Compress position-aligned states (..., T, d) into one embedding (..., d).
 
-    ``last_position`` defaults to the final position; for padded batches
-    pass the per-session index array and a 0/1 ``pos_mask`` so padding
-    neither scores nor contributes.  Both broadcast against the leading
-    axes of ``seq``.  ``normalize_scores`` switches the raw attention
-    weights to a softmax over (real) positions.
+    ``last_position`` holds each session's last real position and the
+    0/1 ``pos_mask`` its real positions, so padding neither scores nor
+    contributes.  Both broadcast against the leading axes of ``seq``.
+    ``normalize_scores`` switches the raw attention weights to a softmax
+    over the real positions.
     """
     seq = tape.as_tensor(seq)
     shape = seq.value.shape
-    idx = shape[-2] - 1 if last_position is None else last_position
-    idx = np.broadcast_to(np.asarray(idx, dtype=np.int64), shape[:-2])
+    idx = np.broadcast_to(np.asarray(last_position, dtype=np.int64),
+                          shape[:-2])
     last = tape.getitem(seq, tuple(np.indices(idx.shape)) + (idx,))
 
     scores = attention_scores(seq, last, w)
-    mask = None if pos_mask is None else \
-        np.asarray(pos_mask, dtype=np.float64)[..., None]
-
+    mask = np.asarray(pos_mask, dtype=np.float64)[..., None]
     if normalize_scores:
-        if mask is not None:
-            scores = tape.add(scores, tape.Tensor((1.0 - mask) * -1e30))
-        alpha = tape.exp(tape.log_softmax(scores, axis=-2))
-        if mask is not None:
-            alpha = tape.mul(alpha, tape.Tensor(mask))
+        scores = tape.add(scores, tape.Tensor((1.0 - mask) * -1e30))
+        alpha = tape.mul(tape.exp(tape.log_softmax(scores, axis=-2)),
+                         tape.Tensor(mask))
     else:
-        alpha = scores if mask is None else tape.mul(scores, tape.Tensor(mask))
+        alpha = tape.mul(scores, tape.Tensor(mask))
 
     mixed = tape.tsum(tape.mul(alpha, seq), axis=-2)      # (..., d)
     merged = tape.concat([last, mixed], axis=-1)          # (..., 2d)
@@ -97,7 +93,7 @@ def encode(seq, w: AttentionWeights, last_position=None, pos_mask=None,
     return tape.reshape(out, lead + (out.value.shape[-1],))
 
 
-def encode_factors(factor_seqs, weights, last_position=None, pos_mask=None,
+def encode_factors(factor_seqs, weights, last_position, pos_mask,
                    normalize_scores: bool = False):
     """Read out all K factor views at once, concatenated on the last axis.
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -69,6 +70,13 @@ class TrainConfig:
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], "
                                  f"got {getattr(self, name)}")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+        for name in ("beta_cl", "beta_ind"):
+            if not (math.isfinite(getattr(self, name))
+                    and getattr(self, name) >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, "
+                                 f"got {getattr(self, name)}")
         if self.negatives_per_positive < 1:
             raise ValueError("negatives_per_positive must be >= 1")
         if self.factor_negatives not in ("within_view", "cross_view"):
@@ -124,14 +132,19 @@ class TrainResult:
 
 def train_step(params: ParameterSet, optimizer: Adam, examples,
                session_indices, cfg: TrainConfig, epoch: int) -> LossBreakdown:
-    """One optimization step on one batch; returns the loss breakdown."""
+    """One optimization step on one batch; returns the loss breakdown.
+
+    ``epoch`` counts from 0; a ``NumericsError`` names it from 1, as the
+    per-epoch log line does.
+    """
     pack = pack_batch(examples, session_indices)
     out = training_forward(params, pack, cfg, epoch)
     loss_val = float(out.loss.value)
     if not np.isfinite(loss_val):
         raise NumericsError(
-            f"non-finite loss {loss_val} at epoch {epoch} "
-            f"(sessions {session_indices[0]}..{session_indices[-1]})")
+            f"non-finite loss {loss_val} at epoch {epoch + 1} (batch of "
+            f"{len(session_indices)} sessions, ids {min(session_indices)}.."
+            f"{max(session_indices)})")
     optimizer.zero_grad()
     out.loss.backward()
     optimizer.step()

@@ -39,21 +39,18 @@ def catalog_factor_embeddings(catalog_embeddings, proj: FactorProjection):
 
 
 def _head_probs(embeddings, session_embedding):
-    """Softmax over catalog logits e_cat . e_s; supports a batch axis."""
+    """Softmax over catalog logits e_cat . e_s, one (B, N) row per session."""
     e = tape.as_tensor(embeddings)
     s = tape.as_tensor(session_embedding)
-    if s.value.ndim == 1:
-        logits = tape.reshape(
-            tape.matmul(e, tape.reshape(s, (-1, 1))), (e.value.shape[0],))
-        return tape.exp(tape.log_softmax(logits, axis=-1))
     logits = tape.matmul(s, tape.swap_last(e))      # (B, N)
     return tape.exp(tape.log_softmax(logits, axis=-1))
 
 
 def score(session_item_emb, session_factor_emb, catalog_embeddings,
           catalog_factors=None, use_factor_head: bool = True) -> ScoreVector:
-    """Probability of each catalog item being next.
+    """Probability of each catalog item being next, (B, N) for B sessions.
 
+    The session embeddings are (B, d) and (B, K * d_f).
     ``catalog_factors`` holds the concatenated factor views of the
     catalog (see ``catalog_factor_embeddings``); the factor head needs
     it.  With ``use_factor_head=False`` only the item head contributes
@@ -70,8 +67,8 @@ def score(session_item_emb, session_factor_emb, catalog_embeddings,
 
 
 def prediction_loss(scores: ScoreVector, target):
-    """Binary cross-entropy of the combined probabilities against a
-    one-hot target, summed over the catalog (mean over a batch axis).
+    """Binary cross-entropy of the combined (B, N) probabilities against
+    one-hot targets, summed over the catalog and averaged over the batch.
 
     Probabilities are clamped at 1e-12 away from both ends before the
     logs so a saturated head cannot produce infinities.
@@ -110,10 +107,3 @@ def rank_of(probabilities: np.ndarray, target: int) -> int:
     ahead = int(np.sum(p > pt))
     tied_before = int(np.sum(p[:target] == pt))
     return ahead + tied_before + 1
-
-
-def top_k_items(probabilities: np.ndarray, k: int):
-    """Indices of the k highest-probability items, stable in index order."""
-    p = np.asarray(probabilities)
-    order = np.lexsort((np.arange(len(p)), -p))
-    return order[:k]

@@ -1,7 +1,9 @@
-"""The benchmark's tracer patches sessrec names from outside the package.
+"""The benchmark reads sessrec names from outside the package.
 
-``perfbench/tracer.py`` looks each name up with ``getattr``, so renaming
-or deleting one breaks every traced run.  These tests catch that here.
+``perfbench/tracer.py`` looks each name it patches up with ``getattr``,
+and ``perfbench/run.py`` and ``perfbench/setup_probe.py`` call a few
+more directly, so renaming or deleting one breaks every benchmark run.
+These tests catch that here.
 """
 
 import importlib
@@ -37,3 +39,23 @@ def test_patched_name_resolves(mod, name):
 def test_patched_method_resolves(mod, cls, meth):
     owner = getattr(importlib.import_module(f"sessrec.{mod}"), cls, None)
     assert callable(getattr(owner, meth, None)), f"sessrec.{mod}.{cls}.{meth}"
+
+
+# Names that perfbench/run.py and perfbench/setup_probe.py read directly,
+# outside the tracer's lists.
+DIRECT_NAMES = [
+    ("harness", name) for name in (
+        "substream", "score_batch", "rank_of", "make_planted_corpus",
+        "TrainConfig", "NumericsError", "train_step", "evaluate")] + [
+    ("params", name) for name in (
+        "init_parameters", "save_checkpoint", "load_checkpoint")] + [
+    ("dataio", name) for name in ("read_examples", "write_examples",
+                                  "Example")] + [
+    ("optim", "Adam")]
+
+
+@pytest.mark.parametrize("mod, name", DIRECT_NAMES,
+                         ids=[f"{m}.{n}" for m, n in DIRECT_NAMES])
+def test_direct_name_resolves(mod, name):
+    module = importlib.import_module(f"sessrec.{mod}")
+    assert callable(getattr(module, name, None)), f"sessrec.{mod}.{name}"

@@ -83,6 +83,14 @@ class TestPreprocess:
         assert code == EXIT_USAGE
         assert not out.exists()
 
+    def test_non_utf8_input_is_data_error(self, raw_events, tmp_path,
+                                          caplog):
+        raw_events.write_bytes(raw_events.read_bytes() + b"s99,5.0,\xff\n")
+        code = main(["preprocess", "--input", str(raw_events),
+                     "--out", str(tmp_path / "o"), "--boundary", "100"])
+        assert code == EXIT_DATA
+        assert str(raw_events) in caplog.text
+
 
 class TestTrain:
     def test_full_run_writes_artifacts(self, corpus_dir, tmp_path):
@@ -174,6 +182,41 @@ class TestTrain:
                      "--catalog", str(catalog),
                      "--out", str(tmp_path / "r")] + TINY_FLAGS)
         assert code == EXIT_DATA
+
+    def test_non_utf8_examples_is_data_error(self, corpus_dir, tmp_path,
+                                             caplog):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"session": [0, 1], "target": 2}\n'
+                        b'{"session": [1], "target": 3} \xff\n')
+        code = main(["train", "--train", str(bad),
+                     "--catalog", str(corpus_dir / "catalog.json"),
+                     "--out", str(tmp_path / "r")] + TINY_FLAGS)
+        assert code == EXIT_DATA
+        assert str(bad) in caplog.text
+
+    @pytest.mark.parametrize("flags", [
+        ["--lr", "-1"], ["--lr", "nan"], ["--beta-cl", "-5"],
+        ["--beta-ind", "nan"],
+    ], ids=["lr_negative", "lr_nan", "beta_cl_negative", "beta_ind_nan"])
+    def test_out_of_range_objective_is_usage_error(self, corpus_dir,
+                                                   tmp_path, flags):
+        out = tmp_path / "r"
+        code = main(["train", "--train", str(corpus_dir / "train.jsonl"),
+                     "--catalog", str(corpus_dir / "catalog.json"),
+                     "--out", str(out)] + TINY_FLAGS + flags)
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_run_is_numeric_error(self, corpus_dir, tmp_path,
+                                            caplog):
+        code = main(["train", "--train", str(corpus_dir / "train.jsonl"),
+                     "--catalog", str(corpus_dir / "catalog.json"),
+                     "--out", str(tmp_path / "r"), "--lr", "1e300"]
+                    + TINY_FLAGS)
+        assert code == EXIT_NUMERIC
+        assert "non-finite loss" in caplog.text
+        assert "at epoch 1 (batch of 16 sessions, ids " in caplog.text
 
 
 class TestEvalCommand:

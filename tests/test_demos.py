@@ -9,9 +9,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# train_and_compare.py trains five desk-scale models (about a minute) and
-# verify_gradients.py repeats what acceptance check c03 already asserts,
-# so neither runs here.
+# train_and_compare.py trains five desk-scale models (about a minute),
+# so it does not run here.
 QUICK_DEMOS = ("data_pipeline.py", "factor_separation.py", "graph_views.py")
 
 

@@ -1,20 +1,37 @@
-"""Factor projections and distance correlation."""
+"""Factor projections and the distance-correlation independence penalty.
+
+Pairwise distance correlation is read off the penalty itself: on a
+stack of two views it sums both orders of their one pair.
+"""
 
 import numpy as np
 import pytest
 
-from oracles import dcor_oracle, sigmoid
+from oracles import dcor_oracle, gradient_errors, sigmoid
 
 from sessrec import tape
-from sessrec.disentangle import (FactorProjection, dcor, independence_loss,
-                                 project)
-from sessrec.gradcheck import gradient_errors
+from sessrec.disentangle import FactorProjection, independence_loss, project
 from sessrec.rng import substream
 from sessrec.tape import Parameter, Tensor
 
 
 def make_proj(d=6, d_f=3, k=2, seed=0):
     return FactorProjection.init(d, d_f, k, substream(seed, "init"))
+
+
+def pair_stack(x, y):
+    """(2, m, width) stack of two samples; zero columns pad the narrower
+    one, which leaves its distances as they are."""
+    width = max(x.shape[1], y.shape[1])
+    stack = np.zeros((2, x.shape[0], width))
+    stack[0, :, :x.shape[1]] = x
+    stack[1, :, :y.shape[1]] = y
+    return stack
+
+
+def pair_dcor(x, y):
+    """dcor(x, y) from the penalty on their two-view stack."""
+    return float(independence_loss(pair_stack(x, y)).value) / 2.0
 
 
 class TestProjection:
@@ -57,7 +74,7 @@ class TestDcorOracle:
         for trial in range(10):
             x = rng.normal(size=(7, 3))
             y = rng.normal(size=(7, 4))
-            mine = float(dcor(x, y).value)
+            mine = pair_dcor(x, y)
             ref = dcor_oracle(x, y)
             assert abs(mine - ref) <= 1e-10, f"trial {trial}"
 
@@ -65,7 +82,7 @@ class TestDcorOracle:
         rng = substream(6, "x")
         x = rng.normal(size=(9, 2))
         y = np.tanh(x @ rng.normal(size=(2, 5)))
-        assert abs(float(dcor(x, y).value) - dcor_oracle(x, y)) <= 1e-10
+        assert abs(pair_dcor(x, y) - dcor_oracle(x, y)) <= 1e-10
 
 
 class TestDcorProperties:
@@ -73,40 +90,30 @@ class TestDcorProperties:
         rng = substream(7, "x")
         for _ in range(20):
             x = rng.normal(size=(6, 4))
-            assert abs(float(dcor(x, x).value) - 1.0) < 1e-9
+            assert abs(pair_dcor(x, x) - 1.0) < 1e-9
 
     def test_positive_scaling_invariant(self):
         rng = substream(8, "x")
         x = rng.normal(size=(6, 4))
         for c in (0.5, 3.0, 100.0):
-            assert abs(float(dcor(x, c * x).value) - 1.0) < 1e-9
+            assert abs(pair_dcor(x, c * x) - 1.0) < 1e-9
 
     def test_symmetric(self):
         rng = substream(9, "x")
         x, y = rng.normal(size=(8, 3)), rng.normal(size=(8, 5))
-        assert abs(float(dcor(x, y).value)
-                   - float(dcor(y, x).value)) < 1e-12
+        assert abs(pair_dcor(x, y) - pair_dcor(y, x)) < 1e-12
 
     def test_constant_side_is_zero(self):
         rng = substream(10, "x")
         x = rng.normal(size=(6, 3))
         const = np.ones((6, 2)) * 4.2
-        assert float(dcor(x, const).value) == 0.0
+        assert pair_dcor(x, const) == 0.0
 
     def test_range(self):
         rng = substream(11, "x")
         for _ in range(10):
-            v = float(dcor(rng.normal(size=(7, 2)),
-                           rng.normal(size=(7, 2))).value)
+            v = pair_dcor(rng.normal(size=(7, 2)), rng.normal(size=(7, 2)))
             assert 0.0 <= v <= 1.0 + 1e-12
-
-    def test_row_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            dcor(np.ones((3, 2)), np.ones((4, 2)))
-
-    def test_single_row_rejected(self):
-        with pytest.raises(ValueError):
-            dcor(np.ones((1, 2)), np.ones((1, 2)))
 
 
 class TestIndependenceLoss:
@@ -164,9 +171,10 @@ class TestIndependenceLoss:
 
     def test_dcor_gradient_with_unequal_widths(self):
         rng = substream(17, "x")
-        x = Parameter(rng.normal(size=(7, 4)))
-        y = Parameter(np.tanh(x.value[:, :3]) + 0.3 * rng.normal(size=(7, 3)))
-        errs = gradient_errors(lambda: dcor(x, y), {"x": x, "y": y})
+        x = rng.normal(size=(7, 4))
+        y = np.tanh(x[:, :3]) + 0.3 * rng.normal(size=(7, 3))
+        fs = Parameter(pair_stack(x, y))
+        errs = gradient_errors(lambda: independence_loss(fs), {"fs": fs})
         assert max(errs.values()) < 1e-4, errs
 
     def test_constant_factor_drops_out(self):
@@ -177,8 +185,8 @@ class TestIndependenceLoss:
         fs = Parameter(np.stack([a, const, b]))
         loss = independence_loss(fs)
         loss.backward()
-        assert float(dcor(a, const).value) == 0.0
-        assert float(dcor(const, b).value) == 0.0
+        assert pair_dcor(a, const) == 0.0
+        assert pair_dcor(const, b) == 0.0
         assert float(loss.value) == pytest.approx(
             2.0 * dcor_oracle(a, b), abs=1e-10)
         np.testing.assert_array_equal(fs.grad[1], np.zeros((7, 3)))
@@ -190,19 +198,13 @@ class TestIndependenceLoss:
         assert len(nodes) <= 15
 
     def test_malformed_factors_rejected(self):
-        with pytest.raises(ValueError, match="row count mismatch: 4 vs 5"):
-            dcor(np.ones((4, 2)), np.ones((5, 2)))
-        with pytest.raises(ValueError, match="2-d inputs"):
-            dcor(np.ones((4, 2)), np.ones(4))
         with pytest.raises(ValueError, match=r"\(K, m, d_f\)"):
             independence_loss(np.ones((4, 2)))
 
     def test_single_row_is_zero(self):
-        # Only dcor(x, y) needs 2 rows; a one-node batch trains with loss 0.
+        # a one-node batch trains with loss 0
         rng = substream(20, "x")
         fs = Parameter(rng.normal(size=(3, 1, 3)))
         loss = independence_loss(fs)
         loss.backward()
         assert float(loss.value) == 0.0
-        with pytest.raises(ValueError, match="at least 2 observations"):
-            dcor(fs.value[0], fs.value[1])

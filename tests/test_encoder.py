@@ -1,4 +1,7 @@
-"""Attention readout against the straight-line oracle."""
+"""Attention readout against the straight-line oracle.
+
+The readout takes padded batches; one session is read as a batch of one.
+"""
 
 import numpy as np
 import pytest
@@ -19,13 +22,27 @@ def as_dict(w):
             w.named_parameters("a")}
 
 
+def encode_alone(seq, w, **kwargs):
+    """Read one (T, d) sequence as a batch of one; returns (d,)."""
+    t = len(seq)
+    return encode(np.asarray(seq)[None], w, [t - 1], np.ones((1, t)),
+                  **kwargs).value[0]
+
+
+def encode_factors_alone(seqs, ws, **kwargs):
+    """Read one session's (K, T, d_f) factor views as a batch of one."""
+    t = seqs.shape[-2]
+    return encode_factors(seqs[None], ws, [[t - 1]], np.ones((1, 1, t)),
+                          **kwargs).value[0]
+
+
 class TestEncode:
     def test_matches_oracle(self):
         rng = substream(1, "x")
         w = make_weights(4, seed=2)
         for t in (1, 2, 5):
             seq = rng.normal(size=(t, 4))
-            mine = encode(seq, w).value
+            mine = encode_alone(seq, w)
             ref = attention_oracle(seq, as_dict(w))
             np.testing.assert_allclose(mine, ref, atol=1e-10, rtol=0)
 
@@ -43,7 +60,7 @@ class TestEncode:
         out = encode(padded, w, last_position=np.array(lens) - 1,
                      pos_mask=mask).value
         for i, s in enumerate(seqs):
-            single = encode(s, w).value
+            single = encode_alone(s, w)
             np.testing.assert_allclose(out[i], single, atol=1e-10, rtol=0)
 
     def test_padding_cannot_leak(self):
@@ -62,10 +79,10 @@ class TestEncode:
         # two occurrences of the same state contribute two attention terms
         w = make_weights(2, seed=5)
         state = substream(4, "x").normal(size=(1, 2))
-        once = encode(np.vstack([state, state]), w).value
+        once = encode_alone(np.vstack([state, state]), w)
         # the mixed sum doubles relative to a single occurrence with the
         # same last anchor, so outputs must differ
-        single = encode(state, w).value
+        single = encode_alone(state, w)
         assert np.abs(once - single).max() > 0
 
     def test_normalized_scores_sum_to_one(self):
@@ -81,8 +98,8 @@ class TestEncode:
         rng = substream(6, "x")
         w = make_weights(3, seed=7)
         seq = rng.normal(size=(4, 3))
-        raw = encode(seq, w, normalize_scores=False).value
-        soft = encode(seq, w, normalize_scores=True).value
+        raw = encode_alone(seq, w, normalize_scores=False)
+        soft = encode_alone(seq, w, normalize_scores=True)
         assert np.abs(raw - soft).max() > 1e-8
 
 
@@ -97,11 +114,11 @@ class TestEncodeFactors:
         rng = substream(7, "x")
         ws = AttentionWeights.init(2, substream(8, "init"), num_factors=2)
         seqs = rng.normal(size=(2, 3, 2))               # (K, T, d_f)
-        out = encode_factors(seqs, ws).value
+        out = encode_factors_alone(seqs, ws)
         assert out.shape == (4,)
-        np.testing.assert_allclose(out[:2], encode(seqs[0], factor_slice(ws, 0)).value,
+        np.testing.assert_allclose(out[:2], encode_alone(seqs[0], factor_slice(ws, 0)),
                                    atol=1e-12)
-        np.testing.assert_allclose(out[2:], encode(seqs[1], factor_slice(ws, 1)).value,
+        np.testing.assert_allclose(out[2:], encode_alone(seqs[1], factor_slice(ws, 1)),
                                    atol=1e-12)
         # a padded batch (B, K, T, d_f) reads each session as if alone
         batch = np.zeros((2, 2, 4, 2))
@@ -112,7 +129,7 @@ class TestEncodeFactors:
                               mask[:, None]).value
         assert both.shape == (2, 4)
         np.testing.assert_allclose(both[0], out, atol=1e-12)
-        np.testing.assert_allclose(both[1], encode_factors(batch[1], ws).value,
+        np.testing.assert_allclose(both[1], encode_factors_alone(batch[1], ws),
                                    atol=1e-12)
 
     def test_normalized_padded_batch_matches_alone(self):
@@ -128,19 +145,19 @@ class TestEncodeFactors:
         both = encode_factors(batch, ws, np.array([[1], [4]]), mask[:, None],
                               normalize_scores=True).value
         for row, seqs in zip(both, (short, batch[1])):
-            alone = encode_factors(seqs, ws, normalize_scores=True).value
+            alone = encode_factors_alone(seqs, ws, normalize_scores=True)
             np.testing.assert_allclose(row, alone, atol=1e-12)
 
     def test_length_mismatch_rejected(self):
         ws = AttentionWeights.init(2, substream(0, "init"), num_factors=2)
         with pytest.raises(ValueError):
-            encode_factors(np.ones((1, 2, 2)), ws)
+            encode_factors(np.ones((1, 2, 2)), ws, [1], np.ones((1, 2)))
 
     def test_gradients_reach_attention(self):
         rng = substream(8, "x")
         w = make_weights(3, seed=10)
-        seq = tape.Parameter(rng.normal(size=(4, 3)))
-        out = encode(seq, w)
+        seq = tape.Parameter(rng.normal(size=(1, 4, 3)))
+        out = encode(seq, w, [3], np.ones((1, 4)))
         tape.tsum(tape.mul(out, out)).backward()
         assert np.abs(w.query.grad).max() > 0
         assert np.abs(w.w_merge.grad).max() > 0

@@ -61,8 +61,14 @@ class TestConfig:
         dict(factor_negatives="both_views"),
         dict(dropout_edge=1.5, variant="star"),
         dict(dropout_node=-0.1, variant="star"),
+        dict(lr=-1.0), dict(lr=0.0), dict(lr=float("nan")),
+        dict(lr=float("inf")), dict(beta_cl=-5.0),
+        dict(beta_cl=float("inf")), dict(beta_ind=-0.01),
+        dict(beta_ind=float("nan")),
     ], ids=["alpha", "negatives_per_positive", "factor_negatives",
-            "dropout_edge", "dropout_node"])
+            "dropout_edge", "dropout_node", "lr_negative", "lr_zero",
+            "lr_nan", "lr_inf", "beta_cl_negative", "beta_cl_inf",
+            "beta_ind_negative", "beta_ind_nan"])
     def test_invalid_value_rejected(self, overrides):
         with pytest.raises(ValueError):
             TrainConfig(**overrides)
@@ -112,8 +118,12 @@ class TestTrainStep:
                                  cfg.num_factors, cfg.layers, cfg.seed)
         params.embeddings.value[:] = np.nan
         opt = Adam(params.parameters(), lr=1e-2)
-        with pytest.raises(NumericsError):
-            train_step(params, opt, train_ex[:4], np.arange(4), cfg, 0)
+        # the error counts epochs from 1, as the per-epoch log line does,
+        # and gives the batch's id range, not its first and last id
+        with pytest.raises(NumericsError, match=r"at epoch 3 \(batch of 4 "
+                           r"sessions, ids 2\.\.11\)"):
+            train_step(params, opt, train_ex[:4], np.array([11, 2, 7, 5]),
+                       cfg, 2)
 
 
 class TestTrain:

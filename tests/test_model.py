@@ -189,15 +189,17 @@ class TestScoreBatch:
         g = build_session_graph(ex.prefix)
         x0 = params.embeddings.value[g.nodes]
         h = ggnn_step(x0, g.adj_in, g.adj_out, params.ggnn_original).value
-        seq = h[g.alias]
-        e_item = encode(seq, params.attn_item)
+        t = len(g.alias)
+        seq = h[g.alias][None]                                     # (1, T, d)
+        e_item = encode(seq, params.attn_item, [t - 1], np.ones((1, t)))
         factor_seqs = project(h, params.proj).value[:, g.alias]   # (K, T, d_f)
-        e_factor = encode_factors(Tensor(factor_seqs), params.attn_factor)
+        e_factor = encode_factors(Tensor(factor_seqs[None]), params.attn_factor,
+                                  [[t - 1]], np.ones((1, 1, t)))
         catalog_factors = catalog_factor_embeddings(params.embeddings.value,
                                                     params.proj)
         sv = score_one(e_item, e_factor, params.embeddings.value,
                        catalog_factors=catalog_factors)
-        np.testing.assert_allclose(probs[0], sv.combined.value, atol=1e-10,
+        np.testing.assert_allclose(probs[0], sv.combined.value[0], atol=1e-10,
                                    rtol=0)
 
     def test_padding_invariance(self):

@@ -1,4 +1,7 @@
-"""Dual-head scoring, the training loss, and ranking helpers."""
+"""Dual-head scoring, the training loss, and ranking helpers.
+
+Scoring takes a batch axis; one session is a batch of one.
+"""
 
 import numpy as np
 import pytest
@@ -8,18 +11,19 @@ from oracles import bce_oracle, scores_oracle, sigmoid
 from sessrec import tape
 from sessrec.disentangle import FactorProjection, project
 from sessrec.predictor import (catalog_factor_embeddings, prediction_loss,
-                               rank_of, score, top_k_items, total_loss)
+                               rank_of, score, total_loss)
 from sessrec.rng import substream
 from sessrec.tape import Parameter, Tensor
 
 
 def setup_scoring(seed=0, n=8, d=5, d_f=3, k=2):
-    """Catalog, its concatenated factor views, and one session's pair."""
+    """Catalog, its concatenated factor views, and one session's pair as
+    a batch of one."""
     rng = substream(seed, "x")
     catalog = rng.normal(size=(n, d))
     proj = FactorProjection.init(d, d_f, k, substream(seed, "init"))
-    e_item = rng.normal(size=d)
-    e_factor = rng.normal(size=k * d_f)
+    e_item = rng.normal(size=(1, d))
+    e_factor = rng.normal(size=(1, k * d_f))
     return catalog, catalog_factor_embeddings(catalog, proj), e_item, e_factor
 
 
@@ -30,8 +34,8 @@ class TestScore:
         proj = FactorProjection.init(5, 3, 2, substream(0, "init"))
         direct = np.concatenate([sigmoid(catalog @ w) + b for w, b in
                                  zip(proj.weight.value, proj.bias.value)], -1)
-        expect = scores_oracle(e_item, e_factor, catalog, direct)
-        np.testing.assert_allclose(sv.combined.value, expect, atol=1e-10,
+        expect = scores_oracle(e_item[0], e_factor[0], catalog, direct)
+        np.testing.assert_allclose(sv.combined.value[0], expect, atol=1e-10,
                                    rtol=0)
 
     def test_heads_are_distributions(self):
@@ -67,17 +71,18 @@ class TestScore:
         sv = score(e_item, e_factor, catalog, catalog_factors=cat_f)
         assert sv.combined.value.shape == (3, 8)
         for b in range(3):
-            single = score(e_item[b], e_factor[b], catalog, catalog_factors=cat_f)
+            single = score(e_item[b:b + 1], e_factor[b:b + 1], catalog,
+                           catalog_factors=cat_f)
             np.testing.assert_allclose(sv.combined.value[b],
-                                       single.combined.value, atol=1e-10)
+                                       single.combined.value[0], atol=1e-10)
 
 
 class TestPredictionLoss:
     def test_matches_oracle(self):
         catalog, cat_f, e_item, e_factor = setup_scoring(6)
         sv = score(e_item, e_factor, catalog, catalog_factors=cat_f)
-        loss = prediction_loss(sv, target=3)
-        expect = bce_oracle(sv.combined.value, 3)
+        loss = prediction_loss(sv, target=np.array([3]))
+        expect = bce_oracle(sv.combined.value[0], 3)
         assert float(loss.value) == pytest.approx(expect, abs=1e-10)
 
     def test_batch_mean(self):
@@ -89,7 +94,8 @@ class TestPredictionLoss:
         loss = float(prediction_loss(sv, np.array([1, 4])).value)
         singles = []
         for b, t in enumerate([1, 4]):
-            row = score(e_item[b], e_factor[b], catalog, catalog_factors=cat_f)
+            row = score(e_item[b:b + 1], e_factor[b:b + 1], catalog,
+                        catalog_factors=cat_f)
             singles.append(float(prediction_loss(row, t).value))
         assert loss == pytest.approx(np.mean(singles), abs=1e-10)
 
@@ -112,7 +118,7 @@ class TestPredictionLoss:
     def test_gradient_flows_to_catalog(self):
         rng = substream(10, "x")
         catalog = Parameter(rng.normal(size=(6, 4)))
-        e = rng.normal(size=4)
+        e = rng.normal(size=(1, 4))
         sv = score(e, None, catalog, use_factor_head=False)
         prediction_loss(sv, 2).backward()
         assert np.abs(catalog.grad).max() > 0
@@ -140,6 +146,7 @@ class TestRanking:
         rng = substream(11, "x")
         p = rng.random(20)
         p[5] = p[7]           # force a tie
-        top = set(top_k_items(p, 10).tolist())
+        # the ten best items, ties broken toward the lower index
+        top = set(np.lexsort((np.arange(20), -p))[:10].tolist())
         for j in range(20):
             assert (rank_of(p, j) <= 10) == (j in top)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from oracles import gradient_errors, max_relative_error, numerical_gradient
+
 from sessrec import tape
-from sessrec.gradcheck import gradient_errors, max_relative_error, numerical_gradient
 from sessrec.tape import Parameter, Tensor
 
 TOL = 1e-4
@@ -204,8 +205,8 @@ class TestGeometry:
 
     def test_pairwise_distances_grad(self):
         rng = np.random.default_rng(11)
-        # slice 0 repeats rows; slice 1 is 2 wide, zero-padded to 3 as
-        # dcor pads a narrower sample
+        # slice 0 repeats rows; slice 1 is 2 wide, zero-padded to 3, as
+        # the dcor tests pad a narrower sample
         a = rng.normal(size=(5, 3))[[0, 1, 2, 3, 4, 1, 3]]
         b = np.concatenate([rng.normal(size=(7, 2)), np.zeros((7, 1))], 1)
         x = Parameter(np.stack([a, b]))
