@@ -18,7 +18,7 @@ from pathlib import Path
 from . import dataio, harness
 from .dataio import DataError
 from .harness import NumericsError, TrainConfig
-from .params import CheckpointError, load_checkpoint
+from .params import CheckpointError, checkpoint_paths, load_checkpoint
 
 logger = logging.getLogger(__name__)
 
@@ -123,9 +123,9 @@ def cmd_train(args) -> int:
     cfg = build_config(args)
     catalog = dataio.read_catalog(args.catalog)
     examples = _load_examples(args.train)
-    result = harness.train(examples, catalog.count, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    result = harness.train(examples, catalog.count, cfg)
     base = harness.checkpoint_after_train(out, result, cfg, catalog.count)
     lines = ["epoch,total,prediction,contrastive,independence"]
     for i, lb in enumerate(result.epoch_losses, start=1):
@@ -151,7 +151,11 @@ def _ks_from(args):
 
 def cmd_eval(args) -> int:
     params, config, _ = load_checkpoint(args.checkpoint)
-    cfg = TrainConfig.from_dict(config)
+    try:
+        cfg = TrainConfig.from_dict(config)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{checkpoint_paths(args.checkpoint)[1]}: "
+                              f"invalid stored config: {exc}") from exc
     examples = _load_examples(args.test)
     report = harness.evaluate(params, examples, cfg, ks=_ks_from(args))
     dataset = args.dataset or Path(args.test).stem
@@ -173,10 +177,10 @@ def cmd_ablate(args) -> int:
     for v in variants:
         if v not in harness.VARIANTS:
             raise ValueError(f"unknown variant {v!r}")
-    results = harness.ablate(train_examples, test_examples, catalog.count,
-                             cfg, variants=variants, ks=_ks_from(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    results = harness.ablate(train_examples, test_examples, catalog.count,
+                             cfg, variants=variants, ks=_ks_from(args))
     dataset = args.dataset or Path(args.train).stem
     all_rows = None
     for variant, (tr, report) in results.items():

@@ -1,64 +1,58 @@
-"""The directed transition graph of one session.
+"""The directed transition graphs of a batch of sessions.
 
-A session graph has one node per distinct item (first-occurrence order)
-and a directed edge for every observed transition.  ``model.pack_batch``
-pads these into a batch; the factor and hub views are built on the
-padded batch there.
+Each session graph has one node per distinct item (first-occurrence
+order) and a directed edge for every observed transition.
+``build_session_graph`` lays a whole batch out padded in one pass;
+``model.pack_batch`` normalizes it, and the factor and hub views are
+built on the padded batch there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 
-@dataclass
-class SessionGraph:
-    nodes: np.ndarray          # distinct item indices, first-occurrence order
-    alias: np.ndarray          # sequence position -> node slot
-    adj_out: np.ndarray        # (n, n) outgoing adjacency, degree-normalized
-    adj_in: np.ndarray         # (n, n) incoming adjacency, degree-normalized
-    edge_out: np.ndarray       # (n, n) binary edge pattern, source -> target
+def build_session_graph(sessions):
+    """The padded transition graphs of a batch of item sequences.
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.nodes)
-
-
-def build_session_graph(session) -> SessionGraph:
-    """Build the directed transition graph of one session.
-
-    ``adj_out[i, j]`` holds the weight of edge i->j, each row divided by
-    the node's out-degree; ``adj_in[i, j]`` the weight of j->i divided by
-    i's in-degree; ``edge_out`` keeps the raw 0/1 pattern.  Repeated
-    transitions contribute a single edge.
+    Returns ``(node_ids, n_nodes, alias, lengths, edge_out)``:
+    ``node_ids`` (B, n) the distinct items of each session in first-
+    occurrence order, ``alias`` (B, T) each position's node slot, both
+    0-padded, and ``edge_out`` (B, n, n) the 0/1 pattern with
+    ``edge_out[b, i, j] = 1`` if session b steps from node i to node j.
+    Repeated transitions contribute a single edge.
     """
-    seq = np.asarray(list(session), dtype=np.int64)
-    if seq.size == 0:
-        raise ValueError("empty session")
+    lengths = np.fromiter(map(len, sessions), dtype=np.int64,
+                          count=len(sessions))
+    if not lengths.all() or not lengths.size:
+        raise ValueError("empty session or empty batch")
+    slots, n_nodes = [], []
+    for seq in sessions:         # the one per-session step: first occurrences
+        slot = {}
+        slots.extend(slot.setdefault(int(item), len(slot)) for item in seq)
+        n_nodes.append(len(slot))
+    n_nodes, slots = (np.asarray(a, dtype=np.int64) for a in (n_nodes, slots))
+    items = np.fromiter(chain.from_iterable(sessions), dtype=np.int64,
+                        count=slots.size)
 
-    slot = {}
-    alias = np.empty(seq.size, dtype=np.int64)
-    for pos, item in enumerate(seq):
-        key = int(item)
-        if key not in slot:
-            slot[key] = len(slot)
-        alias[pos] = slot[key]
-    nodes = np.fromiter(slot.keys(), dtype=np.int64, count=len(slot))
-    n = len(slot)
-
-    edge_out = np.zeros((n, n), dtype=np.float64)
-    edge_out[alias[:-1], alias[1:]] = 1.0
-
-    adj_in, adj_out = normalized_pair(edge_out)
-    return SessionGraph(nodes=nodes, alias=alias, adj_out=adj_out,
-                        adj_in=adj_in, edge_out=edge_out)
+    row = np.repeat(np.arange(lengths.size), lengths)
+    node_ids = np.zeros((lengths.size, n_nodes.max()), dtype=np.int64)
+    node_ids[row, slots] = items
+    alias = np.zeros((lengths.size, lengths.max()), dtype=np.int64)
+    alias[np.arange(lengths.max()) < lengths[:, None]] = slots
+    step = row[1:] == row[:-1]          # flat position p + 1 follows p
+    edge_out = np.zeros((lengths.size,) + 2 * node_ids.shape[1:])
+    edge_out[row[1:][step], slots[:-1][step], slots[1:][step]] = 1.0
+    return node_ids, n_nodes, alias, lengths, edge_out
 
 
 def normalized_pair(edge_out):
     """``(adj_in, adj_out)`` of a 0/1 pattern (..., n, n): each row of the
-    pattern and of its transpose divided by its sum, empty rows left 0."""
+    pattern and of its transpose divided by its sum, empty rows left 0.
+    Each result keeps the strides of the pattern it divides, so
+    ``adj_in`` comes back as a transposed view's layout."""
     def by_row(pattern):
         deg = pattern.sum(axis=-1, keepdims=True)
         return np.divide(pattern, deg, out=np.zeros_like(pattern),

@@ -1,14 +1,15 @@
 """Batch assembly and the end-to-end forward pass.
 
 Sessions are padded into dense (B, n, ...) arrays so one pass serves a
-whole batch; masks keep padded slots from ever touching a real value.
-The training forward runs the original channel, the K factor channels
-(one pass over (B, K, n, d_f) states, where factor-stacked weights
-broadcast) over similarity-weighted edges, and the augmentation channel
-(the star view, its hub one more node slot, or graph dropout), all
-through the same ``ggnn_step``, then assembles the prediction,
-contrastive and independence terms.  Inference reuses the original
-channel and the projections only.
+whole batch; ``pack_batch`` builds all their graphs in one call, and
+masks derived from node counts and lengths keep padded slots from ever
+touching a real value.  The training forward runs the original channel,
+the K factor channels (one pass over (B, K, n, d_f) states, where
+factor-stacked weights broadcast) over similarity-weighted edges, and
+the augmentation channel (the star view, its hub one more node slot, or
+graph dropout), all through the same ``ggnn_step``, then assembles the
+prediction, contrastive and independence terms.  Inference runs only
+the prediction path they share: the original channel through the scores.
 """
 
 from __future__ import annotations
@@ -37,21 +38,30 @@ VARIANTS = ("full", "fcl", "star", "fp")
 @dataclass
 class PackedBatch:
     node_ids: np.ndarray       # (B, n) catalog indices, 0-padded
-    node_mask: np.ndarray      # (B, n) 1 on real node slots
+    n_nodes: np.ndarray        # (B,) real node slots
+    alias: np.ndarray          # (B, T) position -> node slot, 0-padded
+    lengths: np.ndarray        # (B,) real positions
+    edge_out: np.ndarray       # (B, n, n) binary pattern
     adj_in: np.ndarray         # (B, n, n) degree-normalized, 0-padded
     adj_out: np.ndarray        # (B, n, n)
-    edge_out: np.ndarray       # (B, n, n) binary pattern
-    alias: np.ndarray          # (B, T) position -> node slot
-    pos_mask: np.ndarray       # (B, T) 1 on real positions
-    last_pos: np.ndarray       # (B,)
-    lengths: np.ndarray        # (B,)
-    n_nodes: np.ndarray        # (B,)
     targets: np.ndarray        # (B,)
     session_indices: np.ndarray  # (B,) stable example ids for rng streams
 
     @property
-    def size(self) -> int:
-        return len(self.targets)
+    def node_mask(self) -> np.ndarray:    # (B, n) 1.0 on real node slots
+        return _real_slots(self.n_nodes, self.node_ids.shape[1])
+
+    @property
+    def pos_mask(self) -> np.ndarray:     # (B, T) 1.0 on real positions
+        return _real_slots(self.lengths, self.alias.shape[1])
+
+    @property
+    def last_pos(self) -> np.ndarray:
+        return self.lengths - 1
+
+
+def _real_slots(counts, width):
+    return (np.arange(width) < counts[:, None]).astype(np.float64)
 
 
 def pack_batch(examples, session_indices=None) -> PackedBatch:
@@ -60,41 +70,18 @@ def pack_batch(examples, session_indices=None) -> PackedBatch:
     ``session_indices`` are the stable per-example ids used to key the
     random substreams; they default to 0..B-1.
     """
-    graphs = [build_session_graph(ex.prefix) for ex in examples]
-    b = len(examples)
-    n = max(g.n_nodes for g in graphs)
-    t = max(len(ex.prefix) for ex in examples)
-
-    node_ids = np.zeros((b, n), dtype=np.int64)
-    node_mask = np.zeros((b, n))
-    adj_in = np.zeros((b, n, n))
-    adj_out = np.zeros((b, n, n))
-    edge_out = np.zeros((b, n, n))
-    alias = np.zeros((b, t), dtype=np.int64)
-    pos_mask = np.zeros((b, t))
-    lengths = np.empty(b, dtype=np.int64)
-    n_nodes = np.empty(b, dtype=np.int64)
-    targets = np.empty(b, dtype=np.int64)
-
-    for i, (ex, g) in enumerate(zip(examples, graphs)):
-        k, ln = g.n_nodes, len(ex.prefix)
-        node_ids[i, :k] = g.nodes
-        node_mask[i, :k] = 1.0
-        adj_in[i, :k, :k] = g.adj_in
-        adj_out[i, :k, :k] = g.adj_out
-        edge_out[i, :k, :k] = g.edge_out
-        alias[i, :ln] = g.alias
-        pos_mask[i, :ln] = 1.0
-        lengths[i] = ln
-        n_nodes[i] = k
-        targets[i] = ex.target
-
     if session_indices is None:
-        session_indices = np.arange(b)
-    return PackedBatch(node_ids, node_mask, adj_in, adj_out, edge_out,
-                       alias, pos_mask, last_pos=lengths - 1, lengths=lengths,
-                       n_nodes=n_nodes, targets=targets,
-                       session_indices=np.asarray(session_indices, dtype=np.int64))
+        session_indices = np.arange(len(examples))
+    if len(session_indices) != len(examples):
+        raise ValueError(f"{len(session_indices)} session indices for "
+                         f"{len(examples)} examples")
+    graph = build_session_graph([ex.prefix for ex in examples])
+    adj_in, adj_out = normalized_pair(graph[-1])
+    # adj_in in C order: a transposed layout sends the propagation
+    # matmuls down another BLAS path, whose sums round differently
+    targets = np.array([ex.target for ex in examples], dtype=np.int64)
+    return PackedBatch(*graph, np.ascontiguousarray(adj_in), adj_out, targets,
+                       np.asarray(session_indices, dtype=np.int64))
 
 
 def _lined_up(a, ndim):
@@ -135,15 +122,10 @@ def _factor_adjacency(f0, pack: PackedBatch):
 
 def _star_edges(pack: PackedBatch, theta, seed, epoch):
     """Sample hub edge indicators per session; padded slots stay 0."""
-    b, n = pack.node_ids.shape
-    to_real = np.zeros((b, n))
-    from_real = np.zeros((b, n))
-    for i in range(b):
-        k = int(pack.n_nodes[i])
+    to_real, from_real = edges = np.zeros((2,) + pack.node_ids.shape)
+    for i, k in enumerate(pack.n_nodes):
         rng = substream(seed, "star", epoch, int(pack.session_indices[i]))
-        draws = rng.random((2, k))
-        to_real[i, :k] = draws[0] < theta
-        from_real[i, :k] = draws[1] < theta
+        edges[:, i, :k] = rng.random((2, k)) < theta
     return to_real, from_real
 
 
@@ -184,15 +166,13 @@ def _dropout_adjacency(pack: PackedBatch, edge_rate, node_rate, seed, epoch):
     are isolated (row and column cleared); the survivors are re-
     normalized by degree.
     """
-    b, n = pack.node_ids.shape
     pattern = np.zeros_like(pack.edge_out)
-    for i in range(b):
-        k = int(pack.n_nodes[i])
+    for i, k in enumerate(pack.n_nodes):
         rng = substream(seed, "dropout", epoch, int(pack.session_indices[i]))
         keep_edge = rng.random((k, k)) >= edge_rate
         pat = pack.edge_out[i, :k, :k] * keep_edge
         isolated = rng.random(k) < node_rate
-        isolated[pack.alias[i, pack.last_pos[i]]] = False
+        isolated[pack.alias[i, pack.lengths[i] - 1]] = False
         pat[isolated, :] = 0.0
         pat[:, isolated] = 0.0
         pattern[i, :k, :k] = pat
@@ -206,8 +186,7 @@ def _masked_session_mean(per_node, pack: PackedBatch):
     session_ok = (pack.n_nodes >= 2).astype(np.float64)
     if session_ok.sum() == 0:
         return Tensor(np.float64(0.0))
-    inv = np.divide(1.0, pack.n_nodes, where=pack.n_nodes > 0,
-                    out=np.zeros(pack.size)) * session_ok
+    inv = session_ok / pack.n_nodes
     ndim = per_node.value.ndim
     masked = tape.mul(per_node, Tensor(_lined_up(pack.node_mask, ndim)))
     per_session = tape.mul(tape.tsum(masked, axis=-1),
@@ -237,8 +216,7 @@ def _negative_draws(pack: PackedBatch, seed, epoch, stream_tag, per, count=1):
     """
     b, n = pack.node_ids.shape
     out = np.zeros((count, b, n, per), dtype=np.int64)
-    for i in range(b):
-        k = int(pack.n_nodes[i])
+    for i, k in enumerate(pack.n_nodes):
         if k < 2:
             continue
         rng = substream(seed, "negatives", epoch,
@@ -257,16 +235,24 @@ class ForwardResult:
     scores: ScoreVector
 
 
-def _readout(params: ParameterSet, pack: PackedBatch, h_orig,
-             normalize_scores: bool):
-    seq = _gather_sequence(h_orig, pack)
-    e_item = encode(seq, params.attn_item, pack.last_pos, pack.pos_mask,
-                    normalize_scores)
+def _predict(params: ParameterSet, pack: PackedBatch, cfg):
+    """The original channel through the scores, the path training and
+    inference share: ``(x0, h_orig, orig_factors, scores)``."""
+    x0 = tape.getitem(params.embeddings, pack.node_ids)
+    h_orig = _run_channel(x0, Tensor(pack.adj_in), Tensor(pack.adj_out),
+                          params.ggnn_original)
+    last_pos, pos_mask = pack.last_pos, pack.pos_mask
+    e_item = encode(_gather_sequence(h_orig, pack), params.attn_item,
+                    last_pos, pos_mask, cfg.normalize_attention)
     orig_factors = project(h_orig, params.proj)          # (B, K, n, d_f)
     e_factor = encode_factors(_gather_sequence(orig_factors, pack),
-                              params.attn_factor, pack.last_pos[:, None],
-                              pack.pos_mask[:, None], normalize_scores)
-    return e_item, e_factor, orig_factors
+                              params.attn_factor, last_pos[:, None],
+                              pos_mask[:, None], cfg.normalize_attention)
+    sv = score(e_item, e_factor, params.embeddings,
+               catalog_factors=catalog_factor_embeddings(params.embeddings,
+                                                         params.proj),
+               use_factor_head=cfg.variant != "fp")
+    return x0, h_orig, orig_factors, sv
 
 
 def training_forward(params: ParameterSet, pack: PackedBatch, cfg,
@@ -280,9 +266,7 @@ def training_forward(params: ParameterSet, pack: PackedBatch, cfg,
     """
     if cfg.variant not in VARIANTS:
         raise ValueError(f"unknown variant {cfg.variant!r}")
-    x0 = tape.getitem(params.embeddings, pack.node_ids)
-    h_orig = _run_channel(x0, Tensor(pack.adj_in), Tensor(pack.adj_out),
-                          params.ggnn_original)
+    x0, h_orig, orig_factors, sv = _predict(params, pack, cfg)
 
     # augmentation channel for the item-level contrast
     if cfg.variant == "star":
@@ -299,9 +283,6 @@ def training_forward(params: ParameterSet, pack: PackedBatch, cfg,
     item_terms = _pairwise_terms(h_orig, h_aug, h_aug, neg_item,
                                  params.disc_item)
     l_item = _masked_session_mean(item_terms, pack)
-
-    e_item, e_factor, orig_factors = _readout(params, pack, h_orig,
-                                              cfg.normalize_attention)
 
     f0 = project(x0, params.proj)                        # (B, K, n, d_f)
     if cfg.variant == "fcl":
@@ -326,10 +307,6 @@ def training_forward(params: ParameterSet, pack: PackedBatch, cfg,
     views = np.arange(f0.value.shape[1])[:, None]
     l_ind = independence_loss(tape.getitem(f0, (b_idx, views, slot)))
 
-    catalog_factors = catalog_factor_embeddings(params.embeddings, params.proj)
-    sv = score(e_item, e_factor, params.embeddings,
-               catalog_factors=catalog_factors,
-               use_factor_head=cfg.variant != "fp")
     l_pred = prediction_loss(sv, pack.targets)
     loss = total_loss(l_pred, l_contrast, l_ind, cfg.beta_cl, cfg.beta_ind)
     return ForwardResult(loss=loss, prediction=l_pred, contrastive=l_contrast,
@@ -339,14 +316,5 @@ def training_forward(params: ParameterSet, pack: PackedBatch, cfg,
 def score_batch(params: ParameterSet, pack: PackedBatch, cfg) -> np.ndarray:
     """Inference probabilities (B, N); only the original channel runs."""
     with tape.no_grad():
-        x0 = tape.getitem(params.embeddings, pack.node_ids)
-        h_orig = _run_channel(x0, Tensor(pack.adj_in), Tensor(pack.adj_out),
-                              params.ggnn_original)
-        e_item, e_factor, _ = _readout(params, pack, h_orig,
-                                       cfg.normalize_attention)
-        catalog_factors = catalog_factor_embeddings(params.embeddings,
-                                                    params.proj)
-        sv = score(e_item, e_factor, params.embeddings,
-                   catalog_factors=catalog_factors,
-                   use_factor_head=cfg.variant != "fp")
+        sv = _predict(params, pack, cfg)[-1]
     return np.asarray(sv.combined.value)

@@ -94,7 +94,8 @@ class CheckpointError(Exception):
     pass
 
 
-def _paths(base):
+def checkpoint_paths(base):
+    """``(<base>.bin, <base>.json)``; ``base`` may end in either suffix."""
     base = Path(base)
     if base.suffix in (".bin", ".json"):
         base = base.with_suffix("")
@@ -103,7 +104,7 @@ def _paths(base):
 
 def save_checkpoint(base, params: ParameterSet, config: dict, n_items: int):
     """Write ``<base>.bin`` and ``<base>.json``."""
-    bin_path, json_path = _paths(base)
+    bin_path, json_path = checkpoint_paths(base)
     entries = []
     chunks = []
     offset = 0
@@ -132,7 +133,7 @@ def load_checkpoint(base):
     malformed manifest raises ``CheckpointError``.  Returns ``(params,
     config, n_items)``.
     """
-    bin_path, json_path = _paths(base)
+    bin_path, json_path = checkpoint_paths(base)
     try:
         manifest = json.loads(json_path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:

@@ -6,6 +6,8 @@ these on fixed toy inputs, and tape gradients against the central
 finite differences at the end of the file.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 
@@ -16,6 +18,69 @@ def sigmoid(x):
 def softplus(x):
     x = np.asarray(x, dtype=np.float64)
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def session_graph_oracle(session):
+    """One session's transition graph, built alone.
+
+    ``nodes`` are the distinct items in first-occurrence order, ``alias``
+    maps each position to its node, ``edge_out[i, j]`` is 1 if the
+    session steps from node i to node j, ``adj_out`` divides each row by
+    the node's out-degree and ``adj_in[i, j]`` is edge j->i divided by
+    i's in-degree.
+    """
+    slot, alias = {}, []
+    for item in session:
+        if item not in slot:
+            slot[item] = len(slot)
+        alias.append(slot[item])
+    if not alias:
+        raise ValueError("empty session")
+    n = len(slot)
+    edge_out = np.zeros((n, n))
+    for a, b in zip(alias[:-1], alias[1:]):
+        edge_out[a, b] = 1.0
+    adj_out = np.zeros((n, n))
+    adj_in = np.zeros((n, n))
+    for i in range(n):
+        out_deg, in_deg = edge_out[i].sum(), edge_out[:, i].sum()
+        for j in range(n):
+            if out_deg > 0:
+                adj_out[i, j] = edge_out[i, j] / out_deg
+            if in_deg > 0:
+                adj_in[i, j] = edge_out[j, i] / in_deg
+    return SimpleNamespace(nodes=np.array(list(slot), dtype=np.int64),
+                           alias=np.array(alias, dtype=np.int64), n_nodes=n,
+                           edge_out=edge_out, adj_out=adj_out, adj_in=adj_in)
+
+
+def padded_batch_oracle(sessions):
+    """Each session's oracle graph copied into 0-padded batch arrays,
+    one session at a time, with the masks spelled out."""
+    graphs = [session_graph_oracle(s) for s in sessions]
+    b = len(graphs)
+    n = max(g.n_nodes for g in graphs)
+    t = max(len(g.alias) for g in graphs)
+    out = dict(node_ids=np.zeros((b, n), dtype=np.int64),
+               n_nodes=np.zeros(b, dtype=np.int64),
+               alias=np.zeros((b, t), dtype=np.int64),
+               lengths=np.zeros(b, dtype=np.int64),
+               last_pos=np.zeros(b, dtype=np.int64),
+               node_mask=np.zeros((b, n)), pos_mask=np.zeros((b, t)),
+               edge_out=np.zeros((b, n, n)), adj_out=np.zeros((b, n, n)),
+               adj_in=np.zeros((b, n, n)))
+    for i, g in enumerate(graphs):
+        k, ln = g.n_nodes, len(g.alias)
+        out["node_ids"][i, :k] = g.nodes
+        out["n_nodes"][i] = k
+        out["alias"][i, :ln] = g.alias
+        out["lengths"][i] = ln
+        out["last_pos"][i] = ln - 1
+        out["node_mask"][i, :k] = 1.0
+        out["pos_mask"][i, :ln] = 1.0
+        for name in ("edge_out", "adj_out", "adj_in"):
+            out[name][i, :k, :k] = getattr(g, name)
+    return out
 
 
 def ggnn_step_oracle(x, adj_in, adj_out, w):

@@ -19,7 +19,7 @@ import pytest
 from oracles import (attention_oracle, bce_oracle, dcor_oracle,
                      factor_cl_oracle, ggnn_step_oracle, gradient_errors,
                      item_cl_oracle, ranking_metrics_oracle, scores_oracle,
-                     session_average)
+                     session_average, session_graph_oracle)
 
 from sessrec.cli import EXIT_OK, main
 from sessrec.contrast import Discriminator
@@ -27,7 +27,6 @@ from sessrec.dataio import (Example, ItemCatalog, write_catalog,
                             write_examples)
 from sessrec.disentangle import FactorProjection, independence_loss, project
 from sessrec.encoder import AttentionWeights, encode
-from sessrec.graphs import build_session_graph
 from sessrec.harness import (TrainConfig, _metrics, ablate, evaluate,
                              make_planted_corpus, metrics_csv_rows, train)
 from sessrec.model import (_hub_channel, _masked_session_mean,
@@ -151,7 +150,7 @@ def test_c02_oracle_equivalence():
     # propagation cell on five random session graphs
     w = GGNNWeights.init(6, substream(12, "init"), layers=1)
     for _ in range(5):
-        g = build_session_graph(rng.integers(0, 9, size=6).tolist())
+        g = session_graph_oracle(rng.integers(0, 9, size=6).tolist())
         x = rng.normal(size=(g.n_nodes, 6))
         mine = ggnn_step(x, g.adj_in, g.adj_out, w).value
         ref = ggnn_step_oracle(x, g.adj_in, g.adj_out, _ggnn_dict(w))

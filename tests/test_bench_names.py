@@ -12,6 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from sessrec.dataio import Example
+from sessrec.model import pack_batch
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -59,3 +62,13 @@ DIRECT_NAMES = [
 def test_direct_name_resolves(mod, name):
     module = importlib.import_module(f"sessrec.{mod}")
     assert callable(getattr(module, name, None)), f"sessrec.{mod}.{name}"
+
+
+def test_count_slots_reads_a_real_pack():
+    # the tracer reads node_mask off pack_batch's result to count real
+    # and padded node slots
+    tracer = _T.Tracer()
+    tracer.step = 0
+    pack = pack_batch([Example([1, 2, 1], 0), Example([5], 0)])
+    _T._count_slots(tracer, (), pack)
+    assert dict(tracer.counts[0]) == {"real_slots": 3.0, "padded_slots": 4.0}

@@ -219,6 +219,25 @@ class TestTrain:
         assert "at epoch 1 (batch of 16 sessions, ids " in caplog.text
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_unusable_out_fails_before_training(corpus_dir, tmp_path,
+                                            monkeypatch, command):
+    # --out below a regular file cannot be created; that must surface
+    # before any epoch runs, not after
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before checking --out")
+    monkeypatch.setattr(cli.harness, "train", no_training)
+    monkeypatch.setattr(cli.harness, "ablate", no_training)
+    afile = tmp_path / "afile"
+    afile.write_text("", encoding="utf-8")
+    argv = [command, "--train", str(corpus_dir / "train.jsonl"),
+            "--catalog", str(corpus_dir / "catalog.json"),
+            "--out", str(afile / "x")] + TINY_FLAGS
+    if command == "ablate":
+        argv += ["--test", str(corpus_dir / "test.jsonl")]
+    assert main(argv) == EXIT_DATA
+
+
 class TestEvalCommand:
     @pytest.fixture()
     def trained(self, corpus_dir, tmp_path):
@@ -263,6 +282,21 @@ class TestEvalCommand:
         code = main(["eval", "--checkpoint", str(trained),
                      "--test", str(corpus_dir / "test.jsonl")])
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("edit", [{"theta": 5.0}, {"bogus": 1},
+                                      {"variant": "nope"}, {"theta": None}],
+                             ids=["theta_out_of_range", "unknown_key",
+                                  "unknown_variant", "theta_null"])
+    def test_invalid_stored_config_is_data_error(self, trained, corpus_dir,
+                                                 caplog, edit):
+        manifest_path = trained.with_suffix(".json")
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"].update(edit)
+        manifest_path.write_text(json.dumps(manifest))
+        code = main(["eval", "--checkpoint", str(trained),
+                     "--test", str(corpus_dir / "test.jsonl")])
+        assert code == EXIT_DATA
+        assert f"{manifest_path}: invalid stored config" in caplog.text
 
     def test_out_of_catalog_test_items_rejected(self, trained, tmp_path):
         bad = tmp_path / "bad.jsonl"

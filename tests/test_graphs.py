@@ -1,13 +1,15 @@
 """Session graph construction, and the factor and hub views the model
 builds on padded batches."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from oracles import star_channel_oracle
 
 from sessrec.dataio import Example
-from sessrec.graphs import build_session_graph
+from sessrec.graphs import build_session_graph, normalized_pair
 from sessrec.model import (_factor_adjacency, _hub_channel, _run_channel,
                            _star_edges, _star_graph, pack_batch)
 from sessrec.propagation import GGNNWeights
@@ -15,14 +17,24 @@ from sessrec.rng import substream
 from sessrec.tape import Tensor
 
 
+def one_graph(session):
+    """Slot 0 of the batch graph of ``[session]``, normalized; a batch of
+    one has no padding."""
+    node_ids, n_nodes, alias, _, edge_out = build_session_graph([session])
+    adj_in, adj_out = normalized_pair(edge_out[0])
+    return SimpleNamespace(nodes=node_ids[0], n_nodes=int(n_nodes[0]),
+                           alias=alias[0], edge_out=edge_out[0],
+                           adj_in=adj_in, adj_out=adj_out)
+
+
 class TestSessionGraph:
     def test_nodes_first_occurrence(self):
-        g = build_session_graph([7, 3, 7, 9])
+        g = one_graph([7, 3, 7, 9])
         np.testing.assert_array_equal(g.nodes, [7, 3, 9])
         np.testing.assert_array_equal(g.alias, [0, 1, 0, 2])
 
     def test_edge_pattern(self):
-        g = build_session_graph([1, 2, 1, 3])
+        g = one_graph([1, 2, 1, 3])
         # transitions: 1->2, 2->1, 1->3
         expected = np.array([[0, 1, 1],
                              [1, 0, 0],
@@ -30,12 +42,12 @@ class TestSessionGraph:
         np.testing.assert_array_equal(g.edge_out, expected)
 
     def test_out_normalization(self):
-        g = build_session_graph([1, 2, 1, 3])
+        g = one_graph([1, 2, 1, 3])
         np.testing.assert_allclose(g.adj_out[0], [0.0, 0.5, 0.5])
         np.testing.assert_allclose(g.adj_out.sum(axis=1), [1.0, 1.0, 0.0])
 
     def test_in_normalization_is_transposed_pattern(self):
-        g = build_session_graph([1, 2, 3, 2])
+        g = one_graph([1, 2, 3, 2])
         # incoming rows sum to 1 where the node has any predecessor
         in_deg = g.edge_out.T.sum(axis=1)
         sums = g.adj_in.sum(axis=1)
@@ -43,24 +55,24 @@ class TestSessionGraph:
         assert (g.adj_in[in_deg == 0] == 0).all()
 
     def test_repeated_transition_single_edge(self):
-        g = build_session_graph([4, 5, 4, 5])
+        g = one_graph([4, 5, 4, 5])
         assert g.edge_out[0, 1] == 1.0
         np.testing.assert_allclose(g.adj_out[0], [0.0, 1.0])
 
     def test_single_item_session(self):
-        g = build_session_graph([42])
+        g = one_graph([42])
         assert g.n_nodes == 1
         assert g.edge_out.shape == (1, 1)
         assert g.edge_out[0, 0] == 0.0
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            build_session_graph([])
+        with pytest.raises(ValueError, match="empty session"):
+            build_session_graph([[]])
 
     def test_relabeling_equivariance(self):
         # renaming items must not change the structure
-        a = build_session_graph([1, 2, 1, 3])
-        b = build_session_graph([10, 20, 10, 30])
+        a = one_graph([1, 2, 1, 3])
+        b = one_graph([10, 20, 10, 30])
         np.testing.assert_array_equal(a.adj_out, b.adj_out)
         np.testing.assert_array_equal(a.adj_in, b.adj_in)
         np.testing.assert_array_equal(a.alias, b.alias)

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from oracles import padded_batch_oracle, session_graph_oracle
+
 from sessrec import tape
 from sessrec.dataio import Example
 from sessrec.encoder import encode, encode_factors
-from sessrec.graphs import build_session_graph
 from sessrec.harness import TrainConfig
 from sessrec.model import (PackedBatch, _star_edges, pack_batch, score_batch,
                            training_forward)
@@ -51,7 +52,7 @@ class TestPackBatch:
         examples = toy_examples()
         pack = pack_batch(examples)
         for i, ex in enumerate(examples):
-            g = build_session_graph(ex.prefix)
+            g = session_graph_oracle(ex.prefix)
             k = g.n_nodes
             np.testing.assert_array_equal(pack.adj_out[i, :k, :k], g.adj_out)
             np.testing.assert_array_equal(pack.adj_in[i, :k, :k], g.adj_in)
@@ -62,6 +63,45 @@ class TestPackBatch:
     def test_default_session_indices(self):
         pack = pack_batch(toy_examples())
         np.testing.assert_array_equal(pack.session_indices, [0, 1, 2])
+
+    @pytest.mark.parametrize("indices", [[0, 1, 2, 3], [0, 1]],
+                             ids=["longer", "shorter"])
+    def test_session_index_count_checked(self, indices):
+        with pytest.raises(ValueError, match="session indices for 3"):
+            pack_batch(toy_examples(), session_indices=indices)
+
+    def test_adjacency_is_c_ordered(self):
+        # a transposed layout would route propagation through another
+        # BLAS path and change the last bits of every score
+        pack = pack_batch(toy_examples())
+        assert pack.adj_in.flags.c_contiguous
+        assert pack.adj_out.flags.c_contiguous
+
+
+# one node, all repeats (one node with a self-loop), revisits, and item
+# ids far above batch size times node count
+EDGE_SESSIONS = [[7], [4, 4, 4], [1, 2, 1, 3, 2, 3], [98, 91, 98]]
+
+
+class TestPackEdgeCases:
+    def test_fields_match_padded_oracle(self):
+        pack = pack_batch([Example(s, 0) for s in EDGE_SESSIONS])
+        for name, want in padded_batch_oracle(EDGE_SESSIONS).items():
+            got = getattr(pack, name)
+            assert got.dtype == want.dtype, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+        # [4, 4, 4] is one node with a self-loop
+        assert pack.n_nodes[1] == 1 and pack.adj_out[1, 0, 0] == 1.0
+
+    @pytest.mark.parametrize("variant", ["full", "fcl", "star", "fp"])
+    def test_training_forward_finite(self, variant):
+        cfg = toy_config(variant=variant)
+        pack = pack_batch([Example(s, i) for i, s in enumerate(EDGE_SESSIONS)],
+                          session_indices=[3, 8, 21, 40])
+        out = training_forward(toy_params(cfg, n_items=100), pack, cfg, 0)
+        for term in (out.loss, out.prediction, out.contrastive,
+                     out.independence):
+            assert np.isfinite(term.value)
 
 
 class TestStarEdgeSampling:
@@ -186,7 +226,7 @@ class TestScoreBatch:
         params = toy_params(cfg)
         ex = toy_examples()[0]
         probs = score_batch(params, pack_batch([ex]), cfg)
-        g = build_session_graph(ex.prefix)
+        g = session_graph_oracle(ex.prefix)
         x0 = params.embeddings.value[g.nodes]
         h = ggnn_step(x0, g.adj_in, g.adj_out, params.ggnn_original).value
         t = len(g.alias)

@@ -2,11 +2,11 @@
 
 import numpy as np
 
-from oracles import ggnn_step_oracle, star_channel_oracle
+from oracles import (ggnn_step_oracle, session_graph_oracle,
+                     star_channel_oracle)
 
 from sessrec import tape
 from sessrec.dataio import Example
-from sessrec.graphs import build_session_graph
 from sessrec.model import (_factor_adjacency, _hub_channel, _run_channel,
                            _star_edges, _star_graph, pack_batch)
 from sessrec.propagation import GGNNWeights, ggnn_step
@@ -27,7 +27,7 @@ class TestCellOracle:
         rng = substream(1, "x")
         w = weights_for(4, seed=2)
         for trial in range(5):
-            g = build_session_graph(rng.integers(0, 6, size=5).tolist())
+            g = session_graph_oracle(rng.integers(0, 6, size=5).tolist())
             x = rng.normal(size=(g.n_nodes, 4))
             mine = ggnn_step(x, g.adj_in, g.adj_out, w).value
             ref = ggnn_step_oracle(x, g.adj_in, g.adj_out, as_dict(w))
@@ -40,7 +40,7 @@ class TestCellOracle:
         adj_out = np.zeros((2, 3, 3))
         xs = rng.normal(size=(2, 3, 3))
         for b in range(2):
-            g = build_session_graph([1, 2, 3] if b == 0 else [4, 5, 4])
+            g = session_graph_oracle([1, 2, 3] if b == 0 else [4, 5, 4])
             k = g.n_nodes
             adj_in[b, :k, :k] = g.adj_in
             adj_out[b, :k, :k] = g.adj_out
