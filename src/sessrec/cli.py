@@ -123,6 +123,7 @@ def cmd_train(args) -> int:
     cfg = build_config(args)
     catalog = dataio.read_catalog(args.catalog)
     examples = _load_examples(args.train)
+    dataio.check_examples(examples, catalog.count)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = harness.train(examples, catalog.count, cfg)
@@ -177,6 +178,8 @@ def cmd_ablate(args) -> int:
     for v in variants:
         if v not in harness.VARIANTS:
             raise ValueError(f"unknown variant {v!r}")
+    for examples in (train_examples, test_examples):
+        dataio.check_examples(examples, catalog.count)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     results = harness.ablate(train_examples, test_examples, catalog.count,

@@ -23,8 +23,8 @@ from .disentangle import independence_loss, project
 from .encoder import encode, encode_factors
 from .graphs import build_session_graph, normalized_pair
 from .params import ParameterSet
-from .predictor import (ScoreVector, catalog_factor_embeddings,
-                        prediction_loss, score, total_loss)
+from .predictor import (catalog_factor_embeddings, prediction_loss, score,
+                        total_loss)
 from .propagation import ggnn_step
 from .rng import substream
 from .tape import Tensor
@@ -232,7 +232,7 @@ class ForwardResult:
     prediction: object
     contrastive: object
     independence: object
-    scores: ScoreVector
+    scores: object             # (B, N) Tensor of next-item probabilities
 
 
 def _predict(params: ParameterSet, pack: PackedBatch, cfg):
@@ -248,11 +248,11 @@ def _predict(params: ParameterSet, pack: PackedBatch, cfg):
     e_factor = encode_factors(_gather_sequence(orig_factors, pack),
                               params.attn_factor, last_pos[:, None],
                               pos_mask[:, None], cfg.normalize_attention)
-    sv = score(e_item, e_factor, params.embeddings,
-               catalog_factors=catalog_factor_embeddings(params.embeddings,
-                                                         params.proj),
-               use_factor_head=cfg.variant != "fp")
-    return x0, h_orig, orig_factors, sv
+    scores = score(e_item, e_factor, params.embeddings,
+                   catalog_factors=catalog_factor_embeddings(params.embeddings,
+                                                             params.proj),
+                   use_factor_head=cfg.variant != "fp")
+    return x0, h_orig, orig_factors, scores
 
 
 def training_forward(params: ParameterSet, pack: PackedBatch, cfg,
@@ -266,7 +266,7 @@ def training_forward(params: ParameterSet, pack: PackedBatch, cfg,
     """
     if cfg.variant not in VARIANTS:
         raise ValueError(f"unknown variant {cfg.variant!r}")
-    x0, h_orig, orig_factors, sv = _predict(params, pack, cfg)
+    x0, h_orig, orig_factors, scores = _predict(params, pack, cfg)
 
     # augmentation channel for the item-level contrast
     if cfg.variant == "star":
@@ -307,14 +307,13 @@ def training_forward(params: ParameterSet, pack: PackedBatch, cfg,
     views = np.arange(f0.value.shape[1])[:, None]
     l_ind = independence_loss(tape.getitem(f0, (b_idx, views, slot)))
 
-    l_pred = prediction_loss(sv, pack.targets)
+    l_pred = prediction_loss(scores, pack.targets)
     loss = total_loss(l_pred, l_contrast, l_ind, cfg.beta_cl, cfg.beta_ind)
     return ForwardResult(loss=loss, prediction=l_pred, contrastive=l_contrast,
-                         independence=l_ind, scores=sv)
+                         independence=l_ind, scores=scores)
 
 
 def score_batch(params: ParameterSet, pack: PackedBatch, cfg) -> np.ndarray:
     """Inference probabilities (B, N); only the original channel runs."""
     with tape.no_grad():
-        sv = _predict(params, pack, cfg)[-1]
-    return np.asarray(sv.combined.value)
+        return _predict(params, pack, cfg)[-1].value

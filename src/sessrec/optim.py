@@ -23,13 +23,32 @@ class Adam:
             p.grad = None
 
     def step(self):
+        """One update of every parameter with a gradient.
+
+        ``m``, ``v`` and the values change in place, through the same
+        operations in the same order as ``m = b1 m + (1 - b1) g``,
+        ``v = b2 v + (1 - b2) g^2`` and
+        ``p -= lr (m / c1) / (sqrt(v / c2) + eps)``, so the results are
+        bit-identical to those expressions.
+        """
         self.t += 1
-        for i, p in enumerate(self.params):
+        c1 = 1.0 - self.beta1 ** self.t
+        c2 = 1.0 - self.beta2 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
             g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[i] / (1.0 - self.beta1 ** self.t)
-            v_hat = self.v[i] / (1.0 - self.beta2 ** self.t)
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            buf = np.multiply(g, 1.0 - self.beta1)
+            m *= self.beta1
+            m += buf
+            np.multiply(g, g, out=buf)
+            buf *= 1.0 - self.beta2
+            v *= self.beta2
+            v += buf
+            np.divide(v, c2, out=buf)
+            np.sqrt(buf, out=buf)
+            buf += self.eps
+            step = np.divide(m, c1)
+            step *= self.lr
+            step /= buf
+            p.value -= step

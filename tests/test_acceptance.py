@@ -172,11 +172,11 @@ def test_c02_oracle_equivalence():
     e_item = rng.normal(size=(1, 6))
     e_factor = rng.normal(size=(1, 6))
     cat_f = np.concatenate(list(project(catalog, proj).value), axis=-1)
-    sv = score(e_item, e_factor, catalog,
-               catalog_factors=catalog_factor_embeddings(catalog, proj))
+    scores = score(e_item, e_factor, catalog,
+                   catalog_factors=catalog_factor_embeddings(catalog, proj))
     probs = scores_oracle(e_item[0], e_factor[0], catalog, cat_f)
-    worst = max(worst, float(np.max(np.abs(sv.combined.value[0] - probs))))
-    loss = prediction_loss(sv, target=np.array([4]))
+    worst = max(worst, float(np.max(np.abs(scores.value[0] - probs))))
+    loss = prediction_loss(scores, target=np.array([4]))
     worst = max(worst, abs(float(loss.value) - bce_oracle(probs, 4)))
 
     # both contrastive terms on padded batches against the loop oracles,

@@ -238,6 +238,26 @@ def test_unusable_out_fails_before_training(corpus_dir, tmp_path,
     assert main(argv) == EXIT_DATA
 
 
+@pytest.mark.parametrize("command,bad_file", [
+    ("train", "train"), ("ablate", "train"), ("ablate", "test")])
+def test_data_error_leaves_no_out_dir(corpus_dir, tmp_path, command,
+                                      bad_file):
+    # examples are checked against the catalog before --out is created
+    files = {"train": corpus_dir / "train.jsonl",
+             "test": corpus_dir / "test.jsonl"}
+    files[bad_file] = tmp_path / "bad.jsonl"
+    files[bad_file].write_text('{"session": [0, 20], "target": 1}\n',
+                               encoding="utf-8")
+    out = tmp_path / "r"
+    argv = [command, "--train", str(files["train"]),
+            "--catalog", str(corpus_dir / "catalog.json"),
+            "--out", str(out)] + TINY_FLAGS
+    if command == "ablate":
+        argv += ["--test", str(files["test"])]
+    assert main(argv) == EXIT_DATA
+    assert not out.exists()
+
+
 class TestEvalCommand:
     @pytest.fixture()
     def trained(self, corpus_dir, tmp_path):

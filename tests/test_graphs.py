@@ -88,7 +88,7 @@ def factor_weights(pack, f):
     return a_out.value
 
 
-class TestFactorAdjacency:
+class TestCosineEdgeWeights:
     def test_cosine_on_edges_only(self):
         pack = pack_of([1, 2, 3], [4])
         f = np.array([[[1.0, 0.0], [1.0, 0.0], [0.0, 2.0]],
@@ -119,7 +119,7 @@ class TestFactorAdjacency:
             factor_weights(pack_of([1, 2]), np.ones((1, 3, 2)))
 
 
-def test_cosine_matrix_self_similarity():
+def test_cosine_edge_weights_self_loop_and_reciprocal():
     # a self loop weighs 1 and a reciprocated edge the same both ways
     pack = pack_of([5, 5, 6, 5])
     a = factor_weights(pack, np.random.default_rng(1).normal(size=(1, 2, 6)))

@@ -182,7 +182,8 @@ class TestTrainingForward:
         cfg = toy_config(variant="fp")
         params = toy_params(cfg)
         out = training_forward(params, pack_batch(toy_examples()), cfg, 0)
-        assert out.scores.factor_head is None
+        # one head's logits feed the scores
+        assert len(out.scores._parents) == 1
 
     def test_cross_view_negatives_reach_factor_term(self):
         # cross_view draws the factor negatives from the propagated views
@@ -237,9 +238,9 @@ class TestScoreBatch:
                                   [[t - 1]], np.ones((1, 1, t)))
         catalog_factors = catalog_factor_embeddings(params.embeddings.value,
                                                     params.proj)
-        sv = score_one(e_item, e_factor, params.embeddings.value,
-                       catalog_factors=catalog_factors)
-        np.testing.assert_allclose(probs[0], sv.combined.value[0], atol=1e-10,
+        scores = score_one(e_item, e_factor, params.embeddings.value,
+                           catalog_factors=catalog_factors)
+        np.testing.assert_allclose(probs[0], scores.value[0], atol=1e-10,
                                    rtol=0)
 
     def test_padding_invariance(self):

@@ -30,27 +30,31 @@ def setup_scoring(seed=0, n=8, d=5, d_f=3, k=2):
 class TestScore:
     def test_matches_oracle(self):
         catalog, cat_f, e_item, e_factor = setup_scoring()
-        sv = score(e_item, e_factor, catalog, catalog_factors=cat_f)
+        scores = score(e_item, e_factor, catalog, catalog_factors=cat_f)
         proj = FactorProjection.init(5, 3, 2, substream(0, "init"))
         direct = np.concatenate([sigmoid(catalog @ w) + b for w, b in
                                  zip(proj.weight.value, proj.bias.value)], -1)
         expect = scores_oracle(e_item[0], e_factor[0], catalog, direct)
-        np.testing.assert_allclose(sv.combined.value[0], expect, atol=1e-10,
+        np.testing.assert_allclose(scores.value[0], expect, atol=1e-10,
                                    rtol=0)
 
     def test_heads_are_distributions(self):
         catalog, cat_f, e_item, e_factor = setup_scoring(1)
-        sv = score(e_item, e_factor, catalog, catalog_factors=cat_f)
-        assert float(tape.tsum(sv.item_head).value) == pytest.approx(1.0)
-        assert float(tape.tsum(sv.factor_head).value) == pytest.approx(1.0)
-        assert float(tape.tsum(sv.combined).value) == pytest.approx(1.0)
+        # each head alone is the one-head score of its own embeddings
+        item_head = score(e_item, None, catalog, use_factor_head=False)
+        factor_head = score(e_factor, None, cat_f, use_factor_head=False)
+        combined = score(e_item, e_factor, catalog, catalog_factors=cat_f)
+        assert float(tape.tsum(item_head).value) == pytest.approx(1.0)
+        assert float(tape.tsum(factor_head).value) == pytest.approx(1.0)
+        assert float(tape.tsum(combined).value) == pytest.approx(1.0)
 
     def test_item_only_head(self):
         catalog, cat_f, e_item, e_factor = setup_scoring(2)
-        sv = score(e_item, e_factor, catalog, catalog_factors=cat_f,
-                   use_factor_head=False)
-        assert sv.factor_head is None
-        np.testing.assert_array_equal(sv.combined.value, sv.item_head.value)
+        scores = score(e_item, e_factor, catalog, catalog_factors=cat_f,
+                       use_factor_head=False)
+        # the factor inputs play no part
+        item_head = score(e_item, None, catalog, use_factor_head=False)
+        np.testing.assert_array_equal(scores.value, item_head.value)
 
     def test_precomputed_factors_match_proj_path(self):
         # the catalog's one-GEMM projection equals the per-view projection
@@ -68,21 +72,21 @@ class TestScore:
         rng = substream(5, "x")
         e_item = rng.normal(size=(3, 5))
         e_factor = rng.normal(size=(3, 6))
-        sv = score(e_item, e_factor, catalog, catalog_factors=cat_f)
-        assert sv.combined.value.shape == (3, 8)
+        scores = score(e_item, e_factor, catalog, catalog_factors=cat_f)
+        assert scores.value.shape == (3, 8)
         for b in range(3):
             single = score(e_item[b:b + 1], e_factor[b:b + 1], catalog,
                            catalog_factors=cat_f)
-            np.testing.assert_allclose(sv.combined.value[b],
-                                       single.combined.value[0], atol=1e-10)
+            np.testing.assert_allclose(scores.value[b], single.value[0],
+                                       atol=1e-10)
 
 
 class TestPredictionLoss:
     def test_matches_oracle(self):
         catalog, cat_f, e_item, e_factor = setup_scoring(6)
-        sv = score(e_item, e_factor, catalog, catalog_factors=cat_f)
-        loss = prediction_loss(sv, target=np.array([3]))
-        expect = bce_oracle(sv.combined.value[0], 3)
+        scores = score(e_item, e_factor, catalog, catalog_factors=cat_f)
+        loss = prediction_loss(scores, target=np.array([3]))
+        expect = bce_oracle(scores.value[0], 3)
         assert float(loss.value) == pytest.approx(expect, abs=1e-10)
 
     def test_batch_mean(self):
@@ -90,8 +94,8 @@ class TestPredictionLoss:
         rng = substream(8, "x")
         e_item = rng.normal(size=(2, 5))
         e_factor = rng.normal(size=(2, 6))
-        sv = score(e_item, e_factor, catalog, catalog_factors=cat_f)
-        loss = float(prediction_loss(sv, np.array([1, 4])).value)
+        scores = score(e_item, e_factor, catalog, catalog_factors=cat_f)
+        loss = float(prediction_loss(scores, np.array([1, 4])).value)
         singles = []
         for b, t in enumerate([1, 4]):
             row = score(e_item[b:b + 1], e_factor[b:b + 1], catalog,
@@ -102,25 +106,24 @@ class TestPredictionLoss:
     def test_clamp_keeps_loss_finite(self):
         p = np.zeros(4)
         p[2] = 1.0
-        from sessrec.predictor import ScoreVector
-        loss = prediction_loss(ScoreVector(Tensor(p), Tensor(p)), target=0)
+        loss = prediction_loss(Tensor(p), target=0)
         assert np.isfinite(float(loss.value))
 
     def test_correct_target_lowers_loss(self):
         catalog, cat_f, e_item, e_factor = setup_scoring(9)
-        sv = score(e_item, e_factor, catalog, catalog_factors=cat_f)
-        best = int(np.argmax(sv.combined.value))
-        worst = int(np.argmin(sv.combined.value))
-        l_best = float(prediction_loss(sv, best).value)
-        l_worst = float(prediction_loss(sv, worst).value)
+        scores = score(e_item, e_factor, catalog, catalog_factors=cat_f)
+        best = int(np.argmax(scores.value))
+        worst = int(np.argmin(scores.value))
+        l_best = float(prediction_loss(scores, best).value)
+        l_worst = float(prediction_loss(scores, worst).value)
         assert l_best < l_worst
 
     def test_gradient_flows_to_catalog(self):
         rng = substream(10, "x")
         catalog = Parameter(rng.normal(size=(6, 4)))
         e = rng.normal(size=(1, 4))
-        sv = score(e, None, catalog, use_factor_head=False)
-        prediction_loss(sv, 2).backward()
+        scores = score(e, None, catalog, use_factor_head=False)
+        prediction_loss(scores, 2).backward()
         assert np.abs(catalog.grad).max() > 0
 
 

@@ -82,7 +82,7 @@ def random_pack(rng, sessions, max_len=7):
 
 
 class TestChannels:
-    def test_run_original_layers_compose(self):
+    def test_run_channel_layers_compose(self):
         w = weights_for(4, seed=5, layers=2)
         pack = pack_batch([Example([1, 2, 3, 1], 0), Example([4], 0)])
         x = substream(5, "x").normal(size=pack.node_ids.shape + (4,))
@@ -91,7 +91,7 @@ class TestChannels:
         step2 = ggnn_step(step1, pack.adj_in, pack.adj_out, w).value
         assert (out == step2).all()
 
-    def test_run_factor_uses_similarity_edges(self):
+    def test_stacked_factor_channels_match_oracle_per_slice(self):
         # K = 2 factor channels in one pass: (B, K, n, d_f) states, weights
         # stacked on a leading factor axis, each slice checked on its own
         w = GGNNWeights.init(3, substream(6, "init"), num_factors=2)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from oracles import gradient_errors, max_relative_error, numerical_gradient
+from oracles import (bce_oracle, gradient_errors, max_relative_error,
+                     numerical_gradient, scores_oracle)
 
 from sessrec import tape
 from sessrec.tape import Parameter, Tensor
@@ -79,6 +80,57 @@ class TestMatmul:
             return tape.tsum(square(tape.matmul(adj, x)))
 
         check(loss, {"adj": adj, "x": x})
+
+
+class TestBroadcastWeightMatmul:
+    # b is a weight broadcast over a's extra leading axes: 2-D, or stacked
+    # on the inner leading axes of a like the (K, d, d_f) factor weights;
+    # the backward folds those axes into the GEMM rows
+    SHAPES = {"batch_2d_weight": ((3, 4, 5), (5, 5)),
+              "factor_stacked_weight": ((2, 3, 4, 5), (3, 5, 2)),
+              "plain_2d": ((4, 5), (5, 3))}
+
+    @pytest.mark.parametrize("case", SHAPES)
+    def test_gradients(self, case):
+        a_shape, b_shape = self.SHAPES[case]
+        rng = np.random.default_rng(20)
+        a = Parameter(rng.normal(size=a_shape))
+        b = Parameter(rng.normal(size=b_shape))
+
+        def loss():
+            return tape.tsum(square(tape.matmul(a, b)))
+
+        check(loss, {"a": a, "b": b})
+
+    @pytest.mark.parametrize("case", ["batch_2d_weight",
+                                      "factor_stacked_weight"])
+    def test_folded_backward_matches_stacked(self, case):
+        a_shape, b_shape = self.SHAPES[case]
+        rng = np.random.default_rng(21)
+        a = Parameter(rng.normal(size=a_shape))
+        b = Parameter(rng.normal(size=b_shape))
+        out = tape.matmul(a, b)
+        g = rng.normal(size=out.shape)
+        tape.tsum(tape.mul(out, Tensor(g))).backward()
+        # one product per leading index of a, summed for b
+        lead = a_shape[:len(a_shape) - len(b_shape)]
+        b_t = np.swapaxes(b.value, -1, -2)
+        ga = np.stack([g[i] @ b_t for i in np.ndindex(*lead)])
+        gb = sum(np.swapaxes(a.value[i], -1, -2) @ g[i]
+                 for i in np.ndindex(*lead))
+        for got, want in ((a.grad, ga.reshape(a_shape)), (b.grad, gb)):
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-12 * np.abs(want).max())
+
+    def test_constant_operand_gets_no_grad(self):
+        rng = np.random.default_rng(22)
+        adj = Tensor(rng.random((2, 3, 3)))
+        x = Parameter(rng.normal(size=(2, 3, 4)))
+        w = Parameter(rng.normal(size=(4, 4)))
+        h = tape.matmul(tape.matmul(adj, x), w)
+        tape.tsum(tape.mul(h, Tensor(rng.random((2, 3, 4))))).backward()
+        assert adj.grad is None
+        assert x.grad is not None and w.grad is not None
 
 
 class TestShape:
@@ -178,6 +230,133 @@ class TestReductionsAndNonlinear:
         check(loss, {"a": a})
         row = tape.log_softmax(Tensor(np.array([[1e4, 0.0]])), axis=-1).value
         assert np.isfinite(row).all()
+
+
+def _head_inputs(seed, heads, batched, n=7, d=3):
+    """Catalog views and session embeddings whose products are the logits
+    of ``heads`` heads; rows (B, N) when ``batched``, else one (N,)."""
+    rng = np.random.default_rng(seed)
+    catalogs = [rng.normal(size=(n, d)) for _ in range(heads)]
+    sessions = [rng.normal(size=(2 if batched else 1, d)) * 2.0
+                for _ in range(heads)]
+    logits = [s @ c.T if batched else (s @ c.T)[0]
+              for s, c in zip(sessions, catalogs)]
+    return catalogs, sessions, logits
+
+
+def _oracle_scores(catalogs, sessions):
+    """scores_oracle row by row: one head, or the mean of two."""
+    item_c, factor_c = catalogs[0], catalogs[-1]
+    return np.array([
+        scores_oracle(sessions[0][b], sessions[-1][b], item_c, factor_c,
+                      use_factor_head=len(catalogs) == 2)
+        for b in range(len(sessions[0]))])
+
+
+HEAD_CASES = pytest.mark.parametrize("heads,batched", [
+    (1, False), (2, False), (1, True), (2, True)],
+    ids=["one_head_row", "two_heads_row", "one_head_batch", "two_heads_batch"])
+
+
+class TestMeanSoftmax:
+    @HEAD_CASES
+    def test_matches_oracle(self, heads, batched):
+        catalogs, sessions, logits = _head_inputs(30, heads, batched)
+        expect = _oracle_scores(catalogs, sessions)
+        got = tape.mean_softmax(*map(Tensor, logits)).value
+        assert got.shape == logits[0].shape
+        np.testing.assert_allclose(got.reshape(expect.shape), expect,
+                                   atol=1e-10, rtol=0)
+
+    @HEAD_CASES
+    def test_gradients(self, heads, batched):
+        _, _, logits = _head_inputs(31, heads, batched)
+        params = {f"head{h}": Parameter(l) for h, l in enumerate(logits)}
+        weight = Tensor(np.random.default_rng(32).normal(
+            size=logits[0].shape))
+
+        def loss():
+            p = tape.mean_softmax(*params.values())
+            return tape.tsum(tape.mul(square(p), weight))
+
+        check(loss, params)
+
+    def test_large_batch_rows_sum_to_one(self):
+        rng = np.random.default_rng(33)
+        logits = [Parameter(rng.normal(size=(512, 2000)) * 4.0)
+                  for _ in range(2)]
+        recorded = tape.mean_softmax(*logits)
+        with tape.no_grad():
+            unrecorded = tape.mean_softmax(*logits)
+        for p in (recorded, unrecorded):
+            np.testing.assert_allclose(p.value.sum(axis=1), 1.0, atol=1e-9,
+                                       rtol=0)
+        # the row-block path without a graph gives the same numbers
+        np.testing.assert_array_equal(unrecorded.value, recorded.value)
+        assert unrecorded._backward is None and not unrecorded._parents
+
+    def test_mismatched_heads_rejected(self):
+        with pytest.raises(ValueError):
+            tape.mean_softmax(Tensor(np.zeros((2, 3))),
+                              Tensor(np.zeros((2, 4))))
+
+
+class TestOnehotBce:
+    @HEAD_CASES
+    def test_matches_oracle(self, heads, batched):
+        catalogs, sessions, logits = _head_inputs(34, heads, batched)
+        p = tape.mean_softmax(*map(Tensor, logits))
+        targets = np.array([3, 0]) if batched else 5
+        loss = float(tape.onehot_bce(p, targets, 1e-12).value)
+        rows = _oracle_scores(catalogs, sessions)
+        expect = np.mean([bce_oracle(r, t) for r, t in
+                          zip(rows, np.broadcast_to(targets, len(rows)))])
+        assert loss == pytest.approx(expect, abs=1e-10)
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["row", "batch"])
+    def test_clamp_at_both_ends(self, batched):
+        # p_t below the floor, and items other than the target within the
+        # floor of 1; the clamped entries take no gradient
+        row = np.array([1e-14, 0.3, 1.0 - 1e-14, 1.0, 0.2])
+        p = Parameter(np.stack([row, row[::-1]]) if batched else row)
+        targets = np.array([0, 4]) if batched else 0
+        loss = tape.onehot_bce(p, targets, 1e-12)
+        rows = p.value.reshape(-1, 5)
+        expect = np.mean([bce_oracle(r, t) for r, t in
+                          zip(rows, np.broadcast_to(targets, len(rows)))])
+        assert float(loss.value) == pytest.approx(expect, abs=1e-10)
+        loss.backward()
+        grad = p.grad.reshape(-1, 5)
+        clamped = np.array([[True, False, True, True, False]])
+        if batched:
+            clamped = np.concatenate([clamped, clamped[:, ::-1]])
+        assert (grad[clamped] == 0.0).all()
+        assert (grad[~clamped] != 0.0).all()
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["row", "batch"])
+    def test_gradients(self, batched):
+        rng = np.random.default_rng(35)
+        p = Parameter(rng.uniform(0.05, 0.9, (3, 6) if batched else (6,)))
+        targets = np.array([1, 5, 0]) if batched else 2
+
+        check(lambda: tape.onehot_bce(p, targets, 1e-12), {"p": p})
+
+    @pytest.mark.parametrize("target", [-1, 5])
+    def test_target_outside_row_rejected(self, target):
+        with pytest.raises(ValueError):
+            tape.onehot_bce(Tensor(np.full((2, 5), 0.2)), [0, target], 1e-12)
+
+    @HEAD_CASES
+    def test_gradients_through_mean_softmax(self, heads, batched):
+        _, _, logits = _head_inputs(36, heads, batched)
+        params = {f"head{h}": Parameter(l) for h, l in enumerate(logits)}
+        targets = np.array([6, 2]) if batched else 4
+
+        def loss():
+            return tape.onehot_bce(tape.mean_softmax(*params.values()),
+                                   targets, 1e-12)
+
+        check(loss, params)
 
 
 class TestGeometry:
