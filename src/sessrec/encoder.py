@@ -1,10 +1,12 @@
 """Session readout: soft attention over positions, anchored on the last item.
 
-A session embedding is built from the propagated node states laid back
-out along the sequence (repeated items share their node state).  Each
-position is scored against the last position, the weighted sum is
-concatenated with the last state, and a linear merge brings the result
-back to embedding width.
+A session embedding is read from the propagated states of its real
+nodes, with sessions one after another as ``model.pack_batch`` lays them
+out.  Each node is scored once against its session's last position;
+each position takes its node's score, so a repeated item counts once per
+occurrence.  The score-weighted sum over positions, one
+``tape.edge_matmul``, is concatenated with the last state, and a linear
+merge brings the result back to embedding width.
 """
 
 from __future__ import annotations
@@ -40,72 +42,68 @@ class AttentionWeights:
             yield f"{prefix}.{name}", getattr(self, name)
 
 
-def attention_scores(seq, last, w: AttentionWeights):
-    """Unnormalized score per position: q . sigmoid(e_i Wc + e_last Wl).
+def attention_scores(h, last, node_session, w: AttentionWeights):
+    """Unnormalized score per node: q . sigmoid(h_i Wc + h_last Wl).
 
-    ``seq`` is (..., T, d); ``last`` is the last position's state
-    (..., d).  Scores stay raw by design; see ``encode`` for the
-    optional softmax.
+    ``h`` is (..., M, d), ``last`` the last positions' states (..., B, d)
+    and ``node_session`` (M,) the session of each node, whose last state
+    anchors it.  Returns (..., M, 1).  Scores stay raw by design; see
+    ``encode`` for the optional softmax.
     """
-    seq = tape.as_tensor(seq)
-    last = tape.as_tensor(last)
-    last_row = tape.reshape(last, last.value.shape[:-1] + (1, last.value.shape[-1]))
-    h = tape.sigmoid(tape.add(tape.matmul(seq, w.w_current),
-                              tape.matmul(last_row, w.w_last)))
-    q_col = tape.reshape(w.query, w.query.value.shape + (1,))
-    return tape.matmul(h, q_col)      # (..., T, 1)
+    anchor = tape.getitem(tape.matmul(last, w.w_last),
+                          (..., node_session, slice(None)))
+    hidden = tape.sigmoid(tape.add(tape.matmul(h, w.w_current), anchor))
+    return tape.matmul(hidden, tape.reshape(w.query,
+                                            w.query.value.shape + (1,)))
 
 
-def encode(seq, w: AttentionWeights, last_position, pos_mask,
+def encode(h, w: AttentionWeights, alias, lengths,
            normalize_scores: bool = False):
-    """Compress position-aligned states (..., T, d) into one embedding (..., d).
+    """Read node states (..., M, d) out into one embedding per session,
+    (..., B, d).
 
-    ``last_position`` holds each session's last real position and the
-    0/1 ``pos_mask`` its real positions, so padding neither scores nor
-    contributes.  Both broadcast against the leading axes of ``seq``.
+    Sessions lie one after another: ``lengths`` (B,) counts the
+    positions of each and ``alias`` (P,) holds each position's node row.
     ``normalize_scores`` switches the raw attention weights to a softmax
-    over the real positions.
+    over each session's positions.  A factor-stacked ``w`` reads
+    (K, M, d) states, slice k reading view k.
     """
-    seq = tape.as_tensor(seq)
-    shape = seq.value.shape
-    idx = np.broadcast_to(np.asarray(last_position, dtype=np.int64),
-                          shape[:-2])
-    last = tape.getitem(seq, tuple(np.indices(idx.shape)) + (idx,))
+    h = tape.as_tensor(h)
+    alias, lengths = np.asarray(alias), np.asarray(lengths)
+    b, m = lengths.size, h.value.shape[-2]
+    pos_session = np.repeat(np.arange(b), lengths)
+    node_session = np.zeros(m, dtype=np.int64)
+    node_session[alias] = pos_session
+    last = tape.getitem(h, (..., alias[np.cumsum(lengths) - 1], slice(None)))
 
-    scores = attention_scores(seq, last, w)
-    mask = np.asarray(pos_mask, dtype=np.float64)[..., None]
+    scores = attention_scores(h, last, node_session, w)
+    alpha = tape.getitem(scores, (..., alias, 0))          # (..., P)
+    ends = (alias, pos_session, b)
     if normalize_scores:
-        scores = tape.add(scores, tape.Tensor((1.0 - mask) * -1e30))
-        alpha = tape.mul(tape.exp(tape.log_softmax(scores, axis=-2)),
-                         tape.Tensor(mask))
+        # each session's top score is shifted out; softmax ignores it
+        top = np.maximum.reduceat(alpha.value, np.cumsum(lengths) - lengths,
+                                  axis=-1)
+        alpha = tape.exp(tape.sub(alpha,
+                                  np.repeat(top, lengths, axis=-1)))
+        mixed = tape.div(tape.edge_matmul(alpha, h, *ends),
+                         tape.edge_matmul(alpha, np.ones((m, 1)), *ends))
     else:
-        alpha = tape.mul(scores, tape.Tensor(mask))
-
-    mixed = tape.tsum(tape.mul(alpha, seq), axis=-2)      # (..., d)
-    merged = tape.concat([last, mixed], axis=-1)          # (..., 2d)
-    if merged.value.ndim == 2 and w.w_merge.value.ndim == 2:
-        return tape.matmul(merged, w.w_merge)
-    # one (1, 2d) row per readout, so a factor-stacked (K, 2d, d) merge
-    # maps each factor's row through its own slice
-    lead = merged.value.shape[:-1]
-    wide = tape.reshape(merged, lead + (1, merged.value.shape[-1]))
-    out = tape.matmul(wide, w.w_merge)
-    return tape.reshape(out, lead + (out.value.shape[-1],))
+        mixed = tape.edge_matmul(alpha, h, *ends)          # (..., B, d)
+    merged = tape.concat([last, mixed], axis=-1)           # (..., B, 2d)
+    return tape.matmul(merged, w.w_merge)
 
 
-def encode_factors(factor_seqs, weights, last_position, pos_mask,
+def encode_factors(factor_states, weights, alias, lengths,
                    normalize_scores: bool = False):
     """Read out all K factor views at once, concatenated on the last axis.
 
-    ``factor_seqs`` is (..., K, T, d_f) and ``weights`` an
-    AttentionWeights with a leading K axis, slice k reading view k;
-    ``last_position`` and ``pos_mask`` broadcast as for ``encode``, so a
-    padded batch passes them with a unit factor axis.  Returns
-    (..., K * d_f), view k in columns [k d_f, (k+1) d_f).
+    ``factor_states`` is (K, M, d_f) and ``weights`` an AttentionWeights
+    with a leading K axis, slice k reading view k; ``alias`` and
+    ``lengths`` lay out the sessions as for ``encode``.  Returns
+    (B, K * d_f), view k in columns [k d_f, (k+1) d_f).
     """
-    seqs = tape.as_tensor(factor_seqs)
-    lead = seqs.value.shape[:-2]
-    if lead[-1:] != weights.query.value.shape[:1]:
+    states = tape.as_tensor(factor_states)
+    if states.value.shape[:-2] != weights.query.value.shape[:-1]:
         raise ValueError("one attention weight slice per factor required")
-    out = encode(seqs, weights, last_position, pos_mask, normalize_scores)
-    return tape.reshape(out, lead[:-1] + (-1,))
+    out = encode(states, weights, alias, lengths, normalize_scores)
+    return tape.reshape(tape.swap_last(out, (0, 1)), (len(lengths), -1))

@@ -1,10 +1,12 @@
-"""The directed transition graphs of a batch of sessions.
+"""The directed transition graphs of a batch of sessions, as one graph.
 
 Each session graph has one node per distinct item (first-occurrence
 order) and a directed edge for every observed transition.
-``build_session_graph`` lays a whole batch out padded in one pass;
-``model.pack_batch`` normalizes it, and the factor and hub views are
-built on the padded batch there.
+``build_session_graph`` lays a whole batch out as the disjoint union of
+its session graphs: the real nodes of all sessions one after another,
+the positions likewise, and the edges as index lists over node rows.
+``model.pack_batch`` stores it, and the hub, dropout and factor views
+are edge lists built on it there.
 """
 
 from __future__ import annotations
@@ -15,14 +17,15 @@ import numpy as np
 
 
 def build_session_graph(sessions):
-    """The padded transition graphs of a batch of item sequences.
+    """The transition graphs of a batch of item sequences, one after another.
 
-    Returns ``(node_ids, n_nodes, alias, lengths, edge_out)``:
-    ``node_ids`` (B, n) the distinct items of each session in first-
-    occurrence order, ``alias`` (B, T) each position's node slot, both
-    0-padded, and ``edge_out`` (B, n, n) the 0/1 pattern with
-    ``edge_out[b, i, j] = 1`` if session b steps from node i to node j.
-    Repeated transitions contribute a single edge.
+    Returns ``(node_ids, n_nodes, alias, lengths, src, dst)``:
+    ``node_ids`` (M,) the distinct items of each session in first-
+    occurrence order, session after session, ``n_nodes`` (B,) how many
+    belong to each session, ``alias`` (P,) each position's node row and
+    ``lengths`` (B,) each session's positions.  ``src`` and ``dst`` (E,)
+    are node rows: session b steps from ``src[e]`` to ``dst[e]``.  A
+    repeated transition is one edge; edges come sorted by (src, dst).
     """
     lengths = np.fromiter(map(len, sessions), dtype=np.int64,
                           count=len(sessions))
@@ -38,23 +41,17 @@ def build_session_graph(sessions):
                         count=slots.size)
 
     row = np.repeat(np.arange(lengths.size), lengths)
-    node_ids = np.zeros((lengths.size, n_nodes.max()), dtype=np.int64)
-    node_ids[row, slots] = items
-    alias = np.zeros((lengths.size, lengths.max()), dtype=np.int64)
-    alias[np.arange(lengths.max()) < lengths[:, None]] = slots
+    alias = slots + (np.cumsum(n_nodes) - n_nodes)[row]
+    m = int(n_nodes.sum())
+    node_ids = np.empty(m, dtype=np.int64)
+    node_ids[alias] = items
     step = row[1:] == row[:-1]          # flat position p + 1 follows p
-    edge_out = np.zeros((lengths.size,) + 2 * node_ids.shape[1:])
-    edge_out[row[1:][step], slots[:-1][step], slots[1:][step]] = 1.0
-    return node_ids, n_nodes, alias, lengths, edge_out
+    src, dst = np.divmod(np.unique(alias[:-1][step] * m + alias[1:][step]), m)
+    return node_ids, n_nodes, alias, lengths, src, dst
 
 
-def normalized_pair(edge_out):
-    """``(adj_in, adj_out)`` of a 0/1 pattern (..., n, n): each row of the
-    pattern and of its transpose divided by its sum, empty rows left 0.
-    Each result keeps the strides of the pattern it divides, so
-    ``adj_in`` comes back as a transposed view's layout."""
-    def by_row(pattern):
-        deg = pattern.sum(axis=-1, keepdims=True)
-        return np.divide(pattern, deg, out=np.zeros_like(pattern),
-                         where=deg > 0)
-    return by_row(np.swapaxes(edge_out, -1, -2)), by_row(edge_out)
+def degree_weights(src, dst, m):
+    """``(w_in, w_out)`` of edges ``src -> dst`` over ``m`` nodes: each
+    edge divided by its head's in-degree, and by its tail's out-degree."""
+    return (1.0 / np.bincount(dst, minlength=m)[dst],
+            1.0 / np.bincount(src, minlength=m)[src])

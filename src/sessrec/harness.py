@@ -1,7 +1,7 @@
 """Training loop, ranking evaluation, ablations, and the planted corpus.
 
 Everything a run needs sits in one ``TrainConfig``; the loop shuffles
-with a per-epoch substream, steps Adam over padded batches, logs a loss
+with a per-epoch substream, steps Adam over batch graphs, logs a loss
 breakdown per epoch, and refuses to continue past a non-finite loss.
 Evaluation ranks every test prefix and reports precision and MRR at the
 requested cutoffs, overall and bucketed by prefix length.

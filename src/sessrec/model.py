@@ -1,15 +1,16 @@
 """Batch assembly and the end-to-end forward pass.
 
-Sessions are padded into dense (B, n, ...) arrays so one pass serves a
-whole batch; ``pack_batch`` builds all their graphs in one call, and
-masks derived from node counts and lengths keep padded slots from ever
-touching a real value.  The training forward runs the original channel,
-the K factor channels (one pass over (B, K, n, d_f) states, where
-factor-stacked weights broadcast) over similarity-weighted edges, and
-the augmentation channel (the star view, its hub one more node slot, or
-graph dropout), all through the same ``ggnn_step``, then assembles the
-prediction, contrastive and independence terms.  Inference runs only
-the prediction path they share: the original channel through the scores.
+A batch is one graph: the disjoint union of its sessions' transition
+graphs.  ``pack_batch`` lays out the M real nodes and P real positions
+of all sessions one after another, and the edges as index lists over
+node rows, so no padded slot exists to mask.  The training forward runs
+the original channel, the K factor channels (one pass over (K, M, d_f)
+states, where factor-stacked weights broadcast) over cosine-weighted
+edges, and the augmentation channel (the star view, its hubs B more
+rows, or graph dropout), all through the same ``ggnn_step``, then
+assembles the prediction, contrastive and independence terms.
+Inference runs only the prediction path they share: the original
+channel through the scores.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import tape
 from .disentangle import independence_loss, project
 from .encoder import encode, encode_factors
-from .graphs import build_session_graph, normalized_pair
+from .graphs import build_session_graph, degree_weights
 from .params import ParameterSet
 from .predictor import (catalog_factor_embeddings, prediction_loss, score,
                         total_loss)
@@ -37,35 +38,38 @@ VARIANTS = ("full", "fcl", "star", "fp")
 
 @dataclass
 class PackedBatch:
-    node_ids: np.ndarray       # (B, n) catalog indices, 0-padded
-    n_nodes: np.ndarray        # (B,) real node slots
-    alias: np.ndarray          # (B, T) position -> node slot, 0-padded
-    lengths: np.ndarray        # (B,) real positions
-    edge_out: np.ndarray       # (B, n, n) binary pattern
-    adj_in: np.ndarray         # (B, n, n) degree-normalized, 0-padded
-    adj_out: np.ndarray        # (B, n, n)
+    node_ids: np.ndarray       # (M,) catalog index of each real node
+    n_nodes: np.ndarray        # (B,) nodes per session, rows in session order
+    alias: np.ndarray          # (P,) each real position's node row
+    lengths: np.ndarray        # (B,) positions per session
+    src: np.ndarray            # (E,) transition tails, node rows
+    dst: np.ndarray            # (E,) transition heads
     targets: np.ndarray        # (B,)
     session_indices: np.ndarray  # (B,) stable example ids for rng streams
 
     @property
-    def node_mask(self) -> np.ndarray:    # (B, n) 1.0 on real node slots
-        return _real_slots(self.n_nodes, self.node_ids.shape[1])
+    def node_start(self) -> np.ndarray:   # (B,) each session's first row
+        return np.cumsum(self.n_nodes) - self.n_nodes
 
     @property
-    def pos_mask(self) -> np.ndarray:     # (B, T) 1.0 on real positions
-        return _real_slots(self.lengths, self.alias.shape[1])
+    def node_session(self) -> np.ndarray:  # (M,) each node row's session
+        return np.repeat(np.arange(self.n_nodes.size), self.n_nodes)
 
     @property
-    def last_pos(self) -> np.ndarray:
-        return self.lengths - 1
+    def edges(self):
+        """The transitions as ``ggnn_step`` takes them, degree-normalized."""
+        return (self.src, self.dst,
+                *degree_weights(self.src, self.dst, self.node_ids.size))
 
-
-def _real_slots(counts, width):
-    return (np.arange(width) < counts[:, None]).astype(np.float64)
+    @property
+    def node_mask(self) -> np.ndarray:
+        """(B, n_max) 1.0 where a padded layout would hold a real node."""
+        width = np.arange(self.n_nodes.max())
+        return (width < self.n_nodes[:, None]).astype(np.float64)
 
 
 def pack_batch(examples, session_indices=None) -> PackedBatch:
-    """Pad a list of prefix examples into one dense batch.
+    """Lay a list of prefix examples out as one batch graph.
 
     ``session_indices`` are the stable per-example ids used to key the
     random substreams; they default to 0..B-1.
@@ -76,131 +80,119 @@ def pack_batch(examples, session_indices=None) -> PackedBatch:
         raise ValueError(f"{len(session_indices)} session indices for "
                          f"{len(examples)} examples")
     graph = build_session_graph([ex.prefix for ex in examples])
-    adj_in, adj_out = normalized_pair(graph[-1])
-    # adj_in in C order: a transposed layout sends the propagation
-    # matmuls down another BLAS path, whose sums round differently
     targets = np.array([ex.target for ex in examples], dtype=np.int64)
-    return PackedBatch(*graph, np.ascontiguousarray(adj_in), adj_out, targets,
+    return PackedBatch(*graph, targets,
                        np.asarray(session_indices, dtype=np.int64))
 
 
-def _lined_up(a, ndim):
-    """(B, ...) array padded with unit axes after B to broadcast at ``ndim``."""
-    return a.reshape(a.shape[:1] + (1,) * (ndim - a.ndim) + a.shape[1:])
-
-
-def _lead_index(shape, trailing):
-    """Open-mesh indices over leading axes ``shape``, ``trailing`` axes on."""
-    return tuple(i.reshape(i.shape + (1,) * trailing)
-                 for i in np.ix_(*map(np.arange, shape)))
-
-
-def _gather_sequence(h, pack: PackedBatch):
-    """Lay node states back along positions: (B, [K,] n, d) -> (B, [K,] T, d)."""
-    lead = _lead_index(h.value.shape[:-2], 1)
-    return tape.getitem(h, lead + (_lined_up(pack.alias, h.value.ndim - 1),))
-
-
-def _run_channel(x, adj_in, adj_out, weights):
+def _run_channel(x, edges, weights):
     for _ in range(weights.layers):
-        x = ggnn_step(x, adj_in, adj_out, weights)
+        x = ggnn_step(x, edges, weights)
     return x
 
 
-def _factor_adjacency(f0, pack: PackedBatch):
-    """Cosine of the raw factor embeddings at the session's edge slots.
+def _factor_edges(f0, pack: PackedBatch):
+    """The transitions weighted per factor view by the cosine of the raw
+    factor embeddings at their two ends: ``(src, dst, w, w)``.
 
-    ``f0`` is (B, K, n, d_f), the result (B, K, n, n).  Built on the tape
-    so edge weights pass gradient back into the projections; signed,
-    unclamped, incoming view is the transpose.
+    ``f0`` is (K, M, d_f) and ``w`` (K, E).  Built on the tape so edge
+    weights pass gradient back into the projections; signed, unclamped,
+    the same weight in both directions.
     """
+    if f0.value.shape[-2] != pack.node_ids.size:
+        raise ValueError("one factor row per node of the batch required")
     unit = tape.normalize_rows(f0)
-    sim = tape.matmul(unit, tape.swap_last(unit))
-    a_out = tape.mul(sim, Tensor(_lined_up(pack.edge_out, f0.value.ndim)))
-    return tape.swap_last(a_out), a_out
+    ends = [tape.getitem(unit, (..., rows, slice(None)))
+            for rows in (pack.src, pack.dst)]
+    w = tape.tsum(tape.mul(*ends), axis=-1)
+    return pack.src, pack.dst, w, w
 
 
 def _star_edges(pack: PackedBatch, theta, seed, epoch):
-    """Sample hub edge indicators per session; padded slots stay 0."""
-    to_real, from_real = edges = np.zeros((2,) + pack.node_ids.shape)
-    for i, k in enumerate(pack.n_nodes):
-        rng = substream(seed, "star", epoch, int(pack.session_indices[i]))
-        edges[:, i, :k] = rng.random((2, k)) < theta
-    return to_real, from_real
+    """Hub edge indicators ``(to_real, from_real)``, one per node row:
+    session i draws (2, k) uniforms from its own substream."""
+    draws = [substream(seed, "star", epoch, int(i)).random((2, k))
+             for i, k in zip(pack.session_indices, pack.n_nodes)]
+    return np.concatenate(draws, axis=1) < theta
 
 
 def _star_graph(x0, pack: PackedBatch, to_real, from_real):
-    """The star view as an (n + 1)-slot graph: ``(states, adj_in, adj_out)``.
+    """The star view as one graph of M + B rows: ``(states, edges)``.
 
-    Slot n is the hub.  It starts at the mean of the item embeddings over
-    sequence positions (repeats count once per occurrence).  A node with
-    ``to_real`` set receives the hub, one with ``from_real`` set feeds
-    it; hub edges weigh 1.  The transition block is copied as it is, so a
-    node without a hub edge aggregates exactly as in plain propagation.
+    Row M + b is session b's hub.  It starts at the mean of the item
+    embeddings over the session's positions (repeats count once per
+    occurrence).  A node with ``to_real`` set receives its hub, one with
+    ``from_real`` set feeds it; hub edges weigh 1.  They follow the
+    transitions, which keep their weights, so a node without a hub edge
+    aggregates exactly as in plain propagation.
     """
-    b, n = pack.node_ids.shape
-    share = np.zeros((b, 1, n))          # each node's share of the positions
-    np.add.at(share[:, 0], (np.arange(b)[:, None], pack.alias),
-              pack.pos_mask / pack.lengths[:, None])
-    hub = tape.matmul(Tensor(share), x0)
-    pad = ((0, 0), (0, 1), (0, 1))                  # the hub's row and column
-    adj_in, adj_out = (np.pad(a, pad) for a in (pack.adj_in, pack.adj_out))
-    adj_in[:, :n, n] = adj_out[:, n, :n] = to_real
-    adj_out[:, :n, n] = adj_in[:, n, :n] = from_real
-    return tape.concat([x0, hub], axis=-2), adj_in, adj_out
+    m, b = pack.node_ids.size, pack.lengths.size
+    pos_session = np.repeat(np.arange(b), pack.lengths)
+    hub = tape.edge_matmul(1.0 / pack.lengths[pos_session], x0, pack.alias,
+                           pos_session, b)
+    hub_row = m + pack.node_session
+    into, out_of = np.flatnonzero(to_real), np.flatnonzero(from_real)
+    src, dst, w_in, w_out = pack.edges
+    ones = np.ones(into.size + out_of.size)
+    edges = (np.concatenate([src, hub_row[into], out_of]),
+             np.concatenate([dst, into, hub_row[out_of]]),
+             np.concatenate([w_in, ones]), np.concatenate([w_out, ones]))
+    return tape.concat([x0, hub], axis=-2), edges
 
 
 def _hub_channel(x0, pack: PackedBatch, weights, theta, seed, epoch):
-    """Propagate over the star view; the returned states exclude the hub,
-    which links to each real node in each direction with probability
-    ``theta``."""
+    """Propagate over the star view; the returned states exclude the hubs,
+    each of which links to each node of its session in each direction
+    with probability ``theta``."""
     to_real, from_real = _star_edges(pack, theta, seed, epoch)
     h = _run_channel(*_star_graph(x0, pack, to_real, from_real), weights)
-    return tape.getitem(h, (slice(None), slice(None, -1)))
+    return tape.getitem(h, slice(None, pack.node_ids.size))
 
 
-def _dropout_adjacency(pack: PackedBatch, edge_rate, node_rate, seed, epoch):
-    """Perturbed copy of each session's pattern for the dropout variant.
+def _dropout_edges(pack: PackedBatch, edge_rate, node_rate, seed, epoch):
+    """Perturbed transitions for the dropout variant, as ``ggnn_step``
+    takes them.
 
-    Edges vanish independently; nodes other than the last-position node
-    are isolated (row and column cleared); the survivors are re-
-    normalized by degree.
+    Each session draws a (k, k) edge mask, then a k node mask, from its
+    own substream.  Edges vanish independently; nodes other than the
+    last-position node are isolated (every edge touching them goes); the
+    survivors are re-normalized by degree.
     """
-    pattern = np.zeros_like(pack.edge_out)
-    for i, k in enumerate(pack.n_nodes):
-        rng = substream(seed, "dropout", epoch, int(pack.session_indices[i]))
-        keep_edge = rng.random((k, k)) >= edge_rate
-        pat = pack.edge_out[i, :k, :k] * keep_edge
-        isolated = rng.random(k) < node_rate
-        isolated[pack.alias[i, pack.lengths[i] - 1]] = False
-        pat[isolated, :] = 0.0
-        pat[:, isolated] = 0.0
-        pattern[i, :k, :k] = pat
-    return normalized_pair(pattern)
+    keep, isolated = [], []
+    for i, k in zip(pack.session_indices, pack.n_nodes):
+        rng = substream(seed, "dropout", epoch, int(i))
+        keep.append((rng.random((k, k)) >= edge_rate).ravel())
+        isolated.append(rng.random(k) < node_rate)
+    isolated = np.concatenate(isolated)
+    isolated[pack.alias[np.cumsum(pack.lengths) - 1]] = False
+    src, dst = pack.src, pack.dst
+    session = pack.node_session[src]
+    k, lo = pack.n_nodes[session], pack.node_start[session]
+    block = (np.cumsum(pack.n_nodes ** 2) - pack.n_nodes ** 2)[session]
+    kept = np.concatenate(keep)[block + (src - lo) * k + (dst - lo)]
+    kept &= ~isolated[src] & ~isolated[dst]
+    src, dst = src[kept], dst[kept]
+    return src, dst, *degree_weights(src, dst, pack.node_ids.size)
 
 
 def _masked_session_mean(per_node, pack: PackedBatch):
-    """Mean over real nodes per session, then mean over sessions with
-    at least 2 nodes, summed over views if ``per_node`` is (B, K, n);
-    returns a scalar tensor (0 if no session qualifies)."""
-    session_ok = (pack.n_nodes >= 2).astype(np.float64)
-    if session_ok.sum() == 0:
+    """Mean over each session's nodes, then over the sessions with at
+    least 2 nodes, summed over views if ``per_node`` is (K, M): one
+    weighted sum, a scalar tensor (0 if no session qualifies)."""
+    ok = pack.n_nodes >= 2
+    if not ok.any():
         return Tensor(np.float64(0.0))
-    inv = session_ok / pack.n_nodes
-    ndim = per_node.value.ndim
-    masked = tape.mul(per_node, Tensor(_lined_up(pack.node_mask, ndim)))
-    per_session = tape.mul(tape.tsum(masked, axis=-1),
-                           Tensor(_lined_up(inv, ndim - 1)))
-    return tape.mul(tape.tsum(per_session),
-                    Tensor(np.float64(1.0 / session_ok.sum())))
+    weight = np.repeat(ok / (pack.n_nodes * ok.sum()), pack.n_nodes)
+    return tape.tsum(tape.mul(per_node, Tensor(weight)))
 
 
 def _pairwise_terms(anchor, positive, partner, neg_idx, disc):
-    """softplus(-H_pos) + mean_j softplus(H_neg_j) per node slot of
-    (B, [K,] n, d) states; ``neg_idx`` is (B, [K,] n, per)."""
+    """softplus(-H_pos) + mean_j softplus(H_neg_j) per node row of
+    ([K,] M, d) states; ``neg_idx`` ([K,] M, per) holds partner rows."""
     pos = disc.score(anchor, positive)
     shape = anchor.value.shape
-    key = _lead_index(neg_idx.shape[:-2], 2) + (neg_idx,)
+    key = (neg_idx,) if neg_idx.ndim == 2 else \
+        (np.arange(len(neg_idx))[:, None, None], neg_idx)
     neg = disc.score(tape.reshape(anchor, shape[:-1] + (1, shape[-1])),
                      tape.getitem(partner, key))
     pos_term = tape.softplus(tape.mul(pos, Tensor(np.float64(-1.0))))
@@ -209,20 +201,23 @@ def _pairwise_terms(anchor, positive, partner, neg_idx, disc):
 
 
 def _negative_draws(pack: PackedBatch, seed, epoch, stream_tag, per, count=1):
-    """Per-session negative slot indices, shape (count, B, n, per).
+    """Per-node negative rows, shape (count, M, per): other nodes of the
+    same session.
 
     ``count`` consecutive draws come from one substream per session, so
-    factor levels consume the same stream in sequence.
+    factor levels consume the same stream in sequence.  A session of one
+    node draws nothing; its node is its own negative, in a term that
+    ``_masked_session_mean`` weighs 0.
     """
-    b, n = pack.node_ids.shape
-    out = np.zeros((count, b, n, per), dtype=np.int64)
-    for i, k in enumerate(pack.n_nodes):
+    m = pack.node_ids.size
+    out = np.repeat(np.arange(m)[None, :, None], count, axis=0).repeat(
+        per, axis=2)
+    for i, k, lo in zip(pack.session_indices, pack.n_nodes, pack.node_start):
         if k < 2:
             continue
-        rng = substream(seed, "negatives", epoch,
-                        int(pack.session_indices[i]), stream_tag)
+        rng = substream(seed, "negatives", epoch, int(i), stream_tag)
         draws = rng.integers(0, k - 1, size=(count, k, per))
-        out[:, i, :k] = draws + (draws >= np.arange(k)[:, None])
+        out[:, lo:lo + k] = lo + draws + (draws >= np.arange(k)[:, None])
     return out
 
 
@@ -238,16 +233,13 @@ class ForwardResult:
 def _predict(params: ParameterSet, pack: PackedBatch, cfg):
     """The original channel through the scores, the path training and
     inference share: ``(x0, h_orig, orig_factors, scores)``."""
-    x0 = tape.getitem(params.embeddings, pack.node_ids)
-    h_orig = _run_channel(x0, Tensor(pack.adj_in), Tensor(pack.adj_out),
-                          params.ggnn_original)
-    last_pos, pos_mask = pack.last_pos, pack.pos_mask
-    e_item = encode(_gather_sequence(h_orig, pack), params.attn_item,
-                    last_pos, pos_mask, cfg.normalize_attention)
-    orig_factors = project(h_orig, params.proj)          # (B, K, n, d_f)
-    e_factor = encode_factors(_gather_sequence(orig_factors, pack),
-                              params.attn_factor, last_pos[:, None],
-                              pos_mask[:, None], cfg.normalize_attention)
+    x0 = tape.getitem(params.embeddings, pack.node_ids)   # (M, d)
+    h_orig = _run_channel(x0, pack.edges, params.ggnn_original)
+    e_item = encode(h_orig, params.attn_item, pack.alias, pack.lengths,
+                    cfg.normalize_attention)
+    orig_factors = project(h_orig, params.proj)          # (K, M, d_f)
+    e_factor = encode_factors(orig_factors, params.attn_factor, pack.alias,
+                              pack.lengths, cfg.normalize_attention)
     scores = score(e_item, e_factor, params.embeddings,
                    catalog_factors=catalog_factor_embeddings(params.embeddings,
                                                              params.proj),
@@ -257,7 +249,7 @@ def _predict(params: ParameterSet, pack: PackedBatch, cfg):
 
 def training_forward(params: ParameterSet, pack: PackedBatch, cfg,
                      epoch: int) -> ForwardResult:
-    """Full objective for one padded batch.
+    """Full objective for one batch graph.
 
     ``cfg`` carries the run configuration (see harness.TrainConfig).
     The variant switches: ``fcl`` drops the factor channels and their
@@ -270,10 +262,9 @@ def training_forward(params: ParameterSet, pack: PackedBatch, cfg,
 
     # augmentation channel for the item-level contrast
     if cfg.variant == "star":
-        adj_in_d, adj_out_d = _dropout_adjacency(
-            pack, cfg.dropout_edge, cfg.dropout_node, cfg.seed, epoch)
-        h_aug = _run_channel(x0, Tensor(adj_in_d), Tensor(adj_out_d),
-                             params.ggnn_star)
+        h_aug = _run_channel(x0, _dropout_edges(
+            pack, cfg.dropout_edge, cfg.dropout_node, cfg.seed, epoch),
+            params.ggnn_star)
     else:
         h_aug = _hub_channel(x0, pack, params.ggnn_star, cfg.theta, cfg.seed,
                              epoch)
@@ -284,29 +275,24 @@ def training_forward(params: ParameterSet, pack: PackedBatch, cfg,
                                  params.disc_item)
     l_item = _masked_session_mean(item_terms, pack)
 
-    f0 = project(x0, params.proj)                        # (B, K, n, d_f)
+    f0 = project(x0, params.proj)                        # (K, M, d_f)
     if cfg.variant == "fcl":
         l_contrast = l_item
     else:
-        a_in, a_out = _factor_adjacency(f0, pack)
-        h_fac = _run_channel(f0, a_in, a_out, params.ggnn_factor)
+        h_fac = _run_channel(f0, _factor_edges(f0, pack), params.ggnn_factor)
         partner = orig_factors if cfg.factor_negatives == "within_view" \
             else h_fac
         neg_fac = _negative_draws(pack, cfg.seed, epoch, 1,
                                   cfg.negatives_per_positive,
                                   count=params.proj.num_factors)
-        terms = _pairwise_terms(orig_factors, h_fac, partner,
-                                np.swapaxes(neg_fac, 0, 1), params.disc_factor)
+        terms = _pairwise_terms(orig_factors, h_fac, partner, neg_fac,
+                                params.disc_factor)
         l_factor = _masked_session_mean(terms, pack)
         l_contrast = tape.add(
             tape.mul(l_item, Tensor(np.float64(cfg.alpha))),
             tape.mul(l_factor, Tensor(np.float64(1.0 - cfg.alpha))))
 
-    # every real node slot once per view: (K, m, d_f)
-    b_idx, slot = np.nonzero(pack.node_mask)
-    views = np.arange(f0.value.shape[1])[:, None]
-    l_ind = independence_loss(tape.getitem(f0, (b_idx, views, slot)))
-
+    l_ind = independence_loss(f0)
     l_pred = prediction_loss(scores, pack.targets)
     loss = total_loss(l_pred, l_contrast, l_ind, cfg.beta_cl, cfg.beta_ind)
     return ForwardResult(loss=loss, prediction=l_pred, contrastive=l_contrast,

@@ -1,11 +1,12 @@
 """Gated graph propagation: the channel weights and the one layer step.
 
-One cell, ``ggnn_step``, serves every channel; only the adjacency pair
-and the weight set differ.  The star view is no special case: its hub is
-one more node slot of the graph it propagates over.  States are padded
-batches (B, n, d); the ops broadcast, so one session as (n, d) works
-too, and so do the K factor channels at once as (B, K, n, d) states over
-(B, K, n, n) adjacencies with factor-stacked weights.
+One cell, ``ggnn_step``, serves every channel; only the edges and the
+weight set differ.  States are the real node rows of a whole batch,
+(M, d), and a graph is its edge lists ``(src, dst, w_in, w_out)`` over
+those rows, summed by ``tape.edge_matmul``.  The star view is no special
+case: its hubs are more rows of the graph it propagates over.  The K
+factor channels run at once as (K, M, d) states over (K, E) edge
+weights with factor-stacked weights.
 """
 
 from __future__ import annotations
@@ -58,10 +59,17 @@ class GGNNWeights:
             yield f"{prefix}.{name}", getattr(self, name)
 
 
-def _aggregate(x, adj_in, adj_out, w: GGNNWeights):
-    """Concatenated neighborhood summary [incoming, outgoing] + biases."""
-    agg_in = tape.matmul(tape.as_tensor(adj_in), x)
-    agg_out = tape.matmul(tape.as_tensor(adj_out), x)
+def _aggregate(x, edges, w: GGNNWeights):
+    """Concatenated neighborhood summary [incoming, outgoing] + biases.
+
+    ``edges`` is ``(src, dst, w_in, w_out)``: a node's incoming summary
+    sums ``w_in``-weighted tails of the edges into it, its outgoing one
+    the ``w_out``-weighted heads of the edges out of it.
+    """
+    src, dst, w_in, w_out = edges
+    m = x.value.shape[-2]
+    agg_in = tape.edge_matmul(w_in, x, src, dst, m)
+    agg_out = tape.edge_matmul(w_out, x, dst, src, m)
     part_in = tape.add(tape.matmul(agg_in, w.weight_in), _per_row(w.bias_in))
     part_out = tape.add(tape.matmul(agg_out, w.weight_out),
                         _per_row(w.bias_out))
@@ -70,7 +78,7 @@ def _aggregate(x, adj_in, adj_out, w: GGNNWeights):
 
 def _per_row(bias):
     """Bias (..., d) as (..., 1, d): a leading factor axis then lines up
-    with the factor axis of (B, K, n, d) states, not with their nodes."""
+    with the factor axis of (K, M, d) states, not with their nodes."""
     shape = bias.value.shape
     return tape.reshape(bias, shape[:-1] + (1, shape[-1]))
 
@@ -86,8 +94,9 @@ def _gated_update(x, c, w: GGNNWeights):
     return tape.add(tape.mul(tape.sub(one, z), x), tape.mul(z, cand))
 
 
-def ggnn_step(x, adj_in, adj_out, w: GGNNWeights):
-    """One propagation layer: aggregate neighbors, then gate the update."""
+def ggnn_step(x, edges, w: GGNNWeights):
+    """One propagation layer over ``edges`` (see ``_aggregate``):
+    aggregate neighbors, then gate the update."""
     x = tape.as_tensor(x)
-    c = _aggregate(x, adj_in, adj_out, w)
+    c = _aggregate(x, edges, w)
     return _gated_update(x, c, w)

@@ -2,11 +2,12 @@
 
 Small tape just big enough for this library: dense ops, broadcasting,
 advanced indexing, and a few custom kernels with hand-written backward
-rules: log-softmax, the mean of one or two heads' softmaxes
+rules: weighted sums along graph edges (``edge_matmul``, on a sparse
+matrix), the mean of one or two heads' softmaxes
 (``mean_softmax``), the clamped one-hot binary cross-entropy
 (``onehot_bce``), the Gram matrix of double-centred distance matrices,
 and safe row normalization.  ``matmul``'s backward folds the leading
-axes a weight broadcasts over into the rows of one GEMM.  Everything
+axes a 2-D weight broadcasts over into the rows of one GEMM.  Everything
 runs in float64 and is deterministic: no threads, no in-place gradient
 mutation, accumulation order fixed by the topological order of the
 graph.
@@ -17,6 +18,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit
 
 
@@ -180,65 +182,32 @@ def div(a, b) -> Tensor:
     return out
 
 
-def _weight_lead(a_shape, b_shape) -> int:
-    """How many leading axes of ``a`` a broadcast weight ``b`` skips.
-
-    ``b`` is a broadcast weight when it is 2-D, or when its leading axes
-    equal the inner leading axes of ``a``, like a (K, d, d_f)
-    factor-stacked weight against (B, K, n, d) states.  Returns 0 when
-    ``b`` is none, or when ``a`` has no extra axes to fold.
-    """
-    lead = len(a_shape) - len(b_shape)
-    return lead if lead > 0 and a_shape[lead:-2] == b_shape[:-2] else 0
-
-
-def _fold(x, lead):
-    """(L..., I..., n, k) -> (I..., L*n, k): the first ``lead`` axes join
-    the rows.  A view when there are no I axes and ``x`` is contiguous."""
-    nd = x.ndim
-    perm = (*range(lead, nd - 2), *range(lead), nd - 2, nd - 1)
-    return x.transpose(perm).reshape(x.shape[lead:-2] + (-1, x.shape[-1]))
-
-
-def _unfold(y, shape):
-    """Inverse of ``_fold`` for a result of ``shape`` (L..., I..., n, k)."""
-    lead, inner = len(shape) - y.ndim, y.ndim - 2
-    stacked = shape[lead:-2] + shape[:lead] + shape[-2:]   # (I..., L..., n, k)
-    perm = (*range(inner, inner + lead), *range(inner),
-            inner + lead, inner + lead + 1)
-    return y.reshape(stacked).transpose(perm)
-
-
 def matmul(a, b) -> Tensor:
     """``a @ b`` with numpy broadcasting over leading axes.
 
-    When ``b`` is a broadcast weight (see ``_weight_lead``), the backward
-    folds the leading axes of ``a`` that ``b`` skips into the rows of one
-    GEMM per weight slice: ``b``'s gradient is one product, not a batched
-    product summed down.  The forward keeps numpy's per-slice products,
-    which measured no slower than one folded GEMM at the model's shapes
-    and faster at evaluation's 512-session chunks of long sessions.
+    When ``b`` is a 2-D weight that the leading axes of ``a`` broadcast
+    over, the backward folds those axes into the rows of one GEMM:
+    ``b``'s gradient is one product, not a batched product summed down.
+    The forward keeps numpy's per-slice products, which measured no
+    slower than one folded GEMM at the model's shapes and faster at
+    evaluation's 512-session chunks of long sessions.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.value.ndim < 2 or b.value.ndim < 2:
         raise ValueError("matmul operands must have ndim >= 2")
 
     def _bw():
-        g = out.grad
-        lead = _weight_lead(a.value.shape, b.value.shape)
+        g, a_v = out.grad, a.value
+        if b.value.ndim == 2 < a_v.ndim:
+            g, a_v = (v.reshape(-1, v.shape[-1]) for v in (g, a_v))
         if a.requires_grad:
-            b_t = np.swapaxes(b.value, -1, -2)
-            if lead:
-                _accum(a, _unfold(_fold(g, lead) @ b_t, a.value.shape))
-            else:
-                _accum(a, _unbroadcast(g @ b_t, a.value.shape))
+            ga = g @ np.swapaxes(b.value, -1, -2)
+            _accum(a, _unbroadcast(ga.reshape(out.grad.shape[:-1]
+                                              + ga.shape[-1:]),
+                                   a.value.shape))
         if b.requires_grad:
-            if lead:
-                _accum(b, np.swapaxes(_fold(a.value, lead), -1, -2)
-                       @ _fold(g, lead))
-            else:
-                _accum(b, _unbroadcast(np.swapaxes(a.value, -1, -2) @ g,
-                                       b.value.shape))
+            _accum(b, _unbroadcast(np.swapaxes(a_v, -1, -2) @ g,
+                                   b.value.shape))
 
     out = _make(a.value @ b.value, (a, b), _bw)
     return out
@@ -357,16 +326,6 @@ def exp(a) -> Tensor:
     return out
 
 
-def log(a) -> Tensor:
-    a = as_tensor(a)
-
-    def _bw():
-        _accum(a, out.grad / a.value)
-
-    out = _make(np.log(a.value), (a,), _bw)
-    return out
-
-
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     s = np.sqrt(a.value)
@@ -389,33 +348,63 @@ def softplus(a) -> Tensor:
     return out
 
 
-def clip_min(a, lo: float) -> Tensor:
-    """Elementwise max(x, lo); gradient is zero where the clip is active."""
-    a = as_tensor(a)
-    mask = a.value > lo
-
-    def _bw():
-        _accum(a, out.grad * mask)
-
-    out = _make(np.maximum(a.value, lo), (a,), _bw)
-    return out
-
-
-def log_softmax(a, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    shifted = a.value - a.value.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    val = shifted - lse
-
-    def _bw():
-        g = out.grad
-        _accum(a, g - np.exp(val) * g.sum(axis=axis, keepdims=True))
-
-    out = _make(val, (a,), _bw)
-    return out
-
-
 # -- custom kernels ---------------------------------------------------------
+
+def _edge_csr(values, src, dst, m, n):
+    """L stacked (m, n) matrices of edge values (L, E) as one block-
+    diagonal (L m, L n) CSR matrix; a row keeps its entries in edge order."""
+    count, e = values.shape
+    order = np.argsort(dst, kind="stable")
+    start = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=m), out=start[1:])
+    block = np.arange(count)[:, None]
+    indptr = np.append((start[:-1] + e * block).ravel(), count * e)
+    indices = (src[order] + n * block).ravel()
+    return sp.csr_matrix((values[:, order].ravel(), indices, indptr),
+                         shape=(count * m, count * n))
+
+
+def edge_matmul(values, x, src, dst, m) -> Tensor:
+    """Weighted rows summed along edges into an (..., m, d) result:
+    ``out[..., dst[e], :] += values[..., e] * x[..., src[e], :]``.
+
+    ``values`` (..., E) and ``x`` (..., n, d) broadcast over their
+    leading axes, and repeated (src, dst) pairs add up.  The leading
+    slices are the blocks of one block-diagonal CSR matrix built once
+    per call: the forward is one sparse product and the backward to
+    ``x`` one product with its transpose.  The backward to ``values``
+    is, per edge, the dot product of the output gradient at ``dst`` and
+    ``x`` at ``src``.
+    """
+    values, x = as_tensor(values), as_tensor(x)
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    n, d = x.value.shape[-2:]
+    if not src.shape == dst.shape == values.value.shape[-1:]:
+        raise ValueError("src, dst and the last axis of values must agree")
+    if src.size and not (0 <= min(src.min(), dst.min())
+                         and src.max() < n and dst.max() < m):
+        raise ValueError(f"edges must run from [0, {n}) into [0, {m})")
+    lead = np.broadcast_shapes(values.value.shape[:-1], x.value.shape[:-2])
+    count = int(np.prod(lead))
+    v = np.broadcast_to(values.value, lead + src.shape).reshape(count, -1)
+    xs = np.broadcast_to(x.value, lead + (n, d)).reshape(count * n, d)
+    a = _edge_csr(v, src, dst, m, n)
+
+    def _bw():
+        g = out.grad.reshape(count * m, d)
+        if x.requires_grad:
+            _accum(x, _unbroadcast((a.T @ g).reshape(lead + (n, d)),
+                                   x.value.shape))
+        if values.requires_grad:
+            gv = np.einsum("led,led->le", g.reshape(count, m, d)[:, dst],
+                           xs.reshape(count, n, d)[:, src])
+            _accum(values, _unbroadcast(gv.reshape(lead + src.shape),
+                                        values.value.shape))
+
+    out = _make((a @ xs).reshape(lead + (m, d)), (values, x), _bw)
+    return out
+
 
 _ROW_BLOCK = 64     # rows normalized at a time when no graph is recorded
 
@@ -547,8 +536,9 @@ def centered_distance_gram(x) -> Tensor:
     subgradient choice at the non-differentiable point.
     """
     x = as_tensor(x)
-    k, m = x.value.shape[:2]
-    dist = _distances(x.value)
+    xv = np.ascontiguousarray(x.value)  # a strided view slows every pass
+    k, m = xv.shape[:2]
+    dist = _distances(xv)
     row = dist.mean(axis=2, keepdims=True)
     v = dist - row
     v -= dist.mean(axis=1, keepdims=True) - row.mean(axis=1, keepdims=True)
@@ -564,7 +554,7 @@ def centered_distance_gram(x) -> Tensor:
         zero = dist == 0.0
         np.divide(ratio, dist, out=ratio, where=~zero)
         ratio[zero] = 0.0
-        _accum(x, ratio.sum(axis=2, keepdims=True) * x.value - ratio @ x.value)
+        _accum(x, ratio.sum(axis=2, keepdims=True) * xv - ratio @ xv)
 
     out = _make(v @ v.T / (m * m), (x,), _bw)
     return out

@@ -56,7 +56,7 @@ def session_graph_oracle(session):
 
 def padded_batch_oracle(sessions):
     """Each session's oracle graph copied into 0-padded batch arrays,
-    one session at a time, with the masks spelled out."""
+    one session at a time, with the node mask spelled out."""
     graphs = [session_graph_oracle(s) for s in sessions]
     b = len(graphs)
     n = max(g.n_nodes for g in graphs)
@@ -65,8 +65,7 @@ def padded_batch_oracle(sessions):
                n_nodes=np.zeros(b, dtype=np.int64),
                alias=np.zeros((b, t), dtype=np.int64),
                lengths=np.zeros(b, dtype=np.int64),
-               last_pos=np.zeros(b, dtype=np.int64),
-               node_mask=np.zeros((b, n)), pos_mask=np.zeros((b, t)),
+               node_mask=np.zeros((b, n)),
                edge_out=np.zeros((b, n, n)), adj_out=np.zeros((b, n, n)),
                adj_in=np.zeros((b, n, n)))
     for i, g in enumerate(graphs):
@@ -75,12 +74,35 @@ def padded_batch_oracle(sessions):
         out["n_nodes"][i] = k
         out["alias"][i, :ln] = g.alias
         out["lengths"][i] = ln
-        out["last_pos"][i] = ln - 1
         out["node_mask"][i, :k] = 1.0
-        out["pos_mask"][i, :ln] = 1.0
         for name in ("edge_out", "adj_out", "adj_in"):
             out[name][i, :k, :k] = getattr(g, name)
     return out
+
+
+def session_blocks(pack):
+    """A batch graph's sessions cut back out one at a time, as dense
+    matrices over each session's own nodes, in ``session_graph_oracle``'s
+    form; ``rows`` is the session's slice of node rows and ``foreign``
+    counts edges that leave it."""
+    src, dst, w_in, w_out = pack.edges
+    m = len(pack.node_ids)
+    full = {name: np.zeros((m, m)) for name in ("edge_out", "adj_out",
+                                               "adj_in")}
+    full["edge_out"][src, dst] = 1.0
+    full["adj_out"][src, dst] = w_out
+    full["adj_in"][dst, src] = w_in
+    blocks, lo, pos = [], 0, 0
+    for k, ln in zip(pack.n_nodes, pack.lengths):
+        rows = slice(lo, lo + k)
+        inside = (src >= lo) & (src < lo + k)
+        blocks.append(SimpleNamespace(
+            rows=rows, nodes=pack.node_ids[rows], n_nodes=int(k),
+            alias=pack.alias[pos:pos + ln] - lo,
+            foreign=int((inside != ((dst >= lo) & (dst < lo + k))).sum()),
+            **{name: a[rows, rows] for name, a in full.items()}))
+        lo, pos = lo + k, pos + ln
+    return blocks
 
 
 def ggnn_step_oracle(x, adj_in, adj_out, w):
@@ -201,9 +223,12 @@ def factor_cl_oracle(origs, augs, neg_idx_per_factor, scheme="within_view"):
 
 
 def session_average(per_session, n_nodes):
-    """Mean of ``per_session(i, k)`` over the sessions i of a padded batch
-    whose node count k is at least 2; 0 when none qualifies."""
-    values = [per_session(i, int(k)) for i, k in enumerate(n_nodes) if k >= 2]
+    """Mean of ``per_session(rows)`` over the sessions of a batch graph
+    whose node count is at least 2, ``rows`` the slice of the session's
+    node rows; 0 when none qualifies."""
+    ends = np.cumsum(n_nodes)
+    values = [per_session(slice(end - k, end))
+              for end, k in zip(ends, n_nodes) if k >= 2]
     return float(np.mean(values)) if values else 0.0
 
 

@@ -150,9 +150,10 @@ def test_c02_oracle_equivalence():
     # propagation cell on five random session graphs
     w = GGNNWeights.init(6, substream(12, "init"), layers=1)
     for _ in range(5):
-        g = session_graph_oracle(rng.integers(0, 9, size=6).tolist())
+        session = rng.integers(0, 9, size=6).tolist()
+        g = session_graph_oracle(session)
         x = rng.normal(size=(g.n_nodes, 6))
-        mine = ggnn_step(x, g.adj_in, g.adj_out, w).value
+        mine = ggnn_step(x, pack_batch([Example(session, 0)]).edges, w).value
         ref = ggnn_step_oracle(x, g.adj_in, g.adj_out, _ggnn_dict(w))
         worst = max(worst, float(np.max(np.abs(mine - ref))))
 
@@ -162,7 +163,7 @@ def test_c02_oracle_equivalence():
              for name, p in aw.named_parameters("a")}
     for t in (1, 3, 7):
         seq = rng.normal(size=(t, 6))
-        mine = encode(seq[None], aw, [t - 1], np.ones((1, t))).value[0]
+        mine = encode(seq, aw, np.arange(t), [t]).value[0]
         worst = max(worst, float(np.max(np.abs(mine - attention_oracle(
             seq, adict)))))
 
@@ -179,7 +180,7 @@ def test_c02_oracle_equivalence():
     loss = prediction_loss(scores, target=np.array([4]))
     worst = max(worst, abs(float(loss.value) - bce_oracle(probs, 4)))
 
-    # both contrastive terms on padded batches against the loop oracles,
+    # both contrastive terms on batch graphs against the loop oracles,
     # averaged over the sessions with at least two nodes
     disc = Discriminator()
     for examples, sessions in CONTRAST_PACKS:
@@ -189,7 +190,8 @@ def test_c02_oracle_equivalence():
         neg = _negative_draws(pack, 15, 0, 0, 1)[0]
         mine = _contrast_term(pack, orig, aug, aug, neg, disc)
         worst = max(worst, abs(mine - session_average(
-            lambda i, k: item_cl_oracle(orig[i, :k], aug[i, :k], neg[i, :k]),
+            lambda rows: item_cl_oracle(orig[rows], aug[rows],
+                                        neg[rows] - rows.start),
             pack.n_nodes)))
 
         shape = pack.node_ids.shape + (3,)
@@ -199,9 +201,9 @@ def test_c02_oracle_equivalence():
         for scheme in ("within_view", "cross_view"):
             mine = _factor_contrast(pack, origs, augs, negs, scheme, disc)
             worst = max(worst, abs(mine - session_average(
-                lambda i, k: factor_cl_oracle(
-                    [o[i, :k] for o in origs], [a[i, :k] for a in augs],
-                    [n[i, :k] for n in negs], scheme=scheme),
+                lambda rows: factor_cl_oracle(
+                    [o[rows] for o in origs], [a[rows] for a in augs],
+                    [n[rows] - rows.start for n in negs], scheme=scheme),
                 pack.n_nodes)))
 
     # distance correlation inside the independence penalty
@@ -261,7 +263,7 @@ def test_c04_hub_channel_reduces_to_plain_propagation():
             Example(rng.integers(0, 12, size=int(rng.integers(1, 8))).tolist(),
                     0) for _ in range(10)])
         x = rng.normal(size=pack.node_ids.shape + (5,))
-        plain = _run_channel(x, pack.adj_in, pack.adj_out, w).value
+        plain = _run_channel(x, pack.edges, w).value
         hubbed = _hub_channel(Tensor(x), pack, w, 0.0, seed=trial,
                               epoch=0).value
         identical = identical and (plain == hubbed).all()

@@ -1,4 +1,4 @@
-"""Contrastive terms on padded batches: oracle equivalence, calibration,
+"""Contrastive terms on batch graphs: oracle equivalence, calibration,
 negative sampling, and the alpha mix."""
 
 import numpy as np
@@ -25,7 +25,7 @@ def single_pack():
 
 
 def mixed_pack():
-    """Sessions of 4, 1, 3 and 2 distinct nodes, padded to 4 slots."""
+    """Sessions of 4, 1, 3 and 2 distinct nodes, rows 0-3, 4, 5-7, 8-9."""
     return pack_batch([Example([3, 1, 3, 2, 0], 0), Example([2], 4),
                        Example([0, 4, 1], 2), Example([1, 2, 1], 3)],
                       session_indices=[7, 8, 9, 10])
@@ -35,7 +35,7 @@ PACKS = (single_pack, mixed_pack)
 
 
 def views(pack, seed, count, d=4):
-    """Random node states, padded slots included, so masking must hold."""
+    """Random node states, one row per node of the batch graph."""
     rng = substream(seed, "x")
     return [rng.normal(size=pack.node_ids.shape + (d,)) for _ in range(count)]
 
@@ -69,8 +69,8 @@ class TestSampling:
         pack = pack_batch([Example([0, 1], 2), Example([0, 1, 2], 3),
                            Example(list(range(7)), 8), Example([5], 0)])
         draws = _negative_draws(pack, 0, 0, 0, per=4, count=2)
-        for i, k in enumerate(pack.n_nodes[:3]):
-            for idx in draws[:, i, :k]:
+        for lo, k in zip(pack.node_start[:3], pack.n_nodes[:3]):
+            for idx in draws[:, lo:lo + k] - lo:
                 assert (idx != np.arange(k)[:, None]).all()
                 assert idx.min() >= 0 and idx.max() < k
 
@@ -83,12 +83,12 @@ class TestSampling:
         # a session's draws follow its index, not its batch neighbours
         alone = pack_batch([Example([0, 4, 1], 2)], session_indices=[9])
         np.testing.assert_array_equal(
-            _negative_draws(alone, 1, 3, 0, per=2)[0, 0, :3], a[0, 2, :3])
+            _negative_draws(alone, 1, 3, 0, per=2)[0], a[0, 5:8] - 5)
 
     def test_needs_two(self):
         pack = mixed_pack()
         draws = _negative_draws(pack, 0, 0, 0, per=3)
-        assert (draws[0, 1] == 0).all()       # the one-node session
+        assert (draws[0, 4] == 4).all()       # the one-node session
 
 
 class TestItemLevel:
@@ -99,8 +99,9 @@ class TestItemLevel:
             neg = _negative_draws(pack, 7, 0, 0, 1)[0]
             mine = float(item_term(pack, orig, aug, seed=7).value)
             expect = session_average(
-                lambda i, k: item_cl_oracle(orig[i, :k], aug[i, :k],
-                                            neg[i, :k]), pack.n_nodes)
+                lambda rows: item_cl_oracle(orig[rows], aug[rows],
+                                            neg[rows] - rows.start),
+                pack.n_nodes)
             assert mine == pytest.approx(expect, abs=1e-10)
 
     def test_zero_discriminator_calibration(self):
@@ -119,7 +120,7 @@ class TestItemLevel:
         pack = mixed_pack()
         orig, aug = views(pack, 3, 2)
         before = float(item_term(pack, orig, aug).value)
-        orig[1], aug[1] = 100.0, -100.0
+        orig[4], aug[4] = 100.0, -100.0
         assert float(item_term(pack, orig, aug).value) == before
 
     def test_aligned_views_score_lower_than_shuffled(self):
@@ -134,7 +135,7 @@ class TestItemLevel:
         pack = mixed_pack()
         orig, aug = (Parameter(v) for v in views(pack, 4, 2))
         item_term(pack, orig, aug).backward()
-        real = pack.node_mask.astype(bool) & (pack.n_nodes >= 2)[:, None]
+        real = (pack.n_nodes >= 2)[pack.node_session]
         for view in (orig, aug):
             assert (np.abs(view.grad[real]).max(axis=-1) > 0).all()
             assert (view.grad[~real] == 0).all()
@@ -149,9 +150,10 @@ class TestFactorLevel:
             negs = _negative_draws(pack, 9, 0, 1, 1, count=3)
             mine = float(factor_term(pack, origs, augs, scheme, seed=9).value)
             expect = session_average(
-                lambda i, k: factor_cl_oracle(
-                    [o[i, :k] for o in origs], [a[i, :k] for a in augs],
-                    [n[i, :k] for n in negs], scheme=scheme), pack.n_nodes)
+                lambda rows: factor_cl_oracle(
+                    [o[rows] for o in origs], [a[rows] for a in augs],
+                    [n[rows] - rows.start for n in negs], scheme=scheme),
+                pack.n_nodes)
             assert mine == pytest.approx(expect, abs=1e-10)
 
     def test_matches_oracle_within_view(self):
@@ -170,7 +172,7 @@ class TestFactorLevel:
 
     def test_single_node_skipped(self):
         pack = pack_batch([Example([2], 3)])
-        x = [np.ones((1, 1, 2))]
+        x = [np.ones((1, 2))]
         assert float(factor_term(pack, x, x).value) == 0.0
 
 

@@ -1,6 +1,7 @@
 """Attention readout against the straight-line oracle.
 
-The readout takes padded batches; one session is read as a batch of one.
+The readout takes node rows with sessions one after another; one
+session is read as a batch of one, each position its own node.
 """
 
 import numpy as np
@@ -25,15 +26,13 @@ def as_dict(w):
 def encode_alone(seq, w, **kwargs):
     """Read one (T, d) sequence as a batch of one; returns (d,)."""
     t = len(seq)
-    return encode(np.asarray(seq)[None], w, [t - 1], np.ones((1, t)),
-                  **kwargs).value[0]
+    return encode(seq, w, np.arange(t), [t], **kwargs).value[0]
 
 
 def encode_factors_alone(seqs, ws, **kwargs):
     """Read one session's (K, T, d_f) factor views as a batch of one."""
     t = seqs.shape[-2]
-    return encode_factors(seqs[None], ws, [[t - 1]], np.ones((1, 1, t)),
-                          **kwargs).value[0]
+    return encode_factors(seqs, ws, np.arange(t), [t], **kwargs).value[0]
 
 
 class TestEncode:
@@ -51,48 +50,43 @@ class TestEncode:
         w = make_weights(3, seed=3)
         lens = [2, 4, 3]
         seqs = [rng.normal(size=(n, 3)) for n in lens]
-        t = max(lens)
-        padded = np.zeros((3, t, 3))
-        mask = np.zeros((3, t))
-        for i, s in enumerate(seqs):
-            padded[i, :len(s)] = s
-            mask[i, :len(s)] = 1.0
-        out = encode(padded, w, last_position=np.array(lens) - 1,
-                     pos_mask=mask).value
+        out = encode(np.concatenate(seqs), w, np.arange(sum(lens)),
+                     lens).value
         for i, s in enumerate(seqs):
             single = encode_alone(s, w)
             np.testing.assert_allclose(out[i], single, atol=1e-10, rtol=0)
 
     def test_padding_cannot_leak(self):
+        # node rows that no position refers to, where padding used to
+        # sit, neither score nor contribute
         rng = substream(3, "x")
         w = make_weights(3, seed=4)
-        seq = rng.normal(size=(1, 4, 3))
-        mask = np.array([[1.0, 1.0, 0.0, 0.0]])
-        a = encode(seq, w, last_position=np.array([1]), pos_mask=mask).value
+        seq = rng.normal(size=(4, 3))
+        a = encode(seq, w, [0, 1], [2]).value
         poisoned = seq.copy()
-        poisoned[0, 2:] = 1e6
-        b = encode(poisoned, w, last_position=np.array([1]),
-                   pos_mask=mask).value
+        poisoned[2:] = 1e6
+        b = encode(poisoned, w, [0, 1], [2]).value
         np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_repeated_items_share_state_but_count_twice(self):
         # two occurrences of the same state contribute two attention terms
         w = make_weights(2, seed=5)
         state = substream(4, "x").normal(size=(1, 2))
-        once = encode_alone(np.vstack([state, state]), w)
+        once = encode(state, w, [0, 0], [2]).value[0]
         # the mixed sum doubles relative to a single occurrence with the
         # same last anchor, so outputs must differ
-        single = encode_alone(state, w)
+        single = encode(state, w, [0], [1]).value[0]
         assert np.abs(once - single).max() > 0
 
     def test_normalized_scores_sum_to_one(self):
-        rng = substream(5, "x")
+        # every node holds the same state v, so the weighted sum is v
+        # exactly when each session's weights sum to 1, repeats included
+        v = substream(5, "x").normal(size=3)
         w = make_weights(3, seed=6)
-        seq = tape.Tensor(rng.normal(size=(4, 3)))
-        from sessrec.encoder import attention_scores
-        scores = attention_scores(seq, tape.getitem(seq, 3), w)
-        alpha = tape.exp(tape.log_softmax(scores, axis=-2))
-        assert float(tape.tsum(alpha).value) == pytest.approx(1.0)
+        out = encode(np.tile(v, (4, 1)), w, [0, 1, 2, 1, 3, 3], [4, 2],
+                     normalize_scores=True).value
+        expect = np.concatenate([v, v]) @ w.w_merge.value
+        np.testing.assert_allclose(out, [expect, expect], atol=1e-12)
 
     def test_normalize_flag_changes_output(self):
         rng = substream(6, "x")
@@ -120,44 +114,40 @@ class TestEncodeFactors:
                                    atol=1e-12)
         np.testing.assert_allclose(out[2:], encode_alone(seqs[1], factor_slice(ws, 1)),
                                    atol=1e-12)
-        # a padded batch (B, K, T, d_f) reads each session as if alone
-        batch = np.zeros((2, 2, 4, 2))
-        batch[0, :, :3] = seqs
-        batch[1] = rng.normal(size=(2, 4, 2))
-        mask = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
-        both = encode_factors(batch, ws, np.array([[2], [3]]),
-                              mask[:, None]).value
+        # a batch of two sessions (K, 3 + 4, d_f) reads each as if alone
+        second = rng.normal(size=(2, 4, 2))
+        both = encode_factors(np.concatenate([seqs, second], axis=1), ws,
+                              np.arange(7), [3, 4]).value
         assert both.shape == (2, 4)
         np.testing.assert_allclose(both[0], out, atol=1e-12)
-        np.testing.assert_allclose(both[1], encode_factors_alone(batch[1], ws),
+        np.testing.assert_allclose(both[1], encode_factors_alone(second, ws),
                                    atol=1e-12)
 
     def test_normalized_padded_batch_matches_alone(self):
-        # the softmax readout masks padding in the factor-stacked batch too
+        # the softmax readout normalizes per session and skips a row
+        # that no position refers to, in the factor-stacked batch too
         rng = substream(11, "x")
         ws = AttentionWeights.init(3, substream(12, "init"), num_factors=2)
         short = rng.normal(size=(2, 2, 3))
-        batch = np.zeros((2, 2, 5, 3))
-        batch[0, :, :2] = short
-        batch[0, :, 2:] = 50.0                 # padding that must not count
-        batch[1] = rng.normal(size=(2, 5, 3))
-        mask = np.array([[1.0, 1.0, 0.0, 0.0, 0.0], [1.0] * 5])
-        both = encode_factors(batch, ws, np.array([[1], [4]]), mask[:, None],
+        long = rng.normal(size=(2, 5, 3))
+        unused = np.full((2, 1, 3), 50.0)       # must not count
+        states = np.concatenate([short, unused, long], axis=1)
+        both = encode_factors(states, ws, [0, 1, 3, 4, 5, 6, 7], [2, 5],
                               normalize_scores=True).value
-        for row, seqs in zip(both, (short, batch[1])):
+        for row, seqs in zip(both, (short, long)):
             alone = encode_factors_alone(seqs, ws, normalize_scores=True)
             np.testing.assert_allclose(row, alone, atol=1e-12)
 
     def test_length_mismatch_rejected(self):
         ws = AttentionWeights.init(2, substream(0, "init"), num_factors=2)
         with pytest.raises(ValueError):
-            encode_factors(np.ones((1, 2, 2)), ws, [1], np.ones((1, 2)))
+            encode_factors(np.ones((1, 2, 2)), ws, [0, 1], [2])
 
     def test_gradients_reach_attention(self):
         rng = substream(8, "x")
         w = make_weights(3, seed=10)
-        seq = tape.Parameter(rng.normal(size=(1, 4, 3)))
-        out = encode(seq, w, [3], np.ones((1, 4)))
+        seq = tape.Parameter(rng.normal(size=(4, 3)))
+        out = encode(seq, w, np.arange(4), [4])
         tape.tsum(tape.mul(out, out)).backward()
         assert np.abs(w.query.grad).max() > 0
         assert np.abs(w.w_merge.grad).max() > 0

@@ -1,16 +1,14 @@
 """Session graph construction, and the factor and hub views the model
-builds on padded batches."""
-
-from types import SimpleNamespace
+builds on batch graphs."""
 
 import numpy as np
 import pytest
 
-from oracles import star_channel_oracle
+from oracles import session_blocks, session_graph_oracle, star_channel_oracle
 
 from sessrec.dataio import Example
-from sessrec.graphs import build_session_graph, normalized_pair
-from sessrec.model import (_factor_adjacency, _hub_channel, _run_channel,
+from sessrec.graphs import build_session_graph
+from sessrec.model import (_factor_edges, _hub_channel, _run_channel,
                            _star_edges, _star_graph, pack_batch)
 from sessrec.propagation import GGNNWeights
 from sessrec.rng import substream
@@ -18,13 +16,9 @@ from sessrec.tape import Tensor
 
 
 def one_graph(session):
-    """Slot 0 of the batch graph of ``[session]``, normalized; a batch of
-    one has no padding."""
-    node_ids, n_nodes, alias, _, edge_out = build_session_graph([session])
-    adj_in, adj_out = normalized_pair(edge_out[0])
-    return SimpleNamespace(nodes=node_ids[0], n_nodes=int(n_nodes[0]),
-                           alias=alias[0], edge_out=edge_out[0],
-                           adj_in=adj_in, adj_out=adj_out)
+    """The batch graph of ``[session]`` as dense matrices; a batch of one
+    is its own session."""
+    return session_blocks(pack_of(session))[0]
 
 
 class TestSessionGraph:
@@ -83,36 +77,40 @@ def pack_of(*sessions, session_indices=None):
 
 
 def factor_weights(pack, f):
-    """Outgoing factor adjacency of a batch for factor rows ``f``."""
-    _, a_out = _factor_adjacency(Tensor(np.asarray(f, dtype=float)), pack)
-    return a_out.value
+    """Factor edge weights of a batch for factor rows ``f`` ([K,] M, d),
+    as dense ([K,] M, M) matrices: entry [i, j] weighs edge i -> j."""
+    src, dst, w, _ = _factor_edges(Tensor(np.asarray(f, dtype=float)), pack)
+    m = len(pack.node_ids)
+    dense = np.zeros(w.value.shape[:-1] + (m, m))
+    dense[..., src, dst] = w.value
+    return dense
 
 
 class TestCosineEdgeWeights:
     def test_cosine_on_edges_only(self):
         pack = pack_of([1, 2, 3], [4])
-        f = np.array([[[1.0, 0.0], [1.0, 0.0], [0.0, 2.0]],
-                      [[3.0, 1.0], [5.0, 5.0], [1.0, 1.0]]])
+        f = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 2.0], [3.0, 1.0]])
         a = factor_weights(pack, f)
-        assert a[0, 0, 1] == pytest.approx(1.0)
-        assert a[0, 1, 2] == pytest.approx(0.0)
-        assert a[0, 0, 2] == 0.0         # not an edge
-        assert (a[1] == 0).all()         # one node, padded slots
+        assert a[0, 1] == pytest.approx(1.0)
+        assert a[1, 2] == pytest.approx(0.0)
+        assert a[0, 2] == 0.0            # not an edge
+        assert (a[3] == 0).all() and (a[:, 3] == 0).all()   # one node
 
     def test_signed_similarity_kept(self):
-        a = factor_weights(pack_of([1, 2]), [[[1.0, 0.0], [-1.0, 0.0]]])
-        assert a[0, 0, 1] == pytest.approx(-1.0)
+        a = factor_weights(pack_of([1, 2]), [[1.0, 0.0], [-1.0, 0.0]])
+        assert a[0, 1] == pytest.approx(-1.0)
 
     def test_incoming_view_is_transpose(self):
+        # an edge weighs the same in the incoming and the outgoing view
         pack = pack_of([1, 2, 1], [3, 4, 5, 3])
-        f = np.random.default_rng(0).normal(size=(2, 3, 3))
-        a_in, a_out = _factor_adjacency(Tensor(f), pack)
-        np.testing.assert_array_equal(a_in.value,
-                                      np.swapaxes(a_out.value, 1, 2))
+        f = np.random.default_rng(0).normal(size=(2, 5, 3))
+        src, dst, w_in, w_out = _factor_edges(Tensor(f), pack)
+        assert w_in is w_out and w_in.value.shape == (2, len(src))
+        np.testing.assert_array_equal((src, dst), (pack.src, pack.dst))
 
     def test_zero_row_embedding(self):
-        a = factor_weights(pack_of([1, 2]), [[[0.0, 0.0], [1.0, 1.0]]])
-        assert a[0, 0, 1] == 0.0
+        a = factor_weights(pack_of([1, 2]), [[0.0, 0.0], [1.0, 1.0]])
+        assert a[0, 1] == 0.0
 
     def test_row_count_checked(self):
         with pytest.raises(ValueError):
@@ -127,22 +125,23 @@ def test_cosine_edge_weights_self_loop_and_reciprocal():
     assert a[0, 0, 1] == pytest.approx(a[0, 1, 0], abs=1e-12)
 
 
-class TestStarGraph:
+class TestHubNodeSlot:
     def test_satellite_is_position_mean(self):
-        # slot n of the star view starts at the mean over positions; at
-        # theta = 1 the hub feeds every node, so that start state shows
+        # row M of the star view, the hub, starts at the mean over
+        # positions; at theta = 1 it feeds every node, so that start shows
         pack = pack_of([1, 2, 1])
-        x = np.array([[[3.0, 0.0], [0.0, 3.0]]])
+        x = np.array([[3.0, 0.0], [0.0, 3.0]])
         w = GGNNWeights.init(2, substream(0, "init"))
         to_real, from_real = _star_edges(pack, 1.0, seed=0, epoch=0)
-        states, _, _ = _star_graph(Tensor(x), pack, to_real, from_real)
-        np.testing.assert_allclose(states.value[0, 2], [2.0, 1.0], atol=1e-12)
+        states, _ = _star_graph(Tensor(x), pack, to_real, from_real)
+        np.testing.assert_allclose(states.value[2], [2.0, 1.0], atol=1e-12)
         out = _hub_channel(Tensor(x), pack, w, 1.0, seed=0, epoch=0)
+        g = session_graph_oracle([1, 2, 1])
         expect = star_channel_oracle(
-            x[0], pack.adj_in[0], pack.adj_out[0], pack.alias[0], to_real[0],
-            from_real[0], {name.split(".")[-1]: p.value
-                           for name, p in w.named_parameters("g")})
-        np.testing.assert_allclose(out.value[0], expect[:2], atol=1e-12)
+            x, g.adj_in, g.adj_out, g.alias, to_real, from_real,
+            {name.split(".")[-1]: p.value
+             for name, p in w.named_parameters("g")})
+        np.testing.assert_allclose(out.value, expect[:2], atol=1e-12)
 
     def test_theta_zero_adds_nothing(self):
         pack = pack_of([1, 2, 3], [4, 5], [6])
@@ -152,8 +151,8 @@ class TestStarGraph:
     def test_theta_one_connects_everything(self):
         pack = pack_of([1, 2, 3], [4, 5], [6])
         to_real, from_real = _star_edges(pack, 1.0, seed=9, epoch=0)
-        np.testing.assert_array_equal(to_real, pack.node_mask)
-        np.testing.assert_array_equal(from_real, pack.node_mask)
+        assert to_real.shape == from_real.shape == (6,)
+        assert to_real.all() and from_real.all()
 
     def test_real_block_unchanged(self):
         # the hub adds to its neighbours' aggregates and leaves the
@@ -164,9 +163,9 @@ class TestStarGraph:
         w = GGNNWeights.init(4, substream(3, "init"))
         to_real, from_real = _star_edges(pack, 0.3, seed=3, epoch=0)
         hubbed = _hub_channel(Tensor(x), pack, w, 0.3, seed=3, epoch=0).value
-        plain = _run_channel(Tensor(x), pack.adj_in, pack.adj_out, w).value
-        untouched = (to_real == 0) & (from_real == 0) & (pack.node_mask > 0)
-        touched = (to_real + from_real > 0)
+        plain = _run_channel(Tensor(x), pack.edges, w).value
+        untouched = ~to_real & ~from_real
+        touched = to_real | from_real
         assert untouched.any() and touched.any()
         assert (hubbed[untouched] == plain[untouched]).all()
         assert (hubbed[touched] != plain[touched]).any(axis=-1).all()
@@ -181,8 +180,7 @@ class TestStarGraph:
         # the draws follow the session index, not the batch neighbours
         alone = _star_edges(pack_of([1, 2, 3, 4], session_indices=[7]),
                             0.5, seed=1, epoch=2)
-        np.testing.assert_array_equal(np.asarray(alone)[:, 0],
-                                      np.asarray(a)[:, 0])
+        np.testing.assert_array_equal(alone, a[:, :4])
 
     def test_expected_edge_count(self):
         # mean hub edges over many sessions approaches 2 * theta * n

@@ -98,7 +98,7 @@ class TestPlantedCorpus:
 
 
 class TestTrainStep:
-    def test_loss_decreases_on_frozen_batch(self):
+    def test_repeated_steps_on_one_batch_lower_the_loss(self):
         cfg = tiny_config()
         train_ex, _, n_items = tiny_corpus()
         params = init_parameters(n_items, cfg.dim, cfg.factor_dim,

@@ -3,19 +3,19 @@
 import numpy as np
 import pytest
 
-from oracles import padded_batch_oracle, session_graph_oracle
+from oracles import (ggnn_step_oracle, padded_batch_oracle, session_blocks,
+                     session_graph_oracle)
 
 from sessrec import tape
 from sessrec.dataio import Example
 from sessrec.encoder import encode, encode_factors
-from sessrec.harness import TrainConfig
+from sessrec.harness import TrainConfig, make_planted_corpus
 from sessrec.model import (PackedBatch, _star_edges, pack_batch, score_batch,
                            training_forward)
 from sessrec.params import init_parameters
 from sessrec.disentangle import project
 from sessrec.predictor import catalog_factor_embeddings
 from sessrec.predictor import score as score_one
-from sessrec.propagation import ggnn_step
 from sessrec.rng import substream
 from sessrec.tape import Tensor
 
@@ -38,27 +38,30 @@ def toy_params(cfg, n_items=5):
 
 class TestPackBatch:
     def test_shapes_and_masks(self):
+        # sessions one after another: nodes 0-2, 3-4, 5; positions 0-3,
+        # 4-5, 6
         pack = pack_batch(toy_examples())
-        assert pack.node_ids.shape == (3, 3)
-        assert pack.alias.shape == (3, 4)
+        np.testing.assert_array_equal(pack.node_ids, [3, 1, 2, 0, 4, 2])
+        np.testing.assert_array_equal(pack.alias, [0, 1, 0, 2, 3, 4, 5])
         np.testing.assert_array_equal(pack.n_nodes, [3, 2, 1])
         np.testing.assert_array_equal(pack.lengths, [4, 2, 1])
-        np.testing.assert_array_equal(pack.last_pos, [3, 1, 0])
+        np.testing.assert_array_equal(pack.node_start, [0, 3, 5])
+        np.testing.assert_array_equal(pack.node_session, [0, 0, 0, 1, 1, 2])
         np.testing.assert_array_equal(pack.targets, [0, 1, 4])
+        # the padded layout the tracer reports against: (B, n_max)
         np.testing.assert_array_equal(pack.node_mask.sum(axis=1), [3, 2, 1])
-        np.testing.assert_array_equal(pack.pos_mask.sum(axis=1), [4, 2, 1])
+        assert pack.node_mask.shape == (3, 3)
 
     def test_blocks_match_single_graphs(self):
         examples = toy_examples()
         pack = pack_batch(examples)
-        for i, ex in enumerate(examples):
+        for ex, block in zip(examples, session_blocks(pack)):
             g = session_graph_oracle(ex.prefix)
-            k = g.n_nodes
-            np.testing.assert_array_equal(pack.adj_out[i, :k, :k], g.adj_out)
-            np.testing.assert_array_equal(pack.adj_in[i, :k, :k], g.adj_in)
-            np.testing.assert_array_equal(pack.node_ids[i, :k], g.nodes)
-            assert (pack.adj_out[i, k:, :] == 0).all()
-            assert (pack.adj_out[i, :, k:] == 0).all()
+            np.testing.assert_array_equal(block.adj_out, g.adj_out)
+            np.testing.assert_array_equal(block.adj_in, g.adj_in)
+            np.testing.assert_array_equal(block.nodes, g.nodes)
+            np.testing.assert_array_equal(block.alias, g.alias)
+            assert block.foreign == 0       # no edge leaves its session
 
     def test_default_session_indices(self):
         pack = pack_batch(toy_examples())
@@ -71,11 +74,12 @@ class TestPackBatch:
             pack_batch(toy_examples(), session_indices=indices)
 
     def test_adjacency_is_c_ordered(self):
-        # a transposed layout would route propagation through another
-        # BLAS path and change the last bits of every score
-        pack = pack_batch(toy_examples())
-        assert pack.adj_in.flags.c_contiguous
-        assert pack.adj_out.flags.c_contiguous
+        # the edge order fixes the summation order of every aggregate, so
+        # edges come in one canonical order: sorted by (src, dst)
+        pack = pack_batch(toy_examples() + [Example([5, 4, 5, 3], 0)])
+        np.testing.assert_array_equal(np.lexsort((pack.dst, pack.src)),
+                                      np.arange(len(pack.src)))
+        assert pack.src.dtype == pack.dst.dtype == np.int64
 
 
 # one node, all repeats (one node with a self-loop), revisits, and item
@@ -83,15 +87,37 @@ class TestPackBatch:
 EDGE_SESSIONS = [[7], [4, 4, 4], [1, 2, 1, 3, 2, 3], [98, 91, 98]]
 
 
+# batches with no edge at all, one all-repeat session (a single node
+# with a self-loop), a single session, and a catalog of 5000 items of
+# which the batch touches three
+EDGE_BATCHES = {
+    "no_edges": ([[3], [5], [7]], 10),
+    "all_repeat": ([[4, 4, 4]], 10),
+    "one_session": ([[1, 2, 1, 3]], 10),
+    "large_catalog": ([[4999, 17], [2500]], 5000),
+}
+
+
 class TestPackEdgeCases:
     def test_fields_match_padded_oracle(self):
+        # each session cut out of the batch graph matches its slot of the
+        # padded oracle batch
         pack = pack_batch([Example(s, 0) for s in EDGE_SESSIONS])
-        for name, want in padded_batch_oracle(EDGE_SESSIONS).items():
+        want = padded_batch_oracle(EDGE_SESSIONS)
+        for name in ("n_nodes", "lengths", "node_mask"):
             got = getattr(pack, name)
-            assert got.dtype == want.dtype, name
-            np.testing.assert_array_equal(got, want, err_msg=name)
+            assert got.dtype == want[name].dtype, name
+            np.testing.assert_array_equal(got, want[name], err_msg=name)
+        assert pack.node_ids.dtype == pack.alias.dtype == np.int64
+        for i, block in enumerate(session_blocks(pack)):
+            k, t = block.n_nodes, len(block.alias)
+            np.testing.assert_array_equal(block.nodes, want["node_ids"][i, :k])
+            np.testing.assert_array_equal(block.alias, want["alias"][i, :t])
+            for name in ("edge_out", "adj_out", "adj_in"):
+                np.testing.assert_array_equal(getattr(block, name),
+                                              want[name][i, :k, :k])
         # [4, 4, 4] is one node with a self-loop
-        assert pack.n_nodes[1] == 1 and pack.adj_out[1, 0, 0] == 1.0
+        assert pack.n_nodes[1] == 1 and (1, 1) in zip(pack.src, pack.dst)
 
     @pytest.mark.parametrize("variant", ["full", "fcl", "star", "fp"])
     def test_training_forward_finite(self, variant):
@@ -103,6 +129,23 @@ class TestPackEdgeCases:
                      out.independence):
             assert np.isfinite(term.value)
 
+    @pytest.mark.parametrize("case", EDGE_BATCHES)
+    def test_edge_case_batch_trains_and_scores(self, case):
+        sessions, n_items = EDGE_BATCHES[case]
+        pack = pack_batch([Example(s, i) for i, s in enumerate(sessions)])
+        for variant in ("full", "fcl", "star", "fp"):
+            cfg = toy_config(variant=variant)
+            params = toy_params(cfg, n_items=n_items)
+            out = training_forward(params, pack, cfg, 0)
+            out.loss.backward()
+            assert np.isfinite(out.loss.value), variant
+            for name, p in params.named_parameters():
+                assert p.grad is None or np.isfinite(p.grad).all(), name
+            probs = score_batch(params, pack, cfg)
+            assert probs.shape == (len(sessions), n_items)
+            np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9,
+                                       rtol=0)
+
 
 class TestStarEdgeSampling:
     def test_matches_single_graph_builder(self):
@@ -111,13 +154,13 @@ class TestStarEdgeSampling:
         examples = toy_examples()
         pack = pack_batch(examples, session_indices=[5, 9, 40])
         to_real, from_real = _star_edges(pack, theta=0.6, seed=3, epoch=2)
-        for i, k in enumerate(pack.n_nodes):
+        assert to_real.shape == from_real.shape == (len(pack.node_ids),)
+        for i, block in enumerate(session_blocks(pack)):
             draws = substream(3, "star", 2, int(pack.session_indices[i])
-                              ).random((2, k))
-            np.testing.assert_array_equal(to_real[i, :k], draws[0] < 0.6)
-            np.testing.assert_array_equal(from_real[i, :k], draws[1] < 0.6)
-            assert (to_real[i, k:] == 0).all()
-            assert (from_real[i, k:] == 0).all()
+                              ).random((2, block.n_nodes))
+            np.testing.assert_array_equal(to_real[block.rows], draws[0] < 0.6)
+            np.testing.assert_array_equal(from_real[block.rows],
+                                          draws[1] < 0.6)
 
 
 class TestTrainingForward:
@@ -206,6 +249,18 @@ class TestTrainingForward:
 
         assert nodes(2) == nodes(5)
 
+    def test_desk_step_tape_nodes(self):
+        # one training step of the desk benchmark's config on its first
+        # planted batch makes no more tape nodes than the padded layout's
+        # 198
+        train_ex, _, n_items = make_planted_corpus(seed=0)
+        cfg = TrainConfig(dim=32, factor_dim=8, num_factors=4,
+                          batch_size=100, seed=0)
+        params = init_parameters(n_items, cfg.dim, cfg.factor_dim,
+                                 cfg.num_factors, cfg.layers, cfg.seed)
+        out = training_forward(params, pack_batch(train_ex[:100]), cfg, 0)
+        assert sum(1 for n in tape._topo_order(out.loss) if n._parents) <= 198
+
     def test_single_node_batch_contrast_skipped(self):
         cfg = toy_config()
         params = toy_params(cfg)
@@ -229,13 +284,16 @@ class TestScoreBatch:
         probs = score_batch(params, pack_batch([ex]), cfg)
         g = session_graph_oracle(ex.prefix)
         x0 = params.embeddings.value[g.nodes]
-        h = ggnn_step(x0, g.adj_in, g.adj_out, params.ggnn_original).value
+        h = ggnn_step_oracle(x0, g.adj_in, g.adj_out, {
+            name.split(".")[-1]: p.value
+            for name, p in params.ggnn_original.named_parameters("g")})
+        # the readouts see each position as its own node
         t = len(g.alias)
-        seq = h[g.alias][None]                                     # (1, T, d)
-        e_item = encode(seq, params.attn_item, [t - 1], np.ones((1, t)))
+        seq = h[g.alias]                                           # (T, d)
+        e_item = encode(seq, params.attn_item, np.arange(t), [t])
         factor_seqs = project(h, params.proj).value[:, g.alias]   # (K, T, d_f)
-        e_factor = encode_factors(Tensor(factor_seqs[None]), params.attn_factor,
-                                  [[t - 1]], np.ones((1, 1, t)))
+        e_factor = encode_factors(Tensor(factor_seqs), params.attn_factor,
+                                  np.arange(t), [t])
         catalog_factors = catalog_factor_embeddings(params.embeddings.value,
                                                     params.proj)
         scores = score_one(e_item, e_factor, params.embeddings.value,

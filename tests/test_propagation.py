@@ -2,12 +2,12 @@
 
 import numpy as np
 
-from oracles import (ggnn_step_oracle, session_graph_oracle,
+from oracles import (ggnn_step_oracle, session_blocks, session_graph_oracle,
                      star_channel_oracle)
 
 from sessrec import tape
 from sessrec.dataio import Example
-from sessrec.model import (_factor_adjacency, _hub_channel, _run_channel,
+from sessrec.model import (_factor_edges, _hub_channel, _run_channel,
                            _star_edges, _star_graph, pack_batch)
 from sessrec.propagation import GGNNWeights, ggnn_step
 from sessrec.rng import substream
@@ -22,42 +22,46 @@ def as_dict(w):
             for name, p in w.named_parameters("g")}
 
 
+def edges_of(*sessions):
+    """The degree-normalized edges of the batch graph of ``sessions``."""
+    return pack_batch([Example(list(s), 0) for s in sessions]).edges
+
+
+NO_EDGES = (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),) * 2
+
+
 class TestCellOracle:
     def test_matches_oracle(self):
         rng = substream(1, "x")
         w = weights_for(4, seed=2)
         for trial in range(5):
-            g = session_graph_oracle(rng.integers(0, 6, size=5).tolist())
+            session = rng.integers(0, 6, size=5).tolist()
+            g = session_graph_oracle(session)
             x = rng.normal(size=(g.n_nodes, 4))
-            mine = ggnn_step(x, g.adj_in, g.adj_out, w).value
+            mine = ggnn_step(x, edges_of(session), w).value
             ref = ggnn_step_oracle(x, g.adj_in, g.adj_out, as_dict(w))
             np.testing.assert_allclose(mine, ref, atol=1e-10, rtol=0)
 
     def test_batched_matches_oracle_per_session(self):
         rng = substream(2, "x")
         w = weights_for(3, seed=3)
-        adj_in = np.zeros((2, 3, 3))
-        adj_out = np.zeros((2, 3, 3))
-        xs = rng.normal(size=(2, 3, 3))
-        for b in range(2):
-            g = session_graph_oracle([1, 2, 3] if b == 0 else [4, 5, 4])
-            k = g.n_nodes
-            adj_in[b, :k, :k] = g.adj_in
-            adj_out[b, :k, :k] = g.adj_out
-        out = ggnn_step(xs, adj_in, adj_out, w).value
-        for b in range(2):
-            ref = ggnn_step_oracle(xs[b], adj_in[b], adj_out[b], as_dict(w))
-            np.testing.assert_allclose(out[b], ref, atol=1e-10, rtol=0)
+        sessions = ([1, 2, 3], [4, 5, 4])
+        xs = rng.normal(size=(5, 3))            # nodes 0-2, then 3-4
+        out = ggnn_step(xs, edges_of(*sessions), w).value
+        for rows, session in zip((slice(0, 3), slice(3, 5)), sessions):
+            g = session_graph_oracle(session)
+            ref = ggnn_step_oracle(xs[rows], g.adj_in, g.adj_out, as_dict(w))
+            np.testing.assert_allclose(out[rows], ref, atol=1e-10, rtol=0)
 
     def test_zero_everything_halves_state(self):
-        # zero adjacency and zero weights leave z = 0.5 and cand = 0,
+        # no edges and zero weights leave z = 0.5 and cand = 0,
         # so one step exactly halves the state
         d = 4
         w = weights_for(d)
         for _, p in w.named_parameters("g"):
             p.value = np.zeros_like(p.value)
         x = substream(3, "x").normal(size=(3, d))
-        out = ggnn_step(x, np.zeros((3, 3)), np.zeros((3, 3)), w).value
+        out = ggnn_step(x, NO_EDGES, w).value
         np.testing.assert_allclose(out, 0.5 * x, atol=1e-12)
 
     def test_isolated_node_sees_only_biases(self):
@@ -65,7 +69,7 @@ class TestCellOracle:
         d = 3
         w = weights_for(d, seed=4)
         x = substream(4, "x").normal(size=(2, d))
-        mine = ggnn_step(x, np.zeros((2, 2)), np.zeros((2, 2)), w).value
+        mine = ggnn_step(x, NO_EDGES, w).value
         c = np.concatenate([np.broadcast_to(w.bias_in.value, (2, d)),
                             np.broadcast_to(w.bias_out.value, (2, d))], axis=1)
         z = 1 / (1 + np.exp(-(c @ w.weight_update.value + x @ w.u_update.value)))
@@ -86,46 +90,44 @@ class TestChannels:
         w = weights_for(4, seed=5, layers=2)
         pack = pack_batch([Example([1, 2, 3, 1], 0), Example([4], 0)])
         x = substream(5, "x").normal(size=pack.node_ids.shape + (4,))
-        out = _run_channel(x, pack.adj_in, pack.adj_out, w).value
-        step1 = ggnn_step(x, pack.adj_in, pack.adj_out, w).value
-        step2 = ggnn_step(step1, pack.adj_in, pack.adj_out, w).value
+        out = _run_channel(x, pack.edges, w).value
+        step1 = ggnn_step(x, pack.edges, w).value
+        step2 = ggnn_step(step1, pack.edges, w).value
         assert (out == step2).all()
 
     def test_stacked_factor_channels_match_oracle_per_slice(self):
-        # K = 2 factor channels in one pass: (B, K, n, d_f) states, weights
+        # K = 2 factor channels in one pass: (K, M, d_f) states, weights
         # stacked on a leading factor axis, each slice checked on its own
         w = GGNNWeights.init(3, substream(6, "init"), num_factors=2)
         pack = pack_batch([Example([1, 2, 3], 0), Example([4, 5, 4], 0),
                            Example([6], 0)])
-        b_, n = pack.node_ids.shape
-        f = substream(6, "x").normal(size=(b_, 2, n, 3))
-        a_in, a_out = _factor_adjacency(tape.Tensor(f), pack)
-        out = _run_channel(f, a_in, a_out, w).value
+        f = substream(6, "x").normal(size=(2, len(pack.node_ids), 3))
+        out = _run_channel(f, _factor_edges(tape.Tensor(f), pack), w).value
         for c in range(2):
             w_c = {name: value[c] for name, value in as_dict(w).items()}
-            for b, k in enumerate(pack.n_nodes):
-                v = f[b, c, :k]
+            for block in session_blocks(pack):
+                v = f[c, block.rows]
                 unit = v / np.linalg.norm(v, axis=1, keepdims=True)
-                adj = unit @ unit.T * pack.edge_out[b, :k, :k]
+                adj = unit @ unit.T * block.edge_out
                 ref = ggnn_step_oracle(v, adj.T, adj, w_c)
-                np.testing.assert_allclose(out[b, c, :k], ref, atol=1e-10,
-                                           rtol=0)
+                np.testing.assert_allclose(out[c, block.rows], ref,
+                                           atol=1e-10, rtol=0)
 
 
 def star_against_oracle(x, pack, to_real, from_real, w, atol=1e-12):
-    """Propagate the batched star view and check every real row and the
-    hub row (slot n) against the explicit per-session graph; returns
-    the (B, n + 1, d) states."""
-    states, adj_in, adj_out = _star_graph(tape.Tensor(x), pack, to_real,
-                                          from_real)
-    out = _run_channel(states, adj_in, adj_out, w).value
-    for b, k in enumerate(pack.n_nodes):
-        ref = star_channel_oracle(
-            x[b, :k], pack.adj_in[b, :k, :k], pack.adj_out[b, :k, :k],
-            pack.alias[b, :pack.lengths[b]], to_real[b, :k],
-            from_real[b, :k], as_dict(w), w.layers)
-        np.testing.assert_allclose(out[b, :k], ref[:k], atol=atol, rtol=0)
-        np.testing.assert_allclose(out[b, -1], ref[k], atol=atol, rtol=0)
+    """Propagate the batched star view and check every real row and each
+    hub row (row M + b) against the explicit per-session graph; returns
+    the (M + B, d) states."""
+    states, edges = _star_graph(tape.Tensor(x), pack, to_real, from_real)
+    out = _run_channel(states, edges, w).value
+    hubs = out[len(pack.node_ids):]
+    for block, hub in zip(session_blocks(pack), hubs):
+        rows = block.rows
+        ref = star_channel_oracle(x[rows], block.adj_in, block.adj_out,
+                                  block.alias, to_real[rows], from_real[rows],
+                                  as_dict(w), w.layers)
+        np.testing.assert_allclose(out[rows], ref[:-1], atol=atol, rtol=0)
+        np.testing.assert_allclose(hub, ref[-1], atol=atol, rtol=0)
     return out
 
 
@@ -136,7 +138,7 @@ class TestStarChannel:
         for trial in range(20):
             pack = random_pack(rng, 5)
             x = rng.normal(size=pack.node_ids.shape + (5,))
-            plain = _run_channel(x, pack.adj_in, pack.adj_out, w).value
+            plain = _run_channel(x, pack.edges, w).value
             hubbed = _hub_channel(tape.Tensor(x), pack, w, 0.0, seed=trial,
                                   epoch=0).value
             assert hubbed.shape == plain.shape
@@ -145,13 +147,13 @@ class TestStarChannel:
     def test_hub_edges_change_connected_nodes_only(self):
         w = weights_for(4, seed=9)
         pack = pack_batch([Example([1, 2, 3], 0)])
-        x = substream(8, "x").normal(size=(1, 3, 4))
-        base = ggnn_step(x, pack.adj_in, pack.adj_out, w).value
+        x = substream(8, "x").normal(size=(3, 4))
+        base = ggnn_step(x, pack.edges, w).value
         # hub points at node 1 only; nothing points back
-        to_real = np.array([[0.0, 1.0, 0.0]])
-        from_real = np.zeros((1, 3))
+        to_real = np.array([False, True, False])
+        from_real = np.zeros(3, dtype=bool)
         out = star_against_oracle(x, pack, to_real, from_real, w)
-        changed = np.abs(out[0, :3] - base[0]).max(axis=1)
+        changed = np.abs(out[:3] - base).max(axis=1)
         assert changed[1] > 0
         assert changed[0] == 0 and changed[2] == 0
 
@@ -159,13 +161,16 @@ class TestStarChannel:
         # the hub row aggregates the nodes pointing at it and none else
         w = weights_for(3, seed=10)
         pack = pack_batch([Example([1, 2], 0)])
-        x = substream(9, "x").normal(size=(1, 2, 3))
-        to_real = np.zeros((1, 2))
-        from_real = np.ones((1, 2))
-        states, adj_in, adj_out = _star_graph(tape.Tensor(x), pack, to_real,
-                                              from_real)
-        np.testing.assert_array_equal(adj_in[0, 2], [1.0, 1.0, 0.0])
-        np.testing.assert_array_equal(adj_out[0, 2], 0.0)
+        x = substream(9, "x").normal(size=(2, 3))
+        to_real = np.zeros(2, dtype=bool)
+        from_real = np.ones(2, dtype=bool)
+        _, (src, dst, w_in, w_out) = _star_graph(tape.Tensor(x), pack,
+                                                  to_real, from_real)
+        # row 2, the hub: fed by both nodes with weight 1, feeds none
+        np.testing.assert_array_equal(src[dst == 2], [0, 1])
+        np.testing.assert_array_equal(w_in[dst == 2], 1.0)
+        np.testing.assert_array_equal(w_out[dst == 2], 1.0)
+        assert not (src == 2).any()
         star_against_oracle(x, pack, to_real, from_real, w)
 
     def test_two_layers_match_oracle_on_mixed_batch(self):
@@ -177,12 +182,12 @@ class TestStarChannel:
         assert to_real.any() and from_real.any()
         out = star_against_oracle(x, pack, to_real, from_real, w, atol=1e-10)
         hubbed = _hub_channel(tape.Tensor(x), pack, w, 0.3, seed=4, epoch=1)
-        assert (hubbed.value == out[:, :-1]).all()
+        assert (hubbed.value == out[:len(pack.node_ids)]).all()
 
     def test_gradients_flow_through_star(self):
         w = weights_for(3, seed=11)
         pack = pack_batch([Example([1, 2, 3], 0), Example([4], 0)])
-        x = tape.Parameter(substream(10, "x").normal(size=(2, 3, 3)))
+        x = tape.Parameter(substream(10, "x").normal(size=(4, 3)))
         out = _hub_channel(x, pack, w, 1.0, seed=2, epoch=0)
         tape.tsum(tape.mul(out, out)).backward()
         assert np.abs(x.grad).max() > 0

@@ -83,9 +83,9 @@ class TestMatmul:
 
 
 class TestBroadcastWeightMatmul:
-    # b is a weight broadcast over a's extra leading axes: 2-D, or stacked
-    # on the inner leading axes of a like the (K, d, d_f) factor weights;
-    # the backward folds those axes into the GEMM rows
+    # b is a weight broadcast over a's extra leading axes: 2-D, whose
+    # backward folds those axes into the GEMM rows, or stacked on the
+    # inner leading axes of a, whose backward sums a batched product
     SHAPES = {"batch_2d_weight": ((3, 4, 5), (5, 5)),
               "factor_stacked_weight": ((2, 3, 4, 5), (3, 5, 2)),
               "plain_2d": ((4, 5), (5, 3))}
@@ -202,34 +202,75 @@ class TestReductionsAndNonlinear:
 
         check(loss, {"a": a})
 
-    def test_log_sqrt_positive_domain(self):
+    def test_sqrt_positive_domain(self):
         rng = np.random.default_rng(9)
         a = Parameter(rng.uniform(0.5, 3.0, (6,)))
 
         def loss():
-            return tape.tsum(tape.add(tape.log(a), tape.sqrt(a)))
+            return tape.tsum(square(tape.sqrt(a)))
 
         check(loss, {"a": a})
 
-    def test_clip_min_blocks_gradient_below(self):
-        a = Parameter(np.array([-1.0, 2.0]))
-        out = tape.tsum(tape.clip_min(a, 0.0))
-        out.backward()
-        np.testing.assert_array_equal(a.grad, [0.0, 1.0])
 
-    def test_log_softmax(self):
-        rng = np.random.default_rng(10)
-        a = Parameter(rng.normal(size=(3, 5)))
-        target = np.array([1, 4, 0])
+def edge_oracle(values, x, src, dst, m):
+    """out[..., dst[e], :] += values[..., e] * x[..., src[e], :], one edge
+    at a time."""
+    lead = np.broadcast_shapes(values.shape[:-1], x.shape[:-2])
+    values = np.broadcast_to(values, lead + values.shape[-1:])
+    x = np.broadcast_to(x, lead + x.shape[-2:])
+    out = np.zeros(lead + (m, x.shape[-1]))
+    for idx in np.ndindex(*lead):
+        for e, (i, j) in enumerate(zip(src, dst)):
+            out[idx + (j,)] += values[idx + (e,)] * x[idx + (i,)]
+    return out
+
+
+# edges 0->1 twice, a self-loop, and a row that receives nothing
+SRC = np.array([0, 0, 2, 3, 1, 3])
+DST = np.array([1, 1, 2, 0, 4, 1])
+EDGE_CASES = {
+    "flat": ((6,), (4, 3)),
+    "stacked": ((2, 6), (2, 4, 3)),
+    "stacked_values": ((2, 6), (4, 3)),
+    "stacked_x": ((6,), (2, 4, 3)),
+}
+
+
+class TestEdgeMatmul:
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_matches_scatter_oracle(self, case):
+        v_shape, x_shape = EDGE_CASES[case]
+        rng = np.random.default_rng(20)
+        v, x = rng.normal(size=v_shape), rng.normal(size=x_shape)
+        out = tape.edge_matmul(v, x, SRC, DST, 5).value
+        np.testing.assert_allclose(out, edge_oracle(v, x, SRC, DST, 5),
+                                   atol=1e-10, rtol=0)
+
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_gradients(self, case):
+        v_shape, x_shape = EDGE_CASES[case]
+        rng = np.random.default_rng(21)
+        v, x = Parameter(rng.normal(size=v_shape)), Parameter(
+            rng.normal(size=x_shape))
 
         def loss():
-            lp = tape.log_softmax(a, axis=-1)
-            picked = tape.getitem(lp, (np.arange(3), target))
-            return tape.mul(tape.tsum(picked), Tensor(np.float64(-1.0)))
+            return tape.tsum(square(tape.edge_matmul(v, x, SRC, DST, 5)))
 
-        check(loss, {"a": a})
-        row = tape.log_softmax(Tensor(np.array([[1e4, 0.0]])), axis=-1).value
-        assert np.isfinite(row).all()
+        check(loss, {"values": v, "x": x})
+
+    def test_no_edges(self):
+        x = Parameter(np.random.default_rng(22).normal(size=(3, 2)))
+        v = Parameter(np.zeros((2, 0)))
+        empty = np.zeros(0, dtype=np.int64)
+        out = tape.edge_matmul(v, x, empty, empty, 4)
+        np.testing.assert_array_equal(out.value, np.zeros((2, 4, 2)))
+        tape.tsum(tape.mul(out, Tensor(np.ones((2, 4, 2))))).backward()
+        np.testing.assert_array_equal(x.grad, np.zeros((3, 2)))
+        assert v.grad.shape == (2, 0)
+
+    def test_out_of_range_edge_rejected(self):
+        with pytest.raises(ValueError, match="edges must run"):
+            tape.edge_matmul(np.ones(1), np.ones((2, 2)), [2], [0], 2)
 
 
 def _head_inputs(seed, heads, batched, n=7, d=3):
