@@ -6,6 +6,9 @@ come from one matrix product.  Training pushes the factors apart with a
 penalty summing pairwise distance correlation over all ordered factor
 pairs, so that each factor captures a distinct aspect of the items.
 All pairs come from one Gram matrix, ``tape.centered_distance_gram``.
+Items recur across the sessions of a batch, so factor rows repeat; the
+Gram kernel merges rows equal in every view and weights each distinct
+row by its count, which gives the same penalty as every row on its own.
 """
 
 from __future__ import annotations
@@ -62,12 +65,15 @@ def independence_loss(factors):
     """Sum of distance correlation over all ordered pairs of factor views.
 
     ``factors`` stacks K views of the same m items as (K, m, d_f).  All
-    pairs come from one Gram matrix; each unordered pair appears twice
-    in the ordered sum and dcor is symmetric, so the pair sum is
-    doubled.  Degenerate pairs carry no usable signal and add exactly 0:
-    a view with zero distance variance, or a squared covariance that
-    cancels to <= 0 in floating point.  With fewer than two factors, or
-    fewer than two items, there is nothing to separate: the loss is 0.
+    pairs come from one Gram matrix, computed over the distinct rows
+    with count weights: an item that occurs n times counts n times, and
+    each copy gets an equal share of the gradient.  Each unordered pair
+    appears twice in the ordered sum and dcor is symmetric, so the pair
+    sum is doubled.  Degenerate pairs carry no usable signal and add
+    exactly 0: a view with zero distance variance, or a squared
+    covariance that cancels to <= 0 in floating point.  With fewer than
+    two factors, or fewer than two items, there is nothing to separate:
+    the loss is 0.
     """
     factors = tape.as_tensor(factors)
     if factors.value.ndim != 3:

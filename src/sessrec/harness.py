@@ -2,7 +2,8 @@
 
 Everything a run needs sits in one ``TrainConfig``; the loop shuffles
 with a per-epoch substream, steps Adam over batch graphs, logs a loss
-breakdown per epoch, and refuses to continue past a non-finite loss.
+breakdown per epoch, and refuses to continue past a non-finite loss or
+gradient.
 Evaluation ranks every test prefix and reports precision and MRR at the
 requested cutoffs, overall and bucketed by prefix length.
 """
@@ -34,7 +35,7 @@ SHORT_SESSION_LIMIT = 5      # prefixes below this length count as "short"
 
 
 class NumericsError(Exception):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or parameter gradient."""
 
 
 @dataclass
@@ -130,23 +131,32 @@ class TrainResult:
     wall_time: float
 
 
+def _where(epoch, session_indices) -> str:
+    return (f"at epoch {epoch + 1} (batch of {len(session_indices)} "
+            f"sessions, ids {min(session_indices)}..{max(session_indices)})")
+
+
 def train_step(params: ParameterSet, optimizer: Adam, examples,
                session_indices, cfg: TrainConfig, epoch: int) -> LossBreakdown:
     """One optimization step on one batch; returns the loss breakdown.
 
-    ``epoch`` counts from 0; a ``NumericsError`` names it from 1, as the
-    per-epoch log line does.
+    A non-finite loss, or a non-finite gradient in any parameter group,
+    raises ``NumericsError`` before Adam writes it into the weights.
+    ``epoch`` counts from 0; the error names it from 1, as the per-epoch
+    log line does.
     """
     pack = pack_batch(examples, session_indices)
     out = training_forward(params, pack, cfg, epoch)
     loss_val = float(out.loss.value)
     if not np.isfinite(loss_val):
-        raise NumericsError(
-            f"non-finite loss {loss_val} at epoch {epoch + 1} (batch of "
-            f"{len(session_indices)} sessions, ids {min(session_indices)}.."
-            f"{max(session_indices)})")
+        raise NumericsError(f"non-finite loss {loss_val} "
+                            f"{_where(epoch, session_indices)}")
     optimizer.zero_grad()
     out.loss.backward()
+    for name, p in params.named_parameters():
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            raise NumericsError(f"non-finite gradient of {name} "
+                                f"{_where(epoch, session_indices)}")
     optimizer.step()
     return LossBreakdown(total=loss_val,
                          prediction=float(out.prediction.value),

@@ -3,14 +3,15 @@
 Small tape just big enough for this library: dense ops, broadcasting,
 advanced indexing, and a few custom kernels with hand-written backward
 rules: weighted sums along graph edges (``edge_matmul``, on a sparse
-matrix), the mean of one or two heads' softmaxes
-(``mean_softmax``), the clamped one-hot binary cross-entropy
-(``onehot_bce``), the Gram matrix of double-centred distance matrices,
-and safe row normalization.  ``matmul``'s backward folds the leading
-axes a 2-D weight broadcasts over into the rows of one GEMM.  Everything
-runs in float64 and is deterministic: no threads, no in-place gradient
-mutation, accumulation order fixed by the topological order of the
-graph.
+matrix), the mean of one or two heads' softmaxes (``mean_softmax``),
+the clamped one-hot binary cross-entropy (``onehot_bce``), the Gram
+matrix of double-centred distance matrices (over the distinct rows,
+each weighted by its count; every copy of a row gets an equal share of
+its gradient), and safe row normalization.  ``matmul``'s backward folds
+the leading axes a 2-D weight broadcasts over into the rows of one
+GEMM.  Everything runs in float64 and is deterministic: no threads, no
+in-place gradient mutation, accumulation order fixed by the topological
+order of the graph.
 """
 
 from __future__ import annotations
@@ -503,6 +504,16 @@ def onehot_bce(p, targets, floor: float) -> Tensor:
     return out
 
 
+def _row_groups(rows: np.ndarray, **kw):
+    """``np.unique`` over ``rows[i]``, the leading-axis entries of an
+    array, by value: each entry is compared as one opaque byte string,
+    which sorts far faster than field by field, after ``+ 0.0`` folds
+    -0.0 into 0.0."""
+    rows = np.add(rows, 0.0, order="C").reshape(len(rows), -1)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    return np.unique(keys.ravel(), **kw)
+
+
 def _distances(x: np.ndarray) -> np.ndarray:
     """Euclidean distance matrices (K, m, m) of the rows of each slice of
     a (K, m, d) array.
@@ -514,13 +525,14 @@ def _distances(x: np.ndarray) -> np.ndarray:
     """
     k, m, d = x.shape
     sq = (x * x).sum(axis=-1)
-    out = sq[:, :, None] + sq[:, None, :]
-    inner = x @ np.swapaxes(x, -1, -2)
-    out -= np.multiply(inner, 2.0, out=inner)
+    out = x @ np.ascontiguousarray(np.swapaxes(x, -1, -2))
+    out *= -2.0
+    out += sq[:, :, None]
+    out += sq[:, None, :]
     np.maximum(out, 0.0, out=out)
     tagged = np.concatenate([np.repeat(np.arange(k, dtype=np.float64), m)[:, None],
                              x.reshape(k * m, d)], axis=1)
-    group = np.unique(tagged, axis=0, return_inverse=True)[1].reshape(k, m)
+    group = _row_groups(tagged, return_inverse=True)[1].reshape(k, m)
     out[group[:, :, None] == group[:, None, :]] = 0.0
     return np.sqrt(out, out=out)
 
@@ -531,32 +543,57 @@ def centered_distance_gram(x) -> Tensor:
     ``x`` stacks K samples of m rows as (K, m, d); A_k is the
     double-centred Euclidean distance matrix of the rows of ``x[k]``.
     G holds every squared distance covariance (off-diagonal) and squared
-    distance variance (diagonal) of the samples, from one
-    (K, m*m) @ (m*m, K) product.  Zero distances get zero gradient, the
-    subgradient choice at the non-differentiable point.
+    distance variance (diagonal) of the samples.
+
+    The mean runs over all m * m pairs of rows, so n copies of a row
+    enter it exactly like one row of weight n.  Rows equal in every
+    slice are therefore merged first.  With U distinct rows of counts c
+    and weights ``w = c / m``: ``r = D w``, ``A = D - r 1' - 1 r' + w'r``
+    and ``G_ij = sum_uv w_u w_v A_i[u, v] A_j[u, v]``, one
+    (K, U*U) @ (U*U, K) product of the A_k scaled by ``sqrt(w_u w_v)``.
+    Rows equal in some slices only are not merged; within such a slice
+    they are exactly 0 apart.  Every copy of a merged row has the same
+    distances to every other row, so each gets an equal share of the
+    merged row's gradient: that gradient divided by the count.  Zero
+    distances get zero gradient, the subgradient choice at the
+    non-differentiable point.
     """
     x = as_tensor(x)
     xv = np.ascontiguousarray(x.value)  # a strided view slows every pass
     k, m = xv.shape[:2]
-    dist = _distances(xv)
-    row = dist.mean(axis=2, keepdims=True)
-    v = dist - row
-    v -= dist.mean(axis=1, keepdims=True) - row.mean(axis=1, keepdims=True)
-    v = v.reshape(k, m * m)
+    first, inverse, counts = _row_groups(
+        np.swapaxes(xv, 0, 1), return_index=True, return_inverse=True,
+        return_counts=True)[1:]
+    xu = xv[:, first]
+    u = len(first)
+    w = counts / m
+    root = np.sqrt(w)
+    scale = root[:, None] * root[None, :]
+    dist = _distances(xu)
+    r = dist @ w
+    b = dist - r[:, :, None]
+    b -= r[:, None, :] - (r @ w)[:, None, None]
+    b *= scale
+    b = b.reshape(k, u * u)
 
     def _bw():
-        # Double centring is a self-adjoint projection and every A_k is
-        # already centred, so (grad + grad.T) @ A / m^2 is the gradient
-        # w.r.t. the distances as it stands.  Its slices are symmetric,
-        # and d_ij = d_ji, so each pair's two entries fold into a factor 2.
-        # the (K, m, m) blocks are large, so the ratio is formed in place
-        ratio = ((out.grad + out.grad.T) * (2.0 / (m * m)) @ v).reshape(k, m, m)
-        zero = dist == 0.0
-        np.divide(ratio, dist, out=ratio, where=~zero)
-        ratio[zero] = 0.0
-        _accum(x, ratio.sum(axis=2, keepdims=True) * xv - ratio @ xv)
+        # Weighted double centring is a projection, and its adjoint
+        # leaves w_u w_v A_k[u, v] as it is (A_k w = 0), so
+        # (grad + grad.T) @ (W * A) is the gradient w.r.t. the distances
+        # as it stands.  Its slices are symmetric, and d_uv = d_vu, so
+        # each pair's two entries fold into a factor 2.
+        # the (K, U, U) blocks are large, so the ratio is formed in place;
+        # nothing reads dist after this, so its zeros become inf, where
+        # ratio / inf = 0
+        ratio = ((out.grad + out.grad.T) * 2.0 @ b).reshape(k, u, u)
+        ratio *= scale
+        dist[dist == 0.0] = np.inf
+        ratio /= dist
+        grad = ratio.sum(axis=2, keepdims=True) * xu - ratio @ xu
+        grad /= counts[:, None]
+        _accum(x, grad[:, inverse])
 
-    out = _make(v @ v.T / (m * m), (x,), _bw)
+    out = _make(b @ b.T, (x,), _bw)
     return out
 
 

@@ -259,6 +259,25 @@ def dcor_oracle(x, y):
     return np.sqrt(dcov2) / np.sqrt(np.sqrt(dvarx2) * np.sqrt(dvary2))
 
 
+def centered_gram_oracle(x):
+    """(K, K) mean products of the K double-centred distance matrices of
+    a (K, m, d) stack, every one of the m rows counted on its own."""
+    k, m = x.shape[:2]
+    centred = []
+    for s in range(k):
+        dist = np.zeros((m, m))
+        for i in range(m):
+            for j in range(m):
+                dist[i, j] = np.sqrt(np.sum((x[s, i] - x[s, j]) ** 2))
+        a = np.zeros((m, m))
+        for i in range(m):
+            for j in range(m):
+                a[i, j] = (dist[i, j] - dist[i].mean() - dist[:, j].mean()
+                           + dist.mean())
+        centred.append(a)
+    return np.array([[(a * b).mean() for b in centred] for a in centred])
+
+
 def ranking_metrics_oracle(score_rows, targets, k):
     """Exhaustive P@k / M@k with the lower-index tie rule."""
     hits, rr = [], []
@@ -276,6 +295,8 @@ def ranking_metrics_oracle(score_rows, targets, k):
 
 def numerical_gradient(loss_fn, param, step: float = 1e-5) -> np.ndarray:
     """Central differences of ``loss_fn()`` w.r.t. every entry of ``param``."""
+    # ravel copies a strided value, and the steps would miss the parameter
+    param.value = np.ascontiguousarray(param.value)
     flat = param.value.ravel()
     num = np.zeros_like(flat)
     for i in range(flat.size):

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from test_harness import poison_star_gradient
+
 from sessrec import cli, dataio
 from sessrec.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from sessrec.harness import make_planted_corpus
@@ -217,6 +219,16 @@ class TestTrain:
         assert code == EXIT_NUMERIC
         assert "non-finite loss" in caplog.text
         assert "at epoch 1 (batch of 16 sessions, ids " in caplog.text
+
+    def test_non_finite_gradient_is_numeric_error(self, corpus_dir, tmp_path,
+                                                  monkeypatch, caplog):
+        poison_star_gradient(monkeypatch)
+        code = main(["train", "--train", str(corpus_dir / "train.jsonl"),
+                     "--catalog", str(corpus_dir / "catalog.json"),
+                     "--out", str(tmp_path / "r")] + TINY_FLAGS)
+        assert code == EXIT_NUMERIC
+        assert ("non-finite gradient of ggnn.star.u_cand at epoch 1 (batch "
+                "of 16 sessions, ids ") in caplog.text
 
 
 @pytest.mark.parametrize("command", ["train", "ablate"])

@@ -169,6 +169,36 @@ class TestIndependenceLoss:
         errs = gradient_errors(lambda: independence_loss(fs), {"fs": fs})
         assert max(errs.values()) < 1e-4, errs
 
+    def test_unequal_repeat_counts(self):
+        # distinct rows 0, 1 and 2 occur 1, 2 and 5 times in every view;
+        # the penalty merges them and weights each by its count
+        rng = substream(21, "x")
+        rows = rng.permutation([0, 1, 1, 2, 2, 2, 2, 2, 3, 4, 5, 6])
+        base = Parameter(rng.normal(size=(4, 7, 3)))
+
+        def loss():
+            return independence_loss(tape.getitem(base, (slice(None), rows)))
+
+        fs = Parameter(base.value[:, rows])
+        value = independence_loss(fs)
+        expect = sum(dcor_oracle(fs.value[i], fs.value[j])
+                     for i in range(4) for j in range(4) if i != j)
+        assert float(value.value) == pytest.approx(expect, abs=1e-10)
+        value.backward()
+        for r in range(7):
+            copies = fs.grad[:, rows == r]
+            np.testing.assert_array_equal(copies, np.broadcast_to(
+                copies[:, :1], copies.shape))
+        # moving every copy of a row together keeps the rows merged, away
+        # from the kink at zero distance that moving one copy alone meets;
+        # each copy's gradient is that of its distinct row over the count
+        errs = gradient_errors(loss, {"base": base})
+        assert max(errs.values()) < 1e-4, errs
+        first = [np.flatnonzero(rows == r)[0] for r in range(7)]
+        np.testing.assert_allclose(
+            base.grad, fs.grad[:, first] * np.bincount(rows)[:, None],
+            rtol=1e-12, atol=1e-15)
+
     def test_dcor_gradient_with_unequal_widths(self):
         rng = substream(17, "x")
         x = rng.normal(size=(7, 4))

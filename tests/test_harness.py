@@ -7,6 +7,7 @@ import pytest
 
 from oracles import ranking_metrics_oracle
 
+from sessrec import harness, tape
 from sessrec.dataio import DataError, Example
 from sessrec.harness import (LossBreakdown, NumericsError, TrainConfig,
                              ablate, evaluate, make_planted_corpus,
@@ -30,6 +31,26 @@ def tiny_corpus():
         seed=2, n_items=20, n_clusters=4, session_len=4,
         train_sessions=30, test_sessions=10)
     return train_ex, test_ex, n_items
+
+
+def poison_star_gradient(monkeypatch):
+    """After every real backward pass, make one entry of the star
+    channel's ``u_cand`` gradient infinite; the loss stays finite."""
+    trained = []
+    forward, backward = harness.training_forward, tape.Tensor.backward
+
+    def spy(params, *args):
+        trained.append(params)
+        return forward(params, *args)
+
+    def poisoned(self):
+        backward(self)
+        p = trained[-1].ggnn_star.u_cand
+        p.grad = p.grad.copy()
+        p.grad.flat[0] = np.inf
+
+    monkeypatch.setattr(harness, "training_forward", spy)
+    monkeypatch.setattr(tape.Tensor, "backward", poisoned)
 
 
 class TestConfig:
@@ -135,6 +156,21 @@ class TestTrain:
         assert all(isinstance(lb, LossBreakdown)
                    for lb in result.epoch_losses)
         assert result.epoch_losses[-1].total < result.epoch_losses[0].total
+
+    def test_non_finite_gradient_stops_before_the_update(self, monkeypatch):
+        cfg = tiny_config()
+        train_ex, _, n_items = tiny_corpus()
+        params = init_parameters(n_items, cfg.dim, cfg.factor_dim,
+                                 cfg.num_factors, cfg.layers, cfg.seed)
+        before = {name: p.value.copy() for name, p in params.named_parameters()}
+        poison_star_gradient(monkeypatch)
+        with pytest.raises(NumericsError,
+                           match=r"non-finite gradient of ggnn\.star\.u_cand "
+                                 r"at epoch 1 \(batch of 8 sessions, "
+                                 r"ids \d+\.\.\d+\)"):
+            train(train_ex, n_items, cfg, params=params)
+        for name, p in params.named_parameters():
+            np.testing.assert_array_equal(p.value, before[name], err_msg=name)
 
     def test_deterministic_per_seed(self):
         cfg = tiny_config(epochs=1)

@@ -146,6 +146,23 @@ class TestPackEdgeCases:
             np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9,
                                        rtol=0)
 
+    @pytest.mark.parametrize("variant", ["full", "fcl", "star", "fp"])
+    def test_one_item_batch(self, variant):
+        # every node of the batch is item 4: the factor rows merge into
+        # one, which has no distance to separate
+        cfg = toy_config(variant=variant)
+        params = toy_params(cfg)
+        pack = pack_batch([Example([4], 1), Example([4, 4], 2),
+                           Example([4], 3)])
+        assert len(pack.node_ids) >= 2 and set(pack.node_ids) == {4}
+        with np.errstate(all="raise"):
+            out = training_forward(params, pack, cfg, 0)
+            out.loss.backward()
+        assert np.isfinite(out.loss.value)
+        assert float(out.independence.value) == 0.0
+        for name, p in params.named_parameters():
+            assert p.grad is None or np.isfinite(p.grad).all(), name
+
 
 class TestStarEdgeSampling:
     def test_matches_single_graph_builder(self):
@@ -251,15 +268,15 @@ class TestTrainingForward:
 
     def test_desk_step_tape_nodes(self):
         # one training step of the desk benchmark's config on its first
-        # planted batch makes no more tape nodes than the padded layout's
-        # 198
+        # planted batch makes no more tape nodes than the flat layout's
+        # 186; merging repeated factor rows adds none
         train_ex, _, n_items = make_planted_corpus(seed=0)
         cfg = TrainConfig(dim=32, factor_dim=8, num_factors=4,
                           batch_size=100, seed=0)
         params = init_parameters(n_items, cfg.dim, cfg.factor_dim,
                                  cfg.num_factors, cfg.layers, cfg.seed)
         out = training_forward(params, pack_batch(train_ex[:100]), cfg, 0)
-        assert sum(1 for n in tape._topo_order(out.loss) if n._parents) <= 198
+        assert sum(1 for n in tape._topo_order(out.loss) if n._parents) <= 186
 
     def test_single_node_batch_contrast_skipped(self):
         cfg = toy_config()

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from oracles import (bce_oracle, gradient_errors, max_relative_error,
-                     numerical_gradient, scores_oracle)
+from oracles import (bce_oracle, centered_gram_oracle, gradient_errors,
+                     max_relative_error, numerical_gradient, scores_oracle)
 
 from sessrec import tape
 from sessrec.tape import Parameter, Tensor
@@ -451,6 +451,69 @@ class TestGeometry:
         a = Tensor(np.array([[0.0, 0.0], [3.0, 4.0]]))
         out = tape.normalize_rows(a).value
         np.testing.assert_allclose(out, [[0.0, 0.0], [0.6, 0.8]], atol=1e-15)
+
+
+def repeated_rows(seed, k=3, d=4):
+    """A (K, m, d) stack whose rows repeat in every slice: distinct rows 0,
+    1 and 2 occur 1, 2 and 5 times, rows 3..5 once each, shuffled.
+    Returns the stack and each row's distinct-row index."""
+    rng = np.random.default_rng(seed)
+    rows = rng.permutation([0, 1, 1, 2, 2, 2, 2, 2, 3, 4, 5])
+    return rng.normal(size=(k, 6, d))[:, rows], rows
+
+
+class TestMergedRows:
+    """centered_distance_gram merges rows equal in every slice and weights
+    them by count; the result is the m-row computation's."""
+
+    def test_matches_every_row_oracle(self):
+        x, _ = repeated_rows(20)
+        gram = tape.centered_distance_gram(Tensor(x)).value
+        np.testing.assert_allclose(gram, centered_gram_oracle(x), rtol=0,
+                                   atol=1e-10)
+
+    def test_distances_see_distinct_rows_only(self, monkeypatch):
+        # rows repeated in slice 0 only stay apart, and exactly 0 apart
+        x, rows = repeated_rows(21)
+        x[0, rows == 3] = x[0, rows == 4]
+        seen = []
+        distances = tape._distances
+
+        def record(xu):
+            seen.append((xu.copy(), distances(xu)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(tape, "_distances", record)
+        gram = tape.centered_distance_gram(Tensor(x)).value
+        (xu, dist), = seen
+        assert xu.shape == (3, 6, 4)
+        np.testing.assert_array_equal(np.unique(xu, axis=1),
+                                      np.unique(x, axis=1))
+        twins = (xu[0] == x[0, rows == 4]).all(axis=1)
+        assert twins.sum() == 2
+        assert dist[0][np.ix_(twins, twins)].max() == 0.0
+        np.testing.assert_allclose(gram, centered_gram_oracle(x), rtol=0,
+                                   atol=1e-10)
+
+    def test_gradients_with_unequal_counts(self):
+        x, _ = repeated_rows(22)
+        x = Parameter(x)
+        w = Tensor(np.random.default_rng(23).normal(size=(3, 3)))
+
+        def loss():
+            return tape.tsum(tape.mul(tape.centered_distance_gram(x), w))
+
+        check(loss, {"x": x})
+
+    def test_copies_share_one_gradient(self):
+        x, rows = repeated_rows(24)
+        x = Parameter(x)
+        tape.tsum(tape.centered_distance_gram(x)).backward()
+        for r in range(6):
+            copies = x.grad[:, rows == r]
+            np.testing.assert_array_equal(copies, np.broadcast_to(
+                copies[:, :1], copies.shape))
+        assert np.abs(x.grad).max() > 0.0
 
 
 def test_backward_accumulates_through_shared_nodes():
