@@ -78,6 +78,8 @@ class TrainConfig:
                     and getattr(self, name) >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, "
                                  f"got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.negatives_per_positive < 1:
             raise ValueError("negatives_per_positive must be >= 1")
         if self.factor_negatives not in ("within_view", "cross_view"):

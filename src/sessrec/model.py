@@ -238,11 +238,13 @@ def _predict(params: ParameterSet, pack: PackedBatch, cfg):
     e_item = encode(h_orig, params.attn_item, pack.alias, pack.lengths,
                     cfg.normalize_attention)
     orig_factors = project(h_orig, params.proj)          # (K, M, d_f)
-    e_factor = encode_factors(orig_factors, params.attn_factor, pack.alias,
-                              pack.lengths, cfg.normalize_attention)
-    scores = score(e_item, e_factor, params.embeddings,
-                   catalog_factors=catalog_factor_embeddings(params.embeddings,
-                                                             params.proj),
+    e_factor = catalog_factors = None
+    if cfg.variant != "fp":          # fp scores with the item head alone
+        e_factor = encode_factors(orig_factors, params.attn_factor, pack.alias,
+                                  pack.lengths, cfg.normalize_attention)
+        catalog_factors = catalog_factor_embeddings(params.embeddings,
+                                                    params.proj)
+    scores = score(e_item, e_factor, params.embeddings, catalog_factors,
                    use_factor_head=cfg.variant != "fp")
     return x0, h_orig, orig_factors, scores
 

@@ -2,8 +2,9 @@
 
 The item head scores the session embedding against every catalog
 embedding; the factor head does the same in concatenated factor space.
-One tape kernel, ``tape.mean_softmax``, squashes each head to a
-probability distribution and averages the two.  Training treats the
+One tape kernel, ``tape.mean_softmax``, takes each head as a (session,
+catalog) pair, computes its logits, squashes them to a probability
+distribution and averages the two.  Training treats the
 result as N independent Bernoulli outcomes against a one-hot target:
 the second kernel, ``tape.onehot_bce``.
 """
@@ -29,13 +30,6 @@ def catalog_factor_embeddings(catalog_embeddings, proj: FactorProjection):
     return project_flat(catalog_embeddings, proj)
 
 
-def _head_logits(embeddings, session_embedding):
-    """Catalog logits e_cat . e_s, one (B, N) row per session."""
-    e = tape.as_tensor(embeddings)
-    s = tape.as_tensor(session_embedding)
-    return tape.matmul(s, tape.swap_last(e))
-
-
 def score(session_item_emb, session_factor_emb, catalog_embeddings,
           catalog_factors=None, use_factor_head: bool = True) -> Tensor:
     """Probability of each catalog item being next, (B, N) for B sessions.
@@ -43,15 +37,16 @@ def score(session_item_emb, session_factor_emb, catalog_embeddings,
     The session embeddings are (B, d) and (B, K * d_f).
     ``catalog_factors`` holds the concatenated factor views of the
     catalog (see ``catalog_factor_embeddings``); the factor head needs
-    it.  The result is the mean of the two heads' softmaxes; with
-    ``use_factor_head=False`` it is the item head's alone.
+    it.  Each head is a (session, catalog) pair of ``tape.mean_softmax``,
+    which scores it and averages the heads' softmaxes; with
+    ``use_factor_head=False`` the result is the item head's alone.
     """
-    logits = [_head_logits(catalog_embeddings, session_item_emb)]
+    heads = [(session_item_emb, catalog_embeddings)]
     if use_factor_head:
         if catalog_factors is None:
             raise ValueError("the factor head needs catalog_factors")
-        logits.append(_head_logits(catalog_factors, session_factor_emb))
-    return tape.mean_softmax(*logits)
+        heads.append((session_factor_emb, catalog_factors))
+    return tape.mean_softmax(*heads)
 
 
 def prediction_loss(scores, target):

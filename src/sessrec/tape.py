@@ -3,15 +3,15 @@
 Small tape just big enough for this library: dense ops, broadcasting,
 advanced indexing, and a few custom kernels with hand-written backward
 rules: weighted sums along graph edges (``edge_matmul``, on a sparse
-matrix), the mean of one or two heads' softmaxes (``mean_softmax``),
-the clamped one-hot binary cross-entropy (``onehot_bce``), the Gram
-matrix of double-centred distance matrices (over the distinct rows,
-each weighted by its count; every copy of a row gets an equal share of
-its gradient), and safe row normalization.  ``matmul``'s backward folds
-the leading axes a 2-D weight broadcasts over into the rows of one
-GEMM.  Everything runs in float64 and is deterministic: no threads, no
-in-place gradient mutation, accumulation order fixed by the topological
-order of the graph.
+matrix), the mean catalog softmax of (session, catalog) pairs
+(``mean_softmax``), the clamped one-hot binary cross-entropy
+(``onehot_bce``), the Gram matrix of double-centred distance matrices
+(over the distinct rows, each weighted by its count; every copy of a
+row gets an equal share of its gradient), and safe row normalization.
+``matmul``'s backward folds the leading axes a 2-D weight broadcasts
+over into the rows of one GEMM.  Everything runs in float64 and is
+deterministic: no threads, no in-place gradient mutation, accumulation
+order fixed by the topological order of the graph.
 """
 
 from __future__ import annotations
@@ -407,62 +407,62 @@ def edge_matmul(values, x, src, dst, m) -> Tensor:
     return out
 
 
-_ROW_BLOCK = 64     # rows normalized at a time when no graph is recorded
+_ROW_BLOCK = 64     # session rows scored at a time
 
 
-def _softmax(logits, out):
-    """Softmax over the last axis of ``logits``, written into ``out``."""
-    np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
-    return out
+def _softmax(x):
+    """Softmax over the last axis of ``x``, in place."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
-def mean_softmax(*logits) -> Tensor:
-    """Mean of the softmaxes of one or more (..., N) logit tensors, taken
-    over the last axis.
+def mean_softmax(*heads) -> Tensor:
+    """Mean over heads of ``softmax(s @ c.T)``, (..., N), from (session
+    rows (..., d), catalog rows (N, d)) pairs.
 
-    The backward to head h is ``w * P_h * (g - <g, P_h>)`` with
-    ``w = 1 / heads``.  When no graph is recorded, no per-head
-    probabilities are kept: each head is normalized into the output a
-    block of rows at a time.
+    A block of ``_ROW_BLOCK`` session rows at a time, each head's logits
+    are one GEMM into a buffer the kernel owns, normalized in place and
+    added into the output.  With a graph recorded the buffers are whole
+    (..., N) arrays, which the backward needs: ``w * P_h * (g - <g, P_h>)``
+    to head h's logits (``w = 1 / heads``), then one GEMM each to s and
+    c.  Otherwise every head reuses one block.
     """
-    heads = [as_tensor(x) for x in logits]
-    shapes = {h.value.shape for h in heads}
-    if len(shapes) != 1:
-        raise ValueError("mean_softmax needs logits of one shape")
-    shape = shapes.pop()
-    w = 1.0 / len(heads)
-    if not (_recording and any(h.requires_grad for h in heads)):
-        first, *rest = (h.value.reshape(-1, shape[-1]) for h in heads)
-        value = np.empty(first.shape)
-        scratch = np.empty((min(_ROW_BLOCK, len(value)), shape[-1]))
-        for lo in range(0, len(value), _ROW_BLOCK):
-            block = value[lo:lo + _ROW_BLOCK]
-            _softmax(first[lo:lo + _ROW_BLOCK], block)
-            for r in rest:
-                block += _softmax(r[lo:lo + _ROW_BLOCK], scratch[:len(block)])
-            if rest:
-                block *= w
-        return Tensor(value.reshape(shape))
-    probs = [_softmax(h.value, np.empty(shape)) for h in heads]
-    value = probs[0]
-    if len(probs) > 1:
-        value = sum(probs[1:], value)       # a new array; probs[0] stays
-        value *= w
+    pairs = [(as_tensor(s), as_tensor(c)) for s, c in heads]
+    lead, n = pairs[0][0].value.shape[:-1], pairs[0][1].value.shape[0]
+    if any(s.value.shape[:-1] != lead
+           or c.value.shape != (n, s.value.shape[-1]) for s, c in pairs):
+        raise ValueError("mean_softmax needs (session (..., d), catalog "
+                         "(N, d)) pairs of one session shape and one N")
+    rows = [s.value.reshape(-1, s.value.shape[-1]) for s, _ in pairs]
+    count, w = len(rows[0]), 1.0 / len(pairs)
+    parents = tuple(t for pair in pairs for t in pair)
+    record = _recording and any(t.requires_grad for t in parents)
+    probs = ([np.empty((count, n)) for _ in pairs] if record else
+             [np.empty((min(_ROW_BLOCK, count), n))] * len(pairs))
+    value = np.zeros((count, n))
+    for lo in range(0, count, _ROW_BLOCK):
+        block = value[lo:lo + _ROW_BLOCK]
+        at = lo if record else 0
+        for r, (_, c), p in zip(rows, pairs, probs):
+            block += _softmax(np.matmul(r[lo:lo + _ROW_BLOCK], c.value.T,
+                                        out=p[at:at + len(block)]))
+        block *= w
 
     def _bw():
-        g = out.grad
-        for h, p in zip(heads, probs):
-            if h.requires_grad:
-                gh = g * p
-                np.subtract(g, gh.sum(axis=-1, keepdims=True), out=gh)
-                gh *= p
-                if len(probs) > 1:
-                    gh *= w
-                _accum(h, gh)
+        g = out.grad.reshape(count, n)
+        for (s, c), r, p in zip(pairs, rows, probs):
+            gh = g * p
+            np.subtract(g, gh.sum(axis=-1, keepdims=True), out=gh)
+            gh *= p
+            gh *= w
+            if s.requires_grad:
+                _accum(s, (gh @ c.value).reshape(s.value.shape))
+            if c.requires_grad:
+                _accum(c, (r.T @ gh).T)   # matmul's orientation, same bits
 
-    out = _make(value, tuple(heads), _bw)
+    out = _make(value.reshape(lead + (n,)), parents, _bw)
     return out
 
 

@@ -209,6 +209,16 @@ class TestTrain:
         assert code == EXIT_USAGE
         assert not out.exists()
 
+    def test_negative_seed_is_usage_error(self, corpus_dir, tmp_path,
+                                          caplog):
+        out = tmp_path / "r"
+        code = main(["train", "--train", str(corpus_dir / "train.jsonl"),
+                     "--catalog", str(corpus_dir / "catalog.json"),
+                     "--out", str(out), "--seed", "-1"] + TINY_FLAGS)
+        assert code == EXIT_USAGE
+        assert "seed must be >= 0" in caplog.text
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_run_is_numeric_error(self, corpus_dir, tmp_path,
                                             caplog):

@@ -85,11 +85,11 @@ class TestConfig:
         dict(lr=-1.0), dict(lr=0.0), dict(lr=float("nan")),
         dict(lr=float("inf")), dict(beta_cl=-5.0),
         dict(beta_cl=float("inf")), dict(beta_ind=-0.01),
-        dict(beta_ind=float("nan")),
+        dict(beta_ind=float("nan")), dict(seed=-1),
     ], ids=["alpha", "negatives_per_positive", "factor_negatives",
             "dropout_edge", "dropout_node", "lr_negative", "lr_zero",
             "lr_nan", "lr_inf", "beta_cl_negative", "beta_cl_inf",
-            "beta_ind_negative", "beta_ind_nan"])
+            "beta_ind_negative", "beta_ind_nan", "seed_negative"])
     def test_invalid_value_rejected(self, overrides):
         with pytest.raises(ValueError):
             TrainConfig(**overrides)

@@ -6,12 +6,13 @@ import pytest
 from oracles import (ggnn_step_oracle, padded_batch_oracle, session_blocks,
                      session_graph_oracle)
 
-from sessrec import tape
+from sessrec import model, tape
 from sessrec.dataio import Example
 from sessrec.encoder import encode, encode_factors
+from sessrec.graphs import degree_weights
 from sessrec.harness import TrainConfig, make_planted_corpus
-from sessrec.model import (PackedBatch, _star_edges, pack_batch, score_batch,
-                           training_forward)
+from sessrec.model import (PackedBatch, _dropout_edges, _star_edges,
+                           pack_batch, score_batch, training_forward)
 from sessrec.params import init_parameters
 from sessrec.disentangle import project
 from sessrec.predictor import catalog_factor_embeddings
@@ -180,6 +181,68 @@ class TestStarEdgeSampling:
                                           draws[1] < 0.6)
 
 
+def _edge_set(src, dst, w_in, w_out, lo=0):
+    """Edges as a sorted list of (src, dst, w_in, w_out), rows shifted
+    down by ``lo``."""
+    return sorted(zip((src - lo).tolist(), (dst - lo).tolist(),
+                      w_in.tolist(), w_out.tolist()))
+
+
+class TestDropoutEdges:
+    EXAMPLES = [Example([3, 1, 3, 2, 1, 4], 0), Example([4, 4], 1),
+                Example([2, 5, 5], 0), Example([0, 1, 2, 3, 4, 0, 2], 3)]
+
+    def test_zero_rates_keep_every_edge(self):
+        pack = pack_batch(self.EXAMPLES)
+        got = _dropout_edges(pack, 0.0, 0.0, seed=1, epoch=0)
+        for a, b in zip(got, pack.edges):
+            np.testing.assert_array_equal(a, b)
+
+    def test_edge_rate_one_drops_every_edge(self):
+        src, dst, w_in, w_out = _dropout_edges(pack_batch(self.EXAMPLES),
+                                               1.0, 0.0, seed=1, epoch=0)
+        assert src.size == dst.size == w_in.size == w_out.size == 0
+
+    def test_node_rate_one_keeps_last_node_edges(self):
+        # every node but each session's last-position node is isolated:
+        # the self-loops on 4 and on 5 are all that survive
+        pack = pack_batch(self.EXAMPLES)
+        last = pack.alias[np.cumsum(pack.lengths) - 1]
+        src, dst, _, _ = _dropout_edges(pack, 0.0, 1.0, seed=1, epoch=0)
+        expect = np.isin(pack.src, last) & np.isin(pack.dst, last)
+        assert expect.sum() == 2
+        np.testing.assert_array_equal(src, pack.src[expect])
+        np.testing.assert_array_equal(dst, pack.dst[expect])
+
+    def test_survivors_reweighted_by_degree(self):
+        pack = pack_batch(self.EXAMPLES)
+        src, dst, w_in, w_out = _dropout_edges(pack, 0.3, 0.2, seed=2,
+                                               epoch=1)
+        assert 0 < src.size < pack.src.size
+        want_in, want_out = degree_weights(src, dst, pack.node_ids.size)
+        np.testing.assert_array_equal(w_in, want_in)
+        np.testing.assert_array_equal(w_out, want_out)
+        # every survivor is a transition of the batch
+        assert set(zip(src, dst)) <= set(zip(pack.src, pack.dst))
+
+    def test_session_alone_or_in_batch(self):
+        # a session's draws come from its own substream: packed alone
+        # under the same session index it keeps the same edges
+        indices = [5, 9, 40, 12]
+        pack = pack_batch(self.EXAMPLES, session_indices=indices)
+        batch = _dropout_edges(pack, 0.3, 0.2, seed=2, epoch=1)
+        kept = 0
+        for ex, i, lo, k in zip(self.EXAMPLES, indices, pack.node_start,
+                                pack.n_nodes):
+            alone = _dropout_edges(pack_batch([ex], session_indices=[i]),
+                                   0.3, 0.2, seed=2, epoch=1)
+            inside = (batch[0] >= lo) & (batch[0] < lo + k)
+            assert _edge_set(*(a[inside] for a in batch), lo=lo) == \
+                _edge_set(*alone)
+            kept += inside.sum()
+        assert kept == batch[0].size
+
+
 class TestTrainingForward:
     @pytest.mark.parametrize("variant", ["full", "fcl", "star", "fp"])
     def test_runs_and_finite(self, variant):
@@ -242,8 +305,25 @@ class TestTrainingForward:
         cfg = toy_config(variant="fp")
         params = toy_params(cfg)
         out = training_forward(params, pack_batch(toy_examples()), cfg, 0)
-        # one head's logits feed the scores
-        assert len(out.scores._parents) == 1
+        # one (session, catalog) pair feeds the scores: the item head's
+        e_item, catalog = out.scores._parents
+        assert catalog is params.embeddings
+        assert e_item.value.shape == (3, cfg.dim)
+
+    def test_fp_builds_no_factor_head(self, monkeypatch):
+        def unscored(*args, **kwargs):
+            raise AssertionError("fp built a factor head it never scores")
+        monkeypatch.setattr(model, "encode_factors", unscored)
+        monkeypatch.setattr(model, "catalog_factor_embeddings", unscored)
+        cfg = toy_config(variant="fp")
+        params = toy_params(cfg)
+        pack = pack_batch(toy_examples())
+        out = training_forward(params, pack, cfg, 0)
+        out.loss.backward()
+        assert np.isfinite(out.loss.value)
+        assert params.embeddings.grad is not None
+        np.testing.assert_allclose(score_batch(params, pack, cfg).sum(axis=1),
+                                   1.0, atol=1e-9, rtol=0)
 
     def test_cross_view_negatives_reach_factor_term(self):
         # cross_view draws the factor negatives from the propagated views
@@ -268,15 +348,15 @@ class TestTrainingForward:
 
     def test_desk_step_tape_nodes(self):
         # one training step of the desk benchmark's config on its first
-        # planted batch makes no more tape nodes than the flat layout's
-        # 186; merging repeated factor rows adds none
+        # planted batch makes no more tape nodes than today's 182: the
+        # catalog head is one mean_softmax node
         train_ex, _, n_items = make_planted_corpus(seed=0)
         cfg = TrainConfig(dim=32, factor_dim=8, num_factors=4,
                           batch_size=100, seed=0)
         params = init_parameters(n_items, cfg.dim, cfg.factor_dim,
                                  cfg.num_factors, cfg.layers, cfg.seed)
         out = training_forward(params, pack_batch(train_ex[:100]), cfg, 0)
-        assert sum(1 for n in tape._topo_order(out.loss) if n._parents) <= 186
+        assert sum(1 for n in tape._topo_order(out.loss) if n._parents) <= 182
 
     def test_single_node_batch_contrast_skipped(self):
         cfg = toy_config()

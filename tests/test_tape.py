@@ -1,5 +1,7 @@
 """Gradient and value checks for the reverse-mode tape."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -274,15 +276,27 @@ class TestEdgeMatmul:
 
 
 def _head_inputs(seed, heads, batched, n=7, d=3):
-    """Catalog views and session embeddings whose products are the logits
-    of ``heads`` heads; rows (B, N) when ``batched``, else one (N,)."""
+    """Catalog views and session embeddings of ``heads`` heads, and the
+    heads as ``mean_softmax`` takes them: (session, catalog) pairs whose
+    sessions are (B, d) rows when ``batched``, else one (d,) row."""
     rng = np.random.default_rng(seed)
     catalogs = [rng.normal(size=(n, d)) for _ in range(heads)]
     sessions = [rng.normal(size=(2 if batched else 1, d)) * 2.0
                 for _ in range(heads)]
-    logits = [s @ c.T if batched else (s @ c.T)[0]
-              for s, c in zip(sessions, catalogs)]
-    return catalogs, sessions, logits
+    pairs = [(s if batched else s[0], c) for s, c in zip(sessions, catalogs)]
+    return catalogs, sessions, pairs
+
+
+def _head_params(pairs):
+    """Each head's session and catalog as parameters, and the heads."""
+    heads = [(Parameter(s), Parameter(c)) for s, c in pairs]
+    params = {f"{name}{h}": t for h, pair in enumerate(heads)
+              for name, t in zip(("session", "catalog"), pair)}
+    return params, heads
+
+
+def _tensor_heads(pairs):
+    return [(Tensor(s), Tensor(c)) for s, c in pairs]
 
 
 def _oracle_scores(catalogs, sessions):
@@ -299,54 +313,82 @@ HEAD_CASES = pytest.mark.parametrize("heads,batched", [
     ids=["one_head_row", "two_heads_row", "one_head_batch", "two_heads_batch"])
 
 
+def _large_heads(seed, rows=512, n=2000, d=16):
+    """Two heads of ``rows`` sessions over ``n`` items, logits of scale 4."""
+    rng = np.random.default_rng(seed)
+    return [(Parameter(rng.normal(size=(rows, d))),
+             Parameter(rng.normal(size=(n, d)) * 4.0 / np.sqrt(d)))
+            for _ in range(2)]
+
+
 class TestMeanSoftmax:
     @HEAD_CASES
     def test_matches_oracle(self, heads, batched):
-        catalogs, sessions, logits = _head_inputs(30, heads, batched)
+        catalogs, sessions, pairs = _head_inputs(30, heads, batched)
         expect = _oracle_scores(catalogs, sessions)
-        got = tape.mean_softmax(*map(Tensor, logits)).value
-        assert got.shape == logits[0].shape
+        got = tape.mean_softmax(*_tensor_heads(pairs)).value
+        assert got.shape == pairs[0][0].shape[:-1] + (len(catalogs[0]),)
         np.testing.assert_allclose(got.reshape(expect.shape), expect,
                                    atol=1e-10, rtol=0)
 
     @HEAD_CASES
     def test_gradients(self, heads, batched):
-        _, _, logits = _head_inputs(31, heads, batched)
-        params = {f"head{h}": Parameter(l) for h, l in enumerate(logits)}
+        _, _, pairs = _head_inputs(31, heads, batched)
+        params, heads = _head_params(pairs)
         weight = Tensor(np.random.default_rng(32).normal(
-            size=logits[0].shape))
+            size=pairs[0][0].shape[:-1] + (len(pairs[0][1]),)))
 
         def loss():
-            p = tape.mean_softmax(*params.values())
+            p = tape.mean_softmax(*heads)
             return tape.tsum(tape.mul(square(p), weight))
 
         check(loss, params)
 
     def test_large_batch_rows_sum_to_one(self):
-        rng = np.random.default_rng(33)
-        logits = [Parameter(rng.normal(size=(512, 2000)) * 4.0)
-                  for _ in range(2)]
-        recorded = tape.mean_softmax(*logits)
+        heads = _large_heads(33)
+        recorded = tape.mean_softmax(*heads)
         with tape.no_grad():
-            unrecorded = tape.mean_softmax(*logits)
+            unrecorded = tape.mean_softmax(*heads)
         for p in (recorded, unrecorded):
             np.testing.assert_allclose(p.value.sum(axis=1), 1.0, atol=1e-9,
                                        rtol=0)
-        # the row-block path without a graph gives the same numbers
+        # one path: keeping the per-head probabilities changes no number
         np.testing.assert_array_equal(unrecorded.value, recorded.value)
         assert unrecorded._backward is None and not unrecorded._parents
 
+    @pytest.mark.parametrize("recorded,bound", [(False, 1.5), (True, 3.5)],
+                             ids=["no_graph", "graph"])
+    def test_peak_memory(self, recorded, bound):
+        # in units of one (B, N) array: the output, plus each head's
+        # probabilities only while a graph is recorded
+        heads = _large_heads(37)
+        tracemalloc.start()
+        try:
+            if recorded:
+                out = tape.mean_softmax(*heads)
+            else:
+                with tape.no_grad():
+                    out = tape.mean_softmax(*heads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / out.value.nbytes <= bound
+
     def test_mismatched_heads_rejected(self):
-        with pytest.raises(ValueError):
-            tape.mean_softmax(Tensor(np.zeros((2, 3))),
-                              Tensor(np.zeros((2, 4))))
+        # another catalog size, another session count, a catalog width
+        # unlike its sessions'
+        first = (Tensor(np.zeros((2, 3))), Tensor(np.zeros((5, 3))))
+        for s, c in [((2, 3), (4, 3)), ((3, 3), (5, 3)), ((2, 3), (5, 2))]:
+            with pytest.raises(ValueError):
+                tape.mean_softmax(first, (Tensor(np.zeros(s)),
+                                          Tensor(np.zeros(c))))
 
 
 class TestOnehotBce:
     @HEAD_CASES
     def test_matches_oracle(self, heads, batched):
-        catalogs, sessions, logits = _head_inputs(34, heads, batched)
-        p = tape.mean_softmax(*map(Tensor, logits))
+        catalogs, sessions, pairs = _head_inputs(34, heads, batched)
+        p = tape.mean_softmax(*_tensor_heads(pairs))
         targets = np.array([3, 0]) if batched else 5
         loss = float(tape.onehot_bce(p, targets, 1e-12).value)
         rows = _oracle_scores(catalogs, sessions)
@@ -389,13 +431,12 @@ class TestOnehotBce:
 
     @HEAD_CASES
     def test_gradients_through_mean_softmax(self, heads, batched):
-        _, _, logits = _head_inputs(36, heads, batched)
-        params = {f"head{h}": Parameter(l) for h, l in enumerate(logits)}
+        _, _, pairs = _head_inputs(36, heads, batched)
+        params, heads = _head_params(pairs)
         targets = np.array([6, 2]) if batched else 4
 
         def loss():
-            return tape.onehot_bce(tape.mean_softmax(*params.values()),
-                                   targets, 1e-12)
+            return tape.onehot_bce(tape.mean_softmax(*heads), targets, 1e-12)
 
         check(loss, params)
 
