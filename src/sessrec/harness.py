@@ -14,6 +14,7 @@ import dataclasses
 import json
 import logging
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass
@@ -90,28 +91,40 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        """Build a config from ``d``, whose values may be strings (config
+        files) or JSON values (checkpoint manifests).  A string is parsed
+        as its field's type; otherwise an int field takes an int, a float
+        field an int or float, a bool field a bool.  Anything else, say
+        ``dim = 1.7`` or ``lr = true``, raises a ``ValueError`` naming
+        the field rather than being truncated or cast."""
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {}
-        for f in dataclasses.fields(cls):
-            if f.name in d:
-                kwargs[f.name] = type(f.default)(d[f.name]) \
-                    if not isinstance(f.default, bool) else _as_bool(d[f.name])
-        return cls(**kwargs)
+        return cls(**{f.name: _coerce(f.name, type(f.default), d[f.name])
+                      for f in dataclasses.fields(cls) if f.name in d})
 
 
-def _as_bool(v) -> bool:
-    if isinstance(v, bool):
-        return v
+_ACCEPTS = {int: numbers.Integral, float: numbers.Real, bool: bool, str: str}
+
+
+def _coerce(name, kind, v):
     if isinstance(v, str):
-        if v.lower() in ("1", "true", "yes", "on"):
-            return True
-        if v.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: {v!r}")
-    return bool(v)
+        try:
+            return _as_bool(v) if kind is bool else kind(v)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    if isinstance(v, _ACCEPTS[kind]) and isinstance(v, bool) == (kind is bool):
+        return kind(v)
+    raise ValueError(f"{name} must be {kind.__name__}, got {v!r}")
+
+
+def _as_bool(v: str) -> bool:
+    if v.lower() in ("1", "true", "yes", "on"):
+        return True
+    if v.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {v!r}")
 
 
 @dataclass
@@ -245,7 +258,9 @@ def evaluate(params: ParameterSet, examples, cfg: TrainConfig,
     """Rank the target of every prefix; deterministic for fixed weights.
 
     Prefixes are bucketed by length (short < 5 positions) alongside the
-    overall numbers.
+    overall numbers.  A non-finite target probability raises
+    ``NumericsError`` naming the 0-based prefix range of its chunk:
+    nothing ranks ahead of NaN, so it would otherwise rank first.
     """
     if not examples:
         raise ValueError("no evaluation examples")
@@ -258,6 +273,13 @@ def evaluate(params: ParameterSet, examples, cfg: TrainConfig,
         chunk = examples[lo:lo + batch_size]
         pack = pack_batch(chunk)
         probs = score_batch(params, pack, cfg)
+        # a softmax row is all finite or all NaN: its target tells
+        p_target = probs[np.arange(len(chunk)), pack.targets]
+        if not np.isfinite(p_target).all():
+            raise NumericsError(
+                f"non-finite target probability for evaluation prefixes "
+                f"{lo}..{lo + len(chunk) - 1} (first at "
+                f"{lo + int(np.argmin(np.isfinite(p_target)))})")
         for row, ex in zip(probs, chunk):
             r = rank_of(row, ex.target)
             ranks.append(r)

@@ -232,20 +232,23 @@ class ForwardResult:
 
 def _predict(params: ParameterSet, pack: PackedBatch, cfg):
     """The original channel through the scores, the path training and
-    inference share: ``(x0, h_orig, orig_factors, scores)``."""
+    inference share: ``(x0, h_orig, orig_factors, scores)``.
+
+    ``orig_factors`` (K, M, d_f) is built only for the factor head; it
+    is None under ``fp``, which scores with the item head alone.
+    """
     x0 = tape.getitem(params.embeddings, pack.node_ids)   # (M, d)
     h_orig = _run_channel(x0, pack.edges, params.ggnn_original)
     e_item = encode(h_orig, params.attn_item, pack.alias, pack.lengths,
                     cfg.normalize_attention)
-    orig_factors = project(h_orig, params.proj)          # (K, M, d_f)
-    e_factor = catalog_factors = None
-    if cfg.variant != "fp":          # fp scores with the item head alone
+    orig_factors = e_factor = catalog_factors = None
+    if cfg.variant != "fp":
+        orig_factors = project(h_orig, params.proj)      # (K, M, d_f)
         e_factor = encode_factors(orig_factors, params.attn_factor, pack.alias,
                                   pack.lengths, cfg.normalize_attention)
         catalog_factors = catalog_factor_embeddings(params.embeddings,
                                                     params.proj)
-    scores = score(e_item, e_factor, params.embeddings, catalog_factors,
-                   use_factor_head=cfg.variant != "fp")
+    scores = score(e_item, e_factor, params.embeddings, catalog_factors)
     return x0, h_orig, orig_factors, scores
 
 
@@ -282,6 +285,8 @@ def training_forward(params: ParameterSet, pack: PackedBatch, cfg,
         l_contrast = l_item
     else:
         h_fac = _run_channel(f0, _factor_edges(f0, pack), params.ggnn_factor)
+        if orig_factors is None:                         # fp
+            orig_factors = project(h_orig, params.proj)
         partner = orig_factors if cfg.factor_negatives == "within_view" \
             else h_fac
         neg_fac = _negative_draws(pack, cfg.seed, epoch, 1,

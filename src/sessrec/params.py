@@ -129,9 +129,9 @@ def load_checkpoint(base):
 
     The structural fields of the stored config (dims, factor count,
     layers, discriminator form) lay out the parameters without drawing
-    any; every stored array must match its laid-out shape exactly, and a
-    malformed manifest raises ``CheckpointError``.  Returns ``(params,
-    config, n_items)``.
+    any; every stored array must match its laid-out shape exactly and
+    hold finite values only, and a malformed manifest raises
+    ``CheckpointError``.  Returns ``(params, config, n_items)``.
     """
     bin_path, json_path = checkpoint_paths(base)
     try:
@@ -181,4 +181,10 @@ def load_checkpoint(base):
                                   f"lie outside the {raw.size}-element blob")
         p.value = raw[offset:offset + size].reshape(shape).astype(np.float64)
         p.grad = None
+        bad = np.flatnonzero(~np.isfinite(p.value))
+        if bad.size:
+            raise CheckpointError(
+                f"{name}: non-finite value {p.value.flat[bad[0]]} at "
+                f"{tuple(map(int, np.unravel_index(bad[0], shape)))} "
+                f"({bad.size} in all)")
     return params, config, n_items

@@ -31,18 +31,18 @@ def catalog_factor_embeddings(catalog_embeddings, proj: FactorProjection):
 
 
 def score(session_item_emb, session_factor_emb, catalog_embeddings,
-          catalog_factors=None, use_factor_head: bool = True) -> Tensor:
+          catalog_factors=None) -> Tensor:
     """Probability of each catalog item being next, (B, N) for B sessions.
 
     The session embeddings are (B, d) and (B, K * d_f).
     ``catalog_factors`` holds the concatenated factor views of the
     catalog (see ``catalog_factor_embeddings``); the factor head needs
     it.  Each head is a (session, catalog) pair of ``tape.mean_softmax``,
-    which scores it and averages the heads' softmaxes; with
-    ``use_factor_head=False`` the result is the item head's alone.
+    which scores it and averages the heads' softmaxes; with no
+    ``session_factor_emb`` the result is the item head's alone.
     """
     heads = [(session_item_emb, catalog_embeddings)]
-    if use_factor_head:
+    if session_factor_emb is not None:
         if catalog_factors is None:
             raise ValueError("the factor head needs catalog_factors")
         heads.append((session_factor_emb, catalog_factors))

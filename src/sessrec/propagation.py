@@ -1,12 +1,13 @@
 """Gated graph propagation: the channel weights and the one layer step.
 
 One cell, ``ggnn_step``, serves every channel; only the edges and the
-weight set differ.  States are the real node rows of a whole batch,
-(M, d), and a graph is its edge lists ``(src, dst, w_in, w_out)`` over
-those rows, summed by ``tape.edge_matmul``.  The star view is no special
-case: its hubs are more rows of the graph it propagates over.  The K
-factor channels run at once as (K, M, d) states over (K, E) edge
-weights with factor-stacked weights.
+weight set differ.  Its five GEMMs, two biased aggregation maps and
+three gates, are five ``tape.matmul`` nodes.  States are the real node
+rows of a whole batch, (M, d), and a graph is its edge lists ``(src,
+dst, w_in, w_out)`` over those rows, summed by ``tape.edge_matmul``.
+The star view is no special case: its hubs are more rows of the graph
+it propagates over.  The K factor channels run at once as (K, M, d)
+states over (K, E) edge weights with factor-stacked weights.
 """
 
 from __future__ import annotations
@@ -59,44 +60,23 @@ class GGNNWeights:
             yield f"{prefix}.{name}", getattr(self, name)
 
 
-def _aggregate(x, edges, w: GGNNWeights):
-    """Concatenated neighborhood summary [incoming, outgoing] + biases.
-
-    ``edges`` is ``(src, dst, w_in, w_out)``: a node's incoming summary
-    sums ``w_in``-weighted tails of the edges into it, its outgoing one
-    the ``w_out``-weighted heads of the edges out of it.
-    """
+def ggnn_step(x, edges, w: GGNNWeights):
+    """One propagation layer over ``edges`` ``(src, dst, w_in, w_out)``:
+    a node's incoming summary sums the ``w_in``-weighted tails of the
+    edges into it, its outgoing one the ``w_out``-weighted heads of the
+    edges out of it.  Their biased linear maps, concatenated as ``c``,
+    feed the gates; each gate's ``c W + x U`` is one matmul node."""
+    x = tape.as_tensor(x)
     src, dst, w_in, w_out = edges
     m = x.value.shape[-2]
-    agg_in = tape.edge_matmul(w_in, x, src, dst, m)
-    agg_out = tape.edge_matmul(w_out, x, dst, src, m)
-    part_in = tape.add(tape.matmul(agg_in, w.weight_in), _per_row(w.bias_in))
-    part_out = tape.add(tape.matmul(agg_out, w.weight_out),
-                        _per_row(w.bias_out))
-    return tape.concat([part_in, part_out], axis=-1)
-
-
-def _per_row(bias):
-    """Bias (..., d) as (..., 1, d): a leading factor axis then lines up
-    with the factor axis of (K, M, d) states, not with their nodes."""
-    shape = bias.value.shape
-    return tape.reshape(bias, shape[:-1] + (1, shape[-1]))
-
-
-def _gated_update(x, c, w: GGNNWeights):
-    z = tape.sigmoid(tape.add(tape.matmul(c, w.weight_update),
-                              tape.matmul(x, w.u_update)))
-    r = tape.sigmoid(tape.add(tape.matmul(c, w.weight_reset),
-                              tape.matmul(x, w.u_reset)))
-    cand = tape.tanh(tape.add(tape.matmul(c, w.weight_cand),
-                              tape.matmul(tape.mul(r, x), w.u_cand)))
+    c = tape.concat([
+        tape.matmul((tape.edge_matmul(w_in, x, src, dst, m), w.weight_in),
+                    bias=w.bias_in),
+        tape.matmul((tape.edge_matmul(w_out, x, dst, src, m), w.weight_out),
+                    bias=w.bias_out)], axis=-1)
+    z = tape.sigmoid(tape.matmul((c, w.weight_update), (x, w.u_update)))
+    r = tape.sigmoid(tape.matmul((c, w.weight_reset), (x, w.u_reset)))
+    cand = tape.tanh(tape.matmul((c, w.weight_cand),
+                                 (tape.mul(r, x), w.u_cand)))
     one = tape.Tensor(np.float64(1.0))
     return tape.add(tape.mul(tape.sub(one, z), x), tape.mul(z, cand))
-
-
-def ggnn_step(x, edges, w: GGNNWeights):
-    """One propagation layer over ``edges`` (see ``_aggregate``):
-    aggregate neighbors, then gate the update."""
-    x = tape.as_tensor(x)
-    c = _aggregate(x, edges, w)
-    return _gated_update(x, c, w)

@@ -8,10 +8,10 @@ matrix), the mean catalog softmax of (session, catalog) pairs
 (``onehot_bce``), the Gram matrix of double-centred distance matrices
 (over the distinct rows, each weighted by its count; every copy of a
 row gets an equal share of its gradient), and safe row normalization.
-``matmul``'s backward folds the leading axes a 2-D weight broadcasts
-over into the rows of one GEMM.  Everything runs in float64 and is
-deterministic: no threads, no in-place gradient mutation, accumulation
-order fixed by the topological order of the graph.
+``matmul`` sums (a, b) pairs' products plus a bias: a gate's ``c W +
+x U`` is one node.  Everything runs in float64 and is deterministic: no
+threads, no in-place gradient mutation, accumulation order fixed by the
+topological order of the graph.
 """
 
 from __future__ import annotations
@@ -183,9 +183,13 @@ def div(a, b) -> Tensor:
     return out
 
 
-def matmul(a, b) -> Tensor:
-    """``a @ b`` with numpy broadcasting over leading axes.
+def matmul(*pairs, bias=None) -> Tensor:
+    """``sum_h a_h @ b_h`` over (a, b) pairs whose products share one
+    shape, numpy broadcasting over leading axes, plus an optional
+    ``bias`` added to every row: one node.
 
+    ``bias`` holds one value per output unit, the first weight's shape
+    without its input axis: (d,) for (d_in, d), (K, d) for (K, d_in, d).
     When ``b`` is a 2-D weight that the leading axes of ``a`` broadcast
     over, the backward folds those axes into the rows of one GEMM:
     ``b``'s gradient is one product, not a batched product summed down.
@@ -193,24 +197,40 @@ def matmul(a, b) -> Tensor:
     slower than one folded GEMM at the model's shapes and faster at
     evaluation's 512-session chunks of long sessions.
     """
-    a, b = as_tensor(a), as_tensor(b)
-    if a.value.ndim < 2 or b.value.ndim < 2:
-        raise ValueError("matmul operands must have ndim >= 2")
+    pairs = [(as_tensor(a), as_tensor(b)) for a, b in pairs]
+    if not pairs or min(t.value.ndim for pair in pairs for t in pair) < 2:
+        raise ValueError("matmul needs (a, b) pairs of ndim >= 2")
+    value = pairs[0][0].value @ pairs[0][1].value
+    for a, b in pairs[1:]:
+        product = a.value @ b.value
+        if product.shape != value.shape:
+            raise ValueError("matmul pair products differ in shape")
+        value += product
+    parents = tuple(t for pair in pairs for t in pair)
+    if bias is not None:
+        bias, w = as_tensor(bias), pairs[0][1].shape
+        if bias.shape != w[:-2] + w[-1:]:
+            raise ValueError(f"bias of shape {bias.shape} for weight {w}")
+        value += bias.value[..., None, :]
+        parents += (bias,)
 
     def _bw():
-        g, a_v = out.grad, a.value
-        if b.value.ndim == 2 < a_v.ndim:
-            g, a_v = (v.reshape(-1, v.shape[-1]) for v in (g, a_v))
-        if a.requires_grad:
-            ga = g @ np.swapaxes(b.value, -1, -2)
-            _accum(a, _unbroadcast(ga.reshape(out.grad.shape[:-1]
-                                              + ga.shape[-1:]),
-                                   a.value.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(np.swapaxes(a_v, -1, -2) @ g,
-                                   b.value.shape))
+        for a, b in pairs:
+            g, a_v = out.grad, a.value
+            if b.value.ndim == 2 < a_v.ndim:
+                g, a_v = (v.reshape(-1, v.shape[-1]) for v in (g, a_v))
+            if a.requires_grad:
+                ga = g @ np.swapaxes(b.value, -1, -2)
+                _accum(a, _unbroadcast(ga.reshape(out.grad.shape[:-1]
+                                                  + ga.shape[-1:]),
+                                       a.value.shape))
+            if b.requires_grad:
+                _accum(b, _unbroadcast(np.swapaxes(a_v, -1, -2) @ g,
+                                       b.value.shape))
+        if bias is not None and bias.requires_grad:
+            _accum(bias, _unbroadcast(out.grad.sum(axis=-2), bias.value.shape))
 
-    out = _make(a.value @ b.value, (a, b), _bw)
+    out = _make(value, parents, _bw)
     return out
 
 

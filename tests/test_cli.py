@@ -340,6 +340,18 @@ class TestEvalCommand:
         assert code == EXIT_DATA
         assert f"{manifest_path}: invalid stored config" in caplog.text
 
+    def test_non_finite_checkpoint_is_data_error(self, trained, corpus_dir,
+                                                 caplog):
+        # NaN embeddings rank every target first: P@10 = MRR = 1.0
+        bin_path = trained.with_suffix(".bin")
+        raw = np.frombuffer(bin_path.read_bytes(), dtype="<f8").copy()
+        raw[5] = np.nan                 # inside embeddings, the first entry
+        bin_path.write_bytes(raw.tobytes())
+        code = main(["eval", "--checkpoint", str(trained),
+                     "--test", str(corpus_dir / "test.jsonl")])
+        assert code == EXIT_DATA
+        assert "embeddings: non-finite value nan" in caplog.text
+
     def test_out_of_catalog_test_items_rejected(self, trained, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"session": [1, 999], "target": 2}\n',

@@ -65,6 +65,23 @@ class TestConfig:
         assert cfg.dim == 16 and cfg.lr == 0.01
         assert cfg.normalize_attention is True
 
+    def test_from_dict_ints_fill_float_fields(self):
+        cfg = TrainConfig.from_dict({"lr": 1, "theta": 0, "dim": 16})
+        assert cfg.lr == 1.0 and isinstance(cfg.lr, float)
+        assert cfg.theta == 0.0 and isinstance(cfg.theta, float)
+
+    @pytest.mark.parametrize("field,value", [
+        ("dim", 1.7), ("dim", 16.0), ("epochs", True), ("lr", True),
+        ("theta", False), ("normalize_attention", 2),
+        ("normalize_attention", 1), ("normalize_attention", 0.0)],
+        ids=["int_from_float", "int_from_whole_float", "int_from_bool",
+             "float_from_true", "float_from_false", "bool_from_2",
+             "bool_from_1", "bool_from_float"])
+    def test_from_dict_rejects_lossy_values(self, field, value):
+        # a manifest's JSON value is taken as is or refused, never cast
+        with pytest.raises(ValueError, match=field):
+            TrainConfig.from_dict({field: value})
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig.from_dict({"learning_rate": 0.1})
@@ -239,6 +256,32 @@ class TestEvaluate:
         for bm in [report.overall] + list(report.buckets.values()):
             for k in report.ks:
                 assert bm.mrr[k] <= bm.precision[k] + 1e-12
+
+    def test_non_finite_scores_raise_numerics_error(self, monkeypatch):
+        # nothing ranks ahead of a NaN target, so a NaN model would score
+        # P@10 = MRR = 1.0; a NaN catalog row makes every row NaN
+        cfg = tiny_config()
+        _, test_ex, n_items = tiny_corpus()
+        params = init_parameters(n_items, cfg.dim, cfg.factor_dim,
+                                 cfg.num_factors, cfg.layers, cfg.seed)
+        params.embeddings.value[3, 0] = np.nan
+        with pytest.raises(NumericsError, match=r"prefixes 0\.\.29 "
+                                                r"\(first at 0\)"):
+            evaluate(params, test_ex, cfg)
+        # the error names the chunk's prefix range and the first bad row
+        params.embeddings.value[3, 0] = 0.0
+        examples = test_ex * 20                # prefixes 0..511 and 512..599
+        scored = harness.score_batch
+
+        def one_nan_row(params, pack, cfg):
+            probs = scored(params, pack, cfg)
+            if len(probs) == 88:
+                probs[550 - 512] = np.nan
+            return probs
+        monkeypatch.setattr(harness, "score_batch", one_nan_row)
+        with pytest.raises(NumericsError, match=r"prefixes 512\.\.599 "
+                                                r"\(first at 550\)"):
+            evaluate(params, examples, cfg)
 
     def test_bad_cutoff_rejected(self):
         cfg = tiny_config()

@@ -325,6 +325,19 @@ class TestTrainingForward:
         np.testing.assert_allclose(score_batch(params, pack, cfg).sum(axis=1),
                                    1.0, atol=1e-9, rtol=0)
 
+    def test_fp_scoring_projects_no_factors(self, monkeypatch):
+        # only the factor contrast reads the projected views, and
+        # inference runs no contrast
+        cfg = toy_config(variant="fp")
+        params = toy_params(cfg)
+        pack = pack_batch(toy_examples())
+        expect = score_batch(params, pack, cfg)
+
+        def unread(*args, **kwargs):
+            raise AssertionError("fp scoring projected factors")
+        monkeypatch.setattr(model, "project", unread)
+        np.testing.assert_array_equal(score_batch(params, pack, cfg), expect)
+
     def test_cross_view_negatives_reach_factor_term(self):
         # cross_view draws the factor negatives from the propagated views
         pack = pack_batch(toy_examples())
@@ -348,15 +361,16 @@ class TestTrainingForward:
 
     def test_desk_step_tape_nodes(self):
         # one training step of the desk benchmark's config on its first
-        # planted batch makes no more tape nodes than today's 182: the
-        # catalog head is one mean_softmax node
+        # planted batch makes no more tape nodes than today's 152: the
+        # catalog head is one mean_softmax node, and the GGNN cell's five
+        # GEMMs (biases and gate sums included) are five matmul nodes
         train_ex, _, n_items = make_planted_corpus(seed=0)
         cfg = TrainConfig(dim=32, factor_dim=8, num_factors=4,
                           batch_size=100, seed=0)
         params = init_parameters(n_items, cfg.dim, cfg.factor_dim,
                                  cfg.num_factors, cfg.layers, cfg.seed)
         out = training_forward(params, pack_batch(train_ex[:100]), cfg, 0)
-        assert sum(1 for n in tape._topo_order(out.loss) if n._parents) <= 182
+        assert sum(1 for n in tape._topo_order(out.loss) if n._parents) <= 152
 
     def test_single_node_batch_contrast_skipped(self):
         cfg = toy_config()

@@ -151,6 +151,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "m")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, tmp_path, bad):
+        # the error names the first entry in manifest order, and where
+        params = small_params()
+        params.ggnn_factor.bias_in.value[2, 1] = bad
+        params.attn_item.w_merge.value[0, 0] = bad
+        save_checkpoint(tmp_path / "m", params, SMALL_CONFIG, 7)
+        with pytest.raises(CheckpointError,
+                           match=rf"ggnn\.factor\.bias_in: non-finite value "
+                                 rf"{bad} at \(2, 1\)"):
+            load_checkpoint(tmp_path / "m")
+
     def test_unknown_format_version_rejected(self, tmp_path):
         save_checkpoint(tmp_path / "m", small_params(), SMALL_CONFIG, 7)
         manifest = json.loads((tmp_path / "m.json").read_text())

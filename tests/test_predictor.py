@@ -41,19 +41,19 @@ class TestScore:
     def test_heads_are_distributions(self):
         catalog, cat_f, e_item, e_factor = setup_scoring(1)
         # each head alone is the one-head score of its own embeddings
-        item_head = score(e_item, None, catalog, use_factor_head=False)
-        factor_head = score(e_factor, None, cat_f, use_factor_head=False)
+        item_head = score(e_item, None, catalog)
+        factor_head = score(e_factor, None, cat_f)
         combined = score(e_item, e_factor, catalog, catalog_factors=cat_f)
         assert float(tape.tsum(item_head).value) == pytest.approx(1.0)
         assert float(tape.tsum(factor_head).value) == pytest.approx(1.0)
         assert float(tape.tsum(combined).value) == pytest.approx(1.0)
 
     def test_item_only_head(self):
-        catalog, cat_f, e_item, e_factor = setup_scoring(2)
-        scores = score(e_item, e_factor, catalog, catalog_factors=cat_f,
-                       use_factor_head=False)
-        # the factor inputs play no part
-        item_head = score(e_item, None, catalog, use_factor_head=False)
+        catalog, cat_f, e_item, _ = setup_scoring(2)
+        # without a session factor embedding the catalog factors play no
+        # part
+        scores = score(e_item, None, catalog, catalog_factors=cat_f)
+        item_head = score(e_item, None, catalog)
         np.testing.assert_array_equal(scores.value, item_head.value)
 
     def test_precomputed_factors_match_proj_path(self):
@@ -122,7 +122,7 @@ class TestPredictionLoss:
         rng = substream(10, "x")
         catalog = Parameter(rng.normal(size=(6, 4)))
         e = rng.normal(size=(1, 4))
-        scores = score(e, None, catalog, use_factor_head=False)
+        scores = score(e, None, catalog)
         prediction_loss(scores, 2).backward()
         assert np.abs(catalog.grad).max() > 0
 

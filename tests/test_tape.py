@@ -59,7 +59,7 @@ class TestMatmul:
         b = Parameter(rng.normal(size=(4, 2)))
 
         def loss():
-            return tape.tsum(square(tape.matmul(a, b)))
+            return tape.tsum(square(tape.matmul((a, b))))
 
         check(loss, {"a": a, "b": b})
 
@@ -69,7 +69,7 @@ class TestMatmul:
         b = Parameter(rng.normal(size=(4, 5)))
 
         def loss():
-            return tape.tsum(square(tape.matmul(a, b)))
+            return tape.tsum(square(tape.matmul((a, b))))
 
         check(loss, {"a": a, "b": b})
 
@@ -79,7 +79,7 @@ class TestMatmul:
         x = Parameter(rng.normal(size=(2, 3, 4)))
 
         def loss():
-            return tape.tsum(square(tape.matmul(adj, x)))
+            return tape.tsum(square(tape.matmul((adj, x))))
 
         check(loss, {"adj": adj, "x": x})
 
@@ -87,31 +87,58 @@ class TestMatmul:
 class TestBroadcastWeightMatmul:
     # b is a weight broadcast over a's extra leading axes: 2-D, whose
     # backward folds those axes into the GEMM rows, or stacked on the
-    # inner leading axes of a, whose backward sums a batched product
-    SHAPES = {"batch_2d_weight": ((3, 4, 5), (5, 5)),
-              "factor_stacked_weight": ((2, 3, 4, 5), (3, 5, 2)),
-              "plain_2d": ((4, 5), (5, 3))}
+    # inner leading axes of a, whose backward sums a batched product.
+    # A case is its (a, b) pair shapes and its bias shape: one value per
+    # output unit of the first weight, added to every row.
+    SHAPES = {"batch_2d_weight": ([((3, 4, 5), (5, 5))], None),
+              "factor_stacked_weight": ([((2, 3, 4, 5), (3, 5, 2))], None),
+              "plain_2d": ([((4, 5), (5, 3))], None),
+              "two_pairs": ([((4, 6), (6, 3)), ((4, 2), (2, 3))], None),
+              "bias_2d": ([((2, 4, 5), (5, 3)), ((2, 4, 3), (3, 3))], (3,)),
+              "bias_stacked": ([((3, 4, 6), (3, 6, 2)),
+                                ((3, 4, 2), (3, 2, 2))], (3, 2))}
+
+    def operands(self, case, seed):
+        pair_shapes, bias_shape = self.SHAPES[case]
+        rng = np.random.default_rng(seed)
+        pairs = [(Parameter(rng.normal(size=a)), Parameter(rng.normal(size=b)))
+                 for a, b in pair_shapes]
+        bias = None if bias_shape is None else Parameter(
+            rng.normal(size=bias_shape))
+        named = {f"{n}{h}": t for h, pair in enumerate(pairs)
+                 for n, t in zip("ab", pair)}
+        if bias is not None:
+            named["bias"] = bias
+        return pairs, bias, named
+
+    @pytest.mark.parametrize("case", SHAPES)
+    def test_matches_numpy(self, case):
+        pairs, bias, _ = self.operands(case, 19)
+        want = sum(np.einsum("...ij,...jk->...ik", a.value, b.value)
+                   for a, b in pairs)
+        if bias is not None:      # (..., d) bias, one row per leading index
+            want = want + bias.value.reshape(bias.shape[:-1] + (1, -1))
+        got = tape.matmul(*pairs, bias=bias).value
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
 
     @pytest.mark.parametrize("case", SHAPES)
     def test_gradients(self, case):
-        a_shape, b_shape = self.SHAPES[case]
-        rng = np.random.default_rng(20)
-        a = Parameter(rng.normal(size=a_shape))
-        b = Parameter(rng.normal(size=b_shape))
+        pairs, bias, named = self.operands(case, 20)
 
         def loss():
-            return tape.tsum(square(tape.matmul(a, b)))
+            return tape.tsum(square(tape.matmul(*pairs, bias=bias)))
 
-        check(loss, {"a": a, "b": b})
+        check(loss, named)
 
     @pytest.mark.parametrize("case", ["batch_2d_weight",
                                       "factor_stacked_weight"])
     def test_folded_backward_matches_stacked(self, case):
-        a_shape, b_shape = self.SHAPES[case]
+        [(a_shape, b_shape)], _ = self.SHAPES[case]
         rng = np.random.default_rng(21)
         a = Parameter(rng.normal(size=a_shape))
         b = Parameter(rng.normal(size=b_shape))
-        out = tape.matmul(a, b)
+        out = tape.matmul((a, b))
         g = rng.normal(size=out.shape)
         tape.tsum(tape.mul(out, Tensor(g))).backward()
         # one product per leading index of a, summed for b
@@ -129,10 +156,25 @@ class TestBroadcastWeightMatmul:
         adj = Tensor(rng.random((2, 3, 3)))
         x = Parameter(rng.normal(size=(2, 3, 4)))
         w = Parameter(rng.normal(size=(4, 4)))
-        h = tape.matmul(tape.matmul(adj, x), w)
+        h = tape.matmul((tape.matmul((adj, x)), w))
         tape.tsum(tape.mul(h, Tensor(rng.random((2, 3, 4))))).backward()
         assert adj.grad is None
         assert x.grad is not None and w.grad is not None
+
+    @pytest.mark.parametrize("case,bias_shape", [
+        ("bias_2d", (1, 3)), ("bias_2d", (4, 3)), ("bias_stacked", (2,)),
+        ("bias_stacked", (3, 1, 2))],
+        ids=["2d_with_row_axis", "2d_per_row", "stacked_without_factor_axis",
+             "stacked_with_row_axis"])
+    def test_bias_of_wrong_shape_rejected(self, case, bias_shape):
+        pairs, _, _ = self.operands(case, 23)
+        with pytest.raises(ValueError, match="bias of shape"):
+            tape.matmul(*pairs, bias=np.ones(bias_shape))
+
+    def test_pair_products_of_different_shape_rejected(self):
+        with pytest.raises(ValueError, match="differ in shape"):
+            tape.matmul((np.ones((4, 2)), np.ones((2, 3))),
+                        (np.ones((2, 4, 2)), np.ones((2, 3))))
 
 
 class TestShape:
