@@ -1,9 +1,10 @@
 """Training loop, ranking evaluation, ablations, and the planted corpus.
 
 Everything a run needs sits in one ``TrainConfig``; the loop shuffles
-with a per-epoch substream, steps Adam over batch graphs, logs a loss
-breakdown per epoch, and refuses to continue past a non-finite loss or
-gradient.
+with a per-epoch substream, steps Adam over batch graphs (whose hub,
+negative and dropout draws ``rng.uniforms`` keys by each example's
+stable index), logs a loss breakdown per epoch, and refuses to continue
+past a non-finite loss or gradient.
 Evaluation ranks every test prefix and reports precision and MRR at the
 requested cutoffs, overall and bucketed by prefix length.
 """
@@ -81,6 +82,8 @@ class TrainConfig:
                                  f"got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.seed >= 2 ** 64:       # the training draws key on 64 bits
+            raise ValueError(f"seed must be < 2**64, got {self.seed}")
         if self.negatives_per_positive < 1:
             raise ValueError("negatives_per_positive must be >= 1")
         if self.factor_negatives not in ("within_view", "cross_view"):
@@ -184,7 +187,7 @@ def train(train_examples, n_items: int, cfg: TrainConfig,
     """Fit the model; returns the trained parameters and per-epoch losses.
 
     The example order reshuffles every epoch from the ``shuffle``
-    substream; augmentation and negative streams are keyed by each
+    substream; augmentation and negative draws are keyed by each
     example's stable position in ``train_examples``, so shuffling does
     not change what gets sampled for a given example.
     """
@@ -259,8 +262,8 @@ def evaluate(params: ParameterSet, examples, cfg: TrainConfig,
 
     Prefixes are bucketed by length (short < 5 positions) alongside the
     overall numbers.  A non-finite target probability raises
-    ``NumericsError`` naming the 0-based prefix range of its chunk:
-    nothing ranks ahead of NaN, so it would otherwise rank first.
+    ``NumericsError`` naming the 0-based prefix range of its chunk,
+    before ``rank_of`` would refuse it with a bare ``ValueError``.
     """
     if not examples:
         raise ValueError("no evaluation examples")

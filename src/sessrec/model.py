@@ -27,10 +27,12 @@ from .params import ParameterSet
 from .predictor import (catalog_factor_embeddings, prediction_loss, score,
                         total_loss)
 from .propagation import ggnn_step
-from .rng import substream
+from .rng import substream, uniforms
 from .tape import Tensor
 
-# perfbench/tracer.py patches this name; ROADMAP item 1 drops it.
+# perfbench/tracer.py patches this name and ``substream`` (which training
+# no longer calls: its draws come from ``uniforms``); ROADMAP item 1 drops
+# them.
 star_step = ggnn_step
 
 VARIANTS = ("full", "fcl", "star", "fp")
@@ -56,6 +58,18 @@ class PackedBatch:
         return np.repeat(np.arange(self.n_nodes.size), self.n_nodes)
 
     @property
+    def node_local(self) -> np.ndarray:    # (M,) each row's index in its session
+        return np.arange(self.node_ids.size) - np.repeat(self.node_start,
+                                                         self.n_nodes)
+
+    def draws(self, purpose, seed, epoch, rows, slots, stream=0):
+        """``rng.uniforms`` at ``slots``, each keyed by the session id of
+        the node row in ``rows`` (which broadcasts against ``slots``)."""
+        return uniforms(seed, purpose, epoch,
+                        self.session_indices[self.node_session[rows]], slots,
+                        stream)
+
+    @property
     def edges(self):
         """The transitions as ``ggnn_step`` takes them, degree-normalized."""
         return (self.src, self.dst,
@@ -71,8 +85,8 @@ class PackedBatch:
 def pack_batch(examples, session_indices=None) -> PackedBatch:
     """Lay a list of prefix examples out as one batch graph.
 
-    ``session_indices`` are the stable per-example ids used to key the
-    random substreams; they default to 0..B-1.
+    ``session_indices`` are the stable per-example ids that key the
+    training draws; they default to 0..B-1.
     """
     if session_indices is None:
         session_indices = np.arange(len(examples))
@@ -109,11 +123,16 @@ def _factor_edges(f0, pack: PackedBatch):
 
 
 def _star_edges(pack: PackedBatch, theta, seed, epoch):
-    """Hub edge indicators ``(to_real, from_real)``, one per node row:
-    session i draws (2, k) uniforms from its own substream."""
-    draws = [substream(seed, "star", epoch, int(i)).random((2, k))
-             for i, k in zip(pack.session_indices, pack.n_nodes)]
-    return np.concatenate(draws, axis=1) < theta
+    """Hub edge indicators ``(to_real, from_real)``, one per node row.
+
+    Node j of a session of k nodes draws its ``to_real`` uniform at slot
+    j and its ``from_real`` one at slot k + j of the session's "star"
+    draws: a (2, k) block, row-major.
+    """
+    local, k = pack.node_local, pack.n_nodes[pack.node_session]
+    rows = np.arange(local.size)
+    return pack.draws("star", seed, epoch, rows, np.stack([local, k + local])
+                      ) < theta
 
 
 def _star_graph(x0, pack: PackedBatch, to_real, from_real):
@@ -153,24 +172,22 @@ def _dropout_edges(pack: PackedBatch, edge_rate, node_rate, seed, epoch):
     """Perturbed transitions for the dropout variant, as ``ggnn_step``
     takes them.
 
-    Each session draws a (k, k) edge mask, then a k node mask, from its
-    own substream.  Edges vanish independently; nodes other than the
-    last-position node are isolated (every edge touching them goes); the
-    survivors are re-normalized by degree.
+    In a session of k nodes, the edge from local node a to local node b
+    draws at slot a * k + b of the session's "dropout" draws, and node j
+    at slot k * k + j: only edges that exist draw.  Edges vanish
+    independently; nodes other than the last-position node are isolated
+    (every edge touching them goes); the survivors are re-normalized by
+    degree.
     """
-    keep, isolated = [], []
-    for i, k in zip(pack.session_indices, pack.n_nodes):
-        rng = substream(seed, "dropout", epoch, int(i))
-        keep.append((rng.random((k, k)) >= edge_rate).ravel())
-        isolated.append(rng.random(k) < node_rate)
-    isolated = np.concatenate(isolated)
-    isolated[pack.alias[np.cumsum(pack.lengths) - 1]] = False
     src, dst = pack.src, pack.dst
-    session = pack.node_session[src]
-    k, lo = pack.n_nodes[session], pack.node_start[session]
-    block = (np.cumsum(pack.n_nodes ** 2) - pack.n_nodes ** 2)[session]
-    kept = np.concatenate(keep)[block + (src - lo) * k + (dst - lo)]
-    kept &= ~isolated[src] & ~isolated[dst]
+    local, k = pack.node_local, pack.n_nodes[pack.node_session]
+    u = pack.draws("dropout", seed, epoch,
+                   np.concatenate([src, np.arange(local.size)]),
+                   np.concatenate([local[src] * k[src] + local[dst],
+                                   k * k + local]))
+    isolated = u[src.size:] < node_rate
+    isolated[pack.alias[np.cumsum(pack.lengths) - 1]] = False
+    kept = (u[:src.size] >= edge_rate) & ~isolated[src] & ~isolated[dst]
     src, dst = src[kept], dst[kept]
     return src, dst, *degree_weights(src, dst, pack.node_ids.size)
 
@@ -204,21 +221,20 @@ def _negative_draws(pack: PackedBatch, seed, epoch, stream_tag, per, count=1):
     """Per-node negative rows, shape (count, M, per): other nodes of the
     same session.
 
-    ``count`` consecutive draws come from one substream per session, so
-    factor levels consume the same stream in sequence.  A session of one
+    Draw (c, j, n) of local node j in a session of k nodes sits at slot
+    (c * k + j) * per + n of the session's "negatives" draws under
+    ``stream_tag``: a (count, k, per) block, row-major, so factor levels
+    read one block in sequence.  Uniform u picks the
+    ``floor(u * (k - 1))``-th of the k - 1 other nodes.  A session of one
     node draws nothing; its node is its own negative, in a term that
     ``_masked_session_mean`` weighs 0.
     """
-    m = pack.node_ids.size
-    out = np.repeat(np.arange(m)[None, :, None], count, axis=0).repeat(
-        per, axis=2)
-    for i, k, lo in zip(pack.session_indices, pack.n_nodes, pack.node_start):
-        if k < 2:
-            continue
-        rng = substream(seed, "negatives", epoch, int(i), stream_tag)
-        draws = rng.integers(0, k - 1, size=(count, k, per))
-        out[:, lo:lo + k] = lo + draws + (draws >= np.arange(k)[:, None])
-    return out
+    local, k = pack.node_local[:, None], pack.n_nodes[pack.node_session, None]
+    rows = np.arange(local.size)[:, None]
+    slots = (np.arange(count)[:, None, None] * k + local) * per + np.arange(per)
+    other = np.floor(pack.draws("negatives", seed, epoch, rows, slots,
+                                stream_tag) * (k - 1)).astype(np.int64)
+    return np.where(k >= 2, rows - local + other + (other >= local), rows)
 
 
 @dataclass

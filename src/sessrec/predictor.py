@@ -11,6 +11,8 @@ the second kernel, ``tape.onehot_bce``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import tape
@@ -74,10 +76,18 @@ def rank_of(probabilities: np.ndarray, target: int) -> int:
     """1-based rank of ``target`` under descending probability.
 
     Ties are broken toward lower item indices, so the rank is the count
-    of items strictly ahead plus those tied with a smaller index.
+    of items strictly ahead plus those tied with a smaller index.  A
+    target outside [0, N) or with a non-finite probability raises
+    ``ValueError``: an index of -1 would wrap, and nothing ranks ahead
+    of NaN.
     """
     p = np.asarray(probabilities)
+    if not 0 <= target < p.shape[-1]:
+        raise ValueError(f"target {target} outside the catalog [0, "
+                         f"{p.shape[-1]})")
     pt = p[target]
+    if not math.isfinite(pt):
+        raise ValueError(f"target {target} has non-finite probability {pt}")
     ahead = int(np.sum(p > pt))
     tied_before = int(np.sum(p[:target] == pt))
     return ahead + tied_before + 1

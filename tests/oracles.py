@@ -6,6 +6,7 @@ these on fixed toy inputs, and tape gradients against the central
 finite differences at the end of the file.
 """
 
+import zlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -78,6 +79,22 @@ def padded_batch_oracle(sessions):
         for name in ("edge_out", "adj_out", "adj_in"):
             out[name][i, :k, :k] = getattr(g, name)
     return out
+
+
+def philox_uniform_oracle(seed, purpose, epoch, session, slot, stream=0):
+    """The training draw at one address, through numpy's own Philox.
+
+    Key (seed, crc32(purpose) << 32 | epoch), counter (slot, session,
+    stream, 0); numpy steps the counter before its first block, so it
+    starts one below.
+    """
+    seed, epoch, session, slot, stream = map(int, (seed, epoch, session,
+                                                   slot, stream))
+    tag = zlib.crc32(purpose.encode("utf-8"))
+    key = seed + ((tag << 32 | epoch) << 64)
+    counter = slot + (session << 64) + (stream << 128)
+    bits = np.random.Philox(key=key, counter=(counter - 1) % 2 ** 256)
+    return np.random.Generator(bits).random()
 
 
 def session_blocks(pack):

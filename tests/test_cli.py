@@ -134,6 +134,17 @@ class TestTrain:
                      "--out", str(tmp_path / "r"), "--config", str(cfg_file)])
         assert code == EXIT_USAGE
 
+    def test_seed_past_64_bits_is_usage_error(self, corpus_dir, tmp_path,
+                                              caplog):
+        out = tmp_path / "r"
+        code = main(["train", "--train", str(corpus_dir / "train.jsonl"),
+                     "--catalog", str(corpus_dir / "catalog.json"),
+                     "--out", str(out), "--seed", "18446744073709551616"]
+                    + TINY_FLAGS)
+        assert code == EXIT_USAGE
+        assert "seed must be < 2**64" in caplog.text
+        assert not out.exists()
+
     def test_missing_train_file_is_data_error(self, corpus_dir, tmp_path):
         code = main(["train", "--train", str(corpus_dir / "absent.jsonl"),
                      "--catalog", str(corpus_dir / "catalog.json"),

@@ -111,6 +111,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(**overrides)
 
+    @pytest.mark.parametrize("seed", [2 ** 64, 2 ** 70])
+    def test_seed_past_64_bits_rejected(self, seed):
+        # the training draws key on the seed as one 64-bit word
+        with pytest.raises(ValueError, match="seed"):
+            TrainConfig(seed=seed)
+        assert TrainConfig(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+
 
 class TestPlantedCorpus:
     def test_sizes(self):

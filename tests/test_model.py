@@ -3,21 +3,22 @@
 import numpy as np
 import pytest
 
-from oracles import (ggnn_step_oracle, padded_batch_oracle, session_blocks,
+from oracles import (ggnn_step_oracle, padded_batch_oracle,
+                     philox_uniform_oracle, session_blocks,
                      session_graph_oracle)
 
-from sessrec import model, tape
+from sessrec import model, rng, tape
 from sessrec.dataio import Example
 from sessrec.encoder import encode, encode_factors
 from sessrec.graphs import degree_weights
 from sessrec.harness import TrainConfig, make_planted_corpus
-from sessrec.model import (PackedBatch, _dropout_edges, _star_edges,
-                           pack_batch, score_batch, training_forward)
+from sessrec.model import (PackedBatch, _dropout_edges, _negative_draws,
+                           _star_edges, pack_batch, score_batch,
+                           training_forward)
 from sessrec.params import init_parameters
 from sessrec.disentangle import project
 from sessrec.predictor import catalog_factor_embeddings
 from sessrec.predictor import score as score_one
-from sessrec.rng import substream
 from sessrec.tape import Tensor
 
 
@@ -167,15 +168,18 @@ class TestPackEdgeCases:
 
 class TestStarEdgeSampling:
     def test_matches_single_graph_builder(self):
-        # session i draws (2, k) uniforms from the (seed, "star", epoch,
-        # session index) substream: row 0 hub -> node, row 1 node -> hub
+        # node j of a k-node session reads the (seed, "star", epoch,
+        # session index) draws at slot j for hub -> node and at slot
+        # k + j for node -> hub
         examples = toy_examples()
         pack = pack_batch(examples, session_indices=[5, 9, 40])
         to_real, from_real = _star_edges(pack, theta=0.6, seed=3, epoch=2)
         assert to_real.shape == from_real.shape == (len(pack.node_ids),)
         for i, block in enumerate(session_blocks(pack)):
-            draws = substream(3, "star", 2, int(pack.session_indices[i])
-                              ).random((2, block.n_nodes))
+            k, session = block.n_nodes, int(pack.session_indices[i])
+            draws = np.array([[philox_uniform_oracle(3, "star", 2, session,
+                                                     row * k + j)
+                               for j in range(k)] for row in range(2)])
             np.testing.assert_array_equal(to_real[block.rows], draws[0] < 0.6)
             np.testing.assert_array_equal(from_real[block.rows],
                                           draws[1] < 0.6)
@@ -226,7 +230,7 @@ class TestDropoutEdges:
         assert set(zip(src, dst)) <= set(zip(pack.src, pack.dst))
 
     def test_session_alone_or_in_batch(self):
-        # a session's draws come from its own substream: packed alone
+        # a session's draws are keyed by its own index: packed alone
         # under the same session index it keeps the same edges
         indices = [5, 9, 40, 12]
         pack = pack_batch(self.EXAMPLES, session_indices=indices)
@@ -241,6 +245,120 @@ class TestDropoutEdges:
                 _edge_set(*alone)
             kept += inside.sum()
         assert kept == batch[0].size
+
+
+DRAW_SESSIONS = [[3, 1, 3, 2, 1, 4], [4, 4], [2, 5, 5], [0, 1, 2, 3, 4, 0, 2],
+                 [6], [5, 5, 5], [1, 6]]
+
+
+def training_draws(pack):
+    """Every per-step draw of a batch, cut per session: hub edges, item
+    and factor negatives (as local node indices), and the dropout edges
+    (as local (src, dst) pairs)."""
+    hubs = np.stack(_star_edges(pack, 0.5, seed=4, epoch=2))
+    negs = [_negative_draws(pack, 4, 2, tag, per=3, count=c)
+            for tag, c in ((0, 1), (1, 2))]
+    src, dst, _, _ = _dropout_edges(pack, 0.4, 0.3, seed=4, epoch=2)
+    out = []
+    for lo, k in zip(pack.node_start, pack.n_nodes):
+        rows, inside = slice(lo, lo + k), (src >= lo) & (src < lo + k)
+        out.append((hubs[:, rows].tolist(),
+                    *[(n[:, rows] - lo).tolist() for n in negs],
+                    sorted(zip(src[inside] - lo, dst[inside] - lo))))
+    return out
+
+
+class TestTrainingDraws:
+    def test_same_alone_in_another_batch_or_position(self):
+        examples = [Example(s, 0) for s in DRAW_SESSIONS]
+        ids = [11, 3, 70, 5, 2 ** 40, 9, 0]
+        batch = training_draws(pack_batch(examples, session_indices=ids))
+        # reversed order, and a different partition into two batches
+        rev = training_draws(pack_batch(examples[::-1],
+                                        session_indices=ids[::-1]))[::-1]
+        split = (training_draws(pack_batch(examples[:3], ids[:3]))
+                 + training_draws(pack_batch(examples[3:], ids[3:])))
+        for i, (ex, sid) in enumerate(zip(examples, ids)):
+            alone = training_draws(pack_batch([ex], session_indices=[sid]))
+            assert batch[i] == alone[0] == rev[i] == split[i], i
+
+    def test_session_index_keys_the_draws(self):
+        examples = [Example(s, 0) for s in DRAW_SESSIONS[:4]]
+        a = training_draws(pack_batch(examples, [1, 2, 3, 4]))
+        b = training_draws(pack_batch(examples, [5, 6, 7, 8]))
+        assert a != b
+
+    def test_negatives_match_the_uniforms(self):
+        # draw (c, j, n) of a k-node session: slot (c * k + j) * per + n,
+        # the floor(u * (k - 1))-th node other than j
+        pack = pack_batch([Example(s, 0) for s in DRAW_SESSIONS],
+                          session_indices=[11, 3, 70, 5, 8, 9, 0])
+        got = _negative_draws(pack, 4, 2, 1, per=3, count=2)
+        for i, block in enumerate(session_blocks(pack)):
+            k, session = block.n_nodes, int(pack.session_indices[i])
+            for c in range(2):
+                for j in range(k):
+                    for n in range(3):
+                        u = philox_uniform_oracle(4, "negatives", 2, session,
+                                                  (c * k + j) * 3 + n, 1)
+                        other = int(u * (k - 1))
+                        want = j if k < 2 else other + (other >= j)
+                        assert got[c, block.rows.start + j, n] - \
+                            block.rows.start == want
+
+    def test_dropout_matches_the_uniforms(self):
+        # edge a -> b of a k-node session reads slot a * k + b, node j
+        # slot k * k + j
+        pack = pack_batch([Example(s, 0) for s in DRAW_SESSIONS],
+                          session_indices=[11, 3, 70, 5, 8, 9, 0])
+        src, dst, _, _ = _dropout_edges(pack, 0.4, 0.3, seed=4, epoch=2)
+        last = set(pack.alias[np.cumsum(pack.lengths) - 1].tolist())
+        want = []
+        for i, block in enumerate(session_blocks(pack)):
+            k, lo = block.n_nodes, block.rows.start
+            session = int(pack.session_indices[i])
+            u = lambda slot: philox_uniform_oracle(4, "dropout", 2, session,
+                                                   slot)
+            isolated = [u(k * k + j) < 0.3 and lo + j not in last
+                        for j in range(k)]
+            for a, b in zip(*np.nonzero(block.edge_out)):
+                if u(a * k + b) >= 0.4 and not isolated[a] \
+                        and not isolated[b]:
+                    want.append((lo + a, lo + b))
+        assert sorted(zip(src.tolist(), dst.tolist())) == sorted(want)
+
+    @pytest.mark.parametrize("sessions", [[[6], [3], [7]], [[4, 4, 4], [2, 2]],
+                                          [[1, 2], [2, 1, 2], [5, 6]]],
+                             ids=["one_node", "all_repeat", "two_nodes"])
+    def test_edge_case_batches(self, sessions):
+        pack = pack_batch([Example(s, 0) for s in sessions])
+        hubs = np.stack(_star_edges(pack, 0.5, seed=1, epoch=0))
+        assert hubs.shape == (2, pack.node_ids.size)
+        negs = _negative_draws(pack, 1, 0, 0, per=4, count=2)
+        rows = np.arange(pack.node_ids.size)
+        for lo, k in zip(pack.node_start, pack.n_nodes):
+            block = negs[:, lo:lo + k]
+            if k == 1:
+                assert (block == lo).all()
+            else:      # k = 2: the other node, always
+                assert (block == lo + 1 - (rows[lo:lo + k, None] - lo)).all()
+        src, dst, w_in, w_out = _dropout_edges(pack, 0.5, 0.5, seed=1,
+                                               epoch=0)
+        assert set(zip(src, dst)) <= set(zip(pack.src, pack.dst))
+        assert np.isfinite(w_in).all() and np.isfinite(w_out).all()
+
+    @pytest.mark.parametrize("variant", ["full", "fcl", "star", "fp"])
+    def test_training_forward_builds_no_substream(self, variant, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("substream called in a training step")
+        monkeypatch.setattr(model, "substream", refuse)
+        monkeypatch.setattr(rng, "substream", refuse)
+        cfg = toy_config(variant=variant)
+        params = toy_params(cfg, n_items=8)
+        pack = pack_batch([Example(s, 0) for s in DRAW_SESSIONS])
+        out = training_forward(params, pack, cfg, epoch=3)
+        out.loss.backward()
+        assert np.isfinite(out.loss.value)
 
 
 class TestTrainingForward:

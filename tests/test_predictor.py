@@ -139,6 +139,19 @@ class TestRanking:
         assert rank_of(p, 1) == 1
         assert rank_of(p, 0) == 4
 
+    @pytest.mark.parametrize("target", [-1, 3, 10])
+    def test_target_outside_catalog_rejected(self, target):
+        # -1 would silently rank the last item
+        with pytest.raises(ValueError, match="outside the catalog"):
+            rank_of(np.array([0.2, 0.5, 0.3]), target)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        # nothing ranks ahead of NaN, so it would come out first
+        with pytest.raises(ValueError, match="non-finite"):
+            rank_of(np.array([0.2, bad, 0.3]), 1)
+        assert rank_of(np.array([0.2, bad, 0.3]), 2) >= 1
+
     def test_tie_breaks_toward_lower_index(self):
         p = np.array([0.3, 0.3, 0.3])
         assert rank_of(p, 0) == 1
