@@ -37,7 +37,7 @@ class Discriminator:
         a = tape.as_tensor(a)
         b = tape.as_tensor(b)
         if self.form == "bilinear":
-            a = tape.matmul((a, self.weight))
+            a = tape.matmul(a, self.weight)
         return tape.tsum(tape.mul(a, b), axis=-1)
 
     def named_parameters(self, prefix):

@@ -50,7 +50,7 @@ def project_flat(items, proj: FactorProjection):
     k, d, f = proj.weight.value.shape
     w = tape.reshape(tape.swap_last(proj.weight, (0, 1)), (d, k * f))
     b = tape.reshape(proj.bias, (k * f,))
-    return tape.add(tape.sigmoid(tape.matmul((items, w))), b)
+    return tape.add(tape.sigmoid(tape.matmul(items, w)), b)
 
 
 def project(items, proj: FactorProjection):

@@ -50,11 +50,11 @@ def attention_scores(h, last, node_session, w: AttentionWeights):
     anchors it.  Returns (..., M, 1).  Scores stay raw by design; see
     ``encode`` for the optional softmax.
     """
-    anchor = tape.getitem(tape.matmul((last, w.w_last)),
+    anchor = tape.getitem(tape.matmul(last, w.w_last),
                           (..., node_session, slice(None)))
-    hidden = tape.sigmoid(tape.add(tape.matmul((h, w.w_current)), anchor))
-    return tape.matmul((hidden, tape.reshape(w.query,
-                                             w.query.value.shape + (1,))))
+    hidden = tape.sigmoid(tape.add(tape.matmul(h, w.w_current), anchor))
+    return tape.matmul(hidden, tape.reshape(w.query,
+                                            w.query.value.shape + (1,)))
 
 
 def encode(h, w: AttentionWeights, alias, lengths,
@@ -90,7 +90,7 @@ def encode(h, w: AttentionWeights, alias, lengths,
     else:
         mixed = tape.edge_matmul(alpha, h, *ends)          # (..., B, d)
     merged = tape.concat([last, mixed], axis=-1)           # (..., B, 2d)
-    return tape.matmul((merged, w.w_merge))
+    return tape.matmul(merged, w.w_merge)
 
 
 def encode_factors(factor_states, weights, alias, lengths,

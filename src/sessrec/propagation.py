@@ -1,10 +1,10 @@
 """Gated graph propagation: the channel weights and the one layer step.
 
 One cell, ``ggnn_step``, serves every channel; only the edges and the
-weight set differ.  Its five GEMMs, two biased aggregation maps and
-three gates, are five ``tape.matmul`` nodes.  States are the real node
-rows of a whole batch, (M, d), and a graph is its edge lists ``(src,
-dst, w_in, w_out)`` over those rows, summed by ``tape.edge_matmul``.
+weight set differ.  It is three tape nodes: two ``tape.edge_matmul``
+edge sums and the ``tape.gated_update`` kernel.  States are the real
+node rows of a whole batch, (M, d), and a graph is its edge lists
+``(src, dst, w_in, w_out)`` over those rows.
 The star view is no special case: its hubs are more rows of the graph
 it propagates over.  The K factor channels run at once as (K, M, d)
 states over (K, E) edge weights with factor-stacked weights.
@@ -54,29 +54,18 @@ class GGNNWeights:
         return cls(*map(Parameter, values), layers=layers)
 
     def named_parameters(self, prefix):
-        for name in ("weight_in", "weight_out", "bias_in", "bias_out",
-                     "weight_update", "weight_reset", "weight_cand",
-                     "u_update", "u_reset", "u_cand"):
-            yield f"{prefix}.{name}", getattr(self, name)
+        for name, p in vars(self).items():      # field order
+            if isinstance(p, Parameter):
+                yield f"{prefix}.{name}", p
 
 
 def ggnn_step(x, edges, w: GGNNWeights):
     """One propagation layer over ``edges`` ``(src, dst, w_in, w_out)``:
-    a node's incoming summary sums the ``w_in``-weighted tails of the
-    edges into it, its outgoing one the ``w_out``-weighted heads of the
-    edges out of it.  Their biased linear maps, concatenated as ``c``,
-    feed the gates; each gate's ``c W + x U`` is one matmul node."""
+    each node's gated update from the sums of the ``w_in``-weighted tails
+    of its in-edges and of the ``w_out``-weighted heads of its out-edges."""
     x = tape.as_tensor(x)
     src, dst, w_in, w_out = edges
     m = x.value.shape[-2]
-    c = tape.concat([
-        tape.matmul((tape.edge_matmul(w_in, x, src, dst, m), w.weight_in),
-                    bias=w.bias_in),
-        tape.matmul((tape.edge_matmul(w_out, x, dst, src, m), w.weight_out),
-                    bias=w.bias_out)], axis=-1)
-    z = tape.sigmoid(tape.matmul((c, w.weight_update), (x, w.u_update)))
-    r = tape.sigmoid(tape.matmul((c, w.weight_reset), (x, w.u_reset)))
-    cand = tape.tanh(tape.matmul((c, w.weight_cand),
-                                 (tape.mul(r, x), w.u_cand)))
-    one = tape.Tensor(np.float64(1.0))
-    return tape.add(tape.mul(tape.sub(one, z), x), tape.mul(z, cand))
+    return tape.gated_update(x, tape.edge_matmul(w_in, x, src, dst, m),
+                             tape.edge_matmul(w_out, x, dst, src, m),
+                             [p for _, p in w.named_parameters("")])

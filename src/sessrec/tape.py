@@ -3,15 +3,14 @@
 Small tape just big enough for this library: dense ops, broadcasting,
 advanced indexing, and a few custom kernels with hand-written backward
 rules: weighted sums along graph edges (``edge_matmul``, on a sparse
-matrix), the mean catalog softmax of (session, catalog) pairs
-(``mean_softmax``), the clamped one-hot binary cross-entropy
-(``onehot_bce``), the Gram matrix of double-centred distance matrices
-(over the distinct rows, each weighted by its count; every copy of a
-row gets an equal share of its gradient), and safe row normalization.
-``matmul`` sums (a, b) pairs' products plus a bias: a gate's ``c W +
-x U`` is one node.  Everything runs in float64 and is deterministic: no
-threads, no in-place gradient mutation, accumulation order fixed by the
-topological order of the graph.
+matrix), the GGNN cell's gated update (``gated_update``), the mean
+catalog softmax of (session, catalog) pairs (``mean_softmax``), the
+clamped one-hot binary cross-entropy (``onehot_bce``), the Gram matrix
+of double-centred distance matrices (over the distinct rows, each
+weighted by its count; every copy of a row gets an equal share of its
+gradient), and safe row normalization.  Everything runs in float64 and
+is deterministic: no threads, no in-place gradient mutation,
+accumulation order fixed by the topological order of the graph.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from contextlib import contextmanager
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
 
 def _to_value(x) -> np.ndarray:
@@ -39,6 +37,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g
+
+
+def _t(a):
+    return np.swapaxes(a, -1, -2)
 
 
 class Tensor:
@@ -183,13 +185,9 @@ def div(a, b) -> Tensor:
     return out
 
 
-def matmul(*pairs, bias=None) -> Tensor:
-    """``sum_h a_h @ b_h`` over (a, b) pairs whose products share one
-    shape, numpy broadcasting over leading axes, plus an optional
-    ``bias`` added to every row: one node.
+def matmul(a, b) -> Tensor:
+    """``a @ b`` with numpy broadcasting over leading axes.
 
-    ``bias`` holds one value per output unit, the first weight's shape
-    without its input axis: (d,) for (d_in, d), (K, d) for (K, d_in, d).
     When ``b`` is a 2-D weight that the leading axes of ``a`` broadcast
     over, the backward folds those axes into the rows of one GEMM:
     ``b``'s gradient is one product, not a batched product summed down.
@@ -197,40 +195,23 @@ def matmul(*pairs, bias=None) -> Tensor:
     slower than one folded GEMM at the model's shapes and faster at
     evaluation's 512-session chunks of long sessions.
     """
-    pairs = [(as_tensor(a), as_tensor(b)) for a, b in pairs]
-    if not pairs or min(t.value.ndim for pair in pairs for t in pair) < 2:
-        raise ValueError("matmul needs (a, b) pairs of ndim >= 2")
-    value = pairs[0][0].value @ pairs[0][1].value
-    for a, b in pairs[1:]:
-        product = a.value @ b.value
-        if product.shape != value.shape:
-            raise ValueError("matmul pair products differ in shape")
-        value += product
-    parents = tuple(t for pair in pairs for t in pair)
-    if bias is not None:
-        bias, w = as_tensor(bias), pairs[0][1].shape
-        if bias.shape != w[:-2] + w[-1:]:
-            raise ValueError(f"bias of shape {bias.shape} for weight {w}")
-        value += bias.value[..., None, :]
-        parents += (bias,)
+    a, b = as_tensor(a), as_tensor(b)
+    if a.value.ndim < 2 or b.value.ndim < 2:
+        raise ValueError("matmul operands must have ndim >= 2")
 
     def _bw():
-        for a, b in pairs:
-            g, a_v = out.grad, a.value
-            if b.value.ndim == 2 < a_v.ndim:
-                g, a_v = (v.reshape(-1, v.shape[-1]) for v in (g, a_v))
-            if a.requires_grad:
-                ga = g @ np.swapaxes(b.value, -1, -2)
-                _accum(a, _unbroadcast(ga.reshape(out.grad.shape[:-1]
-                                                  + ga.shape[-1:]),
-                                       a.value.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(np.swapaxes(a_v, -1, -2) @ g,
-                                       b.value.shape))
-        if bias is not None and bias.requires_grad:
-            _accum(bias, _unbroadcast(out.grad.sum(axis=-2), bias.value.shape))
+        g, a_v = out.grad, a.value
+        if b.value.ndim == 2 < a_v.ndim:
+            g, a_v = (v.reshape(-1, v.shape[-1]) for v in (g, a_v))
+        if a.requires_grad:
+            ga = g @ _t(b.value)
+            _accum(a, _unbroadcast(ga.reshape(out.grad.shape[:-1]
+                                              + ga.shape[-1:]),
+                                   a.value.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(_t(a_v) @ g, b.value.shape))
 
-    out = _make(value, parents, _bw)
+    out = _make(a.value @ b.value, (a, b), _bw)
     return out
 
 
@@ -284,55 +265,47 @@ def getitem(a, key) -> Tensor:
     return out
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a, axis=None) -> Tensor:
     a = as_tensor(a)
 
     def _bw():
-        g = out.grad
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
+        g = out.grad if axis is None else np.expand_dims(out.grad, axis)
         _accum(a, np.broadcast_to(g, a.value.shape))
 
-    out = _make(a.value.sum(axis=axis, keepdims=keepdims), (a,), _bw)
+    out = _make(a.value.sum(axis=axis), (a,), _bw)
     return out
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a, axis: int) -> Tensor:
     a = as_tensor(a)
-    count = a.value.size if axis is None else np.prod(
-        [a.value.shape[ax] for ax in np.atleast_1d(axis)])
+    count = a.value.shape[axis]
 
     def _bw():
-        g = out.grad / count
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.value.shape))
+        _accum(a, np.broadcast_to(np.expand_dims(out.grad / count, axis),
+                                  a.value.shape))
 
-    out = _make(a.value.mean(axis=axis, keepdims=keepdims), (a,), _bw)
+    out = _make(a.value.mean(axis=axis), (a,), _bw)
     return out
 
 
 # -- nonlinearities ---------------------------------------------------------
 
+def _sigmoid(x):
+    """The logistic function as ``0.5 tanh(x / 2) + 0.5``: no overflow."""
+    s = np.tanh(x * 0.5)
+    s *= 0.5
+    s += 0.5
+    return s
+
+
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    s = expit(a.value)
+    s = _sigmoid(a.value)
 
     def _bw():
         _accum(a, out.grad * s * (1.0 - s))
 
     out = _make(s, (a,), _bw)
-    return out
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    t = np.tanh(a.value)
-
-    def _bw():
-        _accum(a, out.grad * (1.0 - t * t))
-
-    out = _make(t, (a,), _bw)
     return out
 
 
@@ -363,7 +336,7 @@ def softplus(a) -> Tensor:
     a = as_tensor(a)
 
     def _bw():
-        _accum(a, out.grad * expit(a.value))
+        _accum(a, out.grad * _sigmoid(a.value))
 
     out = _make(np.logaddexp(0.0, a.value), (a,), _bw)
     return out
@@ -424,6 +397,44 @@ def edge_matmul(values, x, src, dst, m) -> Tensor:
                                         values.value.shape))
 
     out = _make((a @ xs).reshape(lead + (m, d)), (values, x), _bw)
+    return out
+
+
+def gated_update(x, a_in, a_out, weights) -> Tensor:
+    """The GRU update ``(1 - z) x + z n`` of states ``x`` (..., M, d)
+    from their edge sums ``a_in`` and ``a_out``: with ``c = [a_in W_in +
+    b_in, a_out W_out + b_out]``, ``z = sigmoid(c W_z + x U_z)``, ``r =
+    sigmoid(c W_r + x U_r)`` and ``n = tanh(c W_c + (r x) U_c)``.
+    ``weights`` are (W_in, W_out, b_in, b_out, W_z, W_r, W_c, U_z, U_r,
+    U_c), with the leading axes of ``x``."""
+    parents = tuple(map(as_tensor, (x, a_in, a_out, *weights)))
+    xv, ai, ao, w_in, w_out, b_in, b_out, w_z, w_r, w_c, u_z, u_r, u_c = (
+        t.value for t in parents)
+    c = np.concatenate([ai @ w_in + b_in[..., None, :],
+                        ao @ w_out + b_out[..., None, :]], axis=-1)
+    z = _sigmoid(c @ w_z + xv @ u_z)
+    r = _sigmoid(c @ w_r + xv @ u_r)
+    rx = r * xv
+    n = np.tanh(c @ w_c + rx @ u_c)
+
+    def _bw():
+        g, d = out.grad, xv.shape[-1]
+        gn = g * z * (1.0 - n * n)
+        gz = g * (n - xv) * z * (1.0 - z)
+        grx = gn @ _t(u_c)
+        gr = grx * xv * r * (1.0 - r)
+        gc = gz @ _t(w_z) + gr @ _t(w_r) + gn @ _t(w_c)
+        gx = g * (1.0 - z) + grx * r + gz @ _t(u_z) + gr @ _t(u_r)
+        g_in, g_out = gc[..., :d], gc[..., d:]
+        grads = (gx, g_in @ _t(w_in), g_out @ _t(w_out),
+                 _t(ai) @ g_in, _t(ao) @ g_out,
+                 g_in.sum(axis=-2), g_out.sum(axis=-2),
+                 _t(c) @ gz, _t(c) @ gr, _t(c) @ gn,
+                 _t(xv) @ gz, _t(xv) @ gr, _t(rx) @ gn)
+        for t, grad in zip(parents, grads):
+            _accum(t, grad)
+
+    out = _make((1.0 - z) * xv + z * n, parents, _bw)
     return out
 
 

@@ -1,6 +1,9 @@
 """Command line surface: subcommands, config precedence, exit codes."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -408,3 +411,13 @@ class TestAblateCommand:
 def test_entry_point_function_exists():
     # the installed script calls cli.main and exits with its return value
     assert callable(cli.main)
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # importing scipy.special adds about 0.1 s to every process's start
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import sessrec.cli; "
+            "print('scipy.special' in sys.modules)")
+    src = Path(cli.__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-c", code, str(src)],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "False"

@@ -5,10 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import (bce_oracle, centered_gram_oracle, gradient_errors,
-                     max_relative_error, numerical_gradient, scores_oracle)
+from oracles import (bce_oracle, centered_gram_oracle, ggnn_step_oracle,
+                     gradient_errors, max_relative_error, numerical_gradient,
+                     scores_oracle)
 
 from sessrec import tape
+from sessrec.propagation import GGNNWeights
 from sessrec.tape import Parameter, Tensor
 
 TOL = 1e-4
@@ -59,7 +61,7 @@ class TestMatmul:
         b = Parameter(rng.normal(size=(4, 2)))
 
         def loss():
-            return tape.tsum(square(tape.matmul((a, b))))
+            return tape.tsum(square(tape.matmul(a, b)))
 
         check(loss, {"a": a, "b": b})
 
@@ -69,7 +71,7 @@ class TestMatmul:
         b = Parameter(rng.normal(size=(4, 5)))
 
         def loss():
-            return tape.tsum(square(tape.matmul((a, b))))
+            return tape.tsum(square(tape.matmul(a, b)))
 
         check(loss, {"a": a, "b": b})
 
@@ -79,7 +81,7 @@ class TestMatmul:
         x = Parameter(rng.normal(size=(2, 3, 4)))
 
         def loss():
-            return tape.tsum(square(tape.matmul((adj, x))))
+            return tape.tsum(square(tape.matmul(adj, x)))
 
         check(loss, {"adj": adj, "x": x})
 
@@ -88,58 +90,39 @@ class TestBroadcastWeightMatmul:
     # b is a weight broadcast over a's extra leading axes: 2-D, whose
     # backward folds those axes into the GEMM rows, or stacked on the
     # inner leading axes of a, whose backward sums a batched product.
-    # A case is its (a, b) pair shapes and its bias shape: one value per
-    # output unit of the first weight, added to every row.
-    SHAPES = {"batch_2d_weight": ([((3, 4, 5), (5, 5))], None),
-              "factor_stacked_weight": ([((2, 3, 4, 5), (3, 5, 2))], None),
-              "plain_2d": ([((4, 5), (5, 3))], None),
-              "two_pairs": ([((4, 6), (6, 3)), ((4, 2), (2, 3))], None),
-              "bias_2d": ([((2, 4, 5), (5, 3)), ((2, 4, 3), (3, 3))], (3,)),
-              "bias_stacked": ([((3, 4, 6), (3, 6, 2)),
-                                ((3, 4, 2), (3, 2, 2))], (3, 2))}
+    SHAPES = {"batch_2d_weight": ((3, 4, 5), (5, 5)),
+              "factor_stacked_weight": ((2, 3, 4, 5), (3, 5, 2)),
+              "plain_2d": ((4, 5), (5, 3))}
 
     def operands(self, case, seed):
-        pair_shapes, bias_shape = self.SHAPES[case]
         rng = np.random.default_rng(seed)
-        pairs = [(Parameter(rng.normal(size=a)), Parameter(rng.normal(size=b)))
-                 for a, b in pair_shapes]
-        bias = None if bias_shape is None else Parameter(
-            rng.normal(size=bias_shape))
-        named = {f"{n}{h}": t for h, pair in enumerate(pairs)
-                 for n, t in zip("ab", pair)}
-        if bias is not None:
-            named["bias"] = bias
-        return pairs, bias, named
+        return [Parameter(rng.normal(size=s)) for s in self.SHAPES[case]]
 
     @pytest.mark.parametrize("case", SHAPES)
     def test_matches_numpy(self, case):
-        pairs, bias, _ = self.operands(case, 19)
-        want = sum(np.einsum("...ij,...jk->...ik", a.value, b.value)
-                   for a, b in pairs)
-        if bias is not None:      # (..., d) bias, one row per leading index
-            want = want + bias.value.reshape(bias.shape[:-1] + (1, -1))
-        got = tape.matmul(*pairs, bias=bias).value
-        np.testing.assert_allclose(got, want, rtol=0,
+        a, b = self.operands(case, 19)
+        want = np.einsum("...ij,...jk->...ik", a.value, b.value)
+        np.testing.assert_allclose(tape.matmul(a, b).value, want, rtol=0,
                                    atol=1e-12 * np.abs(want).max())
 
     @pytest.mark.parametrize("case", SHAPES)
     def test_gradients(self, case):
-        pairs, bias, named = self.operands(case, 20)
+        a, b = self.operands(case, 20)
 
         def loss():
-            return tape.tsum(square(tape.matmul(*pairs, bias=bias)))
+            return tape.tsum(square(tape.matmul(a, b)))
 
-        check(loss, named)
+        check(loss, {"a": a, "b": b})
 
     @pytest.mark.parametrize("case", ["batch_2d_weight",
                                       "factor_stacked_weight"])
     def test_folded_backward_matches_stacked(self, case):
-        [(a_shape, b_shape)], _ = self.SHAPES[case]
+        a_shape, b_shape = self.SHAPES[case]
         rng = np.random.default_rng(21)
         a = Parameter(rng.normal(size=a_shape))
         b = Parameter(rng.normal(size=b_shape))
-        out = tape.matmul((a, b))
-        g = rng.normal(size=out.shape)
+        out = tape.matmul(a, b)
+        g = rng.normal(size=out.value.shape)
         tape.tsum(tape.mul(out, Tensor(g))).backward()
         # one product per leading index of a, summed for b
         lead = a_shape[:len(a_shape) - len(b_shape)]
@@ -156,25 +139,48 @@ class TestBroadcastWeightMatmul:
         adj = Tensor(rng.random((2, 3, 3)))
         x = Parameter(rng.normal(size=(2, 3, 4)))
         w = Parameter(rng.normal(size=(4, 4)))
-        h = tape.matmul((tape.matmul((adj, x)), w))
+        h = tape.matmul(tape.matmul(adj, x), w)
         tape.tsum(tape.mul(h, Tensor(rng.random((2, 3, 4))))).backward()
         assert adj.grad is None
         assert x.grad is not None and w.grad is not None
 
-    @pytest.mark.parametrize("case,bias_shape", [
-        ("bias_2d", (1, 3)), ("bias_2d", (4, 3)), ("bias_stacked", (2,)),
-        ("bias_stacked", (3, 1, 2))],
-        ids=["2d_with_row_axis", "2d_per_row", "stacked_without_factor_axis",
-             "stacked_with_row_axis"])
-    def test_bias_of_wrong_shape_rejected(self, case, bias_shape):
-        pairs, _, _ = self.operands(case, 23)
-        with pytest.raises(ValueError, match="bias of shape"):
-            tape.matmul(*pairs, bias=np.ones(bias_shape))
 
-    def test_pair_products_of_different_shape_rejected(self):
-        with pytest.raises(ValueError, match="differ in shape"):
-            tape.matmul((np.ones((4, 2)), np.ones((2, 3))),
-                        (np.ones((2, 4, 2)), np.ones((2, 3))))
+class TestGatedUpdate:
+    # the cell's inputs: states x, their edge sums a_in = adj_in x and
+    # a_out = adj_out x over dense random adjacencies, and the ten
+    # weights, 2-D or stacked on a leading factor axis of x
+    @staticmethod
+    def operands(lead, seed, m=4, d=3):
+        rng = np.random.default_rng(seed)
+        w = GGNNWeights.init(d, rng, num_factors=lead[0] if lead else None)
+        x = rng.normal(size=lead + (m, d))
+        adj_in, adj_out = rng.random((2,) + lead + (m, m))
+        return x, adj_in, adj_out, w
+
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["2d", "stacked"])
+    def test_matches_oracle(self, lead):
+        x, adj_in, adj_out, w = self.operands(lead, 24)
+        weights = [p for _, p in w.named_parameters("")]
+        got = tape.gated_update(x, adj_in @ x, adj_out @ x, weights).value
+        named = {name[1:]: p.value for name, p in w.named_parameters("")}
+        for i in np.ndindex(*lead):
+            ref = ggnn_step_oracle(x[i], adj_in[i], adj_out[i],
+                                   {n: v[i] for n, v in named.items()})
+            np.testing.assert_allclose(got[i], ref, atol=1e-10, rtol=0)
+
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["2d", "stacked"])
+    def test_gradients(self, lead):
+        x, adj_in, adj_out, w = self.operands(lead, 25)
+        inputs = {"x": Parameter(x), "a_in": Parameter(adj_in @ x),
+                  "a_out": Parameter(adj_out @ x)}
+        named = {name[1:]: p for name, p in w.named_parameters("")}
+        g = Tensor(np.random.default_rng(26).normal(size=x.shape))
+
+        def loss():
+            out = tape.gated_update(*inputs.values(), list(named.values()))
+            return tape.tsum(tape.mul(out, g))
+
+        check(loss, {**inputs, **named})
 
 
 class TestShape:
@@ -230,13 +236,12 @@ class TestReductionsAndNonlinear:
         a = Parameter(rng.normal(size=(3, 4)))
 
         def loss():
-            part = tape.tmean(a, axis=0, keepdims=True)
+            part = tape.tmean(a, axis=0)
             return tape.tsum(square(tape.sub(a, part)))
 
         check(loss, {"a": a})
 
-    @pytest.mark.parametrize("op", [tape.sigmoid, tape.tanh, tape.exp,
-                                    tape.softplus])
+    @pytest.mark.parametrize("op", [tape.sigmoid, tape.exp, tape.softplus])
     def test_pointwise(self, op):
         rng = np.random.default_rng(8)
         a = Parameter(rng.normal(size=(6,)))
