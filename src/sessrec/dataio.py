@@ -279,7 +279,8 @@ def write_catalog(path, catalog: ItemCatalog):
 
 def read_catalog(path) -> ItemCatalog:
     """Read a catalog file; ``DataError`` unless it is a JSON object whose
-    ``item_to_index`` maps raw ids onto the dense indices 0..count-1."""
+    ``item_to_index`` maps raw ids onto the dense indices 0..count-1, and
+    every index, and ``count`` if present, is a JSON integer."""
     with open(path, encoding="utf-8") as fh:
         try:
             rec = json.load(fh)
@@ -288,10 +289,13 @@ def read_catalog(path) -> ItemCatalog:
     mapping = rec.get("item_to_index") if isinstance(rec, dict) else None
     if not isinstance(mapping, dict):
         raise DataError(f"{path}: catalog has no item_to_index object")
+    count = rec.get("count", len(mapping))
+    if not all(type(v) is int for v in (count, *mapping.values())):
+        raise DataError(f"{path}: catalog indices and count must be JSON "
+                        f"integers")
     if set(mapping.values()) != set(range(len(mapping))):
         raise DataError(f"{path}: item_to_index must map onto 0.."
                         f"{len(mapping) - 1} one to one")
-    catalog = ItemCatalog(dict(mapping))
-    if catalog.count != rec.get("count", catalog.count):
+    if count != len(mapping):
         raise DataError(f"{path}: catalog count mismatch")
-    return catalog
+    return ItemCatalog(dict(mapping))

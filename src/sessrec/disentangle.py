@@ -5,10 +5,12 @@ projections whose weights carry a leading factor axis, so all K views
 come from one matrix product.  Training pushes the factors apart with a
 penalty summing pairwise distance correlation over all ordered factor
 pairs, so that each factor captures a distinct aspect of the items.
-All pairs come from one Gram matrix, ``tape.centered_distance_gram``.
-Items recur across the sessions of a batch, so factor rows repeat; the
-Gram kernel merges rows equal in every view and weights each distinct
-row by its count, which gives the same penalty as every row on its own.
+The projection is one tape node, ``tape.sigmoid_projection``, and so
+is the penalty, ``tape.distance_correlation_sum``, which reads every
+pair off one Gram matrix.  Items recur across the sessions of a batch,
+so factor rows repeat; the kernel merges rows equal in every view and
+weights each distinct row by its count, which gives the same penalty as
+every row on its own.
 """
 
 from __future__ import annotations
@@ -44,18 +46,9 @@ class FactorProjection:
         yield "factor_proj.bias", self.bias
 
 
-def project_flat(items, proj: FactorProjection):
-    """All K factor views side by side, (..., d) -> (..., K * d_f), from one
-    product: columns [k d_f, (k+1) d_f) hold ``sigmoid(x W_k) + b_k``."""
-    k, d, f = proj.weight.value.shape
-    w = tape.reshape(tape.swap_last(proj.weight, (0, 1)), (d, k * f))
-    b = tape.reshape(proj.bias, (k * f,))
-    return tape.add(tape.sigmoid(tape.matmul(items, w)), b)
-
-
 def project(items, proj: FactorProjection):
     """Map item rows (..., n, d) to the K factor views (..., K, n, d_f)."""
-    flat = project_flat(items, proj)
+    flat = tape.sigmoid_projection(items, proj.weight, proj.bias)
     k, _, f = proj.weight.value.shape
     split = tape.reshape(flat, flat.value.shape[:-1] + (k, f))
     return tape.swap_last(split, (-3, -2))
@@ -64,14 +57,9 @@ def project(items, proj: FactorProjection):
 def independence_loss(factors):
     """Sum of distance correlation over all ordered pairs of factor views.
 
-    ``factors`` stacks K views of the same m items as (K, m, d_f).  All
-    pairs come from one Gram matrix, computed over the distinct rows
-    with count weights: an item that occurs n times counts n times, and
-    each copy gets an equal share of the gradient.  Each unordered pair
-    appears twice in the ordered sum and dcor is symmetric, so the pair
-    sum is doubled.  Degenerate pairs carry no usable signal and add
-    exactly 0: a view with zero distance variance, or a squared
-    covariance that cancels to <= 0 in floating point.  With fewer than
+    ``factors`` stacks K views of the same m items as (K, m, d_f); an
+    item that occurs n times counts n times, and degenerate pairs add
+    exactly 0 (see ``tape.distance_correlation_sum``).  With fewer than
     two factors, or fewer than two items, there is nothing to separate:
     the loss is 0.
     """
@@ -82,15 +70,4 @@ def independence_loss(factors):
     k, m = factors.value.shape[:2]
     if k < 2 or m < 2:
         return Tensor(np.float64(0.0))
-    g = tape.centered_distance_gram(factors)
-    i, j = np.triu_indices(k, 1)
-    var = np.diag(g.value)
-    keep = (var[i] != 0.0) & (var[j] != 0.0) & (g.value[i, j] > 0.0)
-    if not keep.any():
-        return Tensor(np.float64(0.0))
-    i, j = i[keep], j[keep]
-    den = tape.mul(tape.sqrt(tape.getitem(g, (i, i))),
-                   tape.sqrt(tape.getitem(g, (j, j))))
-    pairs = tape.tsum(tape.div(tape.sqrt(tape.getitem(g, (i, j))),
-                               tape.sqrt(den)))
-    return tape.mul(pairs, Tensor(np.float64(2.0)))
+    return tape.distance_correlation_sum(factors)

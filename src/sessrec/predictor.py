@@ -16,20 +16,18 @@ import math
 import numpy as np
 
 from . import tape
-from .disentangle import FactorProjection, project_flat
+from .disentangle import FactorProjection
 from .tape import Tensor
 
 PROB_FLOOR = 1e-12
 
 
 def catalog_factor_embeddings(catalog_embeddings, proj: FactorProjection):
-    """Concatenated factor views of the whole catalog, (N, K * d_f).
-
-    One (N, d) @ (d, K * d_f) product: batching the catalog rows against
-    the (K, d, d_f) weight instead would leave matmul's backward an
-    (N, K, d, d_f) block to reduce.
+    """Concatenated factor views of the whole catalog, (N, K * d_f),
+    column block k holding ``sigmoid(c W_k) + b_k``: one
+    ``tape.sigmoid_projection`` node, one (N, d) @ (d, K * d_f) product.
     """
-    return project_flat(catalog_embeddings, proj)
+    return tape.sigmoid_projection(catalog_embeddings, proj.weight, proj.bias)
 
 
 def score(session_item_emb, session_factor_emb, catalog_embeddings,

@@ -3,10 +3,12 @@
 Small tape just big enough for this library: dense ops, broadcasting,
 advanced indexing, and a few custom kernels with hand-written backward
 rules: weighted sums along graph edges (``edge_matmul``, on a sparse
-matrix), the GGNN cell's gated update (``gated_update``), the mean
-catalog softmax of (session, catalog) pairs (``mean_softmax``), the
-clamped one-hot binary cross-entropy (``onehot_bce``), the Gram matrix
-of double-centred distance matrices (over the distinct rows, each
+matrix), the GGNN cell's gated update (``gated_update``), the sigmoid
+factor projection (``sigmoid_projection``), the soft-attention session
+readout (``attention_readout``), the mean catalog softmax of (session,
+catalog) pairs (``mean_softmax``), the clamped one-hot binary
+cross-entropy (``onehot_bce``), the summed distance correlation of K
+samples (``distance_correlation_sum``, over the distinct rows, each
 weighted by its count; every copy of a row gets an equal share of its
 gradient), and safe row normalization.  Everything runs in float64 and
 is deterministic: no threads, no in-place gradient mutation,
@@ -144,17 +146,6 @@ def add(a, b) -> Tensor:
     return out
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def _bw():
-        _accum(a, _unbroadcast(out.grad, a.value.shape))
-        _accum(b, _unbroadcast(-out.grad, b.value.shape))
-
-    out = _make(a.value - b.value, (a, b), _bw)
-    return out
-
-
 # The backward rules below skip the product for an operand that takes no
 # gradient (an adjacency, a mask, a constant).
 
@@ -168,20 +159,6 @@ def mul(a, b) -> Tensor:
             _accum(b, _unbroadcast(out.grad * a.value, b.value.shape))
 
     out = _make(a.value * b.value, (a, b), _bw)
-    return out
-
-
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def _bw():
-        if a.requires_grad:
-            _accum(a, _unbroadcast(out.grad / b.value, a.value.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-out.grad * a.value / (b.value * b.value),
-                                   b.value.shape))
-
-    out = _make(a.value / b.value, (a, b), _bw)
     return out
 
 
@@ -298,39 +275,6 @@ def _sigmoid(x):
     return s
 
 
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    s = _sigmoid(a.value)
-
-    def _bw():
-        _accum(a, out.grad * s * (1.0 - s))
-
-    out = _make(s, (a,), _bw)
-    return out
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    e = np.exp(a.value)
-
-    def _bw():
-        _accum(a, out.grad * e)
-
-    out = _make(e, (a,), _bw)
-    return out
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    s = np.sqrt(a.value)
-
-    def _bw():
-        _accum(a, out.grad * 0.5 / s)
-
-    out = _make(s, (a,), _bw)
-    return out
-
-
 def softplus(a) -> Tensor:
     """log(1 + exp(x)), overflow-safe; note -log(sigmoid(x)) = softplus(-x)."""
     a = as_tensor(a)
@@ -435,6 +379,100 @@ def gated_update(x, a_in, a_out, weights) -> Tensor:
             _accum(t, grad)
 
     out = _make((1.0 - z) * xv + z * n, parents, _bw)
+    return out
+
+
+def sigmoid_projection(x, weight, bias) -> Tensor:
+    """``sigmoid(x W_k) + b_k`` for the K slices of a (K, d, d_f) weight
+    and (K, d_f) bias, side by side: (..., d) -> (..., K d_f), slice k in
+    columns [k d_f, (k+1) d_f).  One GEMM against the slices laid out as
+    (d, K d_f); the backward forms ``g s (1 - s)``, then one GEMM each to
+    ``x`` and the weight."""
+    x, weight, bias = parents = tuple(map(as_tensor, (x, weight, bias)))
+    k, d, f = weight.value.shape
+    w = np.swapaxes(weight.value, 0, 1).reshape(d, k * f)
+    rows = x.value.reshape(-1, d)
+    s = _sigmoid(rows @ w)
+
+    def _bw():
+        g = out.grad.reshape(s.shape)
+        gs = g * s * (1.0 - s)
+        if x.requires_grad:
+            _accum(x, (gs @ w.T).reshape(x.value.shape))
+        if weight.requires_grad:
+            _accum(weight, np.swapaxes((rows.T @ gs).reshape(d, k, f), 0, 1))
+        _accum(bias, g.sum(axis=0).reshape(k, f))
+
+    out = _make((s + bias.value.reshape(k * f)).reshape(
+        x.value.shape[:-1] + (k * f,)), parents, _bw)
+    return out
+
+
+def attention_readout(h, alias, lengths, weights, normalize=False) -> Tensor:
+    """Soft-attention readout of node states ``h`` (..., M, d) into one
+    embedding per session, (B, lead d), the leading slices side by side.
+
+    Sessions lie one after another: ``lengths`` (B,) counts each one's
+    positions and ``alias`` (P,) holds each position's node row.
+    ``weights`` (q, W_c, W_l, W_m) are 2-D or stacked on h's leading
+    axes.  With l a session's last state, each node scores ``q .
+    sigmoid(h_i W_c + l W_l)`` once and each position takes its node's
+    score; ``normalize`` turns a session's scores into a softmax over its
+    positions.  The weighted sum over positions is one block-diagonal CSR
+    product (``_edge_csr``), and the embedding ``[l, mixed] W_m``.
+    """
+    parents = tuple(map(as_tensor, (h, *weights)))
+    hv, q, w_c, w_l, w_m = (t.value for t in parents)
+    lead, (m, d) = hv.shape[:-2], hv.shape[-2:]
+    if q.shape[:-1] not in ((), lead):
+        raise ValueError("readout weights must be 2-D or stacked on the "
+                         "leading axes of the states")
+    alias, lengths = np.asarray(alias), np.asarray(lengths)
+    b, count = lengths.size, int(np.prod(lead))
+    pos_session = np.repeat(np.arange(b), lengths)
+    node_session = np.zeros(m, dtype=np.int64)
+    node_session[alias] = pos_session
+    ends = alias[np.cumsum(lengths) - 1]
+    last = hv[..., ends, :]                                # (..., B, d)
+    hidden = _sigmoid(hv @ w_c + (last @ w_l)[..., node_session, :])
+    alpha = (hidden @ q[..., None])[..., alias, 0]         # (..., P)
+    if normalize:
+        # each session's top score is shifted out; softmax ignores it
+        top = np.maximum.reduceat(alpha, np.cumsum(lengths) - lengths,
+                                  axis=-1)
+        alpha = np.exp(alpha - np.repeat(top, lengths, axis=-1))
+    a = _edge_csr(alpha.reshape(count, -1), alias, pos_session, b, m)
+    xs = hv.reshape(count * m, d)
+    num = (a @ xs).reshape(lead + (b, d))
+    den = (a @ np.ones((count * m, 1))).reshape(lead + (b, 1)) \
+        if normalize else 1.0
+    merged = np.concatenate([last, num / den], axis=-1)    # (..., B, 2d)
+
+    def _bw():
+        g = np.moveaxis(out.grad.reshape((b,) + lead + (d,)), 0, -2)
+        gm = g @ _t(w_m)
+        g_last, g_mixed = gm[..., :d], gm[..., d:]
+        g_num = (g_mixed / den).reshape(count, b, d)
+        gh = (a.T @ g_num.reshape(count * b, d)).reshape(lead + (m, d))
+        g_alpha = np.einsum("led,led->le", g_num[:, pos_session],
+                            xs.reshape(count, m, d)[:, alias])
+        if normalize:
+            g_den = (-g_mixed * num / (den * den)).sum(axis=-1, keepdims=True)
+            g_alpha += g_den.reshape(count, b)[:, pos_session]
+            g_alpha *= alpha
+        g_score = np.zeros(lead + (m, 1))
+        np.add.at(g_score, (..., alias, 0), g_alpha.reshape(lead + (-1,)))
+        g_pre = g_score * q[..., None, :] * hidden * (1.0 - hidden)
+        g_anchor = np.zeros_like(last)
+        np.add.at(g_anchor, (..., node_session, slice(None)), g_pre)
+        gh += g_pre @ _t(w_c)
+        np.add.at(gh, (..., ends, slice(None)), g_last + g_anchor @ _t(w_l))
+        grads = (gh, (_t(hidden) @ g_score)[..., 0], _t(hv) @ g_pre,
+                 _t(last) @ g_anchor, _t(merged) @ g)
+        for t, grad in zip(parents, grads):
+            _accum(t, _unbroadcast(grad, t.value.shape))
+
+    out = _make(np.moveaxis(merged @ w_m, -2, 0).reshape(b, -1), parents, _bw)
     return out
 
 
@@ -568,26 +606,26 @@ def _distances(x: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def centered_distance_gram(x) -> Tensor:
-    """(K, K) matrix ``G_ij = mean(A_i * A_j)`` of K samples' distances.
+def distance_correlation_sum(x) -> Tensor:
+    """Distance correlation summed over the ordered pairs of K samples.
 
     ``x`` stacks K samples of m rows as (K, m, d); A_k is the
     double-centred Euclidean distance matrix of the rows of ``x[k]``.
-    G holds every squared distance covariance (off-diagonal) and squared
-    distance variance (diagonal) of the samples.
+    The Gram matrix ``G_ij = mean(A_i * A_j)`` holds every squared
+    distance covariance and, on its diagonal, variance; the result is
+    ``2 sum_{i<j} sqrt(G_ij) / sqrt(sqrt(G_ii) sqrt(G_jj))``.  A pair
+    with a zero variance, or with G_ij <= 0 after rounding, adds exactly
+    0; with no pair left the result is a constant 0.
 
-    The mean runs over all m * m pairs of rows, so n copies of a row
-    enter it exactly like one row of weight n.  Rows equal in every
-    slice are therefore merged first.  With U distinct rows of counts c
-    and weights ``w = c / m``: ``r = D w``, ``A = D - r 1' - 1 r' + w'r``
-    and ``G_ij = sum_uv w_u w_v A_i[u, v] A_j[u, v]``, one
+    n copies of a row enter the mean like one row of weight n, so rows
+    equal in every slice are merged first.  With U distinct rows of
+    counts c and weights ``w = c / m``: ``r = D w``, ``A = D - r 1' -
+    1 r' + w'r`` and ``G_ij = sum_uv w_u w_v A_i[u, v] A_j[u, v]``, one
     (K, U*U) @ (U*U, K) product of the A_k scaled by ``sqrt(w_u w_v)``.
     Rows equal in some slices only are not merged; within such a slice
-    they are exactly 0 apart.  Every copy of a merged row has the same
-    distances to every other row, so each gets an equal share of the
-    merged row's gradient: that gradient divided by the count.  Zero
-    distances get zero gradient, the subgradient choice at the
-    non-differentiable point.
+    they are exactly 0 apart.  Each copy of a merged row gets the merged
+    row's gradient divided by the count.  Zero distances get zero
+    gradient, the subgradient choice at the non-differentiable point.
     """
     x = as_tensor(x)
     xv = np.ascontiguousarray(x.value)  # a strided view slows every pass
@@ -595,8 +633,7 @@ def centered_distance_gram(x) -> Tensor:
     first, inverse, counts = _row_groups(
         np.swapaxes(xv, 0, 1), return_index=True, return_inverse=True,
         return_counts=True)[1:]
-    xu = xv[:, first]
-    u = len(first)
+    xu, u = xv[:, first], len(first)
     w = counts / m
     root = np.sqrt(w)
     scale = root[:, None] * root[None, :]
@@ -606,17 +643,29 @@ def centered_distance_gram(x) -> Tensor:
     b -= r[:, None, :] - (r @ w)[:, None, None]
     b *= scale
     b = b.reshape(k, u * u)
+    gram = b @ b.T
+    i, j = np.triu_indices(k, 1)
+    keep = (gram[i, i] != 0.0) & (gram[j, j] != 0.0) & (gram[i, j] > 0.0)
+    if not keep.any():
+        return Tensor(np.float64(0.0))
+    i, j = i[keep], j[keep]
+    root_i, root_j = np.sqrt(gram[i, i]), np.sqrt(gram[j, j])
+    num, den = np.sqrt(gram[i, j]), np.sqrt(root_i * root_j)
 
     def _bw():
+        g = out.grad * 2.0
+        g_den = -g * num / (den * den) * 0.5 / den
+        g_gram = np.zeros((k, k))
+        np.add.at(g_gram, (i, j), g / den * 0.5 / num)
+        np.add.at(g_gram, (i, i), g_den * root_j * 0.5 / root_i)
+        np.add.at(g_gram, (j, j), g_den * root_i * 0.5 / root_j)
         # Weighted double centring is a projection, and its adjoint
-        # leaves w_u w_v A_k[u, v] as it is (A_k w = 0), so
-        # (grad + grad.T) @ (W * A) is the gradient w.r.t. the distances
-        # as it stands.  Its slices are symmetric, and d_uv = d_vu, so
-        # each pair's two entries fold into a factor 2.
-        # the (K, U, U) blocks are large, so the ratio is formed in place;
-        # nothing reads dist after this, so its zeros become inf, where
-        # ratio / inf = 0
-        ratio = ((out.grad + out.grad.T) * 2.0 @ b).reshape(k, u, u)
+        # leaves w_u w_v A_k[u, v] as it is (A_k w = 0), so (dG + dG.T) @
+        # (W * A) is the gradient w.r.t. the distances as it stands; d_uv
+        # = d_vu folds each pair's two entries into a factor 2.  The
+        # ratio is formed in place; nothing reads dist after this, so its
+        # zeros become inf, where ratio / inf = 0
+        ratio = ((g_gram + g_gram.T) * 2.0 @ b).reshape(k, u, u)
         ratio *= scale
         dist[dist == 0.0] = np.inf
         ratio /= dist
@@ -624,7 +673,7 @@ def centered_distance_gram(x) -> Tensor:
         grad /= counts[:, None]
         _accum(x, grad[:, inverse])
 
-    out = _make(b @ b.T, (x,), _bw)
+    out = _make((num / den).sum() * 2.0, (x,), _bw)
     return out
 
 

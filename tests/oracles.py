@@ -171,15 +171,20 @@ def star_channel_oracle(x, adj_in, adj_out, alias, to_real, from_real, w,
         states = ggnn_step_oracle(states, a_in, a_out, w)
     return states
 
-def attention_oracle(seq, w):
-    """Session readout for one sequence (T, d); ``w`` maps names to arrays."""
+def attention_oracle(seq, w, normalize=False):
+    """Session readout for one sequence (T, d); ``w`` maps names to arrays.
+    ``normalize`` turns the raw scores into a softmax over positions."""
     t, d = seq.shape
     last = seq[t - 1]
-    mixed = np.zeros(d)
+    alphas = np.zeros(t)
     for i in range(t):
         h = sigmoid(seq[i] @ w["w_current"] + last @ w["w_last"])
-        alpha = float(h @ w["query"])
-        mixed += alpha * seq[i]
+        alphas[i] = float(h @ w["query"])
+    if normalize:
+        alphas = softmax_oracle(alphas)
+    mixed = np.zeros(d)
+    for i in range(t):
+        mixed += alphas[i] * seq[i]
     return np.concatenate([last, mixed]) @ w["w_merge"]
 
 
@@ -274,25 +279,6 @@ def dcor_oracle(x, y):
     if dvarx2 == 0.0 or dvary2 == 0.0 or dcov2 <= 0.0:
         return 0.0
     return np.sqrt(dcov2) / np.sqrt(np.sqrt(dvarx2) * np.sqrt(dvary2))
-
-
-def centered_gram_oracle(x):
-    """(K, K) mean products of the K double-centred distance matrices of
-    a (K, m, d) stack, every one of the m rows counted on its own."""
-    k, m = x.shape[:2]
-    centred = []
-    for s in range(k):
-        dist = np.zeros((m, m))
-        for i in range(m):
-            for j in range(m):
-                dist[i, j] = np.sqrt(np.sum((x[s, i] - x[s, j]) ** 2))
-        a = np.zeros((m, m))
-        for i in range(m):
-            for j in range(m):
-                a[i, j] = (dist[i, j] - dist[i].mean() - dist[:, j].mean()
-                           + dist.mean())
-        centred.append(a)
-    return np.array([[(a * b).mean() for b in centred] for a in centred])
 
 
 def ranking_metrics_oracle(score_rows, targets, k):

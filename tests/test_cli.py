@@ -190,7 +190,11 @@ class TestTrain:
         '{"count": 3, "item_to_index": {"a": 0,',
         '{"count": 3}',
         '{"count": 2, "item_to_index": {"a": 0, "b": 5}}',
-    ], ids=["malformed_json", "missing_map", "indices_not_dense"])
+        '{"item_to_index": {"a": 0.0, "b": 1.0}}',
+        '{"item_to_index": {"a": false, "b": true}}',
+        '{"count": 2.0, "item_to_index": {"a": 0, "b": 1}}',
+    ], ids=["malformed_json", "missing_map", "indices_not_dense",
+            "float_indices", "bool_indices", "float_count"])
     def test_bad_catalog_is_data_error(self, corpus_dir, tmp_path, content):
         catalog = tmp_path / "catalog.json"
         catalog.write_text(content, encoding="utf-8")

@@ -220,3 +220,19 @@ class TestRoundTrip:
         back = dataio.read_catalog(path)
         assert back.item_to_index == catalog.item_to_index
         assert back.index_to_item == ["a", "b"]
+
+    @pytest.mark.parametrize("content", [
+        '{"item_to_index": {"a": 0.0, "b": 1.0}}',
+        '{"item_to_index": {"a": false, "b": true}}',
+        '{"item_to_index": {"a": 0, "b": "1"}}',
+        '{"count": 2.0, "item_to_index": {"a": 0, "b": 1}}',
+        '{"count": true, "item_to_index": {"a": 0}}',
+    ], ids=["float_indices", "bool_indices", "string_index", "float_count",
+            "bool_count"])
+    def test_catalog_non_integer_fatal(self, tmp_path, content):
+        # 0.0 and true compare equal to 0 and 1, so only the JSON type
+        # tells them from a dense index
+        path = tmp_path / "catalog.json"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(DataError, match=f"{path}: .*JSON integers"):
+            dataio.read_catalog(path)
