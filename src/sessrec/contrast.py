@@ -2,8 +2,9 @@
 
 The item- and factor-level terms share one loss shape: a discriminator
 scores (anchor, partner) pairs, and aligned pairs are pushed up and
-mismatched pairs down with a binary objective.  The batched terms, their
-negative draws and the alpha mix live in ``model.training_forward``.
+mismatched pairs down with a binary objective.  ``Discriminator.score``
+builds a whole term as one ``tape.pair_contrast`` node; the negative
+draws, the session weights and the alpha mix live in ``model``.
 """
 
 from __future__ import annotations
@@ -19,26 +20,23 @@ from .tape import Parameter
 @dataclass
 class Discriminator:
     """Pair scorer: plain dot product, or bilinear with a learned square map."""
-    form: str = "dot"
     weight: Parameter = None   # (d, d) when bilinear
 
     @classmethod
     def init(cls, form, dim, rng):
         if form == "dot":
-            return cls(form="dot")
+            return cls()
         if form == "bilinear":
             stdv = 1.0 / np.sqrt(dim)
-            return cls(form="bilinear",
-                       weight=Parameter(rng.uniform(-stdv, stdv, (dim, dim))))
+            return cls(Parameter(rng.uniform(-stdv, stdv, (dim, dim))))
         raise ValueError(f"unknown discriminator form {form!r}")
 
-    def score(self, a, b):
-        """Pair score over the trailing axis; (..., d) x (..., d) -> (...)."""
-        a = tape.as_tensor(a)
-        b = tape.as_tensor(b)
-        if self.form == "bilinear":
-            a = tape.matmul(a, self.weight)
-        return tape.tsum(tape.mul(a, b), axis=-1)
+    def score(self, anchor, positive, partner, neg_idx, weight):
+        """The contrastive term of ([K,] M, d) states, a scalar tensor:
+        each anchor row against its positive row and the partner rows
+        ``neg_idx`` ([K,] M, per) names, weighted by ``weight`` (M,)."""
+        return tape.pair_contrast(anchor, positive, partner, neg_idx, weight,
+                                  self.weight)
 
     def named_parameters(self, prefix):
         if self.weight is not None:

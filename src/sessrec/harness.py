@@ -88,6 +88,8 @@ class TrainConfig:
             raise ValueError("negatives_per_positive must be >= 1")
         if self.factor_negatives not in ("within_view", "cross_view"):
             raise ValueError(f"unknown negative scheme {self.factor_negatives!r}")
+        if self.disc_form not in ("dot", "bilinear"):
+            raise ValueError(f"unknown discriminator form {self.disc_form!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

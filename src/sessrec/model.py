@@ -8,7 +8,8 @@ the original channel, the K factor channels (one pass over (K, M, d_f)
 states, where factor-stacked weights broadcast) over cosine-weighted
 edges, and the augmentation channel (the star view, its hubs B more
 rows, or graph dropout), all through the same ``ggnn_step``, then
-assembles the prediction, contrastive and independence terms.
+assembles the prediction term, the item- and factor-level contrastive
+terms (one ``Discriminator.score`` node each) and the independence term.
 Inference runs only the prediction path they share: the original
 channel through the scores.
 """
@@ -192,29 +193,17 @@ def _dropout_edges(pack: PackedBatch, edge_rate, node_rate, seed, epoch):
     return src, dst, *degree_weights(src, dst, pack.node_ids.size)
 
 
-def _masked_session_mean(per_node, pack: PackedBatch):
-    """Mean over each session's nodes, then over the sessions with at
-    least 2 nodes, summed over views if ``per_node`` is (K, M): one
-    weighted sum, a scalar tensor (0 if no session qualifies)."""
+def _contrast_term(disc, anchor, positive, partner, neg_idx,
+                   pack: PackedBatch):
+    """``disc.score`` of ([K,] M, d) states, ``neg_idx`` ([K,] M, per)
+    naming partner rows: a mean over each session's nodes, then over the
+    sessions of at least 2 nodes, summed over views.  With no such
+    session, a constant 0: no gradient, not even a zero, reaches Adam."""
     ok = pack.n_nodes >= 2
     if not ok.any():
         return Tensor(np.float64(0.0))
     weight = np.repeat(ok / (pack.n_nodes * ok.sum()), pack.n_nodes)
-    return tape.tsum(tape.mul(per_node, Tensor(weight)))
-
-
-def _pairwise_terms(anchor, positive, partner, neg_idx, disc):
-    """softplus(-H_pos) + mean_j softplus(H_neg_j) per node row of
-    ([K,] M, d) states; ``neg_idx`` ([K,] M, per) holds partner rows."""
-    pos = disc.score(anchor, positive)
-    shape = anchor.value.shape
-    key = (neg_idx,) if neg_idx.ndim == 2 else \
-        (np.arange(len(neg_idx))[:, None, None], neg_idx)
-    neg = disc.score(tape.reshape(anchor, shape[:-1] + (1, shape[-1])),
-                     tape.getitem(partner, key))
-    pos_term = tape.softplus(tape.mul(pos, Tensor(np.float64(-1.0))))
-    neg_term = tape.tmean(tape.softplus(neg), axis=-1)
-    return tape.add(pos_term, neg_term)
+    return disc.score(anchor, positive, partner, neg_idx, weight)
 
 
 def _negative_draws(pack: PackedBatch, seed, epoch, stream_tag, per, count=1):
@@ -227,7 +216,7 @@ def _negative_draws(pack: PackedBatch, seed, epoch, stream_tag, per, count=1):
     read one block in sequence.  Uniform u picks the
     ``floor(u * (k - 1))``-th of the k - 1 other nodes.  A session of one
     node draws nothing; its node is its own negative, in a term that
-    ``_masked_session_mean`` weighs 0.
+    ``_contrast_term`` weighs 0.
     """
     local, k = pack.node_local[:, None], pack.n_nodes[pack.node_session, None]
     rows = np.arange(local.size)[:, None]
@@ -292,9 +281,8 @@ def training_forward(params: ParameterSet, pack: PackedBatch, cfg,
 
     neg_item = _negative_draws(pack, cfg.seed, epoch, 0,
                                cfg.negatives_per_positive)[0]
-    item_terms = _pairwise_terms(h_orig, h_aug, h_aug, neg_item,
-                                 params.disc_item)
-    l_item = _masked_session_mean(item_terms, pack)
+    l_item = _contrast_term(params.disc_item, h_orig, h_aug, h_aug, neg_item,
+                            pack)
 
     f0 = project(x0, params.proj)                        # (K, M, d_f)
     if cfg.variant == "fcl":
@@ -308,9 +296,8 @@ def training_forward(params: ParameterSet, pack: PackedBatch, cfg,
         neg_fac = _negative_draws(pack, cfg.seed, epoch, 1,
                                   cfg.negatives_per_positive,
                                   count=params.proj.num_factors)
-        terms = _pairwise_terms(orig_factors, h_fac, partner, neg_fac,
-                                params.disc_factor)
-        l_factor = _masked_session_mean(terms, pack)
+        l_factor = _contrast_term(params.disc_factor, orig_factors, h_fac,
+                                  partner, neg_fac, pack)
         l_contrast = tape.add(
             tape.mul(l_item, Tensor(np.float64(cfg.alpha))),
             tape.mul(l_factor, Tensor(np.float64(1.0 - cfg.alpha))))

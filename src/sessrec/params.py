@@ -130,8 +130,9 @@ def load_checkpoint(base):
     The structural fields of the stored config (dims, factor count,
     layers, discriminator form) lay out the parameters without drawing
     any; every stored array must match its laid-out shape exactly and
-    hold finite values only, and a malformed manifest raises
-    ``CheckpointError``.  Returns ``(params, config, n_items)``.
+    hold finite values only.  A malformed manifest raises
+    ``CheckpointError``, as does a size, shape or offset that is not a
+    JSON integer (4.7, "4", true).  Returns ``(params, config, n_items)``.
     """
     bin_path, json_path = checkpoint_paths(base)
     try:
@@ -143,15 +144,25 @@ def load_checkpoint(base):
     if manifest.get("format_version") != CHECKPOINT_FORMAT:
         raise CheckpointError(
             f"unsupported checkpoint format {manifest.get('format_version')!r}")
+
+    def whole(v, field):
+        if type(v) is not int:
+            raise CheckpointError(
+                f"{json_path}: {field} must be a JSON integer, got {v!r}")
+        return v
+
     try:
         config = manifest["config"]
-        n_items = int(manifest["n_items"])
-        total = int(manifest["total_elements"])
-        stored = {e["name"]: (tuple(e["shape"]), int(e["offset"]))
+        n_items = whole(manifest["n_items"], "n_items")
+        total = whole(manifest["total_elements"], "total_elements")
+        stored = {e["name"]: (tuple(whole(n, f"{e['name']}.shape")
+                                    for n in e["shape"]),
+                              whole(e["offset"], f"{e['name']}.offset"))
                   for e in manifest["entries"]}
-        params = _build(_NO_DRAWS, n_items, int(config["dim"]),
-                        int(config["factor_dim"]), int(config["num_factors"]),
-                        int(config["layers"]), config.get("disc_form", "dot"))
+        params = _build(_NO_DRAWS, n_items,
+                        *(whole(config[k], f"config.{k}") for k in
+                          ("dim", "factor_dim", "num_factors", "layers")),
+                        config.get("disc_form", "dot"))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CheckpointError(
             f"{json_path}: malformed manifest ({type(exc).__name__}: {exc})"

@@ -7,7 +7,9 @@ matrix), the GGNN cell's gated update (``gated_update``), the sigmoid
 factor projection (``sigmoid_projection``), the soft-attention session
 readout (``attention_readout``), the mean catalog softmax of (session,
 catalog) pairs (``mean_softmax``), the clamped one-hot binary
-cross-entropy (``onehot_bce``), the summed distance correlation of K
+cross-entropy (``onehot_bce``), the binary contrastive objective of
+rows against their positives and sampled partner rows
+(``pair_contrast``), the summed distance correlation of K
 samples (``distance_correlation_sum``, over the distinct rows, each
 weighted by its count; every copy of a row gets an equal share of its
 gradient), and safe row normalization.  Everything runs in float64 and
@@ -146,10 +148,8 @@ def add(a, b) -> Tensor:
     return out
 
 
-# The backward rules below skip the product for an operand that takes no
-# gradient (an adjacency, a mask, a constant).
-
 def mul(a, b) -> Tensor:
+    """``a * b``; the backward skips an operand that takes no gradient."""
     a, b = as_tensor(a), as_tensor(b)
 
     def _bw():
@@ -159,36 +159,6 @@ def mul(a, b) -> Tensor:
             _accum(b, _unbroadcast(out.grad * a.value, b.value.shape))
 
     out = _make(a.value * b.value, (a, b), _bw)
-    return out
-
-
-def matmul(a, b) -> Tensor:
-    """``a @ b`` with numpy broadcasting over leading axes.
-
-    When ``b`` is a 2-D weight that the leading axes of ``a`` broadcast
-    over, the backward folds those axes into the rows of one GEMM:
-    ``b``'s gradient is one product, not a batched product summed down.
-    The forward keeps numpy's per-slice products, which measured no
-    slower than one folded GEMM at the model's shapes and faster at
-    evaluation's 512-session chunks of long sessions.
-    """
-    a, b = as_tensor(a), as_tensor(b)
-    if a.value.ndim < 2 or b.value.ndim < 2:
-        raise ValueError("matmul operands must have ndim >= 2")
-
-    def _bw():
-        g, a_v = out.grad, a.value
-        if b.value.ndim == 2 < a_v.ndim:
-            g, a_v = (v.reshape(-1, v.shape[-1]) for v in (g, a_v))
-        if a.requires_grad:
-            ga = g @ _t(b.value)
-            _accum(a, _unbroadcast(ga.reshape(out.grad.shape[:-1]
-                                              + ga.shape[-1:]),
-                                   a.value.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(_t(a_v) @ g, b.value.shape))
-
-    out = _make(a.value @ b.value, (a, b), _bw)
     return out
 
 
@@ -253,19 +223,7 @@ def tsum(a, axis=None) -> Tensor:
     return out
 
 
-def tmean(a, axis: int) -> Tensor:
-    a = as_tensor(a)
-    count = a.value.shape[axis]
-
-    def _bw():
-        _accum(a, np.broadcast_to(np.expand_dims(out.grad / count, axis),
-                                  a.value.shape))
-
-    out = _make(a.value.mean(axis=axis), (a,), _bw)
-    return out
-
-
-# -- nonlinearities ---------------------------------------------------------
+# -- custom kernels ---------------------------------------------------------
 
 def _sigmoid(x):
     """The logistic function as ``0.5 tanh(x / 2) + 0.5``: no overflow."""
@@ -274,19 +232,6 @@ def _sigmoid(x):
     s += 0.5
     return s
 
-
-def softplus(a) -> Tensor:
-    """log(1 + exp(x)), overflow-safe; note -log(sigmoid(x)) = softplus(-x)."""
-    a = as_tensor(a)
-
-    def _bw():
-        _accum(a, out.grad * _sigmoid(a.value))
-
-    out = _make(np.logaddexp(0.0, a.value), (a,), _bw)
-    return out
-
-
-# -- custom kernels ---------------------------------------------------------
 
 def _edge_csr(values, src, dst, m, n):
     """L stacked (m, n) matrices of edge values (L, E) as one block-
@@ -570,6 +515,50 @@ def onehot_bce(p, targets, floor: float) -> Tensor:
         _accum(p, x.reshape(p.value.shape))
 
     out = _make(value, (p,), _bw)
+    return out
+
+
+def pair_contrast(anchor, positive, partner, neg_idx, weight,
+                  bilinear=None) -> Tensor:
+    """``sum_i w_i [softplus(-s(a_i, p_i)) + mean_j softplus(s(a_i, c_n))]``
+    over the rows of (..., M, d) states, ``n = neg_idx[..., i, j]`` a
+    partner row of the same slice, ``s(a, b)`` = ``a . b`` or, given the
+    (d, d) weight ``bilinear``, ``(a W) . b``.  The row weights ``weight``
+    (M,) broadcast over the leading axes; the partner rows take their
+    gradient by ``getitem``'s scatter."""
+    parents = tuple(as_tensor(t) for t in (anchor, positive, partner, bilinear)
+                    if t is not None)
+    a, p, c = (t.value for t in parents[:3])
+    neg_idx = np.asarray(neg_idx)
+    if not (a.ndim in (2, 3) and a.shape == p.shape == c.shape
+            and neg_idx.shape[:-1] == a.shape[:-1]):
+        raise ValueError("pair_contrast needs ([K,] M, d) states and "
+                         "([K,] M, per) neg_idx")
+    key = (neg_idx,) if a.ndim == 2 else \
+        (np.arange(len(neg_idx))[:, None, None], neg_idx)
+    c_neg, a_neg = c[key], a[..., None, :]                 # (..., M, per, d)
+    q, q_neg = (a, a_neg) if bilinear is None else \
+        (a @ parents[3].value, a_neg @ parents[3].value)
+    pos = (q * p).sum(axis=-1)
+    neg = (q_neg * c_neg).sum(axis=-1)
+    terms = np.logaddexp(0.0, -pos) + np.logaddexp(0.0, neg).mean(axis=-1)
+
+    def _bw():
+        g = out.grad * weight
+        g_pos = -g * _sigmoid(-pos)
+        g_neg = (g / neg.shape[-1])[..., None] * _sigmoid(neg)
+        g_q = g_pos[..., None] * p + (g_neg[..., None, :] @ c_neg)[..., 0, :]
+        g_c = np.zeros_like(c)
+        np.add.at(g_c, key, g_neg[..., None] * q_neg)
+        grads = [g_q, g_pos[..., None] * q, g_c]
+        if bilinear is not None:
+            rows = a.reshape(-1, a.shape[-1])
+            grads[0] = g_q @ parents[3].value.T
+            grads.append(rows.T @ g_q.reshape(rows.shape))
+        for t, grad in zip(parents, grads):
+            _accum(t, grad)
+
+    out = _make((terms * weight).sum(), parents, _bw)
     return out
 
 

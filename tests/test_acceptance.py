@@ -29,9 +29,8 @@ from sessrec.disentangle import FactorProjection, independence_loss, project
 from sessrec.encoder import AttentionWeights, encode
 from sessrec.harness import (TrainConfig, _metrics, ablate, evaluate,
                              make_planted_corpus, metrics_csv_rows, train)
-from sessrec.model import (_hub_channel, _masked_session_mean,
-                           _negative_draws, _pairwise_terms, _run_channel,
-                           pack_batch, training_forward)
+from sessrec.model import (_contrast_term, _hub_channel, _negative_draws,
+                           _run_channel, pack_batch, training_forward)
 from sessrec.params import init_parameters
 from sessrec.predictor import (catalog_factor_embeddings, prediction_loss,
                                rank_of, score)
@@ -87,15 +86,14 @@ CONTRAST_PACKS = (
 )
 
 
-def _contrast_term(pack, anchor, positive, partner, neg_idx, disc):
+def _view_contrast(pack, anchor, positive, partner, neg_idx, disc):
     """One view's contrastive term, assembled as training_forward does."""
-    terms = _pairwise_terms(Tensor(anchor), Tensor(positive), Tensor(partner),
-                            neg_idx, disc)
-    return float(_masked_session_mean(terms, pack).value)
+    return float(_contrast_term(disc, anchor, positive, partner, neg_idx,
+                                pack).value)
 
 
 def _factor_contrast(pack, origs, augs, negs, scheme, disc):
-    return sum(_contrast_term(pack, o, a, o if scheme == "within_view" else a,
+    return sum(_view_contrast(pack, o, a, o if scheme == "within_view" else a,
                               n, disc) for o, a, n in zip(origs, augs, negs))
 
 
@@ -188,7 +186,7 @@ def test_c02_oracle_equivalence():
         shape = pack.node_ids.shape + (6,)
         orig, aug = rng.normal(size=shape), rng.normal(size=shape)
         neg = _negative_draws(pack, 15, 0, 0, 1)[0]
-        mine = _contrast_term(pack, orig, aug, aug, neg, disc)
+        mine = _view_contrast(pack, orig, aug, aug, neg, disc)
         worst = max(worst, abs(mine - session_average(
             lambda rows: item_cl_oracle(orig[rows], aug[rows],
                                         neg[rows] - rows.start),
@@ -297,15 +295,14 @@ def test_c05_dcor_properties():
 def test_c06_contrastive_calibration_at_zero_scores():
     two_ln2 = 2.0 * np.log(2.0)
     rng = substream(51, "x")
-    zero_disc = Discriminator(form="bilinear",
-                              weight=Parameter(np.zeros((4, 4))))
+    zero_disc = Discriminator(Parameter(np.zeros((4, 4))))
     gap = 0.0
     for examples, sessions in CONTRAST_PACKS:
         pack = pack_batch(examples, sessions)
         shape = pack.node_ids.shape + (4,)
         neg = _negative_draws(pack, 0, 0, 0, 1)[0]
         orig, aug = rng.normal(size=shape), rng.normal(size=shape)
-        item = _contrast_term(pack, orig, aug, aug, neg, zero_disc)
+        item = _view_contrast(pack, orig, aug, aug, neg, zero_disc)
         origs = [rng.normal(size=shape) for _ in range(3)]
         augs = [rng.normal(size=shape) for _ in range(3)]
         negs = _negative_draws(pack, 0, 0, 1, 1, count=3)

@@ -237,6 +237,23 @@ class TestTrain:
         assert "seed must be >= 0" in caplog.text
         assert not out.exists()
 
+    def test_unknown_disc_form_is_usage_error(self, corpus_dir, tmp_path,
+                                              caplog, monkeypatch):
+        # the config is checked before any file is read: a missing
+        # catalog would otherwise turn this into a data error
+        def unread(*args, **kwargs):
+            raise AssertionError("a file was read before the config check")
+
+        for name in ("read_catalog", "read_examples"):
+            monkeypatch.setattr(dataio, name, unread)
+        out = tmp_path / "r"
+        code = main(["train", "--train", str(corpus_dir / "train.jsonl"),
+                     "--catalog", str(tmp_path / "absent.json"),
+                     "--out", str(out), "--disc-form", "mlp"] + TINY_FLAGS)
+        assert code == EXIT_USAGE
+        assert "unknown discriminator form 'mlp'" in caplog.text
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_run_is_numeric_error(self, corpus_dir, tmp_path,
                                             caplog):
@@ -357,6 +374,18 @@ class TestEvalCommand:
                      "--test", str(corpus_dir / "test.jsonl")])
         assert code == EXIT_DATA
         assert f"{manifest_path}: invalid stored config" in caplog.text
+
+    def test_non_integer_n_items_is_data_error(self, trained, corpus_dir,
+                                               caplog):
+        # 10.9 items must not load as a 10-item model
+        manifest_path = trained.with_suffix(".json")
+        manifest = json.loads(manifest_path.read_text())
+        manifest["n_items"] += 0.9
+        manifest_path.write_text(json.dumps(manifest))
+        code = main(["eval", "--checkpoint", str(trained),
+                     "--test", str(corpus_dir / "test.jsonl")])
+        assert code == EXIT_DATA
+        assert "n_items must be a JSON integer" in caplog.text
 
     def test_non_finite_checkpoint_is_data_error(self, trained, corpus_dir,
                                                  caplog):

@@ -10,8 +10,8 @@ from sessrec import tape
 from sessrec.contrast import Discriminator
 from sessrec.dataio import Example
 from sessrec.harness import TrainConfig
-from sessrec.model import (_masked_session_mean, _negative_draws,
-                           _pairwise_terms, pack_batch, training_forward)
+from sessrec.model import (_contrast_term, _negative_draws, pack_batch,
+                           training_forward)
 from sessrec.params import init_parameters
 from sessrec.rng import substream
 from sessrec.tape import Parameter, Tensor
@@ -43,9 +43,7 @@ def views(pack, seed, count, d=4):
 def contrast_term(pack, anchor, positive, partner, neg_idx,
                   disc=Discriminator()):
     """The per-view term exactly as training_forward assembles it."""
-    terms = _pairwise_terms(tape.as_tensor(anchor), tape.as_tensor(positive),
-                            tape.as_tensor(partner), neg_idx, disc)
-    return _masked_session_mean(terms, pack)
+    return _contrast_term(disc, anchor, positive, partner, neg_idx, pack)
 
 
 def item_term(pack, orig, aug, seed=0, disc=Discriminator()):
@@ -182,11 +180,13 @@ class TestDiscriminatorForms:
     def test_bilinear_reduces_to_dot_with_identity(self):
         rng = substream(7, "x")
         a, b = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
+        neg, weight = rng.integers(0, 5, size=(5, 2)), rng.random(5)
         bil = Discriminator.init("bilinear", 4, substream(0, "init"))
         bil.weight.value = np.eye(4)
         dot = Discriminator()
-        np.testing.assert_allclose(bil.score(a, b).value,
-                                   dot.score(a, b).value, atol=1e-12)
+        np.testing.assert_allclose(bil.score(a, b, b, neg, weight).value,
+                                   dot.score(a, b, b, neg, weight).value,
+                                   atol=1e-12)
 
     def test_unknown_form_rejected(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from sessrec.dataio import Example
 from sessrec.encoder import encode, encode_factors
 from sessrec.graphs import degree_weights
 from sessrec.harness import TrainConfig, make_planted_corpus
+from sessrec.optim import Adam
 from sessrec.model import (PackedBatch, _dropout_edges, _negative_draws,
                            _star_edges, pack_batch, score_batch,
                            training_forward)
@@ -479,18 +480,18 @@ class TestTrainingForward:
 
     def test_desk_step_tape_nodes(self):
         # one training step of the desk benchmark's config on its first
-        # planted batch makes no more tape nodes than today's 63: the
+        # planted batch makes no more tape nodes than today's 39: the
         # catalog head is one mean_softmax node, a GGNN layer is two
         # edge_matmul nodes and one gated_update node, and the factor
-        # projection, each readout and the independence penalty are one
-        # node each
+        # projection, each readout, each contrastive term and the
+        # independence penalty are one node each
         train_ex, _, n_items = make_planted_corpus(seed=0)
         cfg = TrainConfig(dim=32, factor_dim=8, num_factors=4,
                           batch_size=100, seed=0)
         params = init_parameters(n_items, cfg.dim, cfg.factor_dim,
                                  cfg.num_factors, cfg.layers, cfg.seed)
         out = training_forward(params, pack_batch(train_ex[:100]), cfg, 0)
-        assert sum(1 for n in tape._topo_order(out.loss) if n._parents) <= 63
+        assert sum(1 for n in tape._topo_order(out.loss) if n._parents) <= 39
 
     def test_single_node_batch_contrast_skipped(self):
         cfg = toy_config()
@@ -498,6 +499,30 @@ class TestTrainingForward:
         pack = pack_batch([Example([2], 3), Example([4], 0)])
         out = training_forward(params, pack, cfg, epoch=0)
         assert float(out.contrastive.value) == 0.0
+
+    def test_single_node_batch_stays_out_of_adam(self):
+        # with no session of 2 nodes both contrastive terms are the
+        # constant 0, so the channels behind them get no gradient at all,
+        # not a zero one: Adam skips them, where a zero gradient would let
+        # the momentum of an earlier step move them
+        cfg = toy_config()
+        params = toy_params(cfg)
+        opt = Adam(params.parameters(), lr=cfg.lr)
+        training_forward(params, pack_batch(toy_examples()), cfg, 0
+                         ).loss.backward()
+        opt.step()
+        opt.zero_grad()
+        watched = {name: p for name, p in params.named_parameters()
+                   if name.startswith(("ggnn.star.", "ggnn.factor."))}
+        before = {name: p.value.copy() for name, p in watched.items()}
+        lone = pack_batch([Example([2], 3), Example([4], 0)])
+        training_forward(params, lone, cfg, 1).loss.backward()
+        assert len(watched) == 20
+        assert all(p.grad is None for p in watched.values())
+        assert params.embeddings.grad is not None
+        opt.step()
+        for name, p in watched.items():
+            np.testing.assert_array_equal(p.value, before[name], err_msg=name)
 
 
 class TestScoreBatch:

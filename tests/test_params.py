@@ -1,6 +1,7 @@
 """Parameter initialization and checkpoint round-trips."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -198,6 +199,33 @@ class TestCheckpoint:
             del manifest[damage]
         (tmp_path / "m.json").write_text(json.dumps(manifest))
         with pytest.raises(CheckpointError):
+            load_checkpoint(tmp_path / "m")
+
+    @pytest.mark.parametrize("value", [4.7, True, "4"],
+                             ids=["float", "bool", "string"])
+    @pytest.mark.parametrize("field", [
+        "config.dim", "config.factor_dim", "config.num_factors",
+        "config.layers", "n_items", "total_elements", "embeddings.offset",
+        "embeddings.shape"])
+    def test_non_integer_size_rejected(self, tmp_path, field, value):
+        # a size is never truncated or cast: 4.7 is not 4, "4" and true
+        # are not numbers
+        save_checkpoint(tmp_path / "m", small_params(), SMALL_CONFIG, 7)
+        manifest = json.loads((tmp_path / "m.json").read_text())
+        owner, _, key = field.rpartition(".")
+        if owner == "config":
+            manifest["config"][key] = value
+        elif owner == "embeddings":
+            entry = manifest["entries"][0]
+            if key == "shape":
+                entry["shape"][0] = value
+            else:
+                entry["offset"] = value
+        else:
+            manifest[key] = value
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError,
+                           match=rf"{re.escape(field)} must be a JSON integer"):
             load_checkpoint(tmp_path / "m")
 
     def test_load_draws_nothing(self, tmp_path, monkeypatch):
