@@ -31,20 +31,22 @@ def build_session_graph(sessions):
                           count=len(sessions))
     if not lengths.all() or not lengths.size:
         raise ValueError("empty session or empty batch")
-    slots, n_nodes = [], []
-    for seq in sessions:         # the one per-session step: first occurrences
-        slot = {}
-        slots.extend(slot.setdefault(int(item), len(slot)) for item in seq)
-        n_nodes.append(len(slot))
-    n_nodes, slots = (np.asarray(a, dtype=np.int64) for a in (n_nodes, slots))
     items = np.fromiter(chain.from_iterable(sessions), dtype=np.int64,
-                        count=slots.size)
-
+                        count=int(lengths.sum()))
     row = np.repeat(np.arange(lengths.size), lengths)
-    alias = slots + (np.cumsum(n_nodes) - n_nodes)[row]
-    m = int(n_nodes.sum())
-    node_ids = np.empty(m, dtype=np.int64)
-    node_ids[alias] = items
+    # positions sorted by (session, item), ties by position: a run of
+    # equal pairs is one node, and its first position the first occurrence
+    order = np.lexsort((items, row))
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = (np.diff(row[order]) != 0) | (np.diff(items[order]) != 0)
+    first = np.zeros(order.size, dtype=bool)
+    first[order[starts]] = True
+    node = np.cumsum(first) - 1          # node rows in first-occurrence order
+    alias = np.empty_like(node)
+    alias[order] = node[order[starts]][np.cumsum(starts) - 1]
+    node_ids = items[first]
+    n_nodes = np.bincount(row[first], minlength=lengths.size)
+    m = node_ids.size
     step = row[1:] == row[:-1]          # flat position p + 1 follows p
     src, dst = np.divmod(np.unique(alias[:-1][step] * m + alias[1:][step]), m)
     return node_ids, n_nodes, alias, lengths, src, dst

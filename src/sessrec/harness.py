@@ -25,7 +25,8 @@ import numpy as np
 
 from . import __version__
 from .dataio import Session, check_examples, prefix_augment
-from .model import VARIANTS, pack_batch, score_batch, training_forward
+from .model import (VARIANTS, catalog_views, pack_batch, score_batch,
+                    training_forward)
 from .optim import Adam
 from .params import ParameterSet, init_parameters, save_checkpoint
 from .predictor import rank_of
@@ -258,26 +259,39 @@ def _metrics(ranks, ks) -> BucketMetrics:
     return BucketMetrics(count=int(ranks.size), precision=precision, mrr=mrr)
 
 
+def _positive_int(v) -> bool:
+    return (isinstance(v, numbers.Integral) and not isinstance(v, bool)
+            and v >= 1)
+
+
 def evaluate(params: ParameterSet, examples, cfg: TrainConfig,
              ks=(10, 20), batch_size: int = 512) -> RankingReport:
     """Rank the target of every prefix; deterministic for fixed weights.
 
-    Prefixes are bucketed by length (short < 5 positions) alongside the
-    overall numbers.  A non-finite target probability raises
-    ``NumericsError`` naming the 0-based prefix range of its chunk,
-    before ``rank_of`` would refuse it with a bare ``ValueError``.
+    Prefixes are scored ``batch_size`` at a time against the catalog
+    views, built once per call, and bucketed by length (short < 5
+    positions) alongside the overall numbers.  A ``batch_size`` or a
+    cutoff in ``ks`` that is not an integer >= 1 (bools included) raises
+    ``ValueError`` before any scoring.  A non-finite target probability
+    raises ``NumericsError`` naming the 0-based prefix range of its
+    chunk, before ``rank_of`` would refuse it with a bare ``ValueError``.
     """
     if not examples:
         raise ValueError("no evaluation examples")
+    if not _positive_int(batch_size):
+        raise ValueError(f"batch_size must be an integer >= 1, "
+                         f"got {batch_size!r}")
+    ks = tuple(ks)
+    if not all(map(_positive_int, ks)):
+        raise ValueError(f"ks (cutoffs) must be integers >= 1, got {ks!r}")
     check_examples(examples, params.embeddings.value.shape[0])
-    ks = tuple(sorted(int(k) for k in ks))
-    if any(k < 1 for k in ks):
-        raise ValueError("cutoffs must be positive")
+    ks = tuple(sorted(map(int, ks)))
+    views = catalog_views(params, cfg)
     ranks, buckets = [], {}
     for lo in range(0, len(examples), batch_size):
         chunk = examples[lo:lo + batch_size]
         pack = pack_batch(chunk)
-        probs = score_batch(params, pack, cfg)
+        probs = score_batch(params, pack, cfg, catalog_factors=views)
         # a softmax row is all finite or all NaN: its target tells
         p_target = probs[np.arange(len(chunk)), pack.targets]
         if not np.isfinite(p_target).all():
@@ -289,6 +303,7 @@ def evaluate(params: ParameterSet, examples, cfg: TrainConfig,
             r = rank_of(row, ex.target)
             ranks.append(r)
             buckets.setdefault(_bucket_of(len(ex.prefix)), []).append(r)
+        del probs, row       # so two chunks' (B, N) scores never coexist
     return RankingReport(
         ks=ks, overall=_metrics(ranks, ks),
         buckets={name: _metrics(rs, ks) for name, rs in buckets.items()})

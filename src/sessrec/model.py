@@ -235,24 +235,28 @@ class ForwardResult:
     scores: object             # (B, N) Tensor of next-item probabilities
 
 
-def _predict(params: ParameterSet, pack: PackedBatch, cfg):
+def _predict(params: ParameterSet, pack: PackedBatch, cfg,
+             catalog_factors=None):
     """The original channel through the scores, the path training and
     inference share: ``(x0, h_orig, orig_factors, scores)``.
 
     ``orig_factors`` (K, M, d_f) is built only for the factor head; it
-    is None under ``fp``, which scores with the item head alone.
+    is None under ``fp``, which scores with the item head alone.  The
+    factor head projects the catalog unless ``catalog_factors`` (see
+    ``catalog_views``) are given.
     """
     x0 = tape.getitem(params.embeddings, pack.node_ids)   # (M, d)
     h_orig = _run_channel(x0, pack.edges, params.ggnn_original)
     e_item = encode(h_orig, params.attn_item, pack.alias, pack.lengths,
                     cfg.normalize_attention)
-    orig_factors = e_factor = catalog_factors = None
+    orig_factors = e_factor = None
     if cfg.variant != "fp":
         orig_factors = project(h_orig, params.proj)      # (K, M, d_f)
         e_factor = encode_factors(orig_factors, params.attn_factor, pack.alias,
                                   pack.lengths, cfg.normalize_attention)
-        catalog_factors = catalog_factor_embeddings(params.embeddings,
-                                                    params.proj)
+        if catalog_factors is None:
+            catalog_factors = catalog_factor_embeddings(params.embeddings,
+                                                        params.proj)
     scores = score(e_item, e_factor, params.embeddings, catalog_factors)
     return x0, h_orig, orig_factors, scores
 
@@ -309,7 +313,20 @@ def training_forward(params: ParameterSet, pack: PackedBatch, cfg,
                          independence=l_ind, scores=scores)
 
 
-def score_batch(params: ParameterSet, pack: PackedBatch, cfg) -> np.ndarray:
-    """Inference probabilities (B, N); only the original channel runs."""
+def catalog_views(params: ParameterSet, cfg):
+    """The catalog's factor views as a constant for ``score_batch``,
+    (N, K * d_f), or None under ``fp``, whose head does not read them."""
+    if cfg.variant == "fp":
+        return None
     with tape.no_grad():
-        return _predict(params, pack, cfg)[-1].value
+        return catalog_factor_embeddings(params.embeddings, params.proj)
+
+
+def score_batch(params: ParameterSet, pack: PackedBatch, cfg,
+                catalog_factors=None) -> np.ndarray:
+    """Inference probabilities (B, N); only the original channel runs.
+
+    ``catalog_factors`` from ``catalog_views`` spare each call the
+    catalog projection; without them it is computed here."""
+    with tape.no_grad():
+        return _predict(params, pack, cfg, catalog_factors)[-1].value

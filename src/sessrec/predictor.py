@@ -86,6 +86,5 @@ def rank_of(probabilities: np.ndarray, target: int) -> int:
     pt = p[target]
     if not math.isfinite(pt):
         raise ValueError(f"target {target} has non-finite probability {pt}")
-    ahead = int(np.sum(p > pt))
-    tied_before = int(np.sum(p[:target] == pt))
-    return ahead + tied_before + 1
+    return int(np.count_nonzero(p > pt)
+               + np.count_nonzero(p[:target] == pt)) + 1

@@ -438,10 +438,12 @@ def mean_softmax(*heads) -> Tensor:
 
     A block of ``_ROW_BLOCK`` session rows at a time, each head's logits
     are one GEMM into a buffer the kernel owns, normalized in place and
-    added into the output.  With a graph recorded the buffers are whole
-    (..., N) arrays, which the backward needs: ``w * P_h * (g - <g, P_h>)``
-    to head h's logits (``w = 1 / heads``), then one GEMM each to s and
-    c.  Otherwise every head reuses one block.
+    added into the output, which head 0 fills (no zeroing pass).  With a
+    graph recorded the buffers are whole (..., N) arrays, which the
+    backward needs: ``w * P_h * (g - <g, P_h>)`` to head h's logits
+    (``w = 1 / heads``), then one GEMM each to s and c.  Otherwise head 0
+    is normalized in the output block itself and later heads reuse one
+    block.
     """
     pairs = [(as_tensor(s), as_tensor(c)) for s, c in heads]
     lead, n = pairs[0][0].value.shape[:-1], pairs[0][1].value.shape[0]
@@ -455,13 +457,17 @@ def mean_softmax(*heads) -> Tensor:
     record = _recording and any(t.requires_grad for t in parents)
     probs = ([np.empty((count, n)) for _ in pairs] if record else
              [np.empty((min(_ROW_BLOCK, count), n))] * len(pairs))
-    value = np.zeros((count, n))
+    value = np.empty((count, n))
     for lo in range(0, count, _ROW_BLOCK):
         block = value[lo:lo + _ROW_BLOCK]
         at = lo if record else 0
-        for r, (_, c), p in zip(rows, pairs, probs):
-            block += _softmax(np.matmul(r[lo:lo + _ROW_BLOCK], c.value.T,
-                                        out=p[at:at + len(block)]))
+        for h, (r, (_, c), p) in enumerate(zip(rows, pairs, probs)):
+            buf = block if h == 0 and not record else p[at:at + len(block)]
+            q = _softmax(np.matmul(r[lo:lo + _ROW_BLOCK], c.value.T, out=buf))
+            if h:
+                block += q
+            elif record:
+                block[...] = q
         block *= w
 
     def _bw():

@@ -55,6 +55,30 @@ def session_graph_oracle(session):
                            edge_out=edge_out, adj_out=adj_out, adj_in=adj_in)
 
 
+def batch_graph_oracle(sessions):
+    """``graphs.build_session_graph`` as a per-session loop: one
+    first-occurrence dict per session gives each position's node, and
+    the rest is laid out from it.  Same six arrays, same order."""
+    lengths = np.array([len(s) for s in sessions], dtype=np.int64)
+    if not lengths.all() or not lengths.size:
+        raise ValueError("empty session or empty batch")
+    slots, n_nodes = [], []
+    for seq in sessions:
+        slot = {}
+        slots.extend(slot.setdefault(int(item), len(slot)) for item in seq)
+        n_nodes.append(len(slot))
+    n_nodes, slots = (np.asarray(a, dtype=np.int64) for a in (n_nodes, slots))
+    items = np.array([int(i) for s in sessions for i in s], dtype=np.int64)
+    row = np.repeat(np.arange(lengths.size), lengths)
+    alias = slots + (np.cumsum(n_nodes) - n_nodes)[row]
+    m = int(n_nodes.sum())
+    node_ids = np.empty(m, dtype=np.int64)
+    node_ids[alias] = items
+    step = row[1:] == row[:-1]
+    src, dst = np.divmod(np.unique(alias[:-1][step] * m + alias[1:][step]), m)
+    return node_ids, n_nodes, alias, lengths, src, dst
+
+
 def padded_batch_oracle(sessions):
     """Each session's oracle graph copied into 0-padded batch arrays,
     one session at a time, with the node mask spelled out."""

@@ -4,7 +4,8 @@ builds on batch graphs."""
 import numpy as np
 import pytest
 
-from oracles import session_blocks, session_graph_oracle, star_channel_oracle
+from oracles import (batch_graph_oracle, session_blocks, session_graph_oracle,
+                     star_channel_oracle)
 
 from sessrec.dataio import Example
 from sessrec.graphs import build_session_graph
@@ -70,6 +71,48 @@ class TestSessionGraph:
         np.testing.assert_array_equal(a.adj_out, b.adj_out)
         np.testing.assert_array_equal(a.adj_in, b.adj_in)
         np.testing.assert_array_equal(a.alias, b.alias)
+
+
+def random_batch(rng, sessions, items, max_len, low=0):
+    """``sessions`` prefixes of 1..``max_len`` items drawn from
+    [low, low + items): few items means many repeats."""
+    return [list(rng.integers(low, low + items,
+                              size=rng.integers(1, max_len + 1)))
+            for _ in range(sessions)]
+
+
+class TestBatchGraphOracle:
+    """The vectorised builder against the per-session loop it replaced:
+    all six arrays, values and dtypes, exactly."""
+
+    def check(self, sessions):
+        got, want = build_session_graph(sessions), batch_graph_oracle(sessions)
+        for name, g, w in zip(("node_ids", "n_nodes", "alias", "lengths",
+                               "src", "dst"), got, want):
+            assert g.dtype == w.dtype, name
+            np.testing.assert_array_equal(g, w, err_msg=name)
+
+    @pytest.mark.parametrize("items,max_len", [(2, 8), (6, 12), (100, 5),
+                                               (20000, 30)],
+                             ids=["repeats", "some_repeats", "desk", "wide"])
+    def test_random_batches(self, items, max_len):
+        rng = np.random.default_rng(items)
+        for _ in range(40):
+            self.check(random_batch(rng, int(rng.integers(1, 40)), items,
+                                    max_len))
+
+    def test_one_item_and_all_repeat_sessions(self):
+        self.check([[5], [3, 3, 3], [7], [2, 2], [9, 1, 9, 1], [4]])
+
+    def test_one_session(self):
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            self.check(random_batch(rng, 1, 4, 15))
+
+    def test_ids_near_twenty_thousand(self):
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            self.check(random_batch(rng, 30, 6, 10, low=19994))
 
 
 def pack_of(*sessions, session_indices=None):

@@ -1,6 +1,7 @@
 """Training loop, evaluation, metrics files, and the planted corpus."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -281,8 +282,8 @@ class TestEvaluate:
         examples = test_ex * 20                # prefixes 0..511 and 512..599
         scored = harness.score_batch
 
-        def one_nan_row(params, pack, cfg):
-            probs = scored(params, pack, cfg)
+        def one_nan_row(*args, **kwargs):
+            probs = scored(*args, **kwargs)
             if len(probs) == 88:
                 probs[550 - 512] = np.nan
             return probs
@@ -298,6 +299,109 @@ class TestEvaluate:
                                  cfg.num_factors, cfg.layers, cfg.seed)
         with pytest.raises(ValueError):
             evaluate(params, test_ex, cfg, ks=(0,))
+
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(batch_size=-1), "batch_size"), (dict(batch_size=0), "batch_size"),
+        (dict(batch_size=2.0), "batch_size"),
+        (dict(batch_size=True), "batch_size"),
+        (dict(ks=(10.9,)), "ks"), (dict(ks=(True,)), "ks"),
+        (dict(ks=(10, -3)), "ks"), (dict(ks=("10",)), "ks")],
+        ids=["batch_negative", "batch_zero", "batch_float", "batch_bool",
+             "k_float", "k_bool", "k_negative", "k_str"])
+    def test_bad_argument_named_before_scoring(self, monkeypatch, kwargs,
+                                              name):
+        # -1 used to report count 0 and P@10 0.0, 0 a raw range() error,
+        # 10.9 and True were truncated to cutoffs 10 and 1
+        cfg = tiny_config()
+        _, test_ex, n_items = tiny_corpus()
+        params = init_parameters(n_items, cfg.dim, cfg.factor_dim,
+                                 cfg.num_factors, cfg.layers, cfg.seed)
+
+        def unscored(*args, **kwargs):
+            raise AssertionError("scored before checking its arguments")
+        monkeypatch.setattr(harness, "score_batch", unscored)
+        monkeypatch.setattr(harness, "catalog_views", unscored)
+        with pytest.raises(ValueError, match=rf"^{name} "):
+            evaluate(params, test_ex, cfg, **kwargs)
+
+    def test_numpy_integer_arguments_accepted(self):
+        cfg = tiny_config()
+        _, test_ex, n_items = tiny_corpus()
+        params = init_parameters(n_items, cfg.dim, cfg.factor_dim,
+                                 cfg.num_factors, cfg.layers, cfg.seed)
+        report = evaluate(params, test_ex, cfg, ks=np.array([20, 5]),
+                          batch_size=np.int64(16))
+        assert report.ks == (5, 20)
+        assert all(type(k) is int for k in report.ks)
+        assert report == evaluate(params, test_ex, cfg, ks=(5, 20))
+
+    @pytest.mark.parametrize("variant", ["full", "fp"])
+    def test_rank_and_score_contract(self, monkeypatch, variant):
+        # perfbench checks each evaluation through these two names: one
+        # rank_of call per prefix with a scalar target and a scalar rank,
+        # one score_batch call per chunk, each row a distribution
+        cfg = tiny_config(variant=variant)
+        _, test_ex, n_items = tiny_corpus()
+        examples = test_ex * 3
+        params = init_parameters(n_items, cfg.dim, cfg.factor_dim,
+                                 cfg.num_factors, cfg.layers, cfg.seed)
+        ranked, scored = [], []
+        rank, score = harness.rank_of, harness.score_batch
+
+        def counted_rank(probs, target):
+            assert probs.shape == (n_items,) and np.ndim(target) == 0
+            ranked.append(rank(probs, target))
+            assert np.ndim(ranked[-1]) == 0
+            return ranked[-1]
+
+        def counted_score(*args, **kwargs):
+            scored.append(score(*args, **kwargs))
+            return scored[-1]
+        monkeypatch.setattr(harness, "rank_of", counted_rank)
+        monkeypatch.setattr(harness, "score_batch", counted_score)
+        report = evaluate(params, examples, cfg, batch_size=32)
+        assert [len(p) for p in scored] == [32, 32, len(examples) - 64]
+        np.testing.assert_allclose(np.concatenate(scored).sum(axis=1), 1.0,
+                                   atol=1e-9, rtol=0)
+        assert len(ranked) == len(examples) == report.overall.count
+        assert ranked == [
+            rank_of(row, ex.target)
+            for row, ex in zip(np.concatenate(scored), examples)]
+
+    def test_one_chunk_of_scores_alive_at_a_time(self):
+        # in units of one chunk's (B, N) scores: the next chunk is scored
+        # after the last one's are released
+        cfg = tiny_config()
+        n_items, batch = 3000, 200
+        rng = np.random.default_rng(4)
+        examples = [Example(list(rng.integers(n_items, size=3)),
+                            int(rng.integers(n_items))) for _ in range(600)]
+        params = init_parameters(n_items, cfg.dim, cfg.factor_dim,
+                                 cfg.num_factors, cfg.layers, cfg.seed)
+        tracemalloc.start()
+        try:
+            evaluate(params, examples, cfg, batch_size=batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (batch * n_items * 8) <= 1.6
+
+    @pytest.mark.parametrize("variant", ["full", "fp"])
+    def test_chunking_changes_no_rank(self, monkeypatch, variant):
+        cfg = tiny_config(variant=variant)
+        _, test_ex, n_items = tiny_corpus()
+        examples = test_ex * 2
+        params = init_parameters(n_items, cfg.dim, cfg.factor_dim,
+                                 cfg.num_factors, cfg.layers, cfg.seed)
+        rank, ranks = harness.rank_of, []
+        monkeypatch.setattr(harness, "rank_of",
+                            lambda p, t: ranks.append(rank(p, t)) or ranks[-1])
+        runs = []
+        for batch_size in (512, 7, 1):
+            ranks.clear()
+            report = evaluate(params, examples, cfg, batch_size=batch_size)
+            runs.append((list(ranks), report))
+        assert runs[0] == runs[1] == runs[2]
 
 
 class TestMetricsFiles:

@@ -11,7 +11,7 @@ from sessrec import model, rng, tape
 from sessrec.dataio import Example
 from sessrec.encoder import encode, encode_factors
 from sessrec.graphs import degree_weights
-from sessrec.harness import TrainConfig, make_planted_corpus
+from sessrec.harness import TrainConfig, evaluate, make_planted_corpus
 from sessrec.optim import Adam
 from sessrec.model import (PackedBatch, _dropout_edges, _negative_draws,
                            _star_edges, pack_batch, score_batch,
@@ -443,6 +443,8 @@ class TestTrainingForward:
         assert params.embeddings.grad is not None
         np.testing.assert_allclose(score_batch(params, pack, cfg).sum(axis=1),
                                    1.0, atol=1e-9, rtol=0)
+        assert model.catalog_views(params, cfg) is None
+        evaluate(params, toy_examples(), cfg)
 
     def test_fp_scoring_projects_no_factors(self, monkeypatch):
         # only the factor contrast reads the projected views, and
@@ -573,6 +575,40 @@ class TestScoreBatch:
         score_batch(params, pack_batch(toy_examples()), cfg)
         assert params.embeddings.grad is None
         assert params.ggnn_original.weight_in.grad is None
+
+    @pytest.mark.parametrize("variant", ["full", "fp"])
+    def test_views_passed_in_change_no_bit(self, variant):
+        cfg = toy_config(variant=variant)
+        params = toy_params(cfg)
+        pack = pack_batch(toy_examples())
+        views = model.catalog_views(params, cfg)
+        if variant == "fp":
+            assert views is None
+        else:
+            assert views.value.shape == (5, cfg.num_factors * cfg.factor_dim)
+            assert views._backward is None and not views._parents
+        np.testing.assert_array_equal(
+            score_batch(params, pack, cfg, catalog_factors=views),
+            score_batch(params, pack, cfg))
+
+    def test_views_passed_in_are_not_recomputed(self, monkeypatch):
+        cfg = toy_config()
+        params = toy_params(cfg)
+        views = model.catalog_views(params, cfg)
+
+        def unread(*args, **kwargs):
+            raise AssertionError("the catalog was projected again")
+        monkeypatch.setattr(model, "catalog_factor_embeddings", unread)
+        score_batch(params, pack_batch(toy_examples()), cfg,
+                    catalog_factors=views)
+
+    def test_evaluate_projects_the_catalog_once(self, monkeypatch):
+        calls, project = [], model.catalog_factor_embeddings
+        monkeypatch.setattr(model, "catalog_factor_embeddings",
+                            lambda *a: calls.append(a) or project(*a))
+        cfg = toy_config()
+        evaluate(toy_params(cfg), toy_examples(), cfg, batch_size=1)
+        assert len(calls) == 1
 
 
 class TestVariantValidation:

@@ -166,3 +166,16 @@ class TestRanking:
         top = set(np.lexsort((np.arange(20), -p))[:10].tolist())
         for j in range(20):
             assert (rank_of(p, j) <= 10) == (j in top)
+
+    @pytest.mark.parametrize("n", [100, 5000, 20000])
+    def test_matches_stable_sort_position(self, n):
+        # the rank is the target's place in a stable descending sort,
+        # on rows with many ties
+        rng = substream(12, "ranks")
+        for _ in range(20):
+            p = np.round(rng.random(n), 2)
+            target = int(rng.integers(n))
+            order = np.argsort(-p, kind="stable")
+            r = rank_of(p, target)
+            assert type(r) is int
+            assert r == int(np.flatnonzero(order == target)[0]) + 1

@@ -404,6 +404,31 @@ class TestMeanSoftmax:
             tracemalloc.stop()
         assert peak / out.value.nbytes <= bound
 
+    @pytest.mark.parametrize("rows", [37, 130], ids=["one_block", "blocks"])
+    @pytest.mark.parametrize("n_heads", [1, 2], ids=["one_head", "two_heads"])
+    @pytest.mark.parametrize("recorded", [False, True],
+                             ids=["no_graph", "graph"])
+    def test_bits_match_zero_filled_sum(self, rows, n_heads, recorded):
+        # the output is filled by head 0 instead of zeroed and added to;
+        # 0 + x is x, so the bits are those of a zero-filled running sum
+        heads = _large_heads(38, rows=rows, n=100)[:n_heads]
+        expect = np.zeros((rows, 100))
+        for lo in range(0, rows, tape._ROW_BLOCK):
+            block = expect[lo:lo + tape._ROW_BLOCK]
+            for s, c in heads:
+                logits = np.matmul(s.value[lo:lo + tape._ROW_BLOCK],
+                                   c.value.T)
+                e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+                block += e / e.sum(axis=-1, keepdims=True)
+            block *= 1.0 / n_heads
+        if recorded:
+            out = tape.mean_softmax(*heads)
+        else:
+            with tape.no_grad():
+                out = tape.mean_softmax(*heads)
+        assert (out._backward is not None) == recorded
+        np.testing.assert_array_equal(out.value, expect)
+
     def test_mismatched_heads_rejected(self):
         # another catalog size, another session count, a catalog width
         # unlike its sessions'
