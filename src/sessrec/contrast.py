@@ -4,7 +4,8 @@ The item- and factor-level terms share one loss shape: a discriminator
 scores (anchor, partner) pairs, and aligned pairs are pushed up and
 mismatched pairs down with a binary objective.  ``Discriminator.score``
 builds a whole term as one ``tape.pair_contrast`` node; the negative
-draws, the session weights and the alpha mix live in ``model``.
+draws and the session weights live in ``model``, and the alpha mix in
+the ``tape.total_loss`` node that ``model`` builds.
 """
 
 from __future__ import annotations

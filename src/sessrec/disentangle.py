@@ -48,10 +48,7 @@ class FactorProjection:
 
 def project(items, proj: FactorProjection):
     """Map item rows (..., n, d) to the K factor views (..., K, n, d_f)."""
-    flat = tape.sigmoid_projection(items, proj.weight, proj.bias)
-    k, _, f = proj.weight.value.shape
-    split = tape.reshape(flat, flat.value.shape[:-1] + (k, f))
-    return tape.swap_last(split, (-3, -2))
+    return tape.sigmoid_projection(items, proj.weight, proj.bias, stacked=True)
 
 
 def independence_loss(factors):

@@ -4,14 +4,15 @@ A batch is one graph: the disjoint union of its sessions' transition
 graphs.  ``pack_batch`` lays out the M real nodes and P real positions
 of all sessions one after another, and the edges as index lists over
 node rows, so no padded slot exists to mask.  The training forward runs
-the original channel, the K factor channels (one pass over (K, M, d_f)
-states, where factor-stacked weights broadcast) over cosine-weighted
-edges, and the augmentation channel (the star view, its hubs B more
-rows, or graph dropout), all through the same ``ggnn_step``, then
-assembles the prediction term, the item- and factor-level contrastive
-terms (one ``Discriminator.score`` node each) and the independence term.
-Inference runs only the prediction path they share: the original
-channel through the scores.
+three channels through the same ``ggnn_step``: the original one, the K
+factor channels (one pass over (K, M, d_f) states, where factor-stacked
+weights broadcast) over edges weighted by one ``tape.cosine_edges``
+node, and the augmentation channel (the star view, whose B hubs are B
+more rows of the batch graph, or graph dropout).  One ``tape.total_loss``
+node then weighs the prediction term, the item- and factor-level
+contrastive terms (one ``Discriminator.score`` node each) and the
+independence term.  Inference runs only the prediction path they
+share: the original channel through the scores.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from .disentangle import independence_loss, project
 from .encoder import encode, encode_factors
 from .graphs import build_session_graph, degree_weights
 from .params import ParameterSet
-from .predictor import (catalog_factor_embeddings, prediction_loss, score,
-                        total_loss)
+from .predictor import catalog_factor_embeddings, prediction_loss, score
 from .propagation import ggnn_step
 from .rng import substream, uniforms
 from .tape import Tensor
@@ -116,10 +116,7 @@ def _factor_edges(f0, pack: PackedBatch):
     """
     if f0.value.shape[-2] != pack.node_ids.size:
         raise ValueError("one factor row per node of the batch required")
-    unit = tape.normalize_rows(f0)
-    ends = [tape.getitem(unit, (..., rows, slice(None)))
-            for rows in (pack.src, pack.dst)]
-    w = tape.tsum(tape.mul(*ends), axis=-1)
+    w = tape.cosine_edges(f0, pack.src, pack.dst)
     return pack.src, pack.dst, w, w
 
 
@@ -141,15 +138,21 @@ def _star_graph(x0, pack: PackedBatch, to_real, from_real):
 
     Row M + b is session b's hub.  It starts at the mean of the item
     embeddings over the session's positions (repeats count once per
-    occurrence).  A node with ``to_real`` set receives its hub, one with
-    ``from_real`` set feeds it; hub edges weigh 1.  They follow the
-    transitions, which keep their weights, so a node without a hub edge
-    aggregates exactly as in plain propagation.
+    occurrence); the node rows start at ``x0``.  Both come from one edge
+    sum: a weight-1 self edge per node row, and a 1/len edge from each
+    position's node row into its hub.  A node with ``to_real`` set
+    receives its hub, one with ``from_real`` set feeds it; hub edges
+    weigh 1.  They follow the transitions, which keep their weights, so
+    a node without a hub edge aggregates exactly as in plain
+    propagation.
     """
     m, b = pack.node_ids.size, pack.lengths.size
     pos_session = np.repeat(np.arange(b), pack.lengths)
-    hub = tape.edge_matmul(1.0 / pack.lengths[pos_session], x0, pack.alias,
-                           pos_session, b)
+    rows = np.arange(m)
+    start = tape.edge_matmul(
+        np.concatenate([np.ones(m), 1.0 / pack.lengths[pos_session]]), x0,
+        np.concatenate([rows, pack.alias]),
+        np.concatenate([rows, m + pos_session]), m + b)
     hub_row = m + pack.node_session
     into, out_of = np.flatnonzero(to_real), np.flatnonzero(from_real)
     src, dst, w_in, w_out = pack.edges
@@ -157,7 +160,7 @@ def _star_graph(x0, pack: PackedBatch, to_real, from_real):
     edges = (np.concatenate([src, hub_row[into], out_of]),
              np.concatenate([dst, into, hub_row[out_of]]),
              np.concatenate([w_in, ones]), np.concatenate([w_out, ones]))
-    return tape.concat([x0, hub], axis=-2), edges
+    return start, edges
 
 
 def _hub_channel(x0, pack: PackedBatch, weights, theta, seed, epoch):
@@ -289,9 +292,8 @@ def training_forward(params: ParameterSet, pack: PackedBatch, cfg,
                             pack)
 
     f0 = project(x0, params.proj)                        # (K, M, d_f)
-    if cfg.variant == "fcl":
-        l_contrast = l_item
-    else:
+    l_factor = None
+    if cfg.variant != "fcl":
         h_fac = _run_channel(f0, _factor_edges(f0, pack), params.ggnn_factor)
         if orig_factors is None:                         # fp
             orig_factors = project(h_orig, params.proj)
@@ -302,13 +304,11 @@ def training_forward(params: ParameterSet, pack: PackedBatch, cfg,
                                   count=params.proj.num_factors)
         l_factor = _contrast_term(params.disc_factor, orig_factors, h_fac,
                                   partner, neg_fac, pack)
-        l_contrast = tape.add(
-            tape.mul(l_item, Tensor(np.float64(cfg.alpha))),
-            tape.mul(l_factor, Tensor(np.float64(1.0 - cfg.alpha))))
 
     l_ind = independence_loss(f0)
     l_pred = prediction_loss(scores, pack.targets)
-    loss = total_loss(l_pred, l_contrast, l_ind, cfg.beta_cl, cfg.beta_ind)
+    loss, l_contrast = tape.total_loss(l_pred, l_item, l_factor, l_ind,
+                                       cfg.alpha, cfg.beta_cl, cfg.beta_ind)
     return ForwardResult(loss=loss, prediction=l_pred, contrastive=l_contrast,
                          independence=l_ind, scores=scores)
 

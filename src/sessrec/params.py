@@ -69,8 +69,10 @@ def init_parameters(n_items, dim, factor_dim, num_factors, layers, seed,
 
 
 # Stands in for the init generator when only the layout is needed: every
-# "draw" is zeros, which costs no random numbers and no touched memory.
-_NO_DRAWS = SimpleNamespace(uniform=lambda low, high, size: np.zeros(size))
+# "draw" is a read-only broadcast zero, which costs no random numbers and
+# allocates nothing, whatever size a manifest asks for.
+_NO_DRAWS = SimpleNamespace(
+    uniform=lambda low, high, size: np.broadcast_to(0.0, size))
 
 
 def _build(rng, n_items, dim, factor_dim, num_factors, layers, disc_form):

@@ -1,4 +1,4 @@
-"""Next-item scoring from the two session embeddings, and the training loss.
+"""Next-item scoring from the two session embeddings, and the prediction loss.
 
 The item head scores the session embedding against every catalog
 embedding; the factor head does the same in concatenated factor space.
@@ -57,17 +57,6 @@ def prediction_loss(scores, target):
     logs so a saturated head cannot produce infinities.
     """
     return tape.onehot_bce(scores, target, PROB_FLOOR)
-
-
-def total_loss(prediction, contrastive, independence, beta_cl: float,
-               beta_ind: float):
-    """L = prediction + beta_cl * contrastive + beta_ind * independence."""
-    out = tape.as_tensor(prediction)
-    out = tape.add(out, tape.mul(tape.as_tensor(contrastive),
-                                 Tensor(np.float64(beta_cl))))
-    out = tape.add(out, tape.mul(tape.as_tensor(independence),
-                                 Tensor(np.float64(beta_ind))))
-    return out
 
 
 def rank_of(probabilities: np.ndarray, target: int) -> int:

@@ -1,24 +1,27 @@
 """Reverse-mode automatic differentiation over numpy float64 arrays.
 
-Small tape just big enough for this library: dense ops, broadcasting,
-advanced indexing, and a few custom kernels with hand-written backward
-rules: weighted sums along graph edges (``edge_matmul``, on a sparse
-matrix), the GGNN cell's gated update (``gated_update``), the sigmoid
-factor projection (``sigmoid_projection``), the soft-attention session
-readout (``attention_readout``), the mean catalog softmax of (session,
-catalog) pairs (``mean_softmax``), the clamped one-hot binary
-cross-entropy (``onehot_bce``), the binary contrastive objective of
-rows against their positives and sampled partner rows
-(``pair_contrast``), the summed distance correlation of K
-samples (``distance_correlation_sum``, over the distinct rows, each
-weighted by its count; every copy of a row gets an equal share of its
-gradient), and safe row normalization.  Everything runs in float64 and
-is deterministic: no threads, no in-place gradient mutation,
-accumulation order fixed by the topological order of the graph.
+Small tape just big enough for this library: one generic op, advanced
+indexing (``getitem``), and otherwise kernels with hand-written
+backward rules, one per model mechanism: weighted sums along graph
+edges (``edge_matmul``, on a sparse matrix), the cosine of each edge's
+end rows (``cosine_edges``), the GGNN cell's gated update
+(``gated_update``), the sigmoid factor projection
+(``sigmoid_projection``), the soft-attention session readout
+(``attention_readout``), the mean catalog softmax of (session, catalog)
+pairs (``mean_softmax``), the clamped one-hot binary cross-entropy
+(``onehot_bce``), the binary contrastive objective of rows against
+their positives and sampled partner rows (``pair_contrast``), the
+summed distance correlation of K samples (``distance_correlation_sum``,
+over the distinct rows, each weighted by its count; every copy of a row
+gets an equal share of its gradient) and the weighted sum of the loss
+terms (``total_loss``).  Everything runs in float64 and is
+deterministic: no threads, no in-place gradient mutation, accumulation
+order fixed by the topological order of the graph.
 """
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -50,7 +53,8 @@ def _t(a):
 class Tensor:
     """A node in the computation graph wrapping a float64 ndarray."""
 
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward",
+                 "__weakref__")
 
     def __init__(self, value, requires_grad: bool = False,
                  parents: tuple = (), backward=None):
@@ -135,70 +139,7 @@ def _make(value, parents, backward):
     return Tensor(value)
 
 
-# -- arithmetic -------------------------------------------------------------
-
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def _bw():
-        _accum(a, _unbroadcast(out.grad, a.value.shape))
-        _accum(b, _unbroadcast(out.grad, b.value.shape))
-
-    out = _make(a.value + b.value, (a, b), _bw)
-    return out
-
-
-def mul(a, b) -> Tensor:
-    """``a * b``; the backward skips an operand that takes no gradient."""
-    a, b = as_tensor(a), as_tensor(b)
-
-    def _bw():
-        if a.requires_grad:
-            _accum(a, _unbroadcast(out.grad * b.value, a.value.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(out.grad * a.value, b.value.shape))
-
-    out = _make(a.value * b.value, (a, b), _bw)
-    return out
-
-
-# -- shape ops --------------------------------------------------------------
-
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-
-    def _bw():
-        _accum(a, out.grad.reshape(a.value.shape))
-
-    out = _make(a.value.reshape(shape), (a,), _bw)
-    return out
-
-
-def swap_last(a, axes=(-2, -1)) -> Tensor:
-    """Swap two axes, the last two by default: the tape's one axis move."""
-    a = as_tensor(a)
-    i, j = axes
-
-    def _bw():
-        _accum(a, np.swapaxes(out.grad, i, j))
-
-    out = _make(np.swapaxes(a.value, i, j), (a,), _bw)
-    return out
-
-
-def concat(tensors, axis: int = -1) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.value.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def _bw():
-        for t, g in zip(tensors, np.split(out.grad, splits, axis=axis)):
-            _accum(t, g)
-
-    out = _make(np.concatenate([t.value for t in tensors], axis=axis),
-                tuple(tensors), _bw)
-    return out
-
+# -- indexing ---------------------------------------------------------------
 
 def getitem(a, key) -> Tensor:
     a = as_tensor(a)
@@ -209,17 +150,6 @@ def getitem(a, key) -> Tensor:
         _accum(a, buf)
 
     out = _make(a.value[key], (a,), _bw)
-    return out
-
-
-def tsum(a, axis=None) -> Tensor:
-    a = as_tensor(a)
-
-    def _bw():
-        g = out.grad if axis is None else np.expand_dims(out.grad, axis)
-        _accum(a, np.broadcast_to(g, a.value.shape))
-
-    out = _make(a.value.sum(axis=axis), (a,), _bw)
     return out
 
 
@@ -289,6 +219,37 @@ def edge_matmul(values, x, src, dst, m) -> Tensor:
     return out
 
 
+def cosine_edges(x, src, dst) -> Tensor:
+    """The cosine of each edge's end rows, per leading slice: states
+    (..., M, d) -> weights (..., E), ``w[..., e] = u[..., src[e], :] .
+    u[..., dst[e], :]`` for the unit rows ``u = x / |x|``.
+
+    A zero row's unit row is 0: its edges weigh 0 and it takes no
+    gradient.  The backward adds each edge's gradient times the other
+    end's unit row into each end (repeated edges add up), then projects
+    out the radial part: ``g / |x| - x (x . g) / |x|^3``.
+    """
+    x = as_tensor(x)
+    xv = x.value
+    norm = np.sqrt((xv * xv).sum(axis=-1, keepdims=True))
+    safe = np.where(norm > 0.0, norm, 1.0)
+    unit = xv / safe                    # a zero row stays 0
+    u_src, u_dst = unit[..., src, :], unit[..., dst, :]
+
+    def _bw():
+        g = out.grad[..., None]
+        g_src, g_dst = np.zeros_like(xv), np.zeros_like(xv)
+        np.add.at(g_src, (..., src, slice(None)), g * u_dst)
+        np.add.at(g_dst, (..., dst, slice(None)), g * u_src)
+        g = g_src + g_dst
+        inner = (xv * g).sum(axis=-1, keepdims=True)
+        grad = g / safe - xv * inner / (safe ** 3)
+        _accum(x, np.where(norm > 0.0, grad, 0.0))
+
+    out = _make((u_src * u_dst).sum(axis=-1), (x,), _bw)
+    return out
+
+
 def gated_update(x, a_in, a_out, weights) -> Tensor:
     """The GRU update ``(1 - z) x + z n`` of states ``x`` (..., M, d)
     from their edge sums ``a_in`` and ``a_out``: with ``c = [a_in W_in +
@@ -327,11 +288,13 @@ def gated_update(x, a_in, a_out, weights) -> Tensor:
     return out
 
 
-def sigmoid_projection(x, weight, bias) -> Tensor:
+def sigmoid_projection(x, weight, bias, stacked=False) -> Tensor:
     """``sigmoid(x W_k) + b_k`` for the K slices of a (K, d, d_f) weight
     and (K, d_f) bias, side by side: (..., d) -> (..., K d_f), slice k in
-    columns [k d_f, (k+1) d_f).  One GEMM against the slices laid out as
-    (d, K d_f); the backward forms ``g s (1 - s)``, then one GEMM each to
+    columns [k d_f, (k+1) d_f).  ``stacked`` lays the same numbers out
+    as K views instead, (..., n, d) -> (..., K, n, d_f), a view of the
+    side-by-side array.  One GEMM against the slices laid out as (d, K
+    d_f); the backward forms ``g s (1 - s)``, then one GEMM each to
     ``x`` and the weight."""
     x, weight, bias = parents = tuple(map(as_tensor, (x, weight, bias)))
     k, d, f = weight.value.shape
@@ -340,7 +303,8 @@ def sigmoid_projection(x, weight, bias) -> Tensor:
     s = _sigmoid(rows @ w)
 
     def _bw():
-        g = out.grad.reshape(s.shape)
+        g = np.swapaxes(out.grad, -3, -2) if stacked else out.grad
+        g = g.reshape(s.shape)
         gs = g * s * (1.0 - s)
         if x.requires_grad:
             _accum(x, (gs @ w.T).reshape(x.value.shape))
@@ -348,8 +312,10 @@ def sigmoid_projection(x, weight, bias) -> Tensor:
             _accum(weight, np.swapaxes((rows.T @ gs).reshape(d, k, f), 0, 1))
         _accum(bias, g.sum(axis=0).reshape(k, f))
 
-    out = _make((s + bias.value.reshape(k * f)).reshape(
-        x.value.shape[:-1] + (k * f,)), parents, _bw)
+    lead, value = x.value.shape[:-1], s + bias.value.reshape(k * f)
+    value = (np.swapaxes(value.reshape(lead + (k, f)), -3, -2) if stacked
+             else value.reshape(lead + (k * f,)))
+    out = _make(value, parents, _bw)
     return out
 
 
@@ -672,19 +638,37 @@ def distance_correlation_sum(x) -> Tensor:
     return out
 
 
-def normalize_rows(a) -> Tensor:
-    """L2-normalize along the last axis; rows with zero norm map to zero."""
-    a = as_tensor(a)
-    x = a.value
-    norm = np.sqrt((x * x).sum(axis=-1, keepdims=True))
-    safe = np.where(norm > 0.0, norm, 1.0)
-    unit = np.where(norm > 0.0, x / safe, 0.0)
+def total_loss(prediction, item, factor, independence, alpha, beta_cl,
+               beta_ind):
+    """The training objective of scalar terms as one node, ``L_p +
+    beta_cl (alpha L_i + (1 - alpha) L_f) + beta_ind L_d``, evaluated in
+    that order; with no factor term (``factor`` None) the contrastive
+    part is ``L_i`` alone.  Returns the loss and the contrastive part,
+    which is a node of its own (``L_i`` itself without a factor term)
+    outside the loss's graph."""
+    p, d = as_tensor(prediction), as_tensor(independence)
+    terms = tuple(as_tensor(t) for t in (item, factor) if t is not None)
+    mix = (alpha, 1.0 - alpha) if len(terms) == 2 else (1.0,)
+
+    def _bw_contrast():
+        for t, w in zip(terms, mix):
+            _accum(t, node().grad * w)
+
+    contrastive = terms[0] if len(terms) == 1 else _make(
+        terms[0].value * alpha + terms[1].value * (1.0 - alpha), terms,
+        _bw_contrast)
+    # training never runs this node's backward, which is what breaks the
+    # out -> closure -> out cycle of every other node: a strong reference
+    # here would keep each step's graph alive until the cyclic collector
+    node = weakref.ref(contrastive)
 
     def _bw():
         g = out.grad
-        inner = (x * g).sum(axis=-1, keepdims=True)
-        grad = g / safe - x * inner / (safe ** 3)
-        _accum(a, np.where(norm > 0.0, grad, 0.0))
+        g_c = g * beta_cl
+        for t, grad in zip((p, *terms, d),
+                           (g, *(g_c * w for w in mix), g * beta_ind)):
+            _accum(t, grad)
 
-    out = _make(unit, (a,), _bw)
-    return out
+    out = _make(p.value + contrastive.value * beta_cl + d.value * beta_ind,
+                (p, *terms, d), _bw)
+    return out, contrastive

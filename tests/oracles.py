@@ -3,13 +3,17 @@
 Everything here is deliberately naive: plain numpy, explicit loops,
 no code shared with the package.  Tests compare package output against
 these on fixed toy inputs, and tape gradients against the central
-finite differences at the end of the file.
+finite differences at the end of the file.  ``probe``, just before
+them, is the one helper that builds on the package: the tape node that
+reduces a kernel's output to the scalar those tests differentiate.
 """
 
 import zlib
 from types import SimpleNamespace
 
 import numpy as np
+
+from sessrec.tape import Tensor
 
 
 def sigmoid(x):
@@ -195,6 +199,20 @@ def star_channel_oracle(x, adj_in, adj_out, alias, to_real, from_real, w,
         states = ggnn_step_oracle(states, a_in, a_out, w)
     return states
 
+
+def cosine_edge_oracle(x, src, dst):
+    """Per slice of (..., M, d) states, the cosine of each edge's end rows,
+    one edge at a time; an edge touching a zero row weighs 0."""
+    out = np.zeros(x.shape[:-2] + (len(src),))
+    for idx in np.ndindex(*x.shape[:-2]):
+        for e, (i, j) in enumerate(zip(src, dst)):
+            a, b = x[idx + (i,)], x[idx + (j,)]
+            na, nb = np.sqrt(a @ a), np.sqrt(b @ b)
+            if na > 0.0 and nb > 0.0:
+                out[idx + (e,)] = (a @ b) / (na * nb)
+    return out
+
+
 def attention_oracle(seq, w, normalize=False):
     """Session readout for one sequence (T, d); ``w`` maps names to arrays.
     ``normalize`` turns the raw scores into a softmax over positions."""
@@ -314,6 +332,20 @@ def ranking_metrics_oracle(score_rows, targets, k):
         hits.append(1.0 if rank <= k else 0.0)
         rr.append(1.0 / rank if rank <= k else 0.0)
     return float(np.mean(hits)), float(np.mean(rr))
+
+
+def probe(t, weight=1.0):
+    """The scalar ``sum(weight * t)`` of a tensor as one tape node, with
+    ``weight`` (broadcast to t's shape) as its gradient to ``t``."""
+    w = np.broadcast_to(np.asarray(weight, dtype=np.float64), t.value.shape)
+
+    def _bw():
+        g = out.grad * w
+        t.grad = g if t.grad is None else t.grad + g
+
+    out = Tensor((t.value * w).sum(), requires_grad=t.requires_grad,
+                 parents=(t,), backward=_bw if t.requires_grad else None)
+    return out
 
 
 # -- central finite differences ----------------------------------------------

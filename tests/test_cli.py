@@ -387,6 +387,20 @@ class TestEvalCommand:
         assert code == EXIT_DATA
         assert "n_items must be a JSON integer" in caplog.text
 
+    def test_unallocatable_layout_is_data_error(self, trained, corpus_dir,
+                                                caplog):
+        # a stored config whose layout no machine could allocate is
+        # refused by the shape checks, not by a MemoryError traceback
+        manifest_path = trained.with_suffix(".json")
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["dim"] = 10 ** 15
+        manifest["n_items"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        code = main(["eval", "--checkpoint", str(trained),
+                     "--test", str(corpus_dir / "test.jsonl")])
+        assert code == EXIT_DATA
+        assert str(manifest_path) in caplog.text
+
     def test_non_finite_checkpoint_is_data_error(self, trained, corpus_dir,
                                                  caplog):
         # NaN embeddings rank every target first: P@10 = MRR = 1.0

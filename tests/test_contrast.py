@@ -6,7 +6,6 @@ import pytest
 
 from oracles import factor_cl_oracle, item_cl_oracle, session_average
 
-from sessrec import tape
 from sessrec.contrast import Discriminator
 from sessrec.dataio import Example
 from sessrec.harness import TrainConfig
@@ -14,7 +13,7 @@ from sessrec.model import (_contrast_term, _negative_draws, pack_batch,
                            training_forward)
 from sessrec.params import init_parameters
 from sessrec.rng import substream
-from sessrec.tape import Parameter, Tensor
+from sessrec.tape import Parameter
 
 TWO_LN2 = 2.0 * np.log(2.0)
 
@@ -54,12 +53,10 @@ def item_term(pack, orig, aug, seed=0, disc=Discriminator()):
 def factor_term(pack, origs, augs, scheme="within_view", seed=0,
                 disc=Discriminator()):
     negs = _negative_draws(pack, seed, 0, 1, 1, count=len(origs))
-    total = Tensor(np.float64(0.0))
-    for orig, aug, neg in zip(origs, augs, negs):
-        partner = orig if scheme == "within_view" else aug
-        total = tape.add(total, contrast_term(pack, orig, aug, partner, neg,
-                                              disc))
-    return total
+    return sum(float(contrast_term(pack, orig, aug,
+                                   orig if scheme == "within_view" else aug,
+                                   neg, disc).value)
+               for orig, aug, neg in zip(origs, augs, negs))
 
 
 class TestSampling:
@@ -148,7 +145,7 @@ class TestFactorLevel:
             origs = views(pack, 5, 3)
             augs = views(pack, 6, 3)
             negs = _negative_draws(pack, 9, 0, 1, 1, count=3)
-            mine = float(factor_term(pack, origs, augs, scheme, seed=9).value)
+            mine = factor_term(pack, origs, augs, scheme, seed=9)
             expect = session_average(
                 lambda rows: factor_cl_oracle(
                     [o[rows] for o in origs], [a[rows] for a in augs],
@@ -168,12 +165,12 @@ class TestFactorLevel:
             pack = make()
             zeros = [np.zeros(pack.node_ids.shape + (2,))] * k
             loss = factor_term(pack, zeros, zeros)
-            assert abs(float(loss.value) - k * TWO_LN2) < 1e-9
+            assert abs(loss - k * TWO_LN2) < 1e-9
 
     def test_single_node_skipped(self):
         pack = pack_batch([Example([2], 3)])
         x = [np.ones((1, 2))]
-        assert float(factor_term(pack, x, x).value) == 0.0
+        assert factor_term(pack, x, x) == 0.0
 
 
 class TestDiscriminatorForms:

@@ -1,5 +1,8 @@
 """Batch assembly and the assembled forward passes."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -482,18 +485,44 @@ class TestTrainingForward:
 
     def test_desk_step_tape_nodes(self):
         # one training step of the desk benchmark's config on its first
-        # planted batch makes no more tape nodes than today's 39: the
-        # catalog head is one mean_softmax node, a GGNN layer is two
-        # edge_matmul nodes and one gated_update node, and the factor
-        # projection, each readout, each contrastive term and the
-        # independence penalty are one node each
+        # planted batch makes no more tape nodes than these per variant:
+        # the catalog head is one mean_softmax node, a GGNN layer is two
+        # edge_matmul nodes and one gated_update node, the star view's
+        # start states are one edge_matmul node, and the factor
+        # projection, the cosine edges, each readout, each contrastive
+        # term, the independence penalty and the loss mix are one node
+        # each; the embedding gather and the hub-dropping slice are the
+        # only generic nodes
         train_ex, _, n_items = make_planted_corpus(seed=0)
-        cfg = TrainConfig(dim=32, factor_dim=8, num_factors=4,
-                          batch_size=100, seed=0)
-        params = init_parameters(n_items, cfg.dim, cfg.factor_dim,
-                                 cfg.num_factors, cfg.layers, cfg.seed)
-        out = training_forward(params, pack_batch(train_ex[:100]), cfg, 0)
-        assert sum(1 for n in tape._topo_order(out.loss) if n._parents) <= 39
+        pack = pack_batch(train_ex[:100])
+        for variant, most in [("full", 24), ("fcl", 19), ("star", 22),
+                              ("fp", 22)]:
+            cfg = TrainConfig(dim=32, factor_dim=8, num_factors=4,
+                              batch_size=100, seed=0, variant=variant)
+            params = init_parameters(n_items, cfg.dim, cfg.factor_dim,
+                                     cfg.num_factors, cfg.layers, cfg.seed)
+            out = training_forward(params, pack, cfg, 0)
+            nodes = sum(1 for n in tape._topo_order(out.loss) if n._parents)
+            assert nodes <= most, variant
+
+    @pytest.mark.parametrize("variant", ["full", "fcl"])
+    def test_step_graph_freed_without_the_cyclic_collector(self, variant):
+        # once a step's result is dropped after backward, reference
+        # counting alone frees its graph: no node left unbackpropagated,
+        # such as the contrastive part beside the loss, keeps it alive in
+        # a reference cycle, which would hold every step's arrays until
+        # the cyclic collector ran
+        cfg = toy_config(variant=variant)
+        out = training_forward(toy_params(cfg), pack_batch(toy_examples()),
+                               cfg, 0)
+        out.loss.backward()
+        refs = [weakref.ref(t) for t in (out.scores, out.contrastive)]
+        gc.disable()
+        try:
+            del out
+            assert all(r() is None for r in refs)
+        finally:
+            gc.enable()
 
     def test_single_node_batch_contrast_skipped(self):
         cfg = toy_config()

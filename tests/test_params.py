@@ -183,8 +183,10 @@ class TestCheckpoint:
     @pytest.mark.parametrize("damage", [
         "not_an_object", "config", "n_items", "total_elements", "entries",
         "entry.name", "entry.shape", "entry.offset", "config.dim",
-        "negative_offset"])
+        "negative_offset", "unallocatable_dim", "unallocatable_ggnn"])
     def test_malformed_manifest_rejected(self, tmp_path, damage):
+        # the unallocatable layouts hold 10**15 and 10**12 elements in one
+        # array; laying them out must allocate nothing
         save_checkpoint(tmp_path / "m", small_params(), SMALL_CONFIG, 7)
         manifest = json.loads((tmp_path / "m.json").read_text())
         if damage == "not_an_object":
@@ -195,6 +197,10 @@ class TestCheckpoint:
             del manifest["config"]["dim"]
         elif damage == "negative_offset":
             manifest["entries"][1]["offset"] = -4
+        elif damage.startswith("unallocatable"):
+            manifest["n_items"] = 1
+            manifest["config"]["dim"] = 10 ** 15 if damage.endswith("dim") \
+                else 10 ** 6
         else:
             del manifest[damage]
         (tmp_path / "m.json").write_text(json.dumps(manifest))

@@ -11,7 +11,7 @@ from oracles import bce_oracle, scores_oracle, sigmoid
 from sessrec import tape
 from sessrec.disentangle import FactorProjection, project
 from sessrec.predictor import (catalog_factor_embeddings, prediction_loss,
-                               rank_of, score, total_loss)
+                               rank_of, score)
 from sessrec.rng import substream
 from sessrec.tape import Parameter, Tensor
 
@@ -44,9 +44,8 @@ class TestScore:
         item_head = score(e_item, None, catalog)
         factor_head = score(e_factor, None, cat_f)
         combined = score(e_item, e_factor, catalog, catalog_factors=cat_f)
-        assert float(tape.tsum(item_head).value) == pytest.approx(1.0)
-        assert float(tape.tsum(factor_head).value) == pytest.approx(1.0)
-        assert float(tape.tsum(combined).value) == pytest.approx(1.0)
+        for head in (item_head, factor_head, combined):
+            assert head.value.sum() == pytest.approx(1.0)
 
     def test_item_only_head(self):
         catalog, cat_f, e_item, _ = setup_scoring(2)
@@ -128,9 +127,13 @@ class TestPredictionLoss:
 
 
 def test_total_loss_weighting():
-    out = total_loss(Tensor(np.float64(1.0)), Tensor(np.float64(10.0)),
-                     Tensor(np.float64(100.0)), beta_cl=0.05, beta_ind=0.01)
-    assert float(out.value) == pytest.approx(1.0 + 0.5 + 1.0)
+    # item term 10 and factor term 30 mix 3:1 into a contrastive 15
+    out, contrastive = tape.total_loss(
+        Tensor(np.float64(1.0)), Tensor(np.float64(10.0)),
+        Tensor(np.float64(30.0)), Tensor(np.float64(100.0)), alpha=0.75,
+        beta_cl=0.05, beta_ind=0.01)
+    assert float(contrastive.value) == pytest.approx(15.0)
+    assert float(out.value) == pytest.approx(1.0 + 0.75 + 1.0)
 
 
 class TestRanking:

@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from oracles import (ggnn_step_oracle, session_blocks, session_graph_oracle,
-                     star_channel_oracle)
+from oracles import (ggnn_step_oracle, probe, session_blocks,
+                     session_graph_oracle, star_channel_oracle)
 
 from sessrec import tape
 from sessrec.dataio import Example
@@ -189,6 +189,6 @@ class TestStarChannel:
         pack = pack_batch([Example([1, 2, 3], 0), Example([4], 0)])
         x = tape.Parameter(substream(10, "x").normal(size=(4, 3)))
         out = _hub_channel(x, pack, w, 1.0, seed=2, epoch=0)
-        tape.tsum(tape.mul(out, out)).backward()
+        probe(out, substream(11, "g").normal(size=out.value.shape)).backward()
         assert np.abs(x.grad).max() > 0
         assert np.abs(w.weight_in.grad).max() > 0

@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import (attention_oracle, bce_oracle, dcor_oracle,
-                     factor_cl_oracle, ggnn_step_oracle, gradient_errors,
-                     item_cl_oracle, max_relative_error, numerical_gradient,
-                     scores_oracle, session_average, sigmoid)
+from oracles import (attention_oracle, bce_oracle, cosine_edge_oracle,
+                     dcor_oracle, factor_cl_oracle, ggnn_step_oracle,
+                     gradient_errors, item_cl_oracle, max_relative_error,
+                     numerical_gradient, probe, scores_oracle,
+                     session_average, sigmoid)
 
 from sessrec import tape
 from sessrec.disentangle import FactorProjection
@@ -22,27 +23,10 @@ from sessrec.tape import Parameter, Tensor
 TOL = 1e-4
 
 
-def square(t):
-    return tape.mul(t, t)
-
-
 def check(loss_fn, params):
     errs = gradient_errors(loss_fn, params)
     worst = max(errs.values())
     assert worst < TOL, f"gradient mismatch: {errs}"
-
-
-class TestArithmetic:
-    def test_add_mul_broadcast(self):
-        rng = np.random.default_rng(0)
-        a = Parameter(rng.normal(size=(3, 4)))
-        b = Parameter(rng.normal(size=(4,)))
-
-        def loss():
-            out = tape.mul(tape.add(a, b), tape.add(a, Tensor(np.float64(2.0))))
-            return tape.tsum(tape.mul(out, out))
-
-        check(loss, {"a": a, "b": b})
 
 
 class TestGatedUpdate:
@@ -74,11 +58,11 @@ class TestGatedUpdate:
         inputs = {"x": Parameter(x), "a_in": Parameter(adj_in @ x),
                   "a_out": Parameter(adj_out @ x)}
         named = {name[1:]: p for name, p in w.named_parameters("")}
-        g = Tensor(np.random.default_rng(26).normal(size=x.shape))
+        g = np.random.default_rng(26).normal(size=x.shape)
 
         def loss():
             out = tape.gated_update(*inputs.values(), list(named.values()))
-            return tape.tsum(tape.mul(out, g))
+            return probe(out, g)
 
         check(loss, {**inputs, **named})
 
@@ -104,13 +88,33 @@ class TestSigmoidProjection:
                                        atol=1e-10, rtol=0)
 
     @pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)], ids=["2d", "batch"])
+    def test_stacked_layout(self, shape):
+        # the K views of (..., n, d) rows as (..., K, n, d_f): the same
+        # numbers as the side-by-side columns, bit for bit
+        x, weight, bias = self.operands(shape, 40)
+        flat = tape.sigmoid_projection(x, weight, bias).value
+        got = tape.sigmoid_projection(x, weight, bias, stacked=True).value
+        k, _, f = weight.value.shape
+        assert got.shape == shape[:-2] + (k,) + shape[-2:-1] + (f,)
+        for s in range(k):
+            np.testing.assert_array_equal(got[..., s, :, :],
+                                          flat[..., s * f:(s + 1) * f])
+
+    @pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)], ids=["2d", "batch"])
     def test_gradients(self, shape):
+        self._check_gradients(shape, stacked=False)
+
+    @pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)], ids=["2d", "batch"])
+    def test_stacked_gradients(self, shape):
+        self._check_gradients(shape, stacked=True)
+
+    def _check_gradients(self, shape, stacked):
         x, weight, bias = self.operands(shape, 41)
-        g = Tensor(np.random.default_rng(42).normal(size=shape[:-1] + (6,)))
+        out = tape.sigmoid_projection(x, weight, bias, stacked=stacked)
+        g = np.random.default_rng(42).normal(size=out.value.shape)
 
         def loss():
-            return tape.tsum(tape.mul(tape.sigmoid_projection(x, weight, bias),
-                                      g))
+            return probe(tape.sigmoid_projection(x, weight, bias, stacked), g)
 
         check(loss, {"x": x, "weight": weight, "bias": bias})
 
@@ -155,13 +159,13 @@ class TestAttentionReadout:
     @READOUT_CASES
     def test_gradients(self, lead, normalize):
         h, weights = _readout_operands(lead, 44)
-        g = Tensor(np.random.default_rng(45).normal(
-            size=(3, (lead[0] if lead else 1) * 3)))
+        g = np.random.default_rng(45).normal(
+            size=(3, (lead[0] if lead else 1) * 3))
 
         def loss():
             out = tape.attention_readout(h, READOUT_ALIAS, READOUT_LENGTHS,
                                          weights, normalize)
-            return tape.tsum(tape.mul(out, g))
+            return probe(out, g)
 
         check(loss, {"h": h, **{f"w{i}": w for i, w in enumerate(weights)}})
 
@@ -171,7 +175,8 @@ class TestAttentionReadout:
         h, weights = _readout_operands((2,), 46)
         out = tape.attention_readout(h, READOUT_ALIAS, READOUT_LENGTHS,
                                      weights, normalize)
-        tape.tsum(tape.mul(out, out)).backward()
+        probe(out, np.random.default_rng(47).normal(
+            size=out.value.shape)).backward()
         assert (h.grad[:, 5] == 0.0).all()
         assert (h.grad[:, :5] != 0.0).any(axis=-1).all()
 
@@ -185,33 +190,13 @@ class TestAttentionReadout:
 
 
 class TestShape:
-    def test_reshape_concat_swap(self):
-        rng = np.random.default_rng(5)
-        a = Parameter(rng.normal(size=(2, 6)))
-        b = Parameter(rng.normal(size=(2, 3)))
-
-        def loss():
-            wide = tape.concat([a, b], axis=-1)
-            cube = tape.reshape(wide, (2, 3, 3))
-            return tape.tsum(square(tape.swap_last(cube)))
-
-        check(loss, {"a": a, "b": b})
-
-    def test_swap_any_two_axes(self):
-        rng = np.random.default_rng(6)
-        a = Parameter(rng.normal(size=(2, 3, 4)))
-        w = Tensor(rng.normal(size=(3, 2, 4)))
-        np.testing.assert_array_equal(tape.swap_last(a, (0, -2)).value,
-                                      np.swapaxes(a.value, 0, 1))
-        check(lambda: tape.tsum(tape.mul(tape.swap_last(a, (0, 1)), w)),
-              {"a": a})
-
+    # getitem, the one generic op left on the tape
     def test_getitem_fancy_accumulates(self):
         a = Parameter(np.ones((4, 2)))
         idx = np.array([0, 0, 3])
 
         def loss():
-            return tape.tsum(tape.getitem(a, idx))
+            return probe(tape.getitem(a, idx))
 
         g = numerical_gradient(loss, a)
         loss().backward()
@@ -224,22 +209,10 @@ class TestShape:
         a = Parameter(rng.normal(size=(3, 5, 2)))
         rows = np.array([[0, 1], [2, 0], [1, 1]])
         lead = np.arange(3)[:, None]
+        g = rng.normal(size=(3, 2, 2))
 
         def loss():
-            return tape.tsum(square(tape.getitem(a, (lead, rows))))
-
-        check(loss, {"a": a})
-
-
-class TestReductionsAndNonlinear:
-    def test_sum_mean_axes(self):
-        rng = np.random.default_rng(7)
-        a = Parameter(rng.normal(size=(3, 4)))
-
-        def loss():
-            part = tape.tsum(a, axis=0)
-            centred = tape.add(a, tape.mul(part, Tensor(np.float64(-1 / 3))))
-            return tape.tsum(square(centred))
+            return probe(tape.getitem(a, (lead, rows)), g)
 
         check(loss, {"a": a})
 
@@ -284,9 +257,11 @@ class TestEdgeMatmul:
         rng = np.random.default_rng(21)
         v, x = Parameter(rng.normal(size=v_shape)), Parameter(
             rng.normal(size=x_shape))
+        lead = np.broadcast_shapes(v_shape[:-1], x_shape[:-2])
+        g = rng.normal(size=lead + (5, x_shape[-1]))
 
         def loss():
-            return tape.tsum(square(tape.edge_matmul(v, x, SRC, DST, 5)))
+            return probe(tape.edge_matmul(v, x, SRC, DST, 5), g)
 
         check(loss, {"values": v, "x": x})
 
@@ -296,13 +271,70 @@ class TestEdgeMatmul:
         empty = np.zeros(0, dtype=np.int64)
         out = tape.edge_matmul(v, x, empty, empty, 4)
         np.testing.assert_array_equal(out.value, np.zeros((2, 4, 2)))
-        tape.tsum(tape.mul(out, Tensor(np.ones((2, 4, 2))))).backward()
+        probe(out).backward()
         np.testing.assert_array_equal(x.grad, np.zeros((3, 2)))
         assert v.grad.shape == (2, 0)
 
     def test_out_of_range_edge_rejected(self):
         with pytest.raises(ValueError, match="edges must run"):
             tape.edge_matmul(np.ones(1), np.ones((2, 2)), [2], [0], 2)
+
+
+# Cosine edges reuse SRC and DST: a repeated pair (0 -> 1 twice) and a
+# self-loop (2 -> 2) among rows 0..4.
+COSINE_SHAPES = pytest.mark.parametrize("shape", [(5, 3), (2, 5, 3)],
+                                        ids=["flat", "stacked"])
+
+
+class TestCosineEdges:
+    @COSINE_SHAPES
+    def test_matches_oracle(self, shape):
+        x = np.random.default_rng(50).normal(size=shape)
+        got = tape.cosine_edges(x, SRC, DST).value
+        assert got.shape == shape[:-2] + (len(SRC),)
+        np.testing.assert_allclose(got, cosine_edge_oracle(x, SRC, DST),
+                                   atol=1e-10, rtol=0)
+
+    @COSINE_SHAPES
+    def test_gradients(self, shape):
+        rng = np.random.default_rng(51)
+        x = Parameter(rng.normal(size=shape))
+        g = rng.normal(size=shape[:-2] + (len(SRC),))
+
+        check(lambda: probe(tape.cosine_edges(x, SRC, DST), g), {"x": x})
+
+    def test_zero_norm_row(self):
+        # row 3 of slice 0 is zero: its two edges (3 -> 0, 3 -> 1) weigh
+        # exactly 0 and it takes no gradient; slice 1 is untouched
+        rng = np.random.default_rng(52)
+        x = Parameter(rng.normal(size=(2, 5, 3)))
+        x.value[0, 3] = 0.0
+        out = tape.cosine_edges(x, SRC, DST)
+        touching = (SRC == 3) | (DST == 3)
+        assert (out.value[0, touching] == 0.0).all()
+        assert (out.value[1, touching] != 0.0).all()
+        np.testing.assert_allclose(out.value,
+                                   cosine_edge_oracle(x.value, SRC, DST),
+                                   atol=1e-10, rtol=0)
+        probe(out, rng.normal(size=out.value.shape)).backward()
+        np.testing.assert_array_equal(x.grad[0, 3], 0.0)
+        assert np.isfinite(x.grad).all()
+        assert (np.abs(x.grad[0, [0, 1, 4]]).max(axis=-1) > 0.0).all()
+
+    def test_repeated_pair_adds_up(self):
+        # the two copies of 0 -> 1 weigh the same, and their gradients add:
+        # probe weights a and b on the copies act as a + b on one edge
+        rng = np.random.default_rng(53)
+        xv = rng.normal(size=(5, 3))
+        g = rng.normal(size=len(SRC))
+        twice = Parameter(xv.copy())
+        out = tape.cosine_edges(twice, SRC, DST)
+        assert out.value[0] == out.value[1]
+        probe(out, g).backward()
+        once = Parameter(xv.copy())
+        probe(tape.cosine_edges(once, SRC[1:], DST[1:]),
+              np.concatenate([[g[0] + g[1]], g[2:]])).backward()
+        np.testing.assert_allclose(twice.grad, once.grad, atol=1e-12, rtol=0)
 
 
 def _head_inputs(seed, heads, batched, n=7, d=3):
@@ -365,12 +397,11 @@ class TestMeanSoftmax:
     def test_gradients(self, heads, batched):
         _, _, pairs = _head_inputs(31, heads, batched)
         params, heads = _head_params(pairs)
-        weight = Tensor(np.random.default_rng(32).normal(
-            size=pairs[0][0].shape[:-1] + (len(pairs[0][1]),)))
+        weight = np.random.default_rng(32).normal(
+            size=pairs[0][0].shape[:-1] + (len(pairs[0][1]),))
 
         def loss():
-            p = tape.mean_softmax(*heads)
-            return tape.tsum(tape.mul(square(p), weight))
+            return probe(tape.mean_softmax(*heads), weight)
 
         check(loss, params)
 
@@ -531,32 +562,15 @@ class TestGeometry:
         # copies move together: one copy moved alone meets the kink at
         # zero distance, where the rounding of a tiny distance swamps a
         # finite difference
-        rows = np.array([0, 1, 2, 3, 4, 1, 3])
-        a = Parameter(rng.normal(size=(5, 3)))
-        b = Parameter(np.concatenate([rng.normal(size=(7, 2)),
-                                      np.zeros((7, 1))], 1))
+        rows = np.array([[0, 1, 2, 3, 4, 1, 3], np.arange(7)])
+        a = Parameter(rng.normal(size=(2, 7, 3)))
+        a.value[1, :, 2] = 0.0
 
         def loss():
-            x = tape.concat([tape.reshape(tape.getitem(a, rows), (1, 7, 3)),
-                             tape.reshape(b, (1, 7, 3))], axis=0)
+            x = tape.getitem(a, (np.arange(2)[:, None], rows))
             return tape.distance_correlation_sum(x)
 
-        check(loss, {"a": a, "b": b})
-
-    def test_normalize_rows(self):
-        rng = np.random.default_rng(12)
-        a = Parameter(rng.normal(size=(4, 3)))
-        w = Tensor(rng.normal(size=(4, 3)))
-
-        def loss():
-            return tape.tsum(tape.mul(tape.normalize_rows(a), w))
-
         check(loss, {"a": a})
-
-    def test_normalize_rows_zero_row(self):
-        a = Tensor(np.array([[0.0, 0.0], [3.0, 4.0]]))
-        out = tape.normalize_rows(a).value
-        np.testing.assert_allclose(out, [[0.0, 0.0], [0.6, 0.8]], atol=1e-15)
 
 
 def repeated_rows(seed, k=3, d=4):
@@ -772,18 +786,53 @@ class TestPairContrast:
             tape.pair_contrast(a, p, c, neg[:, :, None], CONTRAST_WEIGHT)
 
 
+class TestTotalLoss:
+    # scalar terms (prediction, item, factor, independence) and weights
+    TERMS = (1.5, 0.75, 2.25, 0.125)
+    WEIGHTS = dict(alpha=0.3, beta_cl=0.05, beta_ind=0.01)
+
+    @pytest.mark.parametrize("factor", [True, False], ids=["mixed", "no_factor"])
+    def test_value_in_expression_order(self, factor):
+        # bit for bit the expression as written, evaluated left to right
+        p, i, f, d = (np.float64(t) for t in self.TERMS)
+        alpha, beta_cl, beta_ind = self.WEIGHTS.values()
+        c = i * alpha + f * (1.0 - alpha) if factor else i
+        loss, contrastive = tape.total_loss(
+            Tensor(p), Tensor(i), Tensor(f) if factor else None, Tensor(d),
+            **self.WEIGHTS)
+        assert loss.value == p + c * beta_cl + d * beta_ind
+        assert contrastive.value == c
+
+    @pytest.mark.parametrize("output", [0, 1], ids=["loss", "contrastive"])
+    @pytest.mark.parametrize("factor", [True, False], ids=["mixed", "no_factor"])
+    def test_gradients(self, factor, output):
+        # both outputs are differentiable, the contrastive part on its own
+        v = Parameter(np.array(self.TERMS))
+
+        def loss():
+            terms = [tape.getitem(v, k) for k in range(4)]
+            if not factor:
+                terms[2] = None
+            return tape.total_loss(*terms, **self.WEIGHTS)[output]
+
+        check(loss, {"terms": v})
+
+
 def test_backward_accumulates_through_shared_nodes():
-    a = Parameter(np.array([2.0]))
-    shared = tape.mul(a, a)
-    out = tape.add(shared, shared)
+    # one node feeds all four terms of the loss: its gradient is the sum
+    # of their weights, 1 + 0.5 (0.25 + 0.75) + 2, and reaches a once
+    a = Parameter(np.array([2.0, 5.0]))
+    shared = tape.getitem(a, 0)
+    out, _ = tape.total_loss(shared, shared, shared, shared, alpha=0.25,
+                             beta_cl=0.5, beta_ind=2.0)
     out.backward()
-    np.testing.assert_allclose(a.grad, [8.0])
+    np.testing.assert_array_equal(a.grad, [3.5, 0.0])
 
 
 def test_backward_requires_scalar():
     a = Parameter(np.ones((2, 2)))
     with pytest.raises(ValueError):
-        tape.mul(a, a).backward()
+        tape.getitem(a, slice(None)).backward()
 
 
 def test_every_op_has_a_caller_in_src():
