@@ -174,10 +174,12 @@ def train_step(params: ParameterSet, optimizer: Adam, examples,
                             f"{_where(epoch, session_indices)}")
     optimizer.zero_grad()
     out.loss.backward()
-    for name, p in params.named_parameters():
-        if p.grad is not None and not np.isfinite(p.grad).all():
-            raise NumericsError(f"non-finite gradient of {name} "
-                                f"{_where(epoch, session_indices)}")
+    bad = optimizer.first_non_finite()
+    if bad is not None:
+        name = next(name for name, p in params.named_parameters()
+                    if p is optimizer.params[bad])
+        raise NumericsError(f"non-finite gradient of {name} "
+                            f"{_where(epoch, session_indices)}")
     optimizer.step()
     return LossBreakdown(total=loss_val,
                          prediction=float(out.prediction.value),

@@ -18,6 +18,7 @@ share: the original channel through the scores.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,15 +51,17 @@ class PackedBatch:
     targets: np.ndarray        # (B,)
     session_indices: np.ndarray  # (B,) stable example ids for rng streams
 
-    @property
+    # Per-row arrays, computed on first use and kept: a batch's fields
+    # are not changed after packing.
+    @cached_property
     def node_start(self) -> np.ndarray:   # (B,) each session's first row
         return np.cumsum(self.n_nodes) - self.n_nodes
 
-    @property
+    @cached_property
     def node_session(self) -> np.ndarray:  # (M,) each node row's session
         return np.repeat(np.arange(self.n_nodes.size), self.n_nodes)
 
-    @property
+    @cached_property
     def node_local(self) -> np.ndarray:    # (M,) each row's index in its session
         return np.arange(self.node_ids.size) - np.repeat(self.node_start,
                                                          self.n_nodes)

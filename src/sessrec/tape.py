@@ -15,8 +15,17 @@ summed distance correlation of K samples (``distance_correlation_sum``,
 over the distinct rows, each weighted by its count; every copy of a row
 gets an equal share of its gradient) and the weighted sum of the loss
 terms (``total_loss``).  Everything runs in float64 and is
-deterministic: no threads, no in-place gradient mutation, accumulation
-order fixed by the topological order of the graph.
+deterministic: no threads, accumulation order fixed by the topological
+order of the graph.  An interior node's gradient is never mutated in
+place: its first contribution is stored, later ones make a new sum.  A
+``Parameter`` accumulates in place instead, into a gradient buffer it
+keeps from step to step (a view of the optimizer's flat gradient vector
+once an optimizer binds it).  A kernel's single backward may overwrite
+the arrays that only its closure holds (softmax probabilities, the
+BCE's margin, the sigmoid), never its inputs, its output or the
+gradient it receives.  A backward closure reaches its output node
+through a weak reference, so a graph that is never backpropagated is
+freed by reference counting alone.
 """
 
 from __future__ import annotations
@@ -86,10 +95,63 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Leaf tensor updated by an optimizer."""
+    """Leaf tensor updated by an optimizer.
+
+    Its gradient lives in a buffer it keeps from one backward pass to the
+    next: the pass's first gradient is copied in, later ones are added in
+    place.  ``grad`` reads None until the first one arrives; setting it
+    to None starts a new pass.  Whether the buffer holds this pass's
+    gradient is one entry of a flag array, ``_flags[_slot]``, which an
+    optimizer shares among all its parameters (see ``bind``).
+    """
+
+    __slots__ = ("_grad", "_flags", "_slot")
 
     def __init__(self, value):
+        self._grad, self._flags, self._slot = None, np.zeros(1, bool), 0
         super().__init__(value, requires_grad=True)
+
+    @property
+    def grad(self):
+        return self._grad if self._flags[self._slot] else None
+
+    @grad.setter
+    def grad(self, g):
+        self._flags[self._slot] = False
+        if g is not None:
+            self.add_grad(g)
+
+    def bind(self, value, grad, flags, slot):
+        """Make ``value`` and ``grad``, arrays of this parameter's shape,
+        its value and gradient buffer, holding what they hold now, and
+        ``flags[slot]`` its flag."""
+        value[...] = self.value
+        if self.grad is not None:
+            grad[...] = self._grad
+        flags[slot] = self._flags[self._slot]
+        self.value, self._grad, self._flags, self._slot = (value, grad,
+                                                           flags, slot)
+
+    def _buffer(self):
+        """The gradient buffer, made if need be, marked as holding this
+        pass's gradient."""
+        if self._grad is None:
+            self._grad = np.empty_like(self.value)
+        self._flags[self._slot] = True
+        return self._grad
+
+    def add_grad(self, g):
+        if self._flags[self._slot]:
+            self._grad += g
+        else:
+            np.copyto(self._buffer(), g)
+
+    def add_rows(self, index, rows):
+        """Add ``rows`` into the gradient rows at the distinct ``index``;
+        every other row gets nothing."""
+        if not self._flags[self._slot]:
+            self._buffer().fill(0.0)
+        self._grad[index] += rows
 
 
 def as_tensor(x) -> Tensor:
@@ -115,7 +177,9 @@ def _topo_order(root: Tensor) -> list:
 
 
 def _accum(t: Tensor, g: np.ndarray):
-    if t.requires_grad:
+    if isinstance(t, Parameter):
+        t.add_grad(g)
+    elif t.requires_grad:
         t.grad = g if t.grad is None else t.grad + g
 
 
@@ -134,33 +198,70 @@ def no_grad():
 
 
 def _make(value, parents, backward):
-    if _recording and any(p.requires_grad for p in parents):
-        return Tensor(value, requires_grad=True, parents=parents, backward=backward)
-    return Tensor(value)
+    """A node of ``value`` whose backward is ``backward(g)``, ``g`` its
+    gradient; a constant when nothing records or needs a gradient.  The
+    node's ``_backward`` holds it by a weak reference only."""
+    if not (_recording and any(p.requires_grad for p in parents)):
+        return Tensor(value)
+    out = Tensor(value, requires_grad=True, parents=parents)
+    node = weakref.ref(out)
+    out._backward = lambda: backward(node().grad)
+    return out
 
 
 # -- indexing ---------------------------------------------------------------
 
 def getitem(a, key) -> Tensor:
+    """``a[key]``.  Into a Parameter, a 1-D integer ``key`` takes its
+    gradient as one row per distinct index, summed in ``key``'s order,
+    added into the parameter's buffer: the rounding of a scatter into
+    zeros added to the gradient so far, without the zeros."""
     a = as_tensor(a)
 
-    def _bw():
+    def _bw(g):
+        if (isinstance(a, Parameter) and isinstance(key, np.ndarray)
+                and key.ndim == 1 and key.dtype.kind in "iu"):
+            index, inverse = np.unique(key % len(a.value),   # -1 is n - 1
+                                       return_inverse=True)
+            rows = np.zeros((index.size,) + g.shape[1:])
+            np.add.at(rows, inverse, g)
+            a.add_rows(index, rows)
+            return
         buf = np.zeros_like(a.value)
-        np.add.at(buf, key, out.grad)
+        np.add.at(buf, key, g)
         _accum(a, buf)
 
-    out = _make(a.value[key], (a,), _bw)
-    return out
+    return _make(a.value[key], (a,), _bw)
 
 
 # -- custom kernels ---------------------------------------------------------
 
 def _sigmoid(x):
-    """The logistic function as ``0.5 tanh(x / 2) + 0.5``: no overflow."""
-    s = np.tanh(x * 0.5)
-    s *= 0.5
-    s += 0.5
-    return s
+    """The logistic function as ``0.5 tanh(x / 2) + 0.5``, no overflow,
+    in place: ``x`` is a temporary of its caller's, returned."""
+    x *= 0.5
+    np.tanh(x, out=x)
+    x *= 0.5
+    x += 0.5
+    return x
+
+
+_CHUNK = 1 << 15    # elements of a pass that stays in cache
+
+
+def _row_spans(a):
+    """Slices of ``a``'s rows, about ``_CHUNK`` elements each."""
+    step = max(1, _CHUNK // max(1, a.shape[-1]))
+    return [slice(lo, lo + step) for lo in range(0, len(a), step)]
+
+
+def _row_blocks(a):
+    """``_row_spans(a)``, each with a scratch block of its shape; one
+    scratch array serves all."""
+    spans = _row_spans(a)
+    buf = np.empty_like(a[spans[0]] if spans else a)
+    for span in spans:
+        yield span, buf[:len(a[span])]
 
 
 def _edge_csr(values, src, dst, m, n):
@@ -204,8 +305,8 @@ def edge_matmul(values, x, src, dst, m) -> Tensor:
     xs = np.broadcast_to(x.value, lead + (n, d)).reshape(count * n, d)
     a = _edge_csr(v, src, dst, m, n)
 
-    def _bw():
-        g = out.grad.reshape(count * m, d)
+    def _bw(g):
+        g = g.reshape(count * m, d)
         if x.requires_grad:
             _accum(x, _unbroadcast((a.T @ g).reshape(lead + (n, d)),
                                    x.value.shape))
@@ -215,8 +316,7 @@ def edge_matmul(values, x, src, dst, m) -> Tensor:
             _accum(values, _unbroadcast(gv.reshape(lead + src.shape),
                                         values.value.shape))
 
-    out = _make((a @ xs).reshape(lead + (m, d)), (values, x), _bw)
-    return out
+    return _make((a @ xs).reshape(lead + (m, d)), (values, x), _bw)
 
 
 def cosine_edges(x, src, dst) -> Tensor:
@@ -236,8 +336,8 @@ def cosine_edges(x, src, dst) -> Tensor:
     unit = xv / safe                    # a zero row stays 0
     u_src, u_dst = unit[..., src, :], unit[..., dst, :]
 
-    def _bw():
-        g = out.grad[..., None]
+    def _bw(g):
+        g = g[..., None]
         g_src, g_dst = np.zeros_like(xv), np.zeros_like(xv)
         np.add.at(g_src, (..., src, slice(None)), g * u_dst)
         np.add.at(g_dst, (..., dst, slice(None)), g * u_src)
@@ -246,8 +346,7 @@ def cosine_edges(x, src, dst) -> Tensor:
         grad = g / safe - xv * inner / (safe ** 3)
         _accum(x, np.where(norm > 0.0, grad, 0.0))
 
-    out = _make((u_src * u_dst).sum(axis=-1), (x,), _bw)
-    return out
+    return _make((u_src * u_dst).sum(axis=-1), (x,), _bw)
 
 
 def gated_update(x, a_in, a_out, weights) -> Tensor:
@@ -267,8 +366,8 @@ def gated_update(x, a_in, a_out, weights) -> Tensor:
     rx = r * xv
     n = np.tanh(c @ w_c + rx @ u_c)
 
-    def _bw():
-        g, d = out.grad, xv.shape[-1]
+    def _bw(g):
+        d = xv.shape[-1]
         gn = g * z * (1.0 - n * n)
         gz = g * (n - xv) * z * (1.0 - z)
         grx = gn @ _t(u_c)
@@ -284,8 +383,7 @@ def gated_update(x, a_in, a_out, weights) -> Tensor:
         for t, grad in zip(parents, grads):
             _accum(t, grad)
 
-    out = _make((1.0 - z) * xv + z * n, parents, _bw)
-    return out
+    return _make((1.0 - z) * xv + z * n, parents, _bw)
 
 
 def sigmoid_projection(x, weight, bias, stacked=False) -> Tensor:
@@ -294,29 +392,34 @@ def sigmoid_projection(x, weight, bias, stacked=False) -> Tensor:
     columns [k d_f, (k+1) d_f).  ``stacked`` lays the same numbers out
     as K views instead, (..., n, d) -> (..., K, n, d_f), a view of the
     side-by-side array.  One GEMM against the slices laid out as (d, K
-    d_f); the backward forms ``g s (1 - s)``, then one GEMM each to
-    ``x`` and the weight."""
+    d_f), the sigmoid formed in place on its output; the backward writes
+    ``1 - s`` and then ``g s (1 - s)`` over ``s``, a cache-sized block of
+    rows at a time, then makes one GEMM each to ``x`` and the weight."""
     x, weight, bias = parents = tuple(map(as_tensor, (x, weight, bias)))
     k, d, f = weight.value.shape
     w = np.swapaxes(weight.value, 0, 1).reshape(d, k * f)
     rows = x.value.reshape(-1, d)
-    s = _sigmoid(rows @ w)
+    s, b = rows @ w, bias.value.reshape(k * f)
+    value = np.empty_like(s)
+    for span in _row_spans(s):
+        np.add(_sigmoid(s[span]), b, out=value[span])
 
-    def _bw():
-        g = np.swapaxes(out.grad, -3, -2) if stacked else out.grad
-        g = g.reshape(s.shape)
-        gs = g * s * (1.0 - s)
+    def _bw(g):
+        g = (np.swapaxes(g, -3, -2) if stacked else g).reshape(s.shape)
+        for span, buf in _row_blocks(s):        # s becomes g s (1 - s)
+            np.multiply(g[span], s[span], out=buf)
+            np.subtract(1.0, s[span], out=s[span])
+            s[span] *= buf
         if x.requires_grad:
-            _accum(x, (gs @ w.T).reshape(x.value.shape))
+            _accum(x, (s @ w.T).reshape(x.value.shape))
         if weight.requires_grad:
-            _accum(weight, np.swapaxes((rows.T @ gs).reshape(d, k, f), 0, 1))
+            _accum(weight, np.swapaxes((rows.T @ s).reshape(d, k, f), 0, 1))
         _accum(bias, g.sum(axis=0).reshape(k, f))
 
-    lead, value = x.value.shape[:-1], s + bias.value.reshape(k * f)
+    lead = x.value.shape[:-1]
     value = (np.swapaxes(value.reshape(lead + (k, f)), -3, -2) if stacked
              else value.reshape(lead + (k * f,)))
-    out = _make(value, parents, _bw)
-    return out
+    return _make(value, parents, _bw)
 
 
 def attention_readout(h, alias, lengths, weights, normalize=False) -> Tensor:
@@ -359,8 +462,8 @@ def attention_readout(h, alias, lengths, weights, normalize=False) -> Tensor:
         if normalize else 1.0
     merged = np.concatenate([last, num / den], axis=-1)    # (..., B, 2d)
 
-    def _bw():
-        g = np.moveaxis(out.grad.reshape((b,) + lead + (d,)), 0, -2)
+    def _bw(g):
+        g = np.moveaxis(g.reshape((b,) + lead + (d,)), 0, -2)
         gm = g @ _t(w_m)
         g_last, g_mixed = gm[..., :d], gm[..., d:]
         g_num = (g_mixed / den).reshape(count, b, d)
@@ -383,18 +486,22 @@ def attention_readout(h, alias, lengths, weights, normalize=False) -> Tensor:
         for t, grad in zip(parents, grads):
             _accum(t, _unbroadcast(grad, t.value.shape))
 
-    out = _make(np.moveaxis(merged @ w_m, -2, 0).reshape(b, -1), parents, _bw)
-    return out
+    return _make(np.moveaxis(merged @ w_m, -2, 0).reshape(b, -1), parents,
+                 _bw)
 
 
 _ROW_BLOCK = 64     # session rows scored at a time
 
 
-def _softmax(x):
-    """Softmax over the last axis of ``x``, in place."""
-    x -= x.max(axis=-1, keepdims=True)
-    np.exp(x, out=x)
-    x /= x.sum(axis=-1, keepdims=True)
+def _softmax(x, w):
+    """``w softmax(x)`` over the rows of 2-D ``x``, in place, a block of
+    rows at a time.  For ``w`` a power of two this is exactly ``w`` times
+    the softmax."""
+    for span in _row_spans(x):
+        b = x[span]
+        b -= b.max(axis=-1, keepdims=True)
+        np.exp(b, out=b)
+        b /= b.sum(axis=-1, keepdims=True) / w
     return x
 
 
@@ -402,14 +509,17 @@ def mean_softmax(*heads) -> Tensor:
     """Mean over heads of ``softmax(s @ c.T)``, (..., N), from (session
     rows (..., d), catalog rows (N, d)) pairs.
 
-    A block of ``_ROW_BLOCK`` session rows at a time, each head's logits
-    are one GEMM into a buffer the kernel owns, normalized in place and
-    added into the output, which head 0 fills (no zeroing pass).  With a
+    With ``w = 1 / heads``, head h gives ``P_h = w softmax(s_h @ c_h.T)``
+    and the output is the sum of the P_h: the same bits as the mean for
+    one or two heads, where ``w`` is a power of two.  A block of
+    ``_ROW_BLOCK`` session rows at a time, each head's logits are one
+    GEMM into a buffer the kernel owns, normalized in place.  With a
     graph recorded the buffers are whole (..., N) arrays, which the
-    backward needs: ``w * P_h * (g - <g, P_h>)`` to head h's logits
-    (``w = 1 / heads``), then one GEMM each to s and c.  Otherwise head 0
-    is normalized in the output block itself and later heads reuse one
-    block.
+    output sums in one pass, and the backward overwrites each with the
+    gradient to its head's logits, ``(g - <g, P_h> / w) P_h``, a cache-
+    sized block of rows at a time; then one GEMM each to s and c.
+    Otherwise head 0 is normalized in the output block itself, and later
+    heads reuse one block and are added into it.
     """
     pairs = [(as_tensor(s), as_tensor(c)) for s, c in heads]
     lead, n = pairs[0][0].value.shape[:-1], pairs[0][1].value.shape[0]
@@ -421,42 +531,43 @@ def mean_softmax(*heads) -> Tensor:
     count, w = len(rows[0]), 1.0 / len(pairs)
     parents = tuple(t for pair in pairs for t in pair)
     record = _recording and any(t.requires_grad for t in parents)
-    probs = ([np.empty((count, n)) for _ in pairs] if record else
-             [np.empty((min(_ROW_BLOCK, count), n))] * len(pairs))
+    probs = [np.empty((count if record else min(_ROW_BLOCK, count), n))
+             for _ in pairs[:len(pairs) if record else 1]]
     value = np.empty((count, n))
     for lo in range(0, count, _ROW_BLOCK):
         block = value[lo:lo + _ROW_BLOCK]
-        at = lo if record else 0
-        for h, (r, (_, c), p) in enumerate(zip(rows, pairs, probs)):
-            buf = block if h == 0 and not record else p[at:at + len(block)]
-            q = _softmax(np.matmul(r[lo:lo + _ROW_BLOCK], c.value.T, out=buf))
-            if h:
+        span = slice(lo, lo + len(block)) if record else slice(len(block))
+        for h, (r, (_, c)) in enumerate(zip(rows, pairs)):
+            buf = probs[h][span] if record else \
+                probs[0][span] if h else block
+            q = _softmax(np.matmul(r[lo:lo + _ROW_BLOCK], c.value.T, out=buf),
+                         w)
+            if h and not record:
                 block += q
-            elif record:
-                block[...] = q
-        block *= w
+        if record:
+            qs = [p[span] for p in probs]
+            if len(qs) == 1:
+                np.copyto(block, qs[0])
+            else:
+                np.add(qs[0], qs[1], out=block)
+            for q in qs[2:]:
+                block += q
 
-    def _bw():
-        g = out.grad.reshape(count, n)
-        for (s, c), r, p in zip(pairs, rows, probs):
-            gh = g * p
-            np.subtract(g, gh.sum(axis=-1, keepdims=True), out=gh)
-            gh *= p
-            gh *= w
+    def _bw(g):
+        g = g.reshape(count, n)
+        for h, ((s, c), r) in enumerate(zip(pairs, rows)):
+            p, probs[h] = probs[h], None    # freed once its GEMMs are done
+            for span, buf in _row_blocks(p):
+                t = np.multiply(g[span], p[span], out=buf)
+                np.subtract(g[span], t.sum(axis=-1, keepdims=True) / w,
+                            out=t)
+                p[span] *= t
             if s.requires_grad:
-                _accum(s, (gh @ c.value).reshape(s.value.shape))
+                _accum(s, (p @ c.value).reshape(s.value.shape))
             if c.requires_grad:
-                _accum(c, (r.T @ gh).T)   # matmul's orientation, same bits
+                _accum(c, (r.T @ p).T)    # matmul's orientation, same bits
 
-    out = _make(value.reshape(lead + (n,)), parents, _bw)
-    return out
-
-
-def _bce_margin(p, rows, targets):
-    """``p`` at each row's target and ``1 - p`` elsewhere, rows of (M, N)."""
-    x = 1.0 - p
-    x[rows, targets] = p[rows, targets]
-    return x
+    return _make(value.reshape(lead + (n,)), parents, _bw)
 
 
 def onehot_bce(p, targets, floor: float) -> Tensor:
@@ -465,6 +576,10 @@ def onehot_bce(p, targets, floor: float) -> Tensor:
 
     ``-log p_t - sum_{j != t} log(1 - p_j)``, each log's argument clamped
     below at ``floor``; the gradient is 0 wherever a clamp is active.
+    The margin (``p_t`` and the ``1 - p_j``) is formed once and kept for
+    the backward, which divides the gradient by it in place; the clamp
+    and its mask cost passes only when some margin reaches ``floor``.
+    The logs are summed a cache-sized block of rows at a time.
     """
     p = as_tensor(p)
     n = p.value.shape[-1]
@@ -473,21 +588,24 @@ def onehot_bce(p, targets, floor: float) -> Tensor:
     if targets.size and not 0 <= targets.min() <= targets.max() < n:
         raise ValueError(f"targets must lie in [0, {n})")
     rows = np.arange(len(flat))
-    x = _bce_margin(flat, rows, targets)
-    np.maximum(x, floor, out=x)
-    value = -np.log(x, out=x).sum(axis=-1).mean()
-
-    def _bw():
-        x = _bce_margin(flat, rows, targets)
+    x = 1.0 - flat
+    x[rows, targets] = flat[rows, targets]
+    clamped = None
+    if x.size and x.min() <= floor:
         clamped = x <= floor
         np.maximum(x, floor, out=x)
-        np.divide(out.grad / len(rows), x, out=x)
-        x[clamped] = 0.0
+    sums = np.empty(len(x))
+    for span, buf in _row_blocks(x):
+        sums[span] = np.log(x[span], out=buf).sum(axis=-1)
+
+    def _bw(g):
+        np.divide(g / len(rows), x, out=x)
+        if clamped is not None:
+            x[clamped] = 0.0
         x[rows, targets] *= -1.0
         _accum(p, x.reshape(p.value.shape))
 
-    out = _make(value, (p,), _bw)
-    return out
+    return _make(-sums.mean(), (p,), _bw)
 
 
 def pair_contrast(anchor, positive, partner, neg_idx, weight,
@@ -515,8 +633,8 @@ def pair_contrast(anchor, positive, partner, neg_idx, weight,
     neg = (q_neg * c_neg).sum(axis=-1)
     terms = np.logaddexp(0.0, -pos) + np.logaddexp(0.0, neg).mean(axis=-1)
 
-    def _bw():
-        g = out.grad * weight
+    def _bw(g):
+        g = g * weight
         g_pos = -g * _sigmoid(-pos)
         g_neg = (g / neg.shape[-1])[..., None] * _sigmoid(neg)
         g_q = g_pos[..., None] * p + (g_neg[..., None, :] @ c_neg)[..., 0, :]
@@ -530,8 +648,7 @@ def pair_contrast(anchor, positive, partner, neg_idx, weight,
         for t, grad in zip(parents, grads):
             _accum(t, grad)
 
-    out = _make((terms * weight).sum(), parents, _bw)
-    return out
+    return _make((terms * weight).sum(), parents, _bw)
 
 
 def _row_groups(rows: np.ndarray, **kw):
@@ -613,8 +730,8 @@ def distance_correlation_sum(x) -> Tensor:
     root_i, root_j = np.sqrt(gram[i, i]), np.sqrt(gram[j, j])
     num, den = np.sqrt(gram[i, j]), np.sqrt(root_i * root_j)
 
-    def _bw():
-        g = out.grad * 2.0
+    def _bw(g):
+        g = g * 2.0
         g_den = -g * num / (den * den) * 0.5 / den
         g_gram = np.zeros((k, k))
         np.add.at(g_gram, (i, j), g / den * 0.5 / num)
@@ -634,8 +751,7 @@ def distance_correlation_sum(x) -> Tensor:
         grad /= counts[:, None]
         _accum(x, grad[:, inverse])
 
-    out = _make((num / den).sum() * 2.0, (x,), _bw)
-    return out
+    return _make((num / den).sum() * 2.0, (x,), _bw)
 
 
 def total_loss(prediction, item, factor, independence, alpha, beta_cl,
@@ -650,25 +766,19 @@ def total_loss(prediction, item, factor, independence, alpha, beta_cl,
     terms = tuple(as_tensor(t) for t in (item, factor) if t is not None)
     mix = (alpha, 1.0 - alpha) if len(terms) == 2 else (1.0,)
 
-    def _bw_contrast():
+    def _bw_contrast(g):
         for t, w in zip(terms, mix):
-            _accum(t, node().grad * w)
+            _accum(t, g * w)
 
     contrastive = terms[0] if len(terms) == 1 else _make(
         terms[0].value * alpha + terms[1].value * (1.0 - alpha), terms,
         _bw_contrast)
-    # training never runs this node's backward, which is what breaks the
-    # out -> closure -> out cycle of every other node: a strong reference
-    # here would keep each step's graph alive until the cyclic collector
-    node = weakref.ref(contrastive)
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         g_c = g * beta_cl
         for t, grad in zip((p, *terms, d),
                            (g, *(g_c * w for w in mix), g * beta_ind)):
             _accum(t, grad)
 
-    out = _make(p.value + contrastive.value * beta_cl + d.value * beta_ind,
-                (p, *terms, d), _bw)
-    return out, contrastive
+    return _make(p.value + contrastive.value * beta_cl + d.value * beta_ind,
+                 (p, *terms, d), _bw), contrastive

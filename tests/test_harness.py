@@ -190,6 +190,17 @@ class TestTrain:
                                  cfg.num_factors, cfg.layers, cfg.seed)
         before = {name: p.value.copy() for name, p in params.named_parameters()}
         poison_star_gradient(monkeypatch)
+        # a second non-finite group, later in checkpoint order and
+        # poisoned last: the error names the first in checkpoint order
+        star_poisoned = tape.Tensor.backward
+
+        def poisoned_twice(self):
+            star_poisoned(self)
+            p = params.attn_item.w_merge
+            p.grad = p.grad.copy()
+            p.grad.flat[-1] = np.nan
+
+        monkeypatch.setattr(tape.Tensor, "backward", poisoned_twice)
         with pytest.raises(NumericsError,
                            match=r"non-finite gradient of ggnn\.star\.u_cand "
                                  r"at epoch 1 \(batch of 8 sessions, "

@@ -69,6 +69,17 @@ class TestPackBatch:
             np.testing.assert_array_equal(block.alias, g.alias)
             assert block.foreign == 0       # no edge leaves its session
 
+    def test_per_row_arrays_are_cached_and_match_their_definitions(self):
+        pack = pack_batch(toy_examples() + [Example([4, 4, 1, 0], 2)])
+        n = pack.n_nodes
+        np.testing.assert_array_equal(pack.node_start, np.cumsum(n) - n)
+        np.testing.assert_array_equal(pack.node_session,
+                                      np.repeat(np.arange(n.size), n))
+        np.testing.assert_array_equal(
+            pack.node_local, np.concatenate([np.arange(k) for k in n]))
+        for name in ("node_start", "node_session", "node_local"):
+            assert getattr(pack, name) is getattr(pack, name), name
+
     def test_default_session_indices(self):
         pack = pack_batch(toy_examples())
         np.testing.assert_array_equal(pack.session_indices, [0, 1, 2])
@@ -523,6 +534,44 @@ class TestTrainingForward:
             assert all(r() is None for r in refs)
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("variant", model.VARIANTS)
+    def test_graph_freed_without_backward_or_the_cyclic_collector(
+            self, variant):
+        # a result read for its values alone and dropped: no backward
+        # closure holds its own node, so reference counting alone frees
+        # the graph and the arrays its closures hold
+        cfg = toy_config(variant=variant)
+        params, pack = toy_params(cfg), pack_batch(toy_examples())
+        gc.collect()
+        gc.disable()
+        try:
+            out = training_forward(params, pack, cfg, 0)
+            refs = [weakref.ref(getattr(out, name)) for name in
+                    ("loss", "prediction", "contrastive", "independence",
+                     "scores")]
+            del out
+            assert all(r() is None for r in refs)
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("variant", model.VARIANTS)
+    def test_backward_leaves_forward_values_alone(self, variant, monkeypatch):
+        # kernels overwrite the arrays they keep for their backward, never
+        # a value they hand out: under fp the head has one softmax, which
+        # must not be the scores themselves; blocks of 8 elements make
+        # every blocked pass take several blocks
+        monkeypatch.setattr(tape, "_CHUNK", 8)
+        cfg = toy_config(variant=variant)
+        out = training_forward(toy_params(cfg), pack_batch(toy_examples()),
+                               cfg, 0)
+        names = ("scores", "loss", "prediction", "contrastive",
+                 "independence")
+        before = {name: getattr(out, name).value.copy() for name in names}
+        out.loss.backward()
+        for name in names:
+            np.testing.assert_array_equal(getattr(out, name).value,
+                                          before[name], err_msg=name)
 
     def test_single_node_batch_contrast_skipped(self):
         cfg = toy_config()

@@ -6,7 +6,8 @@ Scoring takes a batch axis; one session is a batch of one.
 import numpy as np
 import pytest
 
-from oracles import bce_oracle, scores_oracle, sigmoid
+from oracles import (bce_oracle, max_relative_error, numerical_gradient,
+                     scores_oracle, sigmoid)
 
 from sessrec import tape
 from sessrec.disentangle import FactorProjection, project
@@ -107,6 +108,33 @@ class TestPredictionLoss:
         p[2] = 1.0
         loss = prediction_loss(Tensor(p), target=0)
         assert np.isfinite(float(loss.value))
+
+    def test_clamped_entries_take_zero_gradient(self):
+        # a target at p = 0 and a non-target at p = 1 clamp; both take a
+        # gradient of exactly 0, every other entry a nonzero one
+        p = Tensor(np.array([[0.0, 0.3, 1.0, 0.2],
+                             [0.1, 0.4, 0.3, 0.2]]), requires_grad=True)
+        targets = np.array([0, 1])
+        loss = prediction_loss(p, targets)
+        expect = np.mean([bce_oracle(r, t) for r, t in zip(p.value, targets)])
+        assert float(loss.value) == pytest.approx(expect, abs=1e-10)
+        loss.backward()
+        clamped = np.zeros((2, 4), dtype=bool)
+        clamped[0, [0, 2]] = True
+        assert (p.grad[clamped] == 0.0).all()
+        assert (p.grad[~clamped] != 0.0).all()
+
+    def test_unclamped_batch_matches_oracle_and_finite_differences(self):
+        # every margin stays above the floor, so no clamp mask is made
+        value = substream(12, "x").uniform(0.05, 0.9, size=(3, 7))
+        targets = np.array([0, 6, 3])
+        p = Tensor(value, requires_grad=True)
+        loss = prediction_loss(p, targets)
+        expect = np.mean([bce_oracle(r, t) for r, t in zip(value, targets)])
+        assert float(loss.value) == pytest.approx(expect, abs=1e-10)
+        loss.backward()
+        numeric = numerical_gradient(lambda: prediction_loss(p, targets), p)
+        assert max_relative_error(p.grad, numeric) < 1e-4
 
     def test_correct_target_lowers_loss(self):
         catalog, cat_f, e_item, e_factor = setup_scoring(9)

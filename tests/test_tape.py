@@ -217,6 +217,43 @@ class TestShape:
         check(loss, {"a": a})
 
 
+class TestParameterGradient:
+    # a Parameter accumulates in place into a buffer it keeps
+    def test_first_gradient_copied_later_ones_added(self):
+        rng = np.random.default_rng(7)
+        a = Parameter(rng.normal(size=(4, 3)))
+        assert a.grad is None
+        first, second = rng.normal(size=(2, 4, 3))
+        probe(a, first).backward()
+        buf = a.grad
+        np.testing.assert_array_equal(buf, first)
+        probe(a, second).backward()
+        assert a.grad is buf
+        np.testing.assert_array_equal(a.grad, first + second)
+        a.grad = None
+        assert a.grad is None
+        probe(a, second).backward()
+        assert a.grad is buf
+        np.testing.assert_array_equal(a.grad, second)
+
+    @pytest.mark.parametrize("before", [False, True], ids=["first", "added"])
+    def test_gather_rows_keep_the_scatter_rounding(self, before):
+        # each row's copies are summed in index order, then added to the
+        # gradient so far: the bits of a scatter into zeros added to it;
+        # -2 names row 4 as well
+        rng = np.random.default_rng(8)
+        a = Parameter(rng.normal(size=(6, 3)))
+        idx = np.array([4, 1, -2, 4, 0, 1])
+        dense, rows = rng.normal(size=(6, 3)), rng.normal(size=(6, 3)) * 1e3
+        expect = np.zeros((6, 3))
+        np.add.at(expect, idx, rows)
+        if before:
+            probe(a, dense).backward()
+            expect = dense + expect
+        probe(tape.getitem(a, idx), rows).backward()
+        np.testing.assert_array_equal(a.grad, expect)
+
+
 def edge_oracle(values, x, src, dst, m):
     """out[..., dst[e], :] += values[..., e] * x[..., src[e], :], one edge
     at a time."""
