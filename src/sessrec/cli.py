@@ -53,12 +53,8 @@ def _add_config_flags(parser: argparse.ArgumentParser):
                         help="key=value configuration file")
     for f in dataclasses.fields(TrainConfig):
         flag = "--" + f.name.replace("_", "-")
-        if isinstance(f.default, bool):
-            parser.add_argument(flag, default=None, type=str,
-                                metavar="BOOL", help=f"(default {f.default})")
-        else:
-            parser.add_argument(flag, default=None, type=type(f.default),
-                                help=f"(default {f.default})")
+        parser.add_argument(flag, default=None, type=type(f.default),
+                            help=f"(default {f.default})")
 
 
 def build_config(args) -> TrainConfig:

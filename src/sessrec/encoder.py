@@ -43,24 +43,20 @@ class AttentionWeights:
             yield f"{prefix}.{name}", getattr(self, name)
 
 
-def encode(h, w: AttentionWeights, alias, lengths,
-           normalize_scores: bool = False):
+def encode(h, w: AttentionWeights, alias, lengths):
     """Read node states (..., M, d) out into one embedding per session,
     (B, lead d), the leading slices side by side.
 
     Sessions lie one after another: ``lengths`` (B,) counts the
     positions of each and ``alias`` (P,) holds each position's node row.
-    ``normalize_scores`` switches the raw attention weights to a softmax
-    over each session's positions.  A factor-stacked ``w`` reads
-    (K, M, d) states, slice k reading view k.
+    A factor-stacked ``w`` reads (K, M, d) states, slice k reading view
+    k; ``w`` stacks exactly on the leading axes of ``h``.
     """
     return tape.attention_readout(
-        h, alias, lengths, (w.query, w.w_current, w.w_last, w.w_merge),
-        normalize_scores)
+        h, alias, lengths, (w.query, w.w_current, w.w_last, w.w_merge))
 
 
-def encode_factors(factor_states, weights, alias, lengths,
-                   normalize_scores: bool = False):
+def encode_factors(factor_states, weights, alias, lengths):
     """Read out all K factor views at once, concatenated on the last axis.
 
     ``factor_states`` is (K, M, d_f) and ``weights`` an AttentionWeights
@@ -68,6 +64,4 @@ def encode_factors(factor_states, weights, alias, lengths,
     ``lengths`` lay out the sessions as for ``encode``.  Returns
     (B, K * d_f), view k in columns [k d_f, (k+1) d_f).
     """
-    if tape.as_tensor(factor_states).shape[:-2] != weights.query.shape[:-1]:
-        raise ValueError("one attention weight slice per factor required")
-    return encode(factor_states, weights, alias, lengths, normalize_scores)
+    return encode(factor_states, weights, alias, lengths)

@@ -57,8 +57,6 @@ class TrainConfig:
     variant: str = "full"
     seed: int = 0
     negatives_per_positive: int = 1
-    factor_negatives: str = "within_view"
-    normalize_attention: bool = False
     disc_form: str = "dot"
     dropout_edge: float = 0.2
     dropout_node: float = 0.1
@@ -87,8 +85,6 @@ class TrainConfig:
             raise ValueError(f"seed must be < 2**64, got {self.seed}")
         if self.negatives_per_positive < 1:
             raise ValueError("negatives_per_positive must be >= 1")
-        if self.factor_negatives not in ("within_view", "cross_view"):
-            raise ValueError(f"unknown negative scheme {self.factor_negatives!r}")
         if self.disc_form not in ("dot", "bilinear"):
             raise ValueError(f"unknown discriminator form {self.disc_form!r}")
 
@@ -99,8 +95,8 @@ class TrainConfig:
     def from_dict(cls, d: dict) -> "TrainConfig":
         """Build a config from ``d``, whose values may be strings (config
         files) or JSON values (checkpoint manifests).  A string is parsed
-        as its field's type; otherwise an int field takes an int, a float
-        field an int or float, a bool field a bool.  Anything else, say
+        as its field's type; otherwise an int field takes an int and a
+        float field an int or float, never a bool.  Anything else, say
         ``dim = 1.7`` or ``lr = true``, raises a ``ValueError`` naming
         the field rather than being truncated or cast."""
         known = {f.name for f in dataclasses.fields(cls)}
@@ -111,26 +107,18 @@ class TrainConfig:
                       for f in dataclasses.fields(cls) if f.name in d})
 
 
-_ACCEPTS = {int: numbers.Integral, float: numbers.Real, bool: bool, str: str}
+_ACCEPTS = {int: numbers.Integral, float: numbers.Real, str: str}
 
 
 def _coerce(name, kind, v):
     if isinstance(v, str):
         try:
-            return _as_bool(v) if kind is bool else kind(v)
+            return kind(v)
         except ValueError as exc:
             raise ValueError(f"{name}: {exc}") from None
-    if isinstance(v, _ACCEPTS[kind]) and isinstance(v, bool) == (kind is bool):
+    if isinstance(v, _ACCEPTS[kind]) and not isinstance(v, bool):
         return kind(v)
     raise ValueError(f"{name} must be {kind.__name__}, got {v!r}")
-
-
-def _as_bool(v: str) -> bool:
-    if v.lower() in ("1", "true", "yes", "on"):
-        return True
-    if v.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {v!r}")
 
 
 @dataclass

@@ -253,13 +253,12 @@ def _predict(params: ParameterSet, pack: PackedBatch, cfg,
     """
     x0 = tape.getitem(params.embeddings, pack.node_ids)   # (M, d)
     h_orig = _run_channel(x0, pack.edges, params.ggnn_original)
-    e_item = encode(h_orig, params.attn_item, pack.alias, pack.lengths,
-                    cfg.normalize_attention)
+    e_item = encode(h_orig, params.attn_item, pack.alias, pack.lengths)
     orig_factors = e_factor = None
     if cfg.variant != "fp":
         orig_factors = project(h_orig, params.proj)      # (K, M, d_f)
         e_factor = encode_factors(orig_factors, params.attn_factor, pack.alias,
-                                  pack.lengths, cfg.normalize_attention)
+                                  pack.lengths)
         if catalog_factors is None:
             catalog_factors = catalog_factor_embeddings(params.embeddings,
                                                         params.proj)
@@ -300,13 +299,11 @@ def training_forward(params: ParameterSet, pack: PackedBatch, cfg,
         h_fac = _run_channel(f0, _factor_edges(f0, pack), params.ggnn_factor)
         if orig_factors is None:                         # fp
             orig_factors = project(h_orig, params.proj)
-        partner = orig_factors if cfg.factor_negatives == "within_view" \
-            else h_fac
         neg_fac = _negative_draws(pack, cfg.seed, epoch, 1,
                                   cfg.negatives_per_positive,
                                   count=params.proj.num_factors)
         l_factor = _contrast_term(params.disc_factor, orig_factors, h_fac,
-                                  partner, neg_fac, pack)
+                                  orig_factors, neg_fac, pack)
 
     l_ind = independence_loss(f0)
     l_pred = prediction_loss(scores, pack.targets)

@@ -43,18 +43,6 @@ def _to_value(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum ``g`` down to ``shape`` (inverse of numpy broadcasting)."""
-    if g.shape == shape:
-        return g
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
 def _t(a):
     return np.swapaxes(a, -1, -2)
 
@@ -282,39 +270,36 @@ def edge_matmul(values, x, src, dst, m) -> Tensor:
     """Weighted rows summed along edges into an (..., m, d) result:
     ``out[..., dst[e], :] += values[..., e] * x[..., src[e], :]``.
 
-    ``values`` (..., E) and ``x`` (..., n, d) broadcast over their
-    leading axes, and repeated (src, dst) pairs add up.  The leading
-    slices are the blocks of one block-diagonal CSR matrix built once
-    per call: the forward is one sparse product and the backward to
-    ``x`` one product with its transpose.  The backward to ``values``
-    is, per edge, the dot product of the output gradient at ``dst`` and
-    ``x`` at ``src``.
+    ``values`` (..., E) and ``x`` (..., n, d) have the same leading
+    axes, and repeated (src, dst) pairs add up.  The leading slices are
+    the blocks of one block-diagonal CSR matrix built once per call: the
+    forward is one sparse product and the backward to ``x`` one product
+    with its transpose.  The backward to ``values`` is, per edge, the
+    dot product of the output gradient at ``dst`` and ``x`` at ``src``.
     """
     values, x = as_tensor(values), as_tensor(x)
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
-    n, d = x.value.shape[-2:]
+    lead, (n, d) = x.value.shape[:-2], x.value.shape[-2:]
+    if values.value.shape[:-1] != lead:
+        raise ValueError("values and x must have the same leading axes")
     if not src.shape == dst.shape == values.value.shape[-1:]:
         raise ValueError("src, dst and the last axis of values must agree")
     if src.size and not (0 <= min(src.min(), dst.min())
                          and src.max() < n and dst.max() < m):
         raise ValueError(f"edges must run from [0, {n}) into [0, {m})")
-    lead = np.broadcast_shapes(values.value.shape[:-1], x.value.shape[:-2])
     count = int(np.prod(lead))
-    v = np.broadcast_to(values.value, lead + src.shape).reshape(count, -1)
-    xs = np.broadcast_to(x.value, lead + (n, d)).reshape(count * n, d)
-    a = _edge_csr(v, src, dst, m, n)
+    xs = x.value.reshape(count * n, d)
+    a = _edge_csr(values.value.reshape(count, -1), src, dst, m, n)
 
     def _bw(g):
         g = g.reshape(count * m, d)
         if x.requires_grad:
-            _accum(x, _unbroadcast((a.T @ g).reshape(lead + (n, d)),
-                                   x.value.shape))
+            _accum(x, (a.T @ g).reshape(x.value.shape))
         if values.requires_grad:
             gv = np.einsum("led,led->le", g.reshape(count, m, d)[:, dst],
                            xs.reshape(count, n, d)[:, src])
-            _accum(values, _unbroadcast(gv.reshape(lead + src.shape),
-                                        values.value.shape))
+            _accum(values, gv.reshape(values.value.shape))
 
     return _make((a @ xs).reshape(lead + (m, d)), (values, x), _bw)
 
@@ -326,27 +311,27 @@ def cosine_edges(x, src, dst) -> Tensor:
 
     A zero row's unit row is 0: its edges weigh 0 and it takes no
     gradient.  The backward adds each edge's gradient times the other
-    end's unit row into each end (repeated edges add up), then projects
-    out the radial part: ``g / |x| - x (x . g) / |x|^3``.
+    end's unit row into each end (repeated edges add up), one
+    ``_edge_csr`` product per end, then projects out the radial part:
+    ``g / |x| - x (x . g) / |x|^3``.
     """
     x = as_tensor(x)
     xv = x.value
+    m, d = xv.shape[-2:]
     norm = np.sqrt((xv * xv).sum(axis=-1, keepdims=True))
     safe = np.where(norm > 0.0, norm, 1.0)
     unit = xv / safe                    # a zero row stays 0
-    u_src, u_dst = unit[..., src, :], unit[..., dst, :]
 
     def _bw(g):
-        g = g[..., None]
-        g_src, g_dst = np.zeros_like(xv), np.zeros_like(xv)
-        np.add.at(g_src, (..., src, slice(None)), g * u_dst)
-        np.add.at(g_dst, (..., dst, slice(None)), g * u_src)
-        g = g_src + g_dst
+        g, u = g.reshape(-1, len(src)), unit.reshape(-1, d)
+        g = ((_edge_csr(g, dst, src, m, m) @ u)
+             + (_edge_csr(g, src, dst, m, m) @ u)).reshape(xv.shape)
         inner = (xv * g).sum(axis=-1, keepdims=True)
         grad = g / safe - xv * inner / (safe ** 3)
         _accum(x, np.where(norm > 0.0, grad, 0.0))
 
-    return _make((u_src * u_dst).sum(axis=-1), (x,), _bw)
+    return _make((unit[..., src, :] * unit[..., dst, :]).sum(axis=-1), (x,),
+                 _bw)
 
 
 def gated_update(x, a_in, a_out, weights) -> Tensor:
@@ -422,24 +407,24 @@ def sigmoid_projection(x, weight, bias, stacked=False) -> Tensor:
     return _make(value, parents, _bw)
 
 
-def attention_readout(h, alias, lengths, weights, normalize=False) -> Tensor:
+def attention_readout(h, alias, lengths, weights) -> Tensor:
     """Soft-attention readout of node states ``h`` (..., M, d) into one
     embedding per session, (B, lead d), the leading slices side by side.
 
     Sessions lie one after another: ``lengths`` (B,) counts each one's
     positions and ``alias`` (P,) holds each position's node row.
-    ``weights`` (q, W_c, W_l, W_m) are 2-D or stacked on h's leading
-    axes.  With l a session's last state, each node scores ``q .
-    sigmoid(h_i W_c + l W_l)`` once and each position takes its node's
-    score; ``normalize`` turns a session's scores into a softmax over its
-    positions.  The weighted sum over positions is one block-diagonal CSR
-    product (``_edge_csr``), and the embedding ``[l, mixed] W_m``.
+    ``weights`` (q, W_c, W_l, W_m) are stacked exactly on h's leading
+    axes (2-D for 2-D ``h``).  With l a session's last state, each node
+    scores ``q . sigmoid(h_i W_c + l W_l)`` once and each position takes
+    its node's score.  The score-weighted sum over positions is one
+    block-diagonal CSR product (``_edge_csr``), and the embedding ``[l,
+    mixed] W_m``.
     """
     parents = tuple(map(as_tensor, (h, *weights)))
     hv, q, w_c, w_l, w_m = (t.value for t in parents)
     lead, (m, d) = hv.shape[:-2], hv.shape[-2:]
-    if q.shape[:-1] not in ((), lead):
-        raise ValueError("readout weights must be 2-D or stacked on the "
+    if q.shape[:-1] != lead:
+        raise ValueError("readout weights must be stacked exactly on the "
                          "leading axes of the states")
     alias, lengths = np.asarray(alias), np.asarray(lengths)
     b, count = lengths.size, int(np.prod(lead))
@@ -450,30 +435,18 @@ def attention_readout(h, alias, lengths, weights, normalize=False) -> Tensor:
     last = hv[..., ends, :]                                # (..., B, d)
     hidden = _sigmoid(hv @ w_c + (last @ w_l)[..., node_session, :])
     alpha = (hidden @ q[..., None])[..., alias, 0]         # (..., P)
-    if normalize:
-        # each session's top score is shifted out; softmax ignores it
-        top = np.maximum.reduceat(alpha, np.cumsum(lengths) - lengths,
-                                  axis=-1)
-        alpha = np.exp(alpha - np.repeat(top, lengths, axis=-1))
     a = _edge_csr(alpha.reshape(count, -1), alias, pos_session, b, m)
     xs = hv.reshape(count * m, d)
-    num = (a @ xs).reshape(lead + (b, d))
-    den = (a @ np.ones((count * m, 1))).reshape(lead + (b, 1)) \
-        if normalize else 1.0
-    merged = np.concatenate([last, num / den], axis=-1)    # (..., B, 2d)
+    mixed = (a @ xs).reshape(lead + (b, d))
+    merged = np.concatenate([last, mixed], axis=-1)        # (..., B, 2d)
 
     def _bw(g):
         g = np.moveaxis(g.reshape((b,) + lead + (d,)), 0, -2)
         gm = g @ _t(w_m)
-        g_last, g_mixed = gm[..., :d], gm[..., d:]
-        g_num = (g_mixed / den).reshape(count, b, d)
-        gh = (a.T @ g_num.reshape(count * b, d)).reshape(lead + (m, d))
-        g_alpha = np.einsum("led,led->le", g_num[:, pos_session],
+        g_last, g_mixed = gm[..., :d], gm[..., d:].reshape(count, b, d)
+        gh = (a.T @ g_mixed.reshape(count * b, d)).reshape(lead + (m, d))
+        g_alpha = np.einsum("led,led->le", g_mixed[:, pos_session],
                             xs.reshape(count, m, d)[:, alias])
-        if normalize:
-            g_den = (-g_mixed * num / (den * den)).sum(axis=-1, keepdims=True)
-            g_alpha += g_den.reshape(count, b)[:, pos_session]
-            g_alpha *= alpha
         g_score = np.zeros(lead + (m, 1))
         np.add.at(g_score, (..., alias, 0), g_alpha.reshape(lead + (-1,)))
         g_pre = g_score * q[..., None, :] * hidden * (1.0 - hidden)
@@ -484,7 +457,7 @@ def attention_readout(h, alias, lengths, weights, normalize=False) -> Tensor:
         grads = (gh, (_t(hidden) @ g_score)[..., 0], _t(hv) @ g_pre,
                  _t(last) @ g_anchor, _t(merged) @ g)
         for t, grad in zip(parents, grads):
-            _accum(t, _unbroadcast(grad, t.value.shape))
+            _accum(t, grad)
 
     return _make(np.moveaxis(merged @ w_m, -2, 0).reshape(b, -1), parents,
                  _bw)

@@ -213,17 +213,15 @@ def cosine_edge_oracle(x, src, dst):
     return out
 
 
-def attention_oracle(seq, w, normalize=False):
+def attention_oracle(seq, w):
     """Session readout for one sequence (T, d); ``w`` maps names to arrays.
-    ``normalize`` turns the raw scores into a softmax over positions."""
+    The raw scores weigh the positions, with no softmax."""
     t, d = seq.shape
     last = seq[t - 1]
     alphas = np.zeros(t)
     for i in range(t):
         h = sigmoid(seq[i] @ w["w_current"] + last @ w["w_last"])
         alphas[i] = float(h @ w["query"])
-    if normalize:
-        alphas = softmax_oracle(alphas)
     mixed = np.zeros(d)
     for i in range(t):
         mixed += alphas[i] * seq[i]

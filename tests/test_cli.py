@@ -360,10 +360,13 @@ class TestEvalCommand:
                      "--test", str(corpus_dir / "test.jsonl")])
         assert code == EXIT_DATA
 
-    @pytest.mark.parametrize("edit", [{"theta": 5.0}, {"bogus": 1},
-                                      {"variant": "nope"}, {"theta": None}],
-                             ids=["theta_out_of_range", "unknown_key",
-                                  "unknown_variant", "theta_null"])
+    # the last two keys were options once: a manifest that still holds
+    # them is refused by name
+    @pytest.mark.parametrize("edit", [
+        {"theta": 5.0}, {"bogus": 1}, {"variant": "nope"}, {"theta": None},
+        {"normalize_attention": False}, {"factor_negatives": "within_view"}],
+        ids=["theta_out_of_range", "unknown_key", "unknown_variant",
+             "theta_null", "normalize_attention", "factor_negatives"])
     def test_invalid_stored_config_is_data_error(self, trained, corpus_dir,
                                                  caplog, edit):
         manifest_path = trained.with_suffix(".json")
@@ -374,6 +377,7 @@ class TestEvalCommand:
                      "--test", str(corpus_dir / "test.jsonl")])
         assert code == EXIT_DATA
         assert f"{manifest_path}: invalid stored config" in caplog.text
+        assert next(iter(edit)) in caplog.text
 
     def test_non_integer_n_items_is_data_error(self, trained, corpus_dir,
                                                caplog):

@@ -23,16 +23,16 @@ def as_dict(w):
             w.named_parameters("a")}
 
 
-def encode_alone(seq, w, **kwargs):
+def encode_alone(seq, w):
     """Read one (T, d) sequence as a batch of one; returns (d,)."""
     t = len(seq)
-    return encode(seq, w, np.arange(t), [t], **kwargs).value[0]
+    return encode(seq, w, np.arange(t), [t]).value[0]
 
 
-def encode_factors_alone(seqs, ws, **kwargs):
+def encode_factors_alone(seqs, ws):
     """Read one session's (K, T, d_f) factor views as a batch of one."""
     t = seqs.shape[-2]
-    return encode_factors(seqs, ws, np.arange(t), [t], **kwargs).value[0]
+    return encode_factors(seqs, ws, np.arange(t), [t]).value[0]
 
 
 class TestEncode:
@@ -78,24 +78,6 @@ class TestEncode:
         single = encode(state, w, [0], [1]).value[0]
         assert np.abs(once - single).max() > 0
 
-    def test_normalized_scores_sum_to_one(self):
-        # every node holds the same state v, so the weighted sum is v
-        # exactly when each session's weights sum to 1, repeats included
-        v = substream(5, "x").normal(size=3)
-        w = make_weights(3, seed=6)
-        out = encode(np.tile(v, (4, 1)), w, [0, 1, 2, 1, 3, 3], [4, 2],
-                     normalize_scores=True).value
-        expect = np.concatenate([v, v]) @ w.w_merge.value
-        np.testing.assert_allclose(out, [expect, expect], atol=1e-12)
-
-    def test_normalize_flag_changes_output(self):
-        rng = substream(6, "x")
-        w = make_weights(3, seed=7)
-        seq = rng.normal(size=(4, 3))
-        raw = encode_alone(seq, w, normalize_scores=False)
-        soft = encode_alone(seq, w, normalize_scores=True)
-        assert np.abs(raw - soft).max() > 1e-8
-
 
 def factor_slice(w, k):
     """Factor k's readout weights out of a factor-stacked set."""
@@ -122,21 +104,6 @@ class TestEncodeFactors:
         np.testing.assert_allclose(both[0], out, atol=1e-12)
         np.testing.assert_allclose(both[1], encode_factors_alone(second, ws),
                                    atol=1e-12)
-
-    def test_normalized_padded_batch_matches_alone(self):
-        # the softmax readout normalizes per session and skips a row
-        # that no position refers to, in the factor-stacked batch too
-        rng = substream(11, "x")
-        ws = AttentionWeights.init(3, substream(12, "init"), num_factors=2)
-        short = rng.normal(size=(2, 2, 3))
-        long = rng.normal(size=(2, 5, 3))
-        unused = np.full((2, 1, 3), 50.0)       # must not count
-        states = np.concatenate([short, unused, long], axis=1)
-        both = encode_factors(states, ws, [0, 1, 3, 4, 5, 6, 7], [2, 5],
-                              normalize_scores=True).value
-        for row, seqs in zip(both, (short, long)):
-            alone = encode_factors_alone(seqs, ws, normalize_scores=True)
-            np.testing.assert_allclose(row, alone, atol=1e-12)
 
     def test_length_mismatch_rejected(self):
         ws = AttentionWeights.init(2, substream(0, "init"), num_factors=2)

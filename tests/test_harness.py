@@ -62,9 +62,9 @@ class TestConfig:
 
     def test_from_dict_coerces_strings(self):
         cfg = TrainConfig.from_dict({"dim": "16", "lr": "0.01",
-                                     "normalize_attention": "true"})
+                                     "variant": "star"})
         assert cfg.dim == 16 and cfg.lr == 0.01
-        assert cfg.normalize_attention is True
+        assert cfg.variant == "star"
 
     def test_from_dict_ints_fill_float_fields(self):
         cfg = TrainConfig.from_dict({"lr": 1, "theta": 0, "dim": 16})
@@ -73,11 +73,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("dim", 1.7), ("dim", 16.0), ("epochs", True), ("lr", True),
-        ("theta", False), ("normalize_attention", 2),
-        ("normalize_attention", 1), ("normalize_attention", 0.0)],
+        ("theta", False)],
         ids=["int_from_float", "int_from_whole_float", "int_from_bool",
-             "float_from_true", "float_from_false", "bool_from_2",
-             "bool_from_1", "bool_from_float"])
+             "float_from_true", "float_from_false"])
     def test_from_dict_rejects_lossy_values(self, field, value):
         # a manifest's JSON value is taken as is or refused, never cast
         with pytest.raises(ValueError, match=field):
@@ -97,16 +95,14 @@ class TestConfig:
 
     @pytest.mark.parametrize("overrides", [
         dict(alpha=1.5), dict(negatives_per_positive=0),
-        dict(factor_negatives="both_views"),
         dict(dropout_edge=1.5, variant="star"),
         dict(dropout_node=-0.1, variant="star"),
         dict(lr=-1.0), dict(lr=0.0), dict(lr=float("nan")),
         dict(lr=float("inf")), dict(beta_cl=-5.0),
         dict(beta_cl=float("inf")), dict(beta_ind=-0.01),
         dict(beta_ind=float("nan")), dict(seed=-1), dict(disc_form="mlp"),
-    ], ids=["alpha", "negatives_per_positive", "factor_negatives",
-            "dropout_edge", "dropout_node", "lr_negative", "lr_zero",
-            "lr_nan", "lr_inf", "beta_cl_negative", "beta_cl_inf",
+    ], ids=["alpha", "negatives_per_positive", "dropout_edge",
+            "dropout_node", "lr_negative", "lr_zero", "lr_nan", "lr_inf", "beta_cl_negative", "beta_cl_inf",
             "beta_ind_negative", "beta_ind_nan", "seed_negative",
             "disc_form"])
     def test_invalid_value_rejected(self, overrides):

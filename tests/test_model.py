@@ -473,17 +473,6 @@ class TestTrainingForward:
         monkeypatch.setattr(model, "project", unread)
         np.testing.assert_array_equal(score_batch(params, pack, cfg), expect)
 
-    def test_cross_view_negatives_reach_factor_term(self):
-        # cross_view draws the factor negatives from the propagated views
-        pack = pack_batch(toy_examples())
-        terms = {}
-        for scheme in ("within_view", "cross_view"):
-            cfg = toy_config(factor_negatives=scheme, alpha=0.0)
-            out = training_forward(toy_params(cfg), pack, cfg, epoch=0)
-            terms[scheme] = float(out.contrastive.value)
-        assert np.isfinite(list(terms.values())).all()
-        assert terms["within_view"] != terms["cross_view"]
-
     def test_node_count_independent_of_factor_count(self):
         # the K factor channels run as one pass over a factor axis
         def nodes(num_factors):
