@@ -318,12 +318,13 @@ def cosine_edges(x, src, dst) -> Tensor:
     x = as_tensor(x)
     xv = x.value
     m, d = xv.shape[-2:]
+    count = int(np.prod(xv.shape[:-2]))
     norm = np.sqrt((xv * xv).sum(axis=-1, keepdims=True))
     safe = np.where(norm > 0.0, norm, 1.0)
     unit = xv / safe                    # a zero row stays 0
 
     def _bw(g):
-        g, u = g.reshape(-1, len(src)), unit.reshape(-1, d)
+        g, u = g.reshape(count, len(src)), unit.reshape(count * m, d)
         g = ((_edge_csr(g, dst, src, m, m) @ u)
              + (_edge_csr(g, src, dst, m, m) @ u)).reshape(xv.shape)
         inner = (xv * g).sum(axis=-1, keepdims=True)

@@ -102,9 +102,9 @@ class TestConfig:
         dict(beta_cl=float("inf")), dict(beta_ind=-0.01),
         dict(beta_ind=float("nan")), dict(seed=-1), dict(disc_form="mlp"),
     ], ids=["alpha", "negatives_per_positive", "dropout_edge",
-            "dropout_node", "lr_negative", "lr_zero", "lr_nan", "lr_inf", "beta_cl_negative", "beta_cl_inf",
-            "beta_ind_negative", "beta_ind_nan", "seed_negative",
-            "disc_form"])
+            "dropout_node", "lr_negative", "lr_zero", "lr_nan", "lr_inf",
+            "beta_cl_negative", "beta_cl_inf", "beta_ind_negative",
+            "beta_ind_nan", "seed_negative", "disc_form"])
     def test_invalid_value_rejected(self, overrides):
         with pytest.raises(ValueError):
             TrainConfig(**overrides)

@@ -377,6 +377,15 @@ class TestCosineEdges:
               np.concatenate([[g[0] + g[1]], g[2:]])).backward()
         np.testing.assert_allclose(twice.grad, once.grad, atol=1e-12, rtol=0)
 
+    @COSINE_SHAPES
+    def test_no_edges(self, shape):
+        x = Parameter(np.random.default_rng(54).normal(size=shape))
+        empty = np.zeros(0, dtype=np.int64)
+        out = tape.cosine_edges(x, empty, empty)
+        assert out.value.shape == shape[:-2] + (0,)
+        probe(out).backward()
+        np.testing.assert_array_equal(x.grad, np.zeros(shape))
+
 
 def _head_inputs(seed, heads, batched, n=7, d=3):
     """Catalog views and session embeddings of ``heads`` heads, and the
