@@ -35,7 +35,7 @@ def read_config_file(path) -> dict:
     out = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -142,8 +142,7 @@ def cmd_train(args) -> int:
 
 
 def _ks_from(args):
-    ks = args.k if args.k else [10, 20]
-    return tuple(sorted(set(int(k) for k in ks)))
+    return tuple(args.k or (10, 20))
 
 
 def cmd_eval(args) -> int:

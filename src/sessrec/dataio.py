@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -143,24 +144,16 @@ def preprocess(events, min_item_freq: int = 5, min_session_len: int = 2,
                     for sid, items, ts in sessions]
 
     while True:
-        counts = {}
-        for _, items, _ in sessions:
-            for it in items:
-                counts[it] = counts.get(it, 0) + 1
+        counts = Counter(it for _, items, _ in sessions for it in items)
         keep = {it for it, c in counts.items() if c >= min_item_freq}
         filtered = []
-        changed = False
         for sid, items, ts in sessions:
             kept = [it for it in items if it in keep]
-            if len(kept) != len(items):
-                changed = True
             if len(kept) >= min_session_len:
                 filtered.append((sid, kept, ts))
-            else:
-                changed = changed or bool(kept) or bool(items)
-        sessions = filtered
-        if not changed:
+        if filtered == sessions:
             break
+        sessions = filtered
 
     if not sessions:
         raise DataError(

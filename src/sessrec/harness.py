@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataio import Session, check_examples, prefix_augment
+from .dataio import check_examples, prefix_augment
 from .model import (VARIANTS, catalog_views, pack_batch, score_batch,
                     training_forward)
 from .optim import Adam
@@ -262,7 +262,8 @@ def evaluate(params: ParameterSet, examples, cfg: TrainConfig,
     views, built once per call, and bucketed by length (short < 5
     positions) alongside the overall numbers.  A ``batch_size`` or a
     cutoff in ``ks`` that is not an integer >= 1 (bools included) raises
-    ``ValueError`` before any scoring.  A non-finite target probability
+    ``ValueError`` before any scoring; the report keeps the distinct
+    cutoffs in ascending order.  A non-finite target probability
     raises ``NumericsError`` naming the 0-based prefix range of its
     chunk, before ``rank_of`` would refuse it with a bare ``ValueError``.
     """
@@ -275,7 +276,7 @@ def evaluate(params: ParameterSet, examples, cfg: TrainConfig,
     if not all(map(_positive_int, ks)):
         raise ValueError(f"ks (cutoffs) must be integers >= 1, got {ks!r}")
     check_examples(examples, params.embeddings.value.shape[0])
-    ks = tuple(sorted(map(int, ks)))
+    ks = tuple(sorted(set(map(int, ks))))
     views = catalog_views(params, cfg)
     ranks, buckets = [], {}
     for lo in range(0, len(examples), batch_size):
@@ -385,13 +386,9 @@ def make_planted_corpus(seed: int, n_items: int = 100, n_clusters: int = 5,
             out.append(walk.tolist())
         return out
 
-    train_ex = _augment_sessions(sessions(train_sessions))
-    test_ex = _augment_sessions(sessions(test_sessions))
+    train_ex = prefix_augment(sessions(train_sessions))
+    test_ex = prefix_augment(sessions(test_sessions))
     return train_ex, test_ex, n_items
-
-
-def _augment_sessions(list_of_item_lists):
-    return prefix_augment([Session(items) for items in list_of_item_lists])
 
 
 def checkpoint_after_train(out_dir, tr: TrainResult, cfg: TrainConfig,

@@ -41,7 +41,7 @@ class Adam:
         self._work = None           # see zero_grad
         for i, (p, value, grad) in enumerate(zip(
                 self.params, self._views(self.value), self._views(self.grad))):
-            p.bind(value, grad, self.touched, i)
+            p.bind(value, grad, self.touched[i:i + 1])
         self.m, self.v = map(self._views, self._moments)
 
     def _views(self, flat):

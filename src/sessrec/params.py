@@ -193,7 +193,6 @@ def load_checkpoint(base):
             raise CheckpointError(f"{name}: elements {offset}..{offset + size} "
                                   f"lie outside the {raw.size}-element blob")
         p.value = raw[offset:offset + size].reshape(shape).astype(np.float64)
-        p.grad = None
         bad = np.flatnonzero(~np.isfinite(p.value))
         if bad.size:
             raise CheckpointError(

@@ -101,7 +101,4 @@ def uniform_fields(rng, stdv, shapes, lead=()):
     sizes = [int(np.prod(s)) for s in shapes]
     block = rng.uniform(-stdv, stdv, (*lead, sum(sizes)))
     parts = np.split(block, np.cumsum(sizes)[:-1], axis=-1)
-    # a read-only block (a layout stand-in's broadcast zeros) is only
-    # reshaped: a copy would allocate every field
-    return [p.reshape(*lead, *s).copy() if block.flags.writeable
-            else p.reshape(*lead, *s) for p, s in zip(parts, shapes)]
+    return [p.reshape(*lead, *s) for p, s in zip(parts, shapes)]

@@ -7,10 +7,11 @@ edges (``edge_matmul``, on a sparse matrix), the cosine of each edge's
 end rows (``cosine_edges``), the GGNN cell's gated update
 (``gated_update``), the sigmoid factor projection
 (``sigmoid_projection``), the soft-attention session readout
-(``attention_readout``), the mean catalog softmax of (session, catalog)
-pairs (``mean_softmax``), the clamped one-hot binary cross-entropy
-(``onehot_bce``), the binary contrastive objective of rows against
-their positives and sampled partner rows (``pair_contrast``), the
+(``attention_readout``), the mean catalog softmax of the item and
+factor heads (``mean_softmax``, whole-batch GEMMs when recording a
+graph, blocks of session rows otherwise), the clamped one-hot binary
+cross-entropy (``onehot_bce``), the binary contrastive objective of
+rows against their positives and sampled partner rows (``pair_contrast``), the
 summed distance correlation of K samples (``distance_correlation_sum``,
 over the distinct rows, each weighted by its count; every copy of a row
 gets an equal share of its gradient) and the weighted sum of the loss
@@ -89,47 +90,43 @@ class Parameter(Tensor):
     next: the pass's first gradient is copied in, later ones are added in
     place.  ``grad`` reads None until the first one arrives; setting it
     to None starts a new pass.  Whether the buffer holds this pass's
-    gradient is one entry of a flag array, ``_flags[_slot]``, which an
-    optimizer shares among all its parameters (see ``bind``).
+    gradient is a one-element flag array, ``_flag``, which can be a view
+    of an optimizer's flags for all its parameters (see ``bind``).
     """
 
-    __slots__ = ("_grad", "_flags", "_slot")
+    __slots__ = ("_grad", "_flag")
 
     def __init__(self, value):
-        self._grad, self._flags, self._slot = None, np.zeros(1, bool), 0
+        self._grad, self._flag = None, np.zeros(1, bool)
         super().__init__(value, requires_grad=True)
 
     @property
     def grad(self):
-        return self._grad if self._flags[self._slot] else None
+        return self._grad if self._flag[0] else None
 
     @grad.setter
     def grad(self, g):
-        self._flags[self._slot] = False
+        self._flag[0] = False
         if g is not None:
             self.add_grad(g)
 
-    def bind(self, value, grad, flags, slot):
-        """Make ``value`` and ``grad``, arrays of this parameter's shape,
-        its value and gradient buffer, holding what they hold now, and
-        ``flags[slot]`` its flag."""
+    def bind(self, value, grad, flag):
+        """Copy the value into ``value``, an array of its shape, and make
+        that the value; take ``grad`` and the one-element ``flag`` as
+        they stand for the gradient buffer and its flag."""
         value[...] = self.value
-        if self.grad is not None:
-            grad[...] = self._grad
-        flags[slot] = self._flags[self._slot]
-        self.value, self._grad, self._flags, self._slot = (value, grad,
-                                                           flags, slot)
+        self.value, self._grad, self._flag = value, grad, flag
 
     def _buffer(self):
         """The gradient buffer, made if need be, marked as holding this
         pass's gradient."""
         if self._grad is None:
             self._grad = np.empty_like(self.value)
-        self._flags[self._slot] = True
+        self._flag[0] = True
         return self._grad
 
     def add_grad(self, g):
-        if self._flags[self._slot]:
+        if self._flag[0]:
             self._grad += g
         else:
             np.copyto(self._buffer(), g)
@@ -137,7 +134,7 @@ class Parameter(Tensor):
     def add_rows(self, index, rows):
         """Add ``rows`` into the gradient rows at the distinct ``index``;
         every other row gets nothing."""
-        if not self._flags[self._slot]:
+        if not self._flag[0]:
             self._buffer().fill(0.0)
         self._grad[index] += rows
 
@@ -464,7 +461,7 @@ def attention_readout(h, alias, lengths, weights) -> Tensor:
                  _bw)
 
 
-_ROW_BLOCK = 64     # session rows scored at a time
+_ROW_BLOCK = 64     # session rows scored at a time without a graph
 
 
 def _softmax(x, w):
@@ -479,23 +476,23 @@ def _softmax(x, w):
     return x
 
 
-def mean_softmax(*heads) -> Tensor:
-    """Mean over heads of ``softmax(s @ c.T)``, (..., N), from (session
-    rows (..., d), catalog rows (N, d)) pairs.
+def mean_softmax(item, factor=None) -> Tensor:
+    """Mean over the item head and, if given, the factor head of
+    ``softmax(s @ c.T)``, (..., N), each head a (session rows (..., d),
+    catalog rows (N, d)) pair.
 
     With ``w = 1 / heads``, head h gives ``P_h = w softmax(s_h @ c_h.T)``
-    and the output is the sum of the P_h: the same bits as the mean for
-    one or two heads, where ``w`` is a power of two.  A block of
-    ``_ROW_BLOCK`` session rows at a time, each head's logits are one
-    GEMM into a buffer the kernel owns, normalized in place.  With a
-    graph recorded the buffers are whole (..., N) arrays, which the
-    output sums in one pass, and the backward overwrites each with the
-    gradient to its head's logits, ``(g - <g, P_h> / w) P_h``, a cache-
-    sized block of rows at a time; then one GEMM each to s and c.
-    Otherwise head 0 is normalized in the output block itself, and later
-    heads reuse one block and are added into it.
+    and the output is the sum of the P_h: the same bits as the mean,
+    since ``w`` is a power of two.  With a graph recorded each P_h is
+    one GEMM over all session rows, normalized in place and kept, and
+    the backward overwrites it with the gradient to its head's logits,
+    ``(g - <g, P_h> / w) P_h``, a cache-sized block of rows at a time;
+    then one GEMM each to s and c.  Otherwise ``_ROW_BLOCK`` session
+    rows at a time, the item head is normalized in the output block
+    itself and the factor head in one reused block added into it.
     """
-    pairs = [(as_tensor(s), as_tensor(c)) for s, c in heads]
+    pairs = [(as_tensor(s), as_tensor(c))
+             for s, c in ([item] if factor is None else [item, factor])]
     lead, n = pairs[0][0].value.shape[:-1], pairs[0][1].value.shape[0]
     if any(s.value.shape[:-1] != lead
            or c.value.shape != (n, s.value.shape[-1]) for s, c in pairs):
@@ -504,28 +501,19 @@ def mean_softmax(*heads) -> Tensor:
     rows = [s.value.reshape(-1, s.value.shape[-1]) for s, _ in pairs]
     count, w = len(rows[0]), 1.0 / len(pairs)
     parents = tuple(t for pair in pairs for t in pair)
-    record = _recording and any(t.requires_grad for t in parents)
-    probs = [np.empty((count if record else min(_ROW_BLOCK, count), n))
-             for _ in pairs[:len(pairs) if record else 1]]
-    value = np.empty((count, n))
-    for lo in range(0, count, _ROW_BLOCK):
-        block = value[lo:lo + _ROW_BLOCK]
-        span = slice(lo, lo + len(block)) if record else slice(len(block))
-        for h, (r, (_, c)) in enumerate(zip(rows, pairs)):
-            buf = probs[h][span] if record else \
-                probs[0][span] if h else block
-            q = _softmax(np.matmul(r[lo:lo + _ROW_BLOCK], c.value.T, out=buf),
-                         w)
-            if h and not record:
-                block += q
-        if record:
-            qs = [p[span] for p in probs]
-            if len(qs) == 1:
-                np.copyto(block, qs[0])
-            else:
-                np.add(qs[0], qs[1], out=block)
-            for q in qs[2:]:
-                block += q
+    if not (_recording and any(t.requires_grad for t in parents)):
+        value = np.empty((count, n))
+        buf = np.empty((min(_ROW_BLOCK, count), n)) if len(pairs) > 1 else None
+        for lo in range(0, count, _ROW_BLOCK):
+            block = value[lo:lo + _ROW_BLOCK]
+            for h, (r, (_, c)) in enumerate(zip(rows, pairs)):
+                q = buf[:len(block)] if h else block
+                _softmax(np.matmul(r[lo:lo + _ROW_BLOCK], c.value.T, out=q), w)
+                if h:
+                    block += q
+        return Tensor(value.reshape(lead + (n,)))
+    probs = [_softmax(r @ c.value.T, w) for r, (_, c) in zip(rows, pairs)]
+    value = probs[0] + probs[1] if factor is not None else probs[0].copy()
 
     def _bw(g):
         g = g.reshape(count, n)

@@ -88,6 +88,33 @@ class TestPreprocess:
         assert code == EXIT_USAGE
         assert not out.exists()
 
+    def test_no_parsable_event_is_data_error(self, tmp_path, caplog):
+        events = tmp_path / "events.csv"
+        events.write_text("not an event\n\n", encoding="utf-8")
+        out = tmp_path / "o"
+        code = main(["preprocess", "--input", str(events),
+                     "--out", str(out), "--boundary", "5"])
+        assert code == EXIT_DATA
+        assert "no parsable events (1 malformed lines)" in caplog.text
+        assert not out.exists()
+
+    def test_zero_min_item_freq_is_usage_error(self, raw_events, tmp_path):
+        out = tmp_path / "o"
+        code = main(["preprocess", "--input", str(raw_events),
+                     "--out", str(out), "--boundary", "100",
+                     "--min-item-freq", "0"])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
+    def test_skipped_lines_reported(self, raw_events, tmp_path, capsys):
+        raw_events.write_text(raw_events.read_text(encoding="utf-8")
+                              + "\nnot an event\n", encoding="utf-8")
+        code = main(["preprocess", "--input", str(raw_events),
+                     "--out", str(tmp_path / "o"), "--boundary", "100",
+                     "--min-item-freq", "2"])
+        assert code == EXIT_OK
+        assert "skipped 1 malformed input lines" in capsys.readouterr().err
+
     def test_non_utf8_input_is_data_error(self, raw_events, tmp_path,
                                           caplog):
         raw_events.write_bytes(raw_events.read_bytes() + b"s99,5.0,\xff\n")
@@ -116,7 +143,7 @@ class TestTrain:
     def test_config_file_with_flag_override(self, corpus_dir, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(
-            "dim = 6\nfactor_dim = 2\nnum_factors = 2\n"
+            "# tiny model\ndim = 6\nfactor_dim = 2\n\nnum_factors = 2\n"
             "epochs = 3   # overridden below\nbatch_size = 16\n",
             encoding="utf-8")
         out = tmp_path / "run"
@@ -129,13 +156,34 @@ class TestTrain:
         assert manifest["config"]["epochs"] == 1      # flag beats file
         assert manifest["config"]["dim"] == 6         # file beats default
 
-    def test_unknown_config_key_is_usage_error(self, corpus_dir, tmp_path):
+    @pytest.mark.parametrize("content", [
+        b"dimension = 6\n", b"dim = 6\nepochs 3\n", None, b"\xffdim = 6\n"],
+        ids=["unknown_key", "no_equals", "missing_file", "not_utf8"])
+    def test_unknown_config_key_is_usage_error(self, corpus_dir, tmp_path,
+                                               caplog, content):
+        # an unreadable or malformed file is named in the log
         cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_text("dimension = 6\n", encoding="utf-8")
+        if content is not None:
+            cfg_file.write_bytes(content)
+        out = tmp_path / "r"
         code = main(["train", "--train", str(corpus_dir / "train.jsonl"),
                      "--catalog", str(corpus_dir / "catalog.json"),
-                     "--out", str(tmp_path / "r"), "--config", str(cfg_file)])
+                     "--out", str(out), "--config", str(cfg_file)])
         assert code == EXIT_USAGE
+        assert str(cfg_file) in caplog.text
+        assert not out.exists()
+
+    def test_examples_file_without_records_is_data_error(self, corpus_dir,
+                                                         tmp_path, caplog):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("\n", encoding="utf-8")
+        out = tmp_path / "r"
+        code = main(["train", "--train", str(empty),
+                     "--catalog", str(corpus_dir / "catalog.json"),
+                     "--out", str(out)] + TINY_FLAGS)
+        assert code == EXIT_DATA
+        assert f"{empty}: no examples" in caplog.text
+        assert not out.exists()
 
     def test_seed_past_64_bits_is_usage_error(self, corpus_dir, tmp_path,
                                               caplog):
@@ -193,8 +241,9 @@ class TestTrain:
         '{"item_to_index": {"a": 0.0, "b": 1.0}}',
         '{"item_to_index": {"a": false, "b": true}}',
         '{"count": 2.0, "item_to_index": {"a": 0, "b": 1}}',
+        '{"count": 3, "item_to_index": {"a": 0, "b": 1}}',
     ], ids=["malformed_json", "missing_map", "indices_not_dense",
-            "float_indices", "bool_indices", "float_count"])
+            "float_indices", "bool_indices", "float_count", "count_mismatch"])
     def test_bad_catalog_is_data_error(self, corpus_dir, tmp_path, content):
         catalog = tmp_path / "catalog.json"
         catalog.write_text(content, encoding="utf-8")

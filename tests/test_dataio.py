@@ -53,6 +53,11 @@ class TestIngest:
         with pytest.raises(DataError):
             ingest(tmp_path / "nope.csv")
 
+    def test_blank_lines_skipped(self, tmp_path):
+        path = write_events(tmp_path, ["s1,1,a", "", "  ", "s1,2,b"])
+        events, malformed = ingest(path)
+        assert [e.item_id for e in events] == ["a", "b"] and malformed == 0
+
 
 class TestPreprocess:
     def events(self):
@@ -190,11 +195,21 @@ class TestRoundTrip:
         rec = json.loads(path.read_text().splitlines()[0])
         assert rec == {"session": [1, 2], "target": 3}
 
-    def test_bad_example_line_fatal(self, tmp_path):
+    @pytest.mark.parametrize("record", [
+        '{"session": [1], "target": "x"}', 'session 1 target 2',
+        '{"session": [1]}'], ids=["string_target", "not_json", "no_target"])
+    def test_bad_example_line_fatal(self, tmp_path, record):
         path = tmp_path / "ex.jsonl"
-        path.write_text('{"session": [1], "target": "x"}\n', encoding="utf-8")
-        with pytest.raises(DataError):
+        path.write_text('{"session": [1], "target": 2}\n' + record + "\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=f"{path}:2:"):
             dataio.read_examples(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "ex.jsonl"
+        path.write_text('\n{"session": [1], "target": 2}\n  \n',
+                        encoding="utf-8")
+        assert dataio.read_examples(path) == [Example([1], 2)]
 
     @pytest.mark.parametrize("record", [
         '{"session": "123", "target": 4}',

@@ -73,9 +73,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("dim", 1.7), ("dim", 16.0), ("epochs", True), ("lr", True),
-        ("theta", False)],
+        ("theta", False), ("lr", "abc")],
         ids=["int_from_float", "int_from_whole_float", "int_from_bool",
-             "float_from_true", "float_from_false"])
+             "float_from_true", "float_from_false", "float_from_word"])
     def test_from_dict_rejects_lossy_values(self, field, value):
         # a manifest's JSON value is taken as is or refused, never cast
         with pytest.raises(ValueError, match=field):
@@ -101,10 +101,11 @@ class TestConfig:
         dict(lr=float("inf")), dict(beta_cl=-5.0),
         dict(beta_cl=float("inf")), dict(beta_ind=-0.01),
         dict(beta_ind=float("nan")), dict(seed=-1), dict(disc_form="mlp"),
+        dict(dim=0),
     ], ids=["alpha", "negatives_per_positive", "dropout_edge",
             "dropout_node", "lr_negative", "lr_zero", "lr_nan", "lr_inf",
             "beta_cl_negative", "beta_cl_inf", "beta_ind_negative",
-            "beta_ind_nan", "seed_negative", "disc_form"])
+            "beta_ind_nan", "seed_negative", "disc_form", "dim"])
     def test_invalid_value_rejected(self, overrides):
         with pytest.raises(ValueError):
             TrainConfig(**overrides)
@@ -306,6 +307,24 @@ class TestEvaluate:
                                  cfg.num_factors, cfg.layers, cfg.seed)
         with pytest.raises(ValueError):
             evaluate(params, test_ex, cfg, ks=(0,))
+
+    def test_no_examples_rejected(self):
+        cfg = tiny_config()
+        params = init_parameters(10, cfg.dim, cfg.factor_dim,
+                                 cfg.num_factors, cfg.layers, cfg.seed)
+        with pytest.raises(ValueError, match="no evaluation examples"):
+            evaluate(params, [], cfg)
+
+    def test_duplicate_cutoffs_reported_once(self):
+        cfg = tiny_config()
+        _, test_ex, n_items = tiny_corpus()
+        params = init_parameters(n_items, cfg.dim, cfg.factor_dim,
+                                 cfg.num_factors, cfg.layers, cfg.seed)
+        report = evaluate(params, test_ex, cfg, ks=(20, 10, 10))
+        assert report.ks == (10, 20)
+        assert len(report.lines()) == 2 * (1 + len(report.buckets))
+        header = harness.metrics_csv_rows(report, "d", "full", 0, 1)[0]
+        assert header[4:-1] == ["P@10", "M@10", "P@20", "M@20"]
 
     @pytest.mark.parametrize("kwargs,name", [
         (dict(batch_size=-1), "batch_size"), (dict(batch_size=0), "batch_size"),

@@ -183,7 +183,8 @@ class TestCheckpoint:
     @pytest.mark.parametrize("damage", [
         "not_an_object", "config", "n_items", "total_elements", "entries",
         "entry.name", "entry.shape", "entry.offset", "config.dim",
-        "negative_offset", "unallocatable_dim", "unallocatable_ggnn"])
+        "negative_offset", "unallocatable_dim", "unallocatable_ggnn",
+        "renamed_entry"])
     def test_malformed_manifest_rejected(self, tmp_path, damage):
         # the unallocatable layouts hold 10**15 and 10**12 elements in one
         # array; laying them out must allocate nothing
@@ -197,6 +198,8 @@ class TestCheckpoint:
             del manifest["config"]["dim"]
         elif damage == "negative_offset":
             manifest["entries"][1]["offset"] = -4
+        elif damage == "renamed_entry":
+            manifest["entries"][1]["name"] = "proj.weights"
         elif damage.startswith("unallocatable"):
             manifest["n_items"] = 1
             manifest["config"]["dim"] = 10 ** 15 if damage.endswith("dim") \
@@ -251,6 +254,12 @@ class TestCheckpoint:
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "absent")
+
+    def test_missing_weights_rejected(self, tmp_path):
+        save_checkpoint(tmp_path / "m", small_params(), SMALL_CONFIG, 7)
+        (tmp_path / "m.bin").unlink()
+        with pytest.raises(CheckpointError, match="cannot read weights"):
+            load_checkpoint(tmp_path / "m")
 
     def test_loaded_values_are_writable(self, tmp_path):
         # training must be able to continue from a loaded checkpoint

@@ -56,6 +56,11 @@ class TestScore:
         item_head = score(e_item, None, catalog)
         np.testing.assert_array_equal(scores.value, item_head.value)
 
+    def test_factor_head_without_catalog_factors_rejected(self):
+        catalog, _, e_item, e_factor = setup_scoring(6)
+        with pytest.raises(ValueError, match="catalog_factors"):
+            score(e_item, e_factor, catalog)
+
     def test_precomputed_factors_match_proj_path(self):
         # the catalog's one-GEMM projection equals the per-view projection
         # laid side by side

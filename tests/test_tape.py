@@ -316,6 +316,10 @@ class TestEdgeMatmul:
                 tape.edge_matmul(np.ones(v_shape), np.ones(x_shape), SRC,
                                  DST, 5)
 
+    def test_edge_lists_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match="must agree"):
+            tape.edge_matmul(np.ones(6), np.ones((5, 2)), SRC, DST[:5], 5)
+
     def test_out_of_range_edge_rejected(self):
         with pytest.raises(ValueError, match="edges must run"):
             tape.edge_matmul(np.ones(1), np.ones((2, 2)), [2], [0], 2)
@@ -467,12 +471,14 @@ class TestMeanSoftmax:
         np.testing.assert_array_equal(unrecorded.value, recorded.value)
         assert unrecorded._backward is None and not unrecorded._parents
 
-    @pytest.mark.parametrize("recorded,bound", [(False, 1.5), (True, 3.5)],
-                             ids=["no_graph", "graph"])
-    def test_peak_memory(self, recorded, bound):
+    @pytest.mark.parametrize("recorded,n_heads,bound", [
+        (False, 2, 1.5), (True, 2, 3.5), (False, 1, 1.05)],
+        ids=["no_graph", "graph", "no_graph_item_head"])
+    def test_peak_memory(self, recorded, n_heads, bound):
         # in units of one (B, N) array: the output, plus each head's
-        # probabilities only while a graph is recorded
-        heads = _large_heads(37)
+        # probabilities only while a graph is recorded; without one, a
+        # block of rows for the factor head alone
+        heads = _large_heads(37)[:n_heads]
         tracemalloc.start()
         try:
             if recorded:
