@@ -18,7 +18,8 @@ from pathlib import Path
 from . import dataio, harness
 from .dataio import DataError
 from .harness import NumericsError, TrainConfig
-from .params import CheckpointError, checkpoint_paths, load_checkpoint
+from .params import (CheckpointError, checkpoint_paths, load_checkpoint,
+                     save_checkpoint)
 
 logger = logging.getLogger(__name__)
 
@@ -123,7 +124,8 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = harness.train(examples, catalog.count, cfg)
-    base = harness.checkpoint_after_train(out, result, cfg, catalog.count)
+    base = out / "checkpoint"
+    save_checkpoint(base, result.params, cfg.to_dict(), catalog.count)
     lines = ["epoch,total,prediction,contrastive,independence"]
     for i, lb in enumerate(result.epoch_losses, start=1):
         lines.append(f"{i},{lb.total:.6f},{lb.prediction:.6f},"
@@ -183,7 +185,9 @@ def cmd_ablate(args) -> int:
     all_rows = None
     for variant, (tr, report) in results.items():
         vcfg = dataclasses.replace(cfg, variant=variant)
-        harness.checkpoint_after_train(out / variant, tr, vcfg, catalog.count)
+        (out / variant).mkdir(exist_ok=True)
+        save_checkpoint(out / variant / "checkpoint", tr.params,
+                        vcfg.to_dict(), catalog.count)
         rows = harness.metrics_csv_rows(report, dataset, variant, cfg.seed,
                                         epoch=cfg.epochs)
         all_rows = rows if all_rows is None else all_rows + rows[1:]

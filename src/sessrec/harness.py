@@ -28,13 +28,14 @@ from .dataio import check_examples, prefix_augment
 from .model import (VARIANTS, catalog_views, pack_batch, score_batch,
                     training_forward)
 from .optim import Adam
-from .params import ParameterSet, init_parameters, save_checkpoint
+from .params import ParameterSet, init_parameters
 from .predictor import rank_of
 from .rng import substream
 
 logger = logging.getLogger(__name__)
 
 SHORT_SESSION_LIMIT = 5      # prefixes below this length count as "short"
+SCORE_ELEMENTS = 1 << 21     # (prefix, item) scores per head of an eval chunk
 
 
 class NumericsError(Exception):
@@ -255,32 +256,32 @@ def _positive_int(v) -> bool:
 
 
 def evaluate(params: ParameterSet, examples, cfg: TrainConfig,
-             ks=(10, 20), batch_size: int = 512) -> RankingReport:
+             ks=(10, 20)) -> RankingReport:
     """Rank the target of every prefix; deterministic for fixed weights.
 
-    Prefixes are scored ``batch_size`` at a time against the catalog
-    views, built once per call, and bucketed by length (short < 5
-    positions) alongside the overall numbers.  A ``batch_size`` or a
-    cutoff in ``ks`` that is not an integer >= 1 (bools included) raises
-    ``ValueError`` before any scoring; the report keeps the distinct
-    cutoffs in ascending order.  A non-finite target probability
-    raises ``NumericsError`` naming the 0-based prefix range of its
-    chunk, before ``rank_of`` would refuse it with a bare ``ValueError``.
+    Prefixes are scored ``max(1, SCORE_ELEMENTS // N)`` at a time
+    against the catalog views, built once per call, so a chunk's scores
+    stay near ``SCORE_ELEMENTS`` floats a head whatever the catalog
+    size, and bucketed by length (short < 5 positions) alongside the
+    overall numbers.  A cutoff in ``ks`` that is not an integer >= 1
+    (bools included) raises ``ValueError`` before any scoring; the
+    report keeps the distinct cutoffs in ascending order.  A non-finite
+    target probability raises ``NumericsError`` naming the 0-based
+    prefix range of its chunk, before ``rank_of`` would refuse it with
+    a bare ``ValueError``.
     """
     if not examples:
         raise ValueError("no evaluation examples")
-    if not _positive_int(batch_size):
-        raise ValueError(f"batch_size must be an integer >= 1, "
-                         f"got {batch_size!r}")
     ks = tuple(ks)
     if not all(map(_positive_int, ks)):
         raise ValueError(f"ks (cutoffs) must be integers >= 1, got {ks!r}")
     check_examples(examples, params.embeddings.value.shape[0])
     ks = tuple(sorted(set(map(int, ks))))
+    chunk_rows = max(1, SCORE_ELEMENTS // len(params.embeddings.value))
     views = catalog_views(params, cfg)
     ranks, buckets = [], {}
-    for lo in range(0, len(examples), batch_size):
-        chunk = examples[lo:lo + batch_size]
+    for lo in range(0, len(examples), chunk_rows):
+        chunk = examples[lo:lo + chunk_rows]
         pack = pack_batch(chunk)
         probs = score_batch(params, pack, cfg, catalog_factors=views)
         # a softmax row is all finite or all NaN: its target tells
@@ -389,12 +390,3 @@ def make_planted_corpus(seed: int, n_items: int = 100, n_clusters: int = 5,
     train_ex = prefix_augment(sessions(train_sessions))
     test_ex = prefix_augment(sessions(test_sessions))
     return train_ex, test_ex, n_items
-
-
-def checkpoint_after_train(out_dir, tr: TrainResult, cfg: TrainConfig,
-                           n_items: int):
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    base = out_dir / "checkpoint"
-    save_checkpoint(base, tr.params, cfg.to_dict(), n_items)
-    return base

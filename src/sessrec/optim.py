@@ -14,7 +14,7 @@ a zero gradient (that would still move it by its momentum).
 
 import numpy as np
 
-CHUNK = 1 << 15     # elements per pass: a chunk of each vector fits in L2
+from .tape import CHUNK
 
 
 class Adam:

@@ -132,9 +132,12 @@ def load_checkpoint(base):
     The structural fields of the stored config (dims, factor count,
     layers, discriminator form) lay out the parameters without drawing
     any; every stored array must match its laid-out shape exactly and
-    hold finite values only.  A malformed manifest raises
-    ``CheckpointError``, as does a size, shape or offset that is not a
-    JSON integer (4.7, "4", true).  Returns ``(params, config, n_items)``.
+    hold finite values only.  The entries must tile the ``.bin`` in
+    checkpoint order, as ``save_checkpoint`` writes it: each offset is
+    the size of the entries before it, and the ``.bin`` holds them all.
+    A malformed manifest raises ``CheckpointError``, as does a size,
+    shape or offset that is not a JSON integer (4.7, "4", true).
+    Returns ``(params, config, n_items)``.
     """
     bin_path, json_path = checkpoint_paths(base)
     try:
@@ -170,12 +173,15 @@ def load_checkpoint(base):
             f"{json_path}: malformed manifest ({type(exc).__name__}: {exc})"
         ) from exc
     try:
-        raw = np.frombuffer(bin_path.read_bytes(), dtype="<f8")
+        data = bin_path.read_bytes()
     except OSError as exc:
         raise CheckpointError(f"cannot read weights {bin_path}: {exc}") from exc
-    if raw.size != total:
+    held = sum(p.value.size for p in params.parameters())
+    if not len(data) == 8 * total == 8 * held:
         raise CheckpointError(
-            f"{bin_path}: holds {raw.size} elements, manifest says {total}")
+            f"{bin_path}: holds {len(data)} bytes, manifest says {total} "
+            f"elements, the entries hold {held} ({8 * held} bytes)")
+    raw = np.frombuffer(data, dtype="<f8")
 
     expected = [name for name, _ in params.named_parameters()]
     missing = [n for n in expected if n not in stored]
@@ -183,16 +189,17 @@ def load_checkpoint(base):
     if missing or extra:
         raise CheckpointError(
             f"parameter name mismatch: missing={missing} extra={extra}")
+    running = 0
     for name, p in params.named_parameters():
         shape, offset = stored[name]
         if shape != p.value.shape:
             raise CheckpointError(
                 f"{name}: stored shape {shape} != expected {p.value.shape}")
-        size = p.value.size
-        if not 0 <= offset <= raw.size - size:
-            raise CheckpointError(f"{name}: elements {offset}..{offset + size} "
-                                  f"lie outside the {raw.size}-element blob")
-        p.value = raw[offset:offset + size].reshape(shape).astype(np.float64)
+        if offset != running:
+            raise CheckpointError(f"{name}: stored offset {offset} != "
+                                  f"expected offset {running}")
+        running += p.value.size
+        p.value = raw[offset:running].reshape(shape).astype(np.float64)
         bad = np.flatnonzero(~np.isfinite(p.value))
         if bad.size:
             raise CheckpointError(

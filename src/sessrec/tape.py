@@ -8,25 +8,25 @@ end rows (``cosine_edges``), the GGNN cell's gated update
 (``gated_update``), the sigmoid factor projection
 (``sigmoid_projection``), the soft-attention session readout
 (``attention_readout``), the mean catalog softmax of the item and
-factor heads (``mean_softmax``, whole-batch GEMMs when recording a
-graph, blocks of session rows otherwise), the clamped one-hot binary
-cross-entropy (``onehot_bce``), the binary contrastive objective of
-rows against their positives and sampled partner rows (``pair_contrast``), the
-summed distance correlation of K samples (``distance_correlation_sum``,
-over the distinct rows, each weighted by its count; every copy of a row
-gets an equal share of its gradient) and the weighted sum of the loss
-terms (``total_loss``).  Everything runs in float64 and is
-deterministic: no threads, accumulation order fixed by the topological
-order of the graph.  An interior node's gradient is never mutated in
-place: its first contribution is stored, later ones make a new sum.  A
-``Parameter`` accumulates in place instead, into a gradient buffer it
-keeps from step to step (a view of the optimizer's flat gradient vector
-once an optimizer binds it).  A kernel's single backward may overwrite
-the arrays that only its closure holds (softmax probabilities, the
-BCE's margin, the sigmoid), never its inputs, its output or the
-gradient it receives.  A backward closure reaches its output node
-through a weak reference, so a graph that is never backpropagated is
-freed by reference counting alone.
+factor heads (``mean_softmax``, one whole-batch GEMM per head), the
+clamped one-hot binary cross-entropy (``onehot_bce``), the binary
+contrastive objective of rows against their positives and sampled
+partner rows (``pair_contrast``), the summed distance correlation of K
+samples (``distance_correlation_sum``, over the distinct rows, each
+weighted by its count; every copy of a row gets an equal share of its
+gradient) and the weighted sum of the loss terms (``total_loss``).
+Everything runs in float64 and is deterministic: no threads,
+accumulation order fixed by the topological order of the graph.  An
+interior node's gradient is never mutated in place: its first
+contribution is stored, later ones make a new sum.  A ``Parameter``
+accumulates in place instead, into a gradient buffer it keeps from step
+to step (a view of the optimizer's flat gradient vector once an
+optimizer binds it).  A kernel's single backward may overwrite the
+arrays that only its closure holds (softmax probabilities, the BCE's
+margin, the sigmoid), never its inputs, its output or the gradient it
+receives.  A backward closure reaches its output node through a weak
+reference, so a graph that is never backpropagated is freed by
+reference counting alone.
 """
 
 from __future__ import annotations
@@ -231,12 +231,12 @@ def _sigmoid(x):
     return x
 
 
-_CHUNK = 1 << 15    # elements of a pass that stays in cache
+CHUNK = 1 << 15     # elements of a pass that stays in cache (L2)
 
 
 def _row_spans(a):
-    """Slices of ``a``'s rows, about ``_CHUNK`` elements each."""
-    step = max(1, _CHUNK // max(1, a.shape[-1]))
+    """Slices of ``a``'s rows, about ``CHUNK`` elements each."""
+    step = max(1, CHUNK // max(1, a.shape[-1]))
     return [slice(lo, lo + step) for lo in range(0, len(a), step)]
 
 
@@ -461,9 +461,6 @@ def attention_readout(h, alias, lengths, weights) -> Tensor:
                  _bw)
 
 
-_ROW_BLOCK = 64     # session rows scored at a time without a graph
-
-
 def _softmax(x, w):
     """``w softmax(x)`` over the rows of 2-D ``x``, in place, a block of
     rows at a time.  For ``w`` a power of two this is exactly ``w`` times
@@ -487,9 +484,8 @@ def mean_softmax(item, factor=None) -> Tensor:
     one GEMM over all session rows, normalized in place and kept, and
     the backward overwrites it with the gradient to its head's logits,
     ``(g - <g, P_h> / w) P_h``, a cache-sized block of rows at a time;
-    then one GEMM each to s and c.  Otherwise ``_ROW_BLOCK`` session
-    rows at a time, the item head is normalized in the output block
-    itself and the factor head in one reused block added into it.
+    then one GEMM each to s and c.  Without a graph the factor head is
+    added into the item head's array, which is returned as a constant.
     """
     pairs = [(as_tensor(s), as_tensor(c))
              for s, c in ([item] if factor is None else [item, factor])]
@@ -501,18 +497,11 @@ def mean_softmax(item, factor=None) -> Tensor:
     rows = [s.value.reshape(-1, s.value.shape[-1]) for s, _ in pairs]
     count, w = len(rows[0]), 1.0 / len(pairs)
     parents = tuple(t for pair in pairs for t in pair)
-    if not (_recording and any(t.requires_grad for t in parents)):
-        value = np.empty((count, n))
-        buf = np.empty((min(_ROW_BLOCK, count), n)) if len(pairs) > 1 else None
-        for lo in range(0, count, _ROW_BLOCK):
-            block = value[lo:lo + _ROW_BLOCK]
-            for h, (r, (_, c)) in enumerate(zip(rows, pairs)):
-                q = buf[:len(block)] if h else block
-                _softmax(np.matmul(r[lo:lo + _ROW_BLOCK], c.value.T, out=q), w)
-                if h:
-                    block += q
-        return Tensor(value.reshape(lead + (n,)))
     probs = [_softmax(r @ c.value.T, w) for r, (_, c) in zip(rows, pairs)]
+    if not (_recording and any(t.requires_grad for t in parents)):
+        if factor is not None:
+            probs[0] += probs[1]
+        return Tensor(probs[0].reshape(lead + (n,)))
     value = probs[0] + probs[1] if factor is not None else probs[0].copy()
 
     def _bw(g):

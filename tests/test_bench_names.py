@@ -8,24 +8,33 @@ These tests catch that here.
 
 import importlib
 import importlib.util
+import math
+import sys
 from pathlib import Path
 
 import pytest
 
 from sessrec.dataio import Example
+from sessrec.harness import (TrainConfig, evaluate, make_planted_corpus,
+                             train_step)
 from sessrec.model import pack_batch
+from sessrec.optim import Adam
+from sessrec.params import init_parameters
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module       # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
 
-_T = _tracer()
+_T = _load("tracer")
+WORKLOADS = _load("workloads").WORKLOADS
 NAMES = [(mod, name) for mod, names in _T.PATCHED_NAMES.items()
          for name in names]
 
@@ -72,3 +81,35 @@ def test_count_slots_reads_a_real_pack():
     pack = pack_batch([Example([1, 2, 1], 0), Example([5], 0)])
     _T._count_slots(tracer, (), pack)
     assert dict(tracer.counts[0]) == {"real_slots": 3.0, "padded_slots": 4.0}
+
+
+# Attributes that perfbench/run.py and perfbench/setup_probe.py read off
+# the config, the loss breakdown and the report.
+CONFIG_FIELDS = ("dim", "factor_dim", "num_factors", "layers", "seed",
+                 "disc_form", "lr", "batch_size")
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_config_builds_and_round_trips(name):
+    w = WORKLOADS[name]
+    cfg = TrainConfig(seed=1, **w.config)
+    expect = {**TrainConfig().to_dict(), **w.config, "seed": 1}
+    for field in CONFIG_FIELDS:
+        assert getattr(cfg, field) == expect[field], field
+    assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_train_step_and_evaluate_read_as_the_runner_reads_them():
+    cfg = TrainConfig(seed=1, **WORKLOADS["desk"].config)
+    train_ex, test_ex, n_items = make_planted_corpus(
+        1, n_items=20, n_clusters=4, session_len=4, train_sessions=8,
+        test_sessions=4)
+    params = init_parameters(n_items, cfg.dim, cfg.factor_dim,
+                             cfg.num_factors, cfg.layers, cfg.seed,
+                             cfg.disc_form)
+    opt = Adam(params.parameters(), lr=cfg.lr)
+    lb = train_step(params, opt, train_ex, list(range(len(train_ex))), cfg, 0)
+    assert all(math.isfinite(x) for x in
+               (lb.total, lb.prediction, lb.contrastive, lb.independence))
+    report = evaluate(params, test_ex, cfg)
+    assert 0.0 <= report.overall.precision[10] <= 1.0

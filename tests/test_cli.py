@@ -466,6 +466,16 @@ class TestEvalCommand:
         assert code == EXIT_DATA
         assert "embeddings: non-finite value nan" in caplog.text
 
+    def test_binary_cut_mid_value_is_data_error(self, trained, corpus_dir,
+                                                caplog):
+        bin_path = trained.with_suffix(".bin")
+        raw = bin_path.read_bytes()
+        bin_path.write_bytes(raw[:-3])
+        code = main(["eval", "--checkpoint", str(trained),
+                     "--test", str(corpus_dir / "test.jsonl")])
+        assert code == EXIT_DATA
+        assert f"{bin_path}: holds {len(raw) - 3} bytes" in caplog.text
+
     def test_out_of_catalog_test_items_rejected(self, trained, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"session": [1, 999], "target": 2}\n',

@@ -288,6 +288,7 @@ class TestEvaluate:
         # the error names the chunk's prefix range and the first bad row
         params.embeddings.value[3, 0] = 0.0
         examples = test_ex * 20                # prefixes 0..511 and 512..599
+        monkeypatch.setattr(harness, "SCORE_ELEMENTS", 512 * n_items)
         scored = harness.score_batch
 
         def one_nan_row(*args, **kwargs):
@@ -327,17 +328,12 @@ class TestEvaluate:
         assert header[4:-1] == ["P@10", "M@10", "P@20", "M@20"]
 
     @pytest.mark.parametrize("kwargs,name", [
-        (dict(batch_size=-1), "batch_size"), (dict(batch_size=0), "batch_size"),
-        (dict(batch_size=2.0), "batch_size"),
-        (dict(batch_size=True), "batch_size"),
         (dict(ks=(10.9,)), "ks"), (dict(ks=(True,)), "ks"),
         (dict(ks=(10, -3)), "ks"), (dict(ks=("10",)), "ks")],
-        ids=["batch_negative", "batch_zero", "batch_float", "batch_bool",
-             "k_float", "k_bool", "k_negative", "k_str"])
+        ids=["k_float", "k_bool", "k_negative", "k_str"])
     def test_bad_argument_named_before_scoring(self, monkeypatch, kwargs,
                                               name):
-        # -1 used to report count 0 and P@10 0.0, 0 a raw range() error,
-        # 10.9 and True were truncated to cutoffs 10 and 1
+        # 10.9 and True were once truncated to cutoffs 10 and 1
         cfg = tiny_config()
         _, test_ex, n_items = tiny_corpus()
         params = init_parameters(n_items, cfg.dim, cfg.factor_dim,
@@ -355,8 +351,7 @@ class TestEvaluate:
         _, test_ex, n_items = tiny_corpus()
         params = init_parameters(n_items, cfg.dim, cfg.factor_dim,
                                  cfg.num_factors, cfg.layers, cfg.seed)
-        report = evaluate(params, test_ex, cfg, ks=np.array([20, 5]),
-                          batch_size=np.int64(16))
+        report = evaluate(params, test_ex, cfg, ks=np.array([20, 5]))
         assert report.ks == (5, 20)
         assert all(type(k) is int for k in report.ks)
         assert report == evaluate(params, test_ex, cfg, ks=(5, 20))
@@ -385,7 +380,8 @@ class TestEvaluate:
             return scored[-1]
         monkeypatch.setattr(harness, "rank_of", counted_rank)
         monkeypatch.setattr(harness, "score_batch", counted_score)
-        report = evaluate(params, examples, cfg, batch_size=32)
+        monkeypatch.setattr(harness, "SCORE_ELEMENTS", 32 * n_items)
+        report = evaluate(params, examples, cfg)
         assert [len(p) for p in scored] == [32, 32, len(examples) - 64]
         np.testing.assert_allclose(np.concatenate(scored).sum(axis=1), 1.0,
                                    atol=1e-9, rtol=0)
@@ -394,9 +390,10 @@ class TestEvaluate:
             rank_of(row, ex.target)
             for row, ex in zip(np.concatenate(scored), examples)]
 
-    def test_one_chunk_of_scores_alive_at_a_time(self):
-        # in units of one chunk's (B, N) scores: the next chunk is scored
-        # after the last one's are released
+    def test_one_chunk_of_scores_alive_at_a_time(self, monkeypatch):
+        # in units of one chunk's (B, N) scores: a chunk holds one array
+        # per head, and the next chunk is scored after the last one's are
+        # released (a third array if they were not)
         cfg = tiny_config()
         n_items, batch = 3000, 200
         rng = np.random.default_rng(4)
@@ -404,13 +401,14 @@ class TestEvaluate:
                             int(rng.integers(n_items))) for _ in range(600)]
         params = init_parameters(n_items, cfg.dim, cfg.factor_dim,
                                  cfg.num_factors, cfg.layers, cfg.seed)
+        monkeypatch.setattr(harness, "SCORE_ELEMENTS", batch * n_items)
         tracemalloc.start()
         try:
-            evaluate(params, examples, cfg, batch_size=batch)
+            evaluate(params, examples, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / (batch * n_items * 8) <= 1.6
+        assert peak / (batch * n_items * 8) <= 2.5
 
     @pytest.mark.parametrize("variant", ["full", "fp"])
     def test_chunking_changes_no_rank(self, monkeypatch, variant):
@@ -423,11 +421,40 @@ class TestEvaluate:
         monkeypatch.setattr(harness, "rank_of",
                             lambda p, t: ranks.append(rank(p, t)) or ranks[-1])
         runs = []
-        for batch_size in (512, 7, 1):
+        for rows in (512, 7, 1):
+            monkeypatch.setattr(harness, "SCORE_ELEMENTS", rows * n_items)
             ranks.clear()
-            report = evaluate(params, examples, cfg, batch_size=batch_size)
+            report = evaluate(params, examples, cfg)
             runs.append((list(ranks), report))
         assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("n_items,budget,rows", [
+        (20, None, 2 ** 21 // 20), (20_000, None, 104),
+        (20, 7 * 20 + 19, 7), (20, 19, 1), (20, 1, 1)],
+        ids=["one_chunk", "catalog20k", "floor_division", "below_n",
+             "one_element"])
+    def test_chunk_rows_follow_the_catalog(self, monkeypatch, n_items,
+                                           budget, rows):
+        # max(1, SCORE_ELEMENTS // N) prefixes a chunk, at least one
+        if budget is not None:
+            monkeypatch.setattr(harness, "SCORE_ELEMENTS", budget)
+        cfg = tiny_config()
+        rng = np.random.default_rng(6)
+        count = min(2 * rows + 3, 300)
+        examples = [Example(list(rng.integers(n_items, size=3)),
+                            int(rng.integers(n_items))) for _ in range(count)]
+        params = init_parameters(n_items, cfg.dim, cfg.factor_dim,
+                                 cfg.num_factors, cfg.layers, cfg.seed)
+        sizes, score = [], harness.score_batch
+
+        def counted_score(*args, **kwargs):
+            probs = score(*args, **kwargs)
+            sizes.append(len(probs))
+            return probs
+        monkeypatch.setattr(harness, "score_batch", counted_score)
+        evaluate(params, examples, cfg)
+        whole, rest = divmod(count, rows)
+        assert sizes == [rows] * whole + ([rest] if rest else [])
 
 
 class TestMetricsFiles:

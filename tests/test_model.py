@@ -10,7 +10,7 @@ from oracles import (ggnn_step_oracle, padded_batch_oracle,
                      philox_uniform_oracle, session_blocks,
                      session_graph_oracle)
 
-from sessrec import model, rng, tape
+from sessrec import harness, model, rng, tape
 from sessrec.dataio import Example
 from sessrec.encoder import encode, encode_factors
 from sessrec.graphs import degree_weights
@@ -550,7 +550,7 @@ class TestTrainingForward:
         # a value they hand out: under fp the head has one softmax, which
         # must not be the scores themselves; blocks of 8 elements make
         # every blocked pass take several blocks
-        monkeypatch.setattr(tape, "_CHUNK", 8)
+        monkeypatch.setattr(tape, "CHUNK", 8)
         cfg = toy_config(variant=variant)
         out = training_forward(toy_params(cfg), pack_batch(toy_examples()),
                                cfg, 0)
@@ -673,8 +673,9 @@ class TestScoreBatch:
         calls, project = [], model.catalog_factor_embeddings
         monkeypatch.setattr(model, "catalog_factor_embeddings",
                             lambda *a: calls.append(a) or project(*a))
+        monkeypatch.setattr(harness, "SCORE_ELEMENTS", 1)  # a prefix a chunk
         cfg = toy_config()
-        evaluate(toy_params(cfg), toy_examples(), cfg, batch_size=1)
+        evaluate(toy_params(cfg), toy_examples(), cfg)
         assert len(calls) == 1
 
 

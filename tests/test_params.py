@@ -138,11 +138,15 @@ class TestCheckpoint:
         assert len(raw) == manifest["total_elements"] * 8
 
     def test_truncated_binary_rejected(self, tmp_path):
+        # a cut of whole values, and a cut inside one; the error names
+        # the file and its byte count
         save_checkpoint(tmp_path / "m", small_params(), SMALL_CONFIG, 7)
         raw = (tmp_path / "m.bin").read_bytes()
-        (tmp_path / "m.bin").write_bytes(raw[:-8])
-        with pytest.raises(CheckpointError):
-            load_checkpoint(tmp_path / "m")
+        for cut in (8, 3):
+            (tmp_path / "m.bin").write_bytes(raw[:-cut])
+            with pytest.raises(CheckpointError, match=rf"m\.bin: holds "
+                                                      rf"{len(raw) - cut} bytes"):
+                load_checkpoint(tmp_path / "m")
 
     def test_shape_mismatch_rejected(self, tmp_path):
         save_checkpoint(tmp_path / "m", small_params(), SMALL_CONFIG, 7)
@@ -184,12 +188,17 @@ class TestCheckpoint:
         "not_an_object", "config", "n_items", "total_elements", "entries",
         "entry.name", "entry.shape", "entry.offset", "config.dim",
         "negative_offset", "unallocatable_dim", "unallocatable_ggnn",
-        "renamed_entry"])
+        "renamed_entry", "aliased_offset", "swapped_offsets", "gap"])
     def test_malformed_manifest_rejected(self, tmp_path, damage):
         # the unallocatable layouts hold 10**15 and 10**12 elements in one
-        # array; laying them out must allocate nothing
+        # array; laying them out must allocate nothing.  Entries 1
+        # (factor_proj.weight) and 17 (ggnn.factor.weight_update) share a
+        # shape, so pointing one at the other's elements fits the blob;
+        # offsets must tile it in checkpoint order all the same
         save_checkpoint(tmp_path / "m", small_params(), SMALL_CONFIG, 7)
         manifest = json.loads((tmp_path / "m.json").read_text())
+        entries = manifest["entries"]
+        assert entries[1]["shape"] == entries[17]["shape"]
         if damage == "not_an_object":
             manifest = [manifest]
         elif damage.startswith("entry."):
@@ -200,6 +209,16 @@ class TestCheckpoint:
             manifest["entries"][1]["offset"] = -4
         elif damage == "renamed_entry":
             manifest["entries"][1]["name"] = "proj.weights"
+        elif damage == "aliased_offset":
+            entries[17]["offset"] = entries[1]["offset"]
+        elif damage == "swapped_offsets":
+            entries[1]["offset"], entries[17]["offset"] = \
+                entries[17]["offset"], entries[1]["offset"]
+        elif damage == "gap":
+            entries[-1]["offset"] += 1
+            manifest["total_elements"] += 1
+            with open(tmp_path / "m.bin", "ab") as f:
+                f.write(np.zeros(1, dtype="<f8").tobytes())
         elif damage.startswith("unallocatable"):
             manifest["n_items"] = 1
             manifest["config"]["dim"] = 10 ** 15 if damage.endswith("dim") \
