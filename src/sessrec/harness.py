@@ -172,7 +172,7 @@ def train_step(params: ParameterSet, optimizer: Adam, examples,
     optimizer.step()
     return LossBreakdown(total=loss_val,
                          prediction=float(out.prediction.value),
-                         contrastive=float(out.contrastive.value),
+                         contrastive=float(out.contrastive),
                          independence=float(out.independence.value))
 
 

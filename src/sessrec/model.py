@@ -11,8 +11,8 @@ node, and the augmentation channel (the star view, whose B hubs are B
 more rows of the batch graph, or graph dropout).  One ``tape.total_loss``
 node then weighs the prediction term, the item- and factor-level
 contrastive terms (one ``Discriminator.score`` node each) and the
-independence term.  Inference runs only the prediction path they
-share: the original channel through the scores.
+independence term, and comes back with those terms.  Inference runs
+only the prediction path they share: the original channel to the scores.
 """
 
 from __future__ import annotations
@@ -236,7 +236,9 @@ def _negative_draws(pack: PackedBatch, seed, epoch, stream_tag, per, count=1):
 class ForwardResult:
     loss: object               # scalar Tensor
     prediction: object
-    contrastive: object
+    contrastive: float         # the item / factor mix the loss weighs
+    item: object               # item-level contrastive term
+    factor: object             # factor-level term, None under fcl
     independence: object
     scores: object             # (B, N) Tensor of next-item probabilities
 
@@ -310,7 +312,8 @@ def training_forward(params: ParameterSet, pack: PackedBatch, cfg,
     loss, l_contrast = tape.total_loss(l_pred, l_item, l_factor, l_ind,
                                        cfg.alpha, cfg.beta_cl, cfg.beta_ind)
     return ForwardResult(loss=loss, prediction=l_pred, contrastive=l_contrast,
-                         independence=l_ind, scores=scores)
+                         item=l_item, factor=l_factor, independence=l_ind,
+                         scores=scores)
 
 
 def catalog_views(params: ParameterSet, cfg):

@@ -14,7 +14,8 @@ contrastive objective of rows against their positives and sampled
 partner rows (``pair_contrast``), the summed distance correlation of K
 samples (``distance_correlation_sum``, over the distinct rows, each
 weighted by its count; every copy of a row gets an equal share of its
-gradient) and the weighted sum of the loss terms (``total_loss``).
+gradient) and the weighted sum of the loss terms (``total_loss``,
+which hands back its contrastive mix as a number, not a node).
 Everything runs in float64 and is deterministic: no threads,
 accumulation order fixed by the topological order of the graph.  An
 interior node's gradient is never mutated in place: its first
@@ -710,20 +711,13 @@ def total_loss(prediction, item, factor, independence, alpha, beta_cl,
     """The training objective of scalar terms as one node, ``L_p +
     beta_cl (alpha L_i + (1 - alpha) L_f) + beta_ind L_d``, evaluated in
     that order; with no factor term (``factor`` None) the contrastive
-    part is ``L_i`` alone.  Returns the loss and the contrastive part,
-    which is a node of its own (``L_i`` itself without a factor term)
-    outside the loss's graph."""
+    part is ``L_i`` alone.  Returns the loss and the contrastive part as
+    the ``np.float64`` the loss is built from."""
     p, d = as_tensor(prediction), as_tensor(independence)
     terms = tuple(as_tensor(t) for t in (item, factor) if t is not None)
     mix = (alpha, 1.0 - alpha) if len(terms) == 2 else (1.0,)
-
-    def _bw_contrast(g):
-        for t, w in zip(terms, mix):
-            _accum(t, g * w)
-
-    contrastive = terms[0] if len(terms) == 1 else _make(
-        terms[0].value * alpha + terms[1].value * (1.0 - alpha), terms,
-        _bw_contrast)
+    contrastive = (terms[0].value * alpha + terms[1].value * (1.0 - alpha)
+                   if len(terms) == 2 else np.float64(terms[0].value))
 
     def _bw(g):
         g_c = g * beta_cl
@@ -731,5 +725,5 @@ def total_loss(prediction, item, factor, independence, alpha, beta_cl,
                            (g, *(g_c * w for w in mix), g * beta_ind)):
             _accum(t, grad)
 
-    return _make(p.value + contrastive.value * beta_cl + d.value * beta_ind,
+    return _make(p.value + contrastive * beta_cl + d.value * beta_ind,
                  (p, *terms, d), _bw), contrastive

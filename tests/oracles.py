@@ -348,23 +348,35 @@ def probe(t, weight=1.0):
 
 # -- central finite differences ----------------------------------------------
 # The loss callable must rebuild its graph from the given Parameters on
-# every call; parameters are perturbed in place, one entry at a time.
+# every call; parameters are perturbed in place, one entry at a time.  It
+# returns one scalar tensor, or a dict of them: several objectives read
+# off one forward per perturbation.
 
-def numerical_gradient(loss_fn, param, step: float = 1e-5) -> np.ndarray:
-    """Central differences of ``loss_fn()`` w.r.t. every entry of ``param``."""
+def _read(out) -> dict:
+    """The values of a dict of scalar tensors, or of one under key None."""
+    terms = out if isinstance(out, dict) else {None: out}
+    return {key: float(t.value) for key, t in terms.items()}
+
+
+def numerical_gradient(loss_fn, param, step: float = 1e-5):
+    """Central differences of ``loss_fn()`` w.r.t. every entry of
+    ``param``; a dict of them, by objective, for a dict of objectives."""
     # ravel copies a strided value, and the steps would miss the parameter
     param.value = np.ascontiguousarray(param.value)
     flat = param.value.ravel()
-    num = np.zeros_like(flat)
+    num = {}
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + step
-        plus = float(loss_fn().value)
+        plus = _read(loss_fn())
         flat[i] = orig - step
-        minus = float(loss_fn().value)
+        minus = _read(loss_fn())
         flat[i] = orig
-        num[i] = (plus - minus) / (2.0 * step)
-    return num.reshape(param.value.shape)
+        for key, v in plus.items():
+            num.setdefault(key, np.zeros_like(flat))[i] = (
+                (v - minus[key]) / (2.0 * step))
+    num = {key: g.reshape(param.value.shape) for key, g in num.items()}
+    return num.pop(None) if None in num else num
 
 
 def max_relative_error(analytic: np.ndarray, numeric: np.ndarray,
@@ -379,14 +391,23 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray,
 
 
 def gradient_errors(loss_fn, params: dict, step: float = 1e-5) -> dict:
-    """Analytic-vs-numeric max relative error per named parameter."""
-    for p in params.values():
-        p.grad = None
-    loss = loss_fn()
-    loss.backward()
-    analytic = {name: (p.grad.copy() if p.grad is not None
-                       else np.zeros_like(p.value))
+    """Analytic-vs-numeric max relative error per named parameter; for a
+    ``loss_fn`` that returns a dict of objectives, a dict of such errors
+    by objective.  Each objective backpropagates from a forward of its
+    own: a backward leaves gradients on the interior nodes it passes."""
+    numeric = {name: numerical_gradient(loss_fn, p, step=step)
+               for name, p in params.items()}
+
+    def errors(pick):
+        for p in params.values():
+            p.grad = None
+        pick(loss_fn()).backward()
+        return {name: max_relative_error(
+                    p.grad if p.grad is not None else np.zeros_like(p.value),
+                    pick(numeric[name]))
                 for name, p in params.items()}
-    return {name: max_relative_error(
-                analytic[name], numerical_gradient(loss_fn, p, step=step))
-            for name, p in params.items()}
+
+    some = next(iter(numeric.values()))
+    if not isinstance(some, dict):
+        return errors(lambda x: x)
+    return {key: errors(lambda x, key=key: x[key]) for key in some}

@@ -224,24 +224,18 @@ def test_c03_gradients_match_finite_differences():
     params = init_parameters(n_items=8, dim=4, factor_dim=2, num_factors=2,
                              layers=1, seed=21)
     named = dict(params.named_parameters())
-    base = dict(dim=4, factor_dim=2, num_factors=2, epochs=1, batch_size=4,
-                seed=21)
+    cfg = TrainConfig(dim=4, factor_dim=2, num_factors=2, epochs=1,
+                      batch_size=4, seed=21, alpha=0.5)
 
-    def objective(attr, alpha):
-        cfg = TrainConfig(alpha=alpha, **base)
-        return lambda: getattr(training_forward(params, pack, cfg, epoch=0),
-                               attr)
+    def objectives():
+        # every term the loss is built from, and the loss, off one forward
+        out = training_forward(params, pack, cfg, epoch=0)
+        return {name: getattr(out, name) for name in
+                ("independence", "item", "factor", "prediction", "loss")}
 
-    objectives = {
-        "independence": objective("independence", 0.5),
-        "item contrast": objective("contrastive", 1.0),
-        "factor contrast": objective("contrastive", 0.0),
-        "prediction": objective("prediction", 0.5),
-        "total": objective("loss", 0.5),
-    }
     worst, worst_at = 0.0, ""
-    for label, fn in objectives.items():
-        errors = gradient_errors(fn, named, step=1e-5)
+    for label, errors in gradient_errors(objectives, named,
+                                         step=1e-5).items():
         name, err = max(errors.items(), key=lambda kv: kv[1])
         if err > worst:
             worst, worst_at = err, f"{label} / {name}"

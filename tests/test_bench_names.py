@@ -3,7 +3,8 @@
 ``perfbench/tracer.py`` looks each name it patches up with ``getattr``,
 and ``perfbench/run.py`` and ``perfbench/setup_probe.py`` call a few
 more directly, so renaming or deleting one breaks every benchmark run.
-These tests catch that here.
+These tests catch that here.  The last test runs evaluation on a
+benchmark corpus, the one place the tests reach workload scale.
 """
 
 import importlib
@@ -12,8 +13,10 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from sessrec import harness
 from sessrec.dataio import Example
 from sessrec.harness import (TrainConfig, evaluate, make_planted_corpus,
                              train_step)
@@ -34,7 +37,8 @@ def _load(name):
 
 
 _T = _load("tracer")
-WORKLOADS = _load("workloads").WORKLOADS
+_W = _load("workloads")
+WORKLOADS = _W.WORKLOADS
 NAMES = [(mod, name) for mod, names in _T.PATCHED_NAMES.items()
          for name in names]
 
@@ -113,3 +117,42 @@ def test_train_step_and_evaluate_read_as_the_runner_reads_them():
                (lb.total, lb.prediction, lb.contrastive, lb.independence))
     report = evaluate(params, test_ex, cfg)
     assert 0.0 <= report.overall.precision[10] <= 1.0
+
+
+def test_chunking_moves_a_rank_only_at_a_near_tie(monkeypatch):
+    # a prefix's probabilities can change in the last bits with the chunk
+    # it is scored in (a GEMM rounds by its row count), so a rank may
+    # differ only where another item lies within rounding of the target:
+    # long_sessions' held-out prefixes at N = 5,000 in chunks of 419 and
+    # of 13, and each rank that moves by k has k such near-ties
+    w = WORKLOADS["long_sessions"]
+    cfg = TrainConfig(seed=1, **w.config)
+    _, test, n_items = _W.make_corpus(w, 1, make_planted_corpus)
+    examples = [Example(list(p), t) for p, t in test]
+    params = init_parameters(n_items, cfg.dim, cfg.factor_dim,
+                             cfg.num_factors, cfg.layers, cfg.seed,
+                             cfg.disc_form)
+    score, rank = harness.score_batch, harness.rank_of
+    rows, near, ranks = [], [], []
+
+    def scored(params, pack, cfg, catalog_factors=None):
+        probs = score(params, pack, cfg, catalog_factors)
+        p_t = probs[np.arange(len(probs)), pack.targets][:, None]
+        rows.append(len(probs))
+        near.extend(np.count_nonzero(abs(probs - p_t) <= 1e-12 * p_t, axis=1)
+                    - 1)
+        return probs
+
+    monkeypatch.setattr(harness, "score_batch", scored)
+    monkeypatch.setattr(harness, "rank_of",
+                        lambda p, t: ranks.append(rank(p, t)) or ranks[-1])
+    runs = []
+    for elements in (1 << 21, 1 << 16):
+        monkeypatch.setattr(harness, "SCORE_ELEMENTS", elements)
+        for acc in (rows, near, ranks):
+            acc.clear()
+        evaluate(params, examples, cfg)
+        runs.append((max(rows), np.array(near), np.array(ranks)))
+    (wide, near, a), (narrow, _, b) = runs
+    assert (n_items, wide, narrow, len(a)) == (5000, 419, 13, len(examples))
+    assert (abs(a - b) <= near).all()

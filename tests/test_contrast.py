@@ -200,8 +200,7 @@ class TestMix:
             cfg = TrainConfig(dim=6, factor_dim=3, num_factors=2, seed=4,
                               alpha=alpha)
             params = init_parameters(5, 6, 3, 2, 1, 4)
-            return float(training_forward(params, pack, cfg, 0)
-                         .contrastive.value)
+            return training_forward(params, pack, cfg, 0).contrastive
 
         item, factor = contrastive(1.0), contrastive(0.0)
         assert item != factor

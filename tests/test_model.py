@@ -42,6 +42,13 @@ def toy_params(cfg, n_items=5):
                            cfg.layers, cfg.seed, cfg.disc_form)
 
 
+def term_names(variant):
+    """The scalar loss terms a training forward hands back: the loss and
+    the nodes it is built from (no factor term under fcl)."""
+    return ("loss", "prediction", "item", "independence") + (
+        () if variant == "fcl" else ("factor",))
+
+
 class TestPackBatch:
     def test_shapes_and_masks(self):
         # sessions one after another: nodes 0-2, 3-4, 5; positions 0-3,
@@ -142,9 +149,8 @@ class TestPackEdgeCases:
         pack = pack_batch([Example(s, i) for i, s in enumerate(EDGE_SESSIONS)],
                           session_indices=[3, 8, 21, 40])
         out = training_forward(toy_params(cfg, n_items=100), pack, cfg, 0)
-        for term in (out.loss, out.prediction, out.contrastive,
-                     out.independence):
-            assert np.isfinite(term.value)
+        for name in term_names(variant):
+            assert np.isfinite(getattr(out, name).value), name
 
     @pytest.mark.parametrize("case", EDGE_BATCHES)
     def test_edge_case_batch_trains_and_scores(self, case):
@@ -383,9 +389,44 @@ class TestTrainingForward:
         params = toy_params(cfg)
         out = training_forward(params, pack_batch(toy_examples()), cfg,
                                epoch=0)
-        for name in ("loss", "prediction", "contrastive", "independence"):
+        for name in term_names(variant):
             v = float(getattr(out, name).value)
             assert np.isfinite(v), f"{variant}.{name}"
+        assert (out.factor is None) == (variant == "fcl")
+
+    @pytest.mark.parametrize("variant", model.VARIANTS)
+    def test_logged_terms_are_the_loss_own(self, variant):
+        # bit for bit, the loss is the weighted sum of the terms handed
+        # back, and the contrastive number the mix of the term nodes
+        cfg = toy_config(variant=variant, alpha=0.3, beta_cl=0.07,
+                         beta_ind=0.02)
+        out = training_forward(toy_params(cfg), pack_batch(toy_examples()),
+                               cfg, epoch=0)
+        assert out.loss.value == (out.prediction.value
+                                  + out.contrastive * cfg.beta_cl
+                                  + out.independence.value * cfg.beta_ind)
+        if variant == "fcl":
+            assert out.contrastive == out.item.value
+        else:
+            assert out.contrastive == (out.item.value * cfg.alpha
+                                       + out.factor.value * (1.0 - cfg.alpha))
+        assert type(out.contrastive) is np.float64
+
+    @pytest.mark.parametrize("variant", model.VARIANTS)
+    def test_every_node_made_lies_in_the_loss_graph(self, variant,
+                                                    monkeypatch):
+        # nothing the forward records with a backward sits beside the
+        # loss: a node outside its graph is work no training step uses
+        made, make = [], tape._make
+        monkeypatch.setattr(tape, "_make",
+                            lambda *a: made.append(make(*a)) or made[-1])
+        cfg = toy_config(variant=variant)
+        out = training_forward(toy_params(cfg), pack_batch(toy_examples()),
+                               cfg, epoch=0)
+        in_graph = {id(n) for n in tape._topo_order(out.loss)}
+        recorded = [n for n in made if n._backward is not None]
+        assert len(recorded) > 10
+        assert all(id(n) in in_graph for n in recorded)
 
     def test_deterministic(self):
         cfg = toy_config()
@@ -399,7 +440,8 @@ class TestTrainingForward:
         pack = pack_batch(toy_examples())
         a = training_forward(toy_params(cfg), pack, cfg, epoch=0)
         b = training_forward(toy_params(cfg), pack, cfg, epoch=1)
-        assert float(a.contrastive.value) != float(b.contrastive.value)
+        assert float(a.item.value) != float(b.item.value)
+        assert float(a.factor.value) != float(b.factor.value)
 
     def test_gradient_reaches_every_active_group(self):
         cfg = toy_config()
@@ -508,15 +550,15 @@ class TestTrainingForward:
     @pytest.mark.parametrize("variant", ["full", "fcl"])
     def test_step_graph_freed_without_the_cyclic_collector(self, variant):
         # once a step's result is dropped after backward, reference
-        # counting alone frees its graph: no node left unbackpropagated,
-        # such as the contrastive part beside the loss, keeps it alive in
-        # a reference cycle, which would hold every step's arrays until
-        # the cyclic collector ran
+        # counting alone frees its graph: no node keeps it alive in a
+        # reference cycle, which would hold every step's arrays until the
+        # cyclic collector ran
         cfg = toy_config(variant=variant)
         out = training_forward(toy_params(cfg), pack_batch(toy_examples()),
                                cfg, 0)
         out.loss.backward()
-        refs = [weakref.ref(t) for t in (out.scores, out.contrastive)]
+        refs = [weakref.ref(getattr(out, name))
+                for name in ("scores", *term_names(variant))]
         gc.disable()
         try:
             del out
@@ -536,9 +578,8 @@ class TestTrainingForward:
         gc.disable()
         try:
             out = training_forward(params, pack, cfg, 0)
-            refs = [weakref.ref(getattr(out, name)) for name in
-                    ("loss", "prediction", "contrastive", "independence",
-                     "scores")]
+            refs = [weakref.ref(getattr(out, name))
+                    for name in ("scores", *term_names(variant))]
             del out
             assert all(r() is None for r in refs)
         finally:
@@ -554,8 +595,7 @@ class TestTrainingForward:
         cfg = toy_config(variant=variant)
         out = training_forward(toy_params(cfg), pack_batch(toy_examples()),
                                cfg, 0)
-        names = ("scores", "loss", "prediction", "contrastive",
-                 "independence")
+        names = ("scores", *term_names(variant))
         before = {name: getattr(out, name).value.copy() for name in names}
         out.loss.backward()
         for name in names:
@@ -567,7 +607,8 @@ class TestTrainingForward:
         params = toy_params(cfg)
         pack = pack_batch([Example([2], 3), Example([4], 0)])
         out = training_forward(params, pack, cfg, epoch=0)
-        assert float(out.contrastive.value) == 0.0
+        assert float(out.item.value) == float(out.factor.value) == 0.0
+        assert out.contrastive == 0.0
 
     def test_single_node_batch_stays_out_of_adam(self):
         # with no session of 2 nodes both contrastive terms are the

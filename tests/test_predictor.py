@@ -165,7 +165,7 @@ def test_total_loss_weighting():
         Tensor(np.float64(1.0)), Tensor(np.float64(10.0)),
         Tensor(np.float64(30.0)), Tensor(np.float64(100.0)), alpha=0.75,
         beta_cl=0.05, beta_ind=0.01)
-    assert float(contrastive.value) == pytest.approx(15.0)
+    assert contrastive == pytest.approx(15.0)
     assert float(out.value) == pytest.approx(1.0 + 0.75 + 1.0)
 
 

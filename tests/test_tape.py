@@ -851,7 +851,8 @@ class TestTotalLoss:
 
     @pytest.mark.parametrize("factor", [True, False], ids=["mixed", "no_factor"])
     def test_value_in_expression_order(self, factor):
-        # bit for bit the expression as written, evaluated left to right
+        # bit for bit the expression as written, evaluated left to right;
+        # the contrastive part comes back as the number the loss weighs
         p, i, f, d = (np.float64(t) for t in self.TERMS)
         alpha, beta_cl, beta_ind = self.WEIGHTS.values()
         c = i * alpha + f * (1.0 - alpha) if factor else i
@@ -859,19 +860,17 @@ class TestTotalLoss:
             Tensor(p), Tensor(i), Tensor(f) if factor else None, Tensor(d),
             **self.WEIGHTS)
         assert loss.value == p + c * beta_cl + d * beta_ind
-        assert contrastive.value == c
+        assert contrastive == c and type(contrastive) is np.float64
 
-    @pytest.mark.parametrize("output", [0, 1], ids=["loss", "contrastive"])
     @pytest.mark.parametrize("factor", [True, False], ids=["mixed", "no_factor"])
-    def test_gradients(self, factor, output):
-        # both outputs are differentiable, the contrastive part on its own
+    def test_gradients(self, factor):
         v = Parameter(np.array(self.TERMS))
 
         def loss():
             terms = [tape.getitem(v, k) for k in range(4)]
             if not factor:
                 terms[2] = None
-            return tape.total_loss(*terms, **self.WEIGHTS)[output]
+            return tape.total_loss(*terms, **self.WEIGHTS)[0]
 
         check(loss, {"terms": v})
 
