@@ -57,8 +57,7 @@ class TrainConfig:
     epochs: int = 30
     variant: str = "full"
     seed: int = 0
-    negatives_per_positive: int = 1
-    disc_form: str = "dot"
+    disc_form: str = "dot"        # the one form; perfbench reads the field
     dropout_edge: float = 0.2
     dropout_node: float = 0.1
 
@@ -84,9 +83,7 @@ class TrainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.seed >= 2 ** 64:       # the training draws key on 64 bits
             raise ValueError(f"seed must be < 2**64, got {self.seed}")
-        if self.negatives_per_positive < 1:
-            raise ValueError("negatives_per_positive must be >= 1")
-        if self.disc_form not in ("dot", "bilinear"):
+        if self.disc_form != "dot":
             raise ValueError(f"unknown discriminator form {self.disc_form!r}")
 
     def to_dict(self) -> dict:

@@ -201,9 +201,9 @@ def _dropout_edges(pack: PackedBatch, edge_rate, node_rate, seed, epoch):
 
 def _contrast_term(disc, anchor, positive, partner, neg_idx,
                    pack: PackedBatch):
-    """``disc.score`` of ([K,] M, d) states, ``neg_idx`` ([K,] M, per)
-    naming partner rows: a mean over each session's nodes, then over the
-    sessions of at least 2 nodes, summed over views.  With no such
+    """``disc.score`` of ([K,] M, d) states, ``neg_idx`` ([K,] M) naming
+    each row's partner row: a mean over each session's nodes, then over
+    the sessions of at least 2 nodes, summed over views.  With no such
     session, a constant 0: no gradient, not even a zero, reaches Adam."""
     ok = pack.n_nodes >= 2
     if not ok.any():
@@ -212,22 +212,21 @@ def _contrast_term(disc, anchor, positive, partner, neg_idx,
     return disc.score(anchor, positive, partner, neg_idx, weight)
 
 
-def _negative_draws(pack: PackedBatch, seed, epoch, stream_tag, per, count=1):
-    """Per-node negative rows, shape (count, M, per): other nodes of the
-    same session.
+def _negative_draws(pack: PackedBatch, seed, epoch, stream_tag, count=1):
+    """One negative row per node and view, shape (count, M): another
+    node of the same session.
 
-    Draw (c, j, n) of local node j in a session of k nodes sits at slot
-    (c * k + j) * per + n of the session's "negatives" draws under
-    ``stream_tag``: a (count, k, per) block, row-major, so factor levels
-    read one block in sequence.  Uniform u picks the
-    ``floor(u * (k - 1))``-th of the k - 1 other nodes.  A session of one
-    node draws nothing; its node is its own negative, in a term that
-    ``_contrast_term`` weighs 0.
+    Draw (c, j) of local node j in a session of k nodes sits at slot
+    c * k + j of the session's "negatives" draws under ``stream_tag``: a
+    (count, k) block, row-major, so factor levels read one block in
+    sequence.  Uniform u picks the ``floor(u * (k - 1))``-th of the
+    k - 1 other nodes.  A session of one node draws nothing; its node is
+    its own negative, in a term that ``_contrast_term`` weighs 0.
     """
-    local, k = pack.node_local[:, None], pack.n_nodes[pack.node_session, None]
-    rows = np.arange(local.size)[:, None]
-    slots = (np.arange(count)[:, None, None] * k + local) * per + np.arange(per)
-    other = np.floor(pack.draws("negatives", seed, epoch, rows, slots,
+    local, k = pack.node_local, pack.n_nodes[pack.node_session]
+    rows = np.arange(local.size)
+    other = np.floor(pack.draws("negatives", seed, epoch, rows,
+                                np.arange(count)[:, None] * k + local,
                                 stream_tag) * (k - 1)).astype(np.int64)
     return np.where(k >= 2, rows - local + other + (other >= local), rows)
 
@@ -290,8 +289,7 @@ def training_forward(params: ParameterSet, pack: PackedBatch, cfg,
         h_aug = _hub_channel(x0, pack, params.ggnn_star, cfg.theta, cfg.seed,
                              epoch)
 
-    neg_item = _negative_draws(pack, cfg.seed, epoch, 0,
-                               cfg.negatives_per_positive)[0]
+    neg_item = _negative_draws(pack, cfg.seed, epoch, 0)[0]
     l_item = _contrast_term(params.disc_item, h_orig, h_aug, h_aug, neg_item,
                             pack)
 
@@ -302,7 +300,6 @@ def training_forward(params: ParameterSet, pack: PackedBatch, cfg,
         if orig_factors is None:                         # fp
             orig_factors = project(h_orig, params.proj)
         neg_fac = _negative_draws(pack, cfg.seed, epoch, 1,
-                                  cfg.negatives_per_positive,
                                   count=params.proj.num_factors)
         l_factor = _contrast_term(params.disc_factor, orig_factors, h_fac,
                                   orig_factors, neg_fac, pack)

@@ -48,8 +48,6 @@ class ParameterSet:
         out.extend(self.ggnn_star.named_parameters("ggnn.star"))
         out.extend(self.attn_item.named_parameters("attention.item"))
         out.extend(self.attn_factor.named_parameters("attention.factor"))
-        out.extend(self.disc_item.named_parameters("discriminator.item"))
-        out.extend(self.disc_factor.named_parameters("discriminator.factor"))
         return out
 
     def parameters(self):
@@ -76,7 +74,10 @@ _NO_DRAWS = SimpleNamespace(
 
 
 def _build(rng, n_items, dim, factor_dim, num_factors, layers, disc_form):
-    """The parameter layout, in draw order; the one place it is spelled out."""
+    """The parameter layout, in draw order; the one place it is spelled
+    out.  The pair scorers are dot products and own no weights."""
+    if disc_form != "dot":
+        raise ValueError(f"unknown discriminator form {disc_form!r}")
     stdv = 1.0 / np.sqrt(dim)
     embeddings = Parameter(rng.uniform(-stdv, stdv, (n_items, dim)))
     proj = FactorProjection.init(dim, factor_dim, num_factors, rng)
@@ -85,11 +86,9 @@ def _build(rng, n_items, dim, factor_dim, num_factors, layers, disc_form):
     ggnn_star = GGNNWeights.init(dim, rng, layers)
     attn_item = AttentionWeights.init(dim, rng)
     attn_factor = AttentionWeights.init(factor_dim, rng, num_factors)
-    disc_item = Discriminator.init(disc_form, dim, rng)
-    disc_factor = Discriminator.init(disc_form, factor_dim, rng)
     return ParameterSet(embeddings, proj, ggnn_original, ggnn_factor,
-                        ggnn_star, attn_item, attn_factor, disc_item,
-                        disc_factor)
+                        ggnn_star, attn_item, attn_factor, Discriminator(),
+                        Discriminator())
 
 
 class CheckpointError(Exception):
@@ -131,8 +130,9 @@ def load_checkpoint(base):
 
     The structural fields of the stored config (dims, factor count,
     layers, discriminator form) lay out the parameters without drawing
-    any; every stored array must match its laid-out shape exactly and
-    hold finite values only.  The entries must tile the ``.bin`` in
+    any: each count, ``n_items`` too, must be at least 1, and the form
+    ``dot``.  Every stored array must match its laid-out shape exactly
+    and hold finite values only.  The entries must tile the ``.bin`` in
     checkpoint order, as ``save_checkpoint`` writes it: each offset is
     the size of the entries before it, and the ``.bin`` holds them all.
     A malformed manifest raises ``CheckpointError``, as does a size,
@@ -156,16 +156,22 @@ def load_checkpoint(base):
                 f"{json_path}: {field} must be a JSON integer, got {v!r}")
         return v
 
+    def count(v, field):
+        if whole(v, field) < 1:
+            raise CheckpointError(
+                f"{json_path}: {field} must be at least 1, got {v}")
+        return v
+
     try:
         config = manifest["config"]
-        n_items = whole(manifest["n_items"], "n_items")
+        n_items = count(manifest["n_items"], "n_items")
         total = whole(manifest["total_elements"], "total_elements")
         stored = {e["name"]: (tuple(whole(n, f"{e['name']}.shape")
                                     for n in e["shape"]),
                               whole(e["offset"], f"{e['name']}.offset"))
                   for e in manifest["entries"]}
         params = _build(_NO_DRAWS, n_items,
-                        *(whole(config[k], f"config.{k}") for k in
+                        *(count(config[k], f"config.{k}") for k in
                           ("dim", "factor_dim", "num_factors", "layers")),
                         config.get("disc_form", "dot"))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

@@ -10,12 +10,13 @@ end rows (``cosine_edges``), the GGNN cell's gated update
 (``attention_readout``), the mean catalog softmax of the item and
 factor heads (``mean_softmax``, one whole-batch GEMM per head), the
 clamped one-hot binary cross-entropy (``onehot_bce``), the binary
-contrastive objective of rows against their positives and sampled
-partner rows (``pair_contrast``), the summed distance correlation of K
-samples (``distance_correlation_sum``, over the distinct rows, each
-weighted by its count; every copy of a row gets an equal share of its
-gradient) and the weighted sum of the loss terms (``total_loss``,
-which hands back its contrastive mix as a number, not a node).
+contrastive objective of rows against their positives and one sampled
+partner row each, scored by dot product (``pair_contrast``), the summed
+distance correlation of K samples (``distance_correlation_sum``, over
+the distinct rows, each weighted by its count; every copy of a row gets
+an equal share of its gradient) and the weighted sum of the loss terms
+(``total_loss``, which hands back its contrastive mix as a number, not
+a node).
 Everything runs in float64 and is deterministic: no threads,
 accumulation order fixed by the topological order of the graph.  An
 interior node's gradient is never mutated in place: its first
@@ -560,44 +561,33 @@ def onehot_bce(p, targets, floor: float) -> Tensor:
     return _make(-sums.mean(), (p,), _bw)
 
 
-def pair_contrast(anchor, positive, partner, neg_idx, weight,
-                  bilinear=None) -> Tensor:
-    """``sum_i w_i [softplus(-s(a_i, p_i)) + mean_j softplus(s(a_i, c_n))]``
-    over the rows of (..., M, d) states, ``n = neg_idx[..., i, j]`` a
-    partner row of the same slice, ``s(a, b)`` = ``a . b`` or, given the
-    (d, d) weight ``bilinear``, ``(a W) . b``.  The row weights ``weight``
-    (M,) broadcast over the leading axes; the partner rows take their
-    gradient by ``getitem``'s scatter."""
-    parents = tuple(as_tensor(t) for t in (anchor, positive, partner, bilinear)
-                    if t is not None)
-    a, p, c = (t.value for t in parents[:3])
+def pair_contrast(anchor, positive, partner, neg_idx, weight) -> Tensor:
+    """``sum_i w_i [softplus(-a_i . p_i) + softplus(a_i . c_n)]`` over the
+    rows of ([K,] M, d) states, ``n = neg_idx[..., i]`` a partner row of
+    the same slice.  The row weights ``weight`` (M,) broadcast over the
+    leading axis; the partner rows take their gradient by one scatter."""
+    parents = tuple(as_tensor(t) for t in (anchor, positive, partner))
+    a, p, c = (t.value for t in parents)
     neg_idx = np.asarray(neg_idx)
     if not (a.ndim in (2, 3) and a.shape == p.shape == c.shape
-            and neg_idx.shape[:-1] == a.shape[:-1]):
+            and neg_idx.shape == a.shape[:-1]):
         raise ValueError("pair_contrast needs ([K,] M, d) states and "
-                         "([K,] M, per) neg_idx")
+                         "([K,] M) neg_idx")
     key = (neg_idx,) if a.ndim == 2 else \
-        (np.arange(len(neg_idx))[:, None, None], neg_idx)
-    c_neg, a_neg = c[key], a[..., None, :]                 # (..., M, per, d)
-    q, q_neg = (a, a_neg) if bilinear is None else \
-        (a @ parents[3].value, a_neg @ parents[3].value)
-    pos = (q * p).sum(axis=-1)
-    neg = (q_neg * c_neg).sum(axis=-1)
-    terms = np.logaddexp(0.0, -pos) + np.logaddexp(0.0, neg).mean(axis=-1)
+        (np.arange(len(neg_idx))[:, None], neg_idx)
+    c_neg = c[key]
+    pos = (a * p).sum(axis=-1)
+    neg = (a * c_neg).sum(axis=-1)
+    terms = np.logaddexp(0.0, -pos) + np.logaddexp(0.0, neg)
 
     def _bw(g):
         g = g * weight
-        g_pos = -g * _sigmoid(-pos)
-        g_neg = (g / neg.shape[-1])[..., None] * _sigmoid(neg)
-        g_q = g_pos[..., None] * p + (g_neg[..., None, :] @ c_neg)[..., 0, :]
+        g_pos = (-g * _sigmoid(-pos))[..., None]
+        g_neg = (g * _sigmoid(neg))[..., None]
         g_c = np.zeros_like(c)
-        np.add.at(g_c, key, g_neg[..., None] * q_neg)
-        grads = [g_q, g_pos[..., None] * q, g_c]
-        if bilinear is not None:
-            rows = a.reshape(-1, a.shape[-1])
-            grads[0] = g_q @ parents[3].value.T
-            grads.append(rows.T @ g_q.reshape(rows.shape))
-        for t, grad in zip(parents, grads):
+        np.add.at(g_c, key, g_neg * a)
+        for t, grad in zip(parents,
+                           (g_pos * p + g_neg * c_neg, g_pos * a, g_c)):
             _accum(t, grad)
 
     return _make((terms * weight).sum(), parents, _bw)

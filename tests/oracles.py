@@ -257,13 +257,14 @@ def bce_oracle(p, target, floor=1e-12):
 
 
 def item_cl_oracle(orig, aug, neg_idx):
-    """Item-level contrastive term for one session with given negatives."""
+    """Item-level contrastive term for one session, node i against the
+    augmented row ``neg_idx[i]`` as its negative."""
     n = orig.shape[0]
     total = 0.0
     for i in range(n):
         pos = float(orig[i] @ aug[i])
-        neg_terms = [float(softplus(orig[i] @ aug[j])) for j in neg_idx[i]]
-        total += float(softplus(-pos)) + float(np.mean(neg_terms))
+        neg = float(orig[i] @ aug[neg_idx[i]])
+        total += float(softplus(-pos)) + float(softplus(neg))
     return total / n
 
 
@@ -277,9 +278,8 @@ def factor_cl_oracle(origs, augs, neg_idx_per_factor, scheme="within_view"):
         acc = 0.0
         for i in range(n):
             pos = float(orig[i] @ aug[i])
-            neg_terms = [float(softplus(orig[i] @ partner[j]))
-                         for j in neg_idx_per_factor[k][i]]
-            acc += float(softplus(-pos)) + float(np.mean(neg_terms))
+            neg = float(orig[i] @ partner[neg_idx_per_factor[k][i]])
+            acc += float(softplus(-pos)) + float(softplus(neg))
         total += acc / n
     return total
 

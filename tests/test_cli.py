@@ -10,7 +10,7 @@ import pytest
 
 from test_harness import poison_star_gradient
 
-from sessrec import cli, dataio
+from sessrec import cli, dataio, harness
 from sessrec.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from sessrec.harness import make_planted_corpus
 
@@ -298,9 +298,10 @@ class TestTrain:
         out = tmp_path / "r"
         code = main(["train", "--train", str(corpus_dir / "train.jsonl"),
                      "--catalog", str(tmp_path / "absent.json"),
-                     "--out", str(out), "--disc-form", "mlp"] + TINY_FLAGS)
+                     "--out", str(out), "--disc-form", "bilinear"]
+                    + TINY_FLAGS)
         assert code == EXIT_USAGE
-        assert "unknown discriminator form 'mlp'" in caplog.text
+        assert "unknown discriminator form 'bilinear'" in caplog.text
         assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -409,13 +410,15 @@ class TestEvalCommand:
                      "--test", str(corpus_dir / "test.jsonl")])
         assert code == EXIT_DATA
 
-    # the last two keys were options once: a manifest that still holds
+    # the last three keys were options once: a manifest that still holds
     # them is refused by name
     @pytest.mark.parametrize("edit", [
         {"theta": 5.0}, {"bogus": 1}, {"variant": "nope"}, {"theta": None},
-        {"normalize_attention": False}, {"factor_negatives": "within_view"}],
+        {"normalize_attention": False}, {"factor_negatives": "within_view"},
+        {"negatives_per_positive": 1}],
         ids=["theta_out_of_range", "unknown_key", "unknown_variant",
-             "theta_null", "normalize_attention", "factor_negatives"])
+             "theta_null", "normalize_attention", "factor_negatives",
+             "negatives_per_positive"])
     def test_invalid_stored_config_is_data_error(self, trained, corpus_dir,
                                                  caplog, edit):
         manifest_path = trained.with_suffix(".json")
@@ -506,6 +509,24 @@ class TestAblateCommand:
                      "--catalog", str(corpus_dir / "catalog.json"),
                      "--out", str(tmp_path / "x"), "--variants", "mega"])
         assert code == EXIT_USAGE
+
+    def test_repeated_variant_is_usage_error(self, corpus_dir, tmp_path,
+                                             caplog, monkeypatch):
+        # refused before any training: it would train fp twice and keep
+        # one set of metrics rows
+        def untrained(*args, **kwargs):
+            raise AssertionError("a variant was trained")
+
+        monkeypatch.setattr(harness, "train", untrained)
+        out = tmp_path / "ab"
+        code = main(["ablate", "--train", str(corpus_dir / "train.jsonl"),
+                     "--test", str(corpus_dir / "test.jsonl"),
+                     "--catalog", str(corpus_dir / "catalog.json"),
+                     "--out", str(out), "--variants", "fp,full,fp"]
+                    + TINY_FLAGS)
+        assert code == EXIT_USAGE
+        assert "variant 'fp' listed twice" in caplog.text
+        assert not out.exists()
 
     def test_out_of_catalog_items_is_data_error(self, corpus_dir, tmp_path):
         bad = tmp_path / "bad.jsonl"

@@ -94,15 +94,14 @@ class TestConfig:
             TrainConfig(theta=2.0)
 
     @pytest.mark.parametrize("overrides", [
-        dict(alpha=1.5), dict(negatives_per_positive=0),
-        dict(dropout_edge=1.5, variant="star"),
+        dict(alpha=1.5), dict(dropout_edge=1.5, variant="star"),
         dict(dropout_node=-0.1, variant="star"),
         dict(lr=-1.0), dict(lr=0.0), dict(lr=float("nan")),
         dict(lr=float("inf")), dict(beta_cl=-5.0),
         dict(beta_cl=float("inf")), dict(beta_ind=-0.01),
-        dict(beta_ind=float("nan")), dict(seed=-1), dict(disc_form="mlp"),
-        dict(dim=0),
-    ], ids=["alpha", "negatives_per_positive", "dropout_edge",
+        dict(beta_ind=float("nan")), dict(seed=-1),
+        dict(disc_form="bilinear"), dict(dim=0),
+    ], ids=["alpha", "dropout_edge",
             "dropout_node", "lr_negative", "lr_zero", "lr_nan", "lr_inf",
             "beta_cl_negative", "beta_cl_inf", "beta_ind_negative",
             "beta_ind_nan", "seed_negative", "disc_form", "dim"])

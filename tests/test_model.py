@@ -277,7 +277,7 @@ def training_draws(pack):
     and factor negatives (as local node indices), and the dropout edges
     (as local (src, dst) pairs)."""
     hubs = np.stack(_star_edges(pack, 0.5, seed=4, epoch=2))
-    negs = [_negative_draws(pack, 4, 2, tag, per=3, count=c)
+    negs = [_negative_draws(pack, 4, 2, tag, count=c)
             for tag, c in ((0, 1), (1, 2))]
     src, dst, _, _ = _dropout_edges(pack, 0.4, 0.3, seed=4, epoch=2)
     out = []
@@ -310,22 +310,21 @@ class TestTrainingDraws:
         assert a != b
 
     def test_negatives_match_the_uniforms(self):
-        # draw (c, j, n) of a k-node session: slot (c * k + j) * per + n,
-        # the floor(u * (k - 1))-th node other than j
+        # draw (c, j) of a k-node session: slot c * k + j, the
+        # floor(u * (k - 1))-th node other than j
         pack = pack_batch([Example(s, 0) for s in DRAW_SESSIONS],
                           session_indices=[11, 3, 70, 5, 8, 9, 0])
-        got = _negative_draws(pack, 4, 2, 1, per=3, count=2)
+        got = _negative_draws(pack, 4, 2, 1, count=2)
         for i, block in enumerate(session_blocks(pack)):
             k, session = block.n_nodes, int(pack.session_indices[i])
             for c in range(2):
                 for j in range(k):
-                    for n in range(3):
-                        u = philox_uniform_oracle(4, "negatives", 2, session,
-                                                  (c * k + j) * 3 + n, 1)
-                        other = int(u * (k - 1))
-                        want = j if k < 2 else other + (other >= j)
-                        assert got[c, block.rows.start + j, n] - \
-                            block.rows.start == want
+                    u = philox_uniform_oracle(4, "negatives", 2, session,
+                                              c * k + j, 1)
+                    other = int(u * (k - 1))
+                    want = j if k < 2 else other + (other >= j)
+                    assert got[c, block.rows.start + j] - \
+                        block.rows.start == want
 
     def test_dropout_matches_the_uniforms(self):
         # edge a -> b of a k-node session reads slot a * k + b, node j
@@ -355,14 +354,14 @@ class TestTrainingDraws:
         pack = pack_batch([Example(s, 0) for s in sessions])
         hubs = np.stack(_star_edges(pack, 0.5, seed=1, epoch=0))
         assert hubs.shape == (2, pack.node_ids.size)
-        negs = _negative_draws(pack, 1, 0, 0, per=4, count=2)
+        negs = _negative_draws(pack, 1, 0, 0, count=2)
         rows = np.arange(pack.node_ids.size)
         for lo, k in zip(pack.node_start, pack.n_nodes):
             block = negs[:, lo:lo + k]
             if k == 1:
                 assert (block == lo).all()
             else:      # k = 2: the other node, always
-                assert (block == lo + 1 - (rows[lo:lo + k, None] - lo)).all()
+                assert (block == lo + 1 - (rows[lo:lo + k] - lo)).all()
         src, dst, w_in, w_out = _dropout_edges(pack, 0.5, 0.5, seed=1,
                                                epoch=0)
         assert set(zip(src, dst)) <= set(zip(pack.src, pack.dst))

@@ -12,9 +12,9 @@ from sessrec.params import (CheckpointError, init_parameters, load_checkpoint,
 from sessrec.rng import substream
 
 
-def small_params(seed=0, disc_form="dot"):
+def small_params(seed=0):
     return init_parameters(n_items=7, dim=4, factor_dim=2, num_factors=3,
-                           layers=1, seed=seed, disc_form=disc_form)
+                           layers=1, seed=seed)
 
 
 SMALL_CONFIG = {"dim": 4, "factor_dim": 2, "num_factors": 3, "layers": 1,
@@ -39,6 +39,8 @@ class TestInit:
         assert "ggnn.original.weight_in" in names
         assert "ggnn.factor.u_cand" in names
         assert "attention.item.query" in names
+        # the dot-product pair scorers own no weights
+        assert not [n for n in names if n.startswith("discriminator")]
         # one parameter per weight; the factor axis leads
         shapes = {n: p.value.shape for n, p in small_params().named_parameters()}
         assert shapes["ggnn.factor.u_cand"] == (3, 2, 2)
@@ -58,7 +60,7 @@ class TestInit:
         # slice k of each stacked weight holds the draws of the k-th of K
         # per-factor inits taken one after another from the same substream
         p = init_parameters(n_items=7, dim=4, factor_dim=2, num_factors=3,
-                            layers=1, seed=9, disc_form="bilinear")
+                            layers=1, seed=9)
         rng = substream(9, "init")
 
         def draw(width, *shapes):
@@ -76,12 +78,8 @@ class TestInit:
         draw(4, *ggnn_item)                                   # star
         draw(4, (4,), (4, 4), (4, 4), (8, 4))                 # item readout
         factor_attn = [draw(2, (2,), (2, 2), (2, 2), (4, 2)) for _ in range(3)]
-        (disc_item,) = draw(4, (4, 4))
-        (disc_factor,) = draw(2, (2, 2))
 
         np.testing.assert_array_equal(p.embeddings.value, emb)
-        np.testing.assert_array_equal(p.disc_item.weight.value, disc_item)
-        np.testing.assert_array_equal(p.disc_factor.weight.value, disc_factor)
         ggnn_fields = [q for _, q in p.ggnn_factor.named_parameters("g")]
         attn_fields = [q for _, q in p.attn_factor.named_parameters("a")]
         for k in range(3):
@@ -91,14 +89,6 @@ class TestInit:
                 assert (field.value[k] == expect).all()
             for field, expect in zip(attn_fields, factor_attn[k]):
                 assert (field.value[k] == expect).all()
-
-    def test_bilinear_adds_discriminator_weights(self):
-        p = small_params(disc_form="bilinear")
-        names = [n for n, _ in p.named_parameters()]
-        assert "discriminator.item.weight" in names
-        assert "discriminator.factor.weight" in names
-        assert p.disc_item.weight.value.shape == (4, 4)
-        assert p.disc_factor.weight.value.shape == (2, 2)
 
 
 class TestCheckpoint:
@@ -254,6 +244,41 @@ class TestCheckpoint:
         (tmp_path / "m.json").write_text(json.dumps(manifest))
         with pytest.raises(CheckpointError,
                            match=rf"{re.escape(field)} must be a JSON integer"):
+            load_checkpoint(tmp_path / "m")
+
+    @pytest.mark.parametrize("value", [0, -3])
+    @pytest.mark.parametrize("field", [
+        "config.dim", "config.factor_dim", "config.num_factors",
+        "config.layers", "n_items"])
+    def test_count_below_one_rejected(self, tmp_path, field, value):
+        # refused by name before any layout: with layers 0 the checkpoint
+        # would load and evaluate with no propagation step
+        save_checkpoint(tmp_path / "m", small_params(), SMALL_CONFIG, 7)
+        manifest = json.loads((tmp_path / "m.json").read_text())
+        owner, _, key = field.rpartition(".")
+        (manifest["config"] if owner else manifest)[key] = value
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError,
+                           match=rf"{re.escape(field)} must be at least 1, "
+                                 rf"got {value}"):
+            load_checkpoint(tmp_path / "m")
+
+    def test_bilinear_checkpoint_rejected(self, tmp_path):
+        # a checkpoint of the removed bilinear form, with its two (d, d)
+        # discriminator weights after the others, is refused by its form
+        save_checkpoint(tmp_path / "m", small_params(), SMALL_CONFIG, 7)
+        manifest = json.loads((tmp_path / "m.json").read_text())
+        manifest["config"]["disc_form"] = "bilinear"
+        for name, d in (("item", 4), ("factor", 2)):
+            manifest["entries"].append({"name": f"discriminator.{name}.weight",
+                                        "shape": [d, d],
+                                        "offset": manifest["total_elements"]})
+            manifest["total_elements"] += d * d
+            with open(tmp_path / "m.bin", "ab") as f:
+                f.write(np.zeros(d * d, dtype="<f8").tobytes())
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError,
+                           match="unknown discriminator form 'bilinear'"):
             load_checkpoint(tmp_path / "m")
 
     def test_load_draws_nothing(self, tmp_path, monkeypatch):

@@ -754,57 +754,51 @@ CONTRAST_WEIGHT = np.repeat((CONTRAST_NODES >= 2) / (CONTRAST_NODES * 3.0),
                             CONTRAST_NODES)
 LONE_ROW = 4
 # case -> (leading axes, the partner: "positive", "anchor" or its own
-# tensor, bilinear)
-CONTRAST_CASES = {"2d": ((), "positive", False),
-                  "2d_bilinear": ((), "positive", True),
-                  "2d_own_partner": ((), "own", False),
-                  "stacked": ((2,), "anchor", False),
-                  "stacked_bilinear": ((2,), "positive", True)}
+# tensor)
+CONTRAST_CASES = {"2d": ((), "positive"),
+                  "2d_own_partner": ((), "own"),
+                  "stacked": ((2,), "anchor"),
+                  "stacked_cross": ((2,), "positive")}
 
 
-def _contrast_negatives(rng, lead, per=3):
-    """``per`` draws of other rows of each row's session; the one-node
+def _contrast_negatives(rng, lead):
+    """One draw of another row of each row's session; the one-node
     session's row is its own negative."""
-    idx = np.empty(lead + (CONTRAST_NODES.sum(), per), dtype=np.int64)
+    idx = np.empty(lead + (CONTRAST_NODES.sum(),), dtype=np.int64)
     for start, k in zip(np.cumsum(CONTRAST_NODES) - CONTRAST_NODES,
                         CONTRAST_NODES):
         for j in range(k):
             others = [start + o for o in range(k) if o != j] or [start]
-            idx[..., start + j, :] = rng.choice(others, size=lead + (per,))
+            idx[..., start + j] = rng.choice(others, size=lead)
     return idx
 
 
 def _contrast_operands(case, seed, d=3):
-    """``(anchor, positive, partner, neg_idx, bilinear)`` as Parameters;
+    """``(anchor, positive, partner, neg_idx)``, the states as Parameters;
     partner is the positive or the anchor itself where the case says."""
-    lead, partner, bilinear = CONTRAST_CASES[case]
+    lead, partner = CONTRAST_CASES[case]
     rng = np.random.default_rng(seed)
     shape = lead + (CONTRAST_NODES.sum(), d)
     a, p, c = (Parameter(rng.normal(size=shape)) for _ in range(3))
     c = {"positive": p, "anchor": a, "own": c}[partner]
-    w = Parameter(rng.normal(size=(d, d))) if bilinear else None
-    return a, p, c, _contrast_negatives(rng, lead), w
+    return a, p, c, _contrast_negatives(rng, lead)
 
 
 class TestPairContrast:
     @pytest.mark.parametrize("case", [c for c in CONTRAST_CASES
                                       if c != "2d_own_partner"])
     def test_matches_oracle(self, case):
-        a, p, c, neg, w = _contrast_operands(case, 40)
-        got = tape.pair_contrast(a, p, c, neg, CONTRAST_WEIGHT, w).value
-        # (a W) . b is the dot product of the mapped anchor
-        anchor = a.value if w is None else a.value @ w.value
+        a, p, c, neg = _contrast_operands(case, 40)
+        got = tape.pair_contrast(a, p, c, neg, CONTRAST_WEIGHT).value
         if a.value.ndim == 2:
             def per_session(rows):
-                return item_cl_oracle(anchor[rows], p.value[rows],
+                return item_cl_oracle(a.value[rows], p.value[rows],
                                       neg[rows] - rows.start)
         else:
-            # the oracle's within-view partner is its anchor, unmapped, so
-            # the within-view case is a dot case
             scheme = "within_view" if c is a else "cross_view"
 
             def per_session(rows):
-                return factor_cl_oracle(list(anchor[:, rows]),
+                return factor_cl_oracle(list(a.value[:, rows]),
                                         list(p.value[:, rows]),
                                         list(neg[:, rows] - rows.start),
                                         scheme)
@@ -813,25 +807,23 @@ class TestPairContrast:
 
     @pytest.mark.parametrize("case", CONTRAST_CASES)
     def test_gradients(self, case):
-        a, p, c, neg, w = _contrast_operands(case, 41)
+        a, p, c, neg = _contrast_operands(case, 41)
         params = {"anchor": a, "positive": p}
         if c is not a and c is not p:
             params["partner"] = c
-        if w is not None:
-            params["bilinear"] = w
 
-        check(lambda: tape.pair_contrast(a, p, c, neg, CONTRAST_WEIGHT, w),
+        check(lambda: tape.pair_contrast(a, p, c, neg, CONTRAST_WEIGHT),
               params)
 
     @pytest.mark.parametrize("case", CONTRAST_CASES)
     def test_lone_node_rows_get_zero_gradient(self, case):
         # weight 0: the one-node session's rows neither move the value
         # nor take gradient, however large they are
-        a, p, c, neg, w = _contrast_operands(case, 42)
-        before = tape.pair_contrast(a, p, c, neg, CONTRAST_WEIGHT, w)
+        a, p, c, neg = _contrast_operands(case, 42)
+        before = tape.pair_contrast(a, p, c, neg, CONTRAST_WEIGHT)
         for t in (a, p, c):
             t.value[..., LONE_ROW, :] = 50.0
-        out = tape.pair_contrast(a, p, c, neg, CONTRAST_WEIGHT, w)
+        out = tape.pair_contrast(a, p, c, neg, CONTRAST_WEIGHT)
         assert float(out.value) == float(before.value)
         out.backward()
         for t in (a, p, c):
@@ -839,9 +831,10 @@ class TestPairContrast:
             np.testing.assert_array_equal(t.grad[..., LONE_ROW, :], 0.0)
 
     def test_misshaped_negatives_rejected(self):
-        a, p, c, neg, _ = _contrast_operands("2d", 43)
+        # one partner per row: a trailing negatives axis is refused
+        a, p, c, neg = _contrast_operands("2d", 43)
         with pytest.raises(ValueError, match="neg_idx"):
-            tape.pair_contrast(a, p, c, neg[:, :, None], CONTRAST_WEIGHT)
+            tape.pair_contrast(a, p, c, neg[:, None], CONTRAST_WEIGHT)
 
 
 class TestTotalLoss:
