@@ -172,11 +172,7 @@ def cmd_ablate(args) -> int:
     train_examples = _load_examples(args.train)
     test_examples = _load_examples(args.test)
     variants = tuple(args.variants.split(",")) if args.variants else harness.VARIANTS
-    for i, v in enumerate(variants):
-        if v not in harness.VARIANTS:
-            raise ValueError(f"unknown variant {v!r}")
-        if v in variants[:i]:
-            raise ValueError(f"variant {v!r} listed twice")
+    harness.check_variants(variants)
     for examples in (train_examples, test_examples):
         dataio.check_examples(examples, catalog.count)
     out = Path(args.out)

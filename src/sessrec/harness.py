@@ -340,14 +340,25 @@ def write_run_manifest(path, cfg: TrainConfig, dataset: str, n_items: int,
     return manifest
 
 
+def check_variants(variants):
+    """Raise ``ValueError`` on a name not in ``VARIANTS`` or listed twice."""
+    for i, v in enumerate(variants):
+        if v not in VARIANTS:
+            raise ValueError(f"unknown variant {v!r}")
+        if v in variants[:i]:
+            raise ValueError(f"variant {v!r} listed twice")
+
+
 def ablate(train_examples, test_examples, n_items: int, cfg: TrainConfig,
            variants=VARIANTS, ks=(10, 20)):
     """Train and evaluate each variant from the same seed and data.
 
     Returns ``{variant: (TrainResult, RankingReport)}``; every variant
     re-initializes identically, so differences come from the ablated
-    mechanism alone.
+    mechanism alone.  An unknown or repeated variant is refused before
+    any training.
     """
+    check_variants(variants)
     results = {}
     for variant in variants:
         vcfg = dataclasses.replace(cfg, variant=variant)

@@ -3,10 +3,10 @@
 Small tape just big enough for this library: one generic op, advanced
 indexing (``getitem``), and otherwise kernels with hand-written
 backward rules, one per model mechanism: weighted sums along graph
-edges (``edge_matmul``, on a sparse matrix), the cosine of each edge's
-end rows (``cosine_edges``), the GGNN cell's gated update
-(``gated_update``), the sigmoid factor projection
-(``sigmoid_projection``), the soft-attention session readout
+edges (``edge_matmul``), the cosine of each edge's end rows
+(``cosine_edges``), the GGNN cell's gated update (``gated_update``),
+the sigmoid factor projection (``sigmoid_projection``), the
+soft-attention session readout
 (``attention_readout``), the mean catalog softmax of the item and
 factor heads (``mean_softmax``, one whole-batch GEMM per head), the
 clamped one-hot binary cross-entropy (``onehot_bce``), the binary
@@ -18,7 +18,9 @@ an equal share of its gradient) and the weighted sum of the loss terms
 (``total_loss``, which hands back its contrastive mix as a number, not
 a node).
 Everything runs in float64 and is deterministic: no threads,
-accumulation order fixed by the topological order of the graph.  An
+accumulation order fixed by the topological order of the graph; a sum
+of rows driven by an index list (``_scatter_rows``, one ``np.bincount``)
+adds each output row's terms in the list's order, as a loop would.  An
 interior node's gradient is never mutated in place: its first
 contribution is stored, later ones make a new sum.  A ``Parameter``
 accumulates in place instead, into a gradient buffer it keeps from step
@@ -37,7 +39,6 @@ import weakref
 from contextlib import contextmanager
 
 import numpy as np
-import scipy.sparse as sp
 
 
 def _to_value(x) -> np.ndarray:
@@ -199,23 +200,25 @@ def _make(value, parents, backward):
 # -- indexing ---------------------------------------------------------------
 
 def getitem(a, key) -> Tensor:
-    """``a[key]``.  Into a Parameter, a 1-D integer ``key`` takes its
+    """``a[key]``.  Into a 2-D Parameter, a 1-D integer ``key`` takes its
     gradient as one row per distinct index, summed in ``key``'s order,
     added into the parameter's buffer: the rounding of a scatter into
     zeros added to the gradient so far, without the zeros."""
     a = as_tensor(a)
 
     def _bw(g):
-        if (isinstance(a, Parameter) and isinstance(key, np.ndarray)
-                and key.ndim == 1 and key.dtype.kind in "iu"):
+        if (isinstance(a, Parameter) and a.value.ndim == 2
+                and isinstance(key, np.ndarray) and key.ndim == 1
+                and key.dtype.kind in "iu"):
             index, inverse = np.unique(key % len(a.value),   # -1 is n - 1
                                        return_inverse=True)
-            rows = np.zeros((index.size,) + g.shape[1:])
-            np.add.at(rows, inverse, g)
-            a.add_rows(index, rows)
+            a.add_rows(index, _scatter_rows(inverse, g, index.size))
             return
         buf = np.zeros_like(a.value)
-        np.add.at(buf, key, g)
+        if isinstance(key, slice):
+            buf[key] += g
+        else:
+            np.add.at(buf, key, g)
         _accum(a, buf)
 
     return _make(a.value[key], (a,), _bw)
@@ -251,18 +254,20 @@ def _row_blocks(a):
         yield span, buf[:len(a[span])]
 
 
-def _edge_csr(values, src, dst, m, n):
-    """L stacked (m, n) matrices of edge values (L, E) as one block-
-    diagonal (L m, L n) CSR matrix; a row keeps its entries in edge order."""
-    count, e = values.shape
-    order = np.argsort(dst, kind="stable")
-    start = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(dst, minlength=m), out=start[1:])
-    block = np.arange(count)[:, None]
-    indptr = np.append((start[:-1] + e * block).ravel(), count * e)
-    indices = (src[order] + n * block).ravel()
-    return sp.csr_matrix((values[:, order].ravel(), indices, indptr),
-                         shape=(count * m, count * n))
+def _scatter_rows(index, rows, n, weight=None):
+    """``out[..., index[..., i], :] += rows[..., i, :]`` into zeros (...,
+    n, d), ``index`` (E,) or stacked on the leading axes of ``rows`` (...,
+    E, d).  One ``np.bincount`` over the flattened (slice, row, column)
+    index: each output row's terms are added in ``i``'s order.  A
+    ``weight`` (..., E) scales the rows first, in place: they must be a
+    fresh gather, which saves a temporary the size of the rows."""
+    if weight is not None:
+        rows *= weight[..., None]
+    lead, d = rows.shape[:-2], rows.shape[-1]
+    size = int(np.prod(lead)) * n
+    flat = (np.arange(0, size, n).reshape(lead + (1,)) + index)[..., None]
+    return np.bincount((flat * d + np.arange(d)).ravel(), rows.ravel(),
+                       size * d).reshape(lead + (n, d))
 
 
 def edge_matmul(values, x, src, dst, m) -> Tensor:
@@ -270,16 +275,16 @@ def edge_matmul(values, x, src, dst, m) -> Tensor:
     ``out[..., dst[e], :] += values[..., e] * x[..., src[e], :]``.
 
     ``values`` (..., E) and ``x`` (..., n, d) have the same leading
-    axes, and repeated (src, dst) pairs add up.  The leading slices are
-    the blocks of one block-diagonal CSR matrix built once per call: the
-    forward is one sparse product and the backward to ``x`` one product
-    with its transpose.  The backward to ``values`` is, per edge, the
-    dot product of the output gradient at ``dst`` and ``x`` at ``src``.
+    axes, and repeated (src, dst) pairs add up.  The forward is one
+    ``_scatter_rows`` of the weighted ``src`` rows into ``dst``, the
+    backward to ``x`` the same with ``src`` and ``dst`` swapped, each in
+    edge order; the backward to ``values`` is, per edge, the dot product
+    of the output gradient at ``dst`` and ``x`` at ``src``.
     """
     values, x = as_tensor(values), as_tensor(x)
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
-    lead, (n, d) = x.value.shape[:-2], x.value.shape[-2:]
+    lead, n = x.value.shape[:-2], x.value.shape[-2]
     if values.value.shape[:-1] != lead:
         raise ValueError("values and x must have the same leading axes")
     if not src.shape == dst.shape == values.value.shape[-1:]:
@@ -287,20 +292,16 @@ def edge_matmul(values, x, src, dst, m) -> Tensor:
     if src.size and not (0 <= min(src.min(), dst.min())
                          and src.max() < n and dst.max() < m):
         raise ValueError(f"edges must run from [0, {n}) into [0, {m})")
-    count = int(np.prod(lead))
-    xs = x.value.reshape(count * n, d)
-    a = _edge_csr(values.value.reshape(count, -1), src, dst, m, n)
 
     def _bw(g):
-        g = g.reshape(count * m, d)
         if x.requires_grad:
-            _accum(x, (a.T @ g).reshape(x.value.shape))
+            _accum(x, _scatter_rows(src, g[..., dst, :], n, values.value))
         if values.requires_grad:
-            gv = np.einsum("led,led->le", g.reshape(count, m, d)[:, dst],
-                           xs.reshape(count, n, d)[:, src])
-            _accum(values, gv.reshape(values.value.shape))
+            _accum(values, np.einsum("...ed,...ed->...e", g[..., dst, :],
+                                     x.value[..., src, :]))
 
-    return _make((a @ xs).reshape(lead + (m, d)), (values, x), _bw)
+    return _make(_scatter_rows(dst, x.value[..., src, :], m, values.value),
+                 (values, x), _bw)
 
 
 def cosine_edges(x, src, dst) -> Tensor:
@@ -311,21 +312,19 @@ def cosine_edges(x, src, dst) -> Tensor:
     A zero row's unit row is 0: its edges weigh 0 and it takes no
     gradient.  The backward adds each edge's gradient times the other
     end's unit row into each end (repeated edges add up), one
-    ``_edge_csr`` product per end, then projects out the radial part:
+    ``_scatter_rows`` per end, then projects out the radial part:
     ``g / |x| - x (x . g) / |x|^3``.
     """
     x = as_tensor(x)
     xv = x.value
-    m, d = xv.shape[-2:]
-    count = int(np.prod(xv.shape[:-2]))
+    m = xv.shape[-2]
     norm = np.sqrt((xv * xv).sum(axis=-1, keepdims=True))
     safe = np.where(norm > 0.0, norm, 1.0)
     unit = xv / safe                    # a zero row stays 0
 
     def _bw(g):
-        g, u = g.reshape(count, len(src)), unit.reshape(count * m, d)
-        g = ((_edge_csr(g, dst, src, m, m) @ u)
-             + (_edge_csr(g, src, dst, m, m) @ u)).reshape(xv.shape)
+        g = (_scatter_rows(src, unit[..., dst, :], m, g)
+             + _scatter_rows(dst, unit[..., src, :], m, g))
         inner = (xv * g).sum(axis=-1, keepdims=True)
         grad = g / safe - xv * inner / (safe ** 3)
         _accum(x, np.where(norm > 0.0, grad, 0.0))
@@ -417,8 +416,7 @@ def attention_readout(h, alias, lengths, weights) -> Tensor:
     axes (2-D for 2-D ``h``).  With l a session's last state, each node
     scores ``q . sigmoid(h_i W_c + l W_l)`` once and each position takes
     its node's score.  The score-weighted sum over positions is one
-    block-diagonal CSR product (``_edge_csr``), and the embedding ``[l,
-    mixed] W_m``.
+    ``_scatter_rows``, and the embedding ``[l, mixed] W_m``.
     """
     parents = tuple(map(as_tensor, (h, *weights)))
     hv, q, w_c, w_l, w_m = (t.value for t in parents)
@@ -427,7 +425,7 @@ def attention_readout(h, alias, lengths, weights) -> Tensor:
         raise ValueError("readout weights must be stacked exactly on the "
                          "leading axes of the states")
     alias, lengths = np.asarray(alias), np.asarray(lengths)
-    b, count = lengths.size, int(np.prod(lead))
+    b = lengths.size
     pos_session = np.repeat(np.arange(b), lengths)
     node_session = np.zeros(m, dtype=np.int64)
     node_session[alias] = pos_session
@@ -435,25 +433,21 @@ def attention_readout(h, alias, lengths, weights) -> Tensor:
     last = hv[..., ends, :]                                # (..., B, d)
     hidden = _sigmoid(hv @ w_c + (last @ w_l)[..., node_session, :])
     alpha = (hidden @ q[..., None])[..., alias, 0]         # (..., P)
-    a = _edge_csr(alpha.reshape(count, -1), alias, pos_session, b, m)
-    xs = hv.reshape(count * m, d)
-    mixed = (a @ xs).reshape(lead + (b, d))
+    mixed = _scatter_rows(pos_session, hv[..., alias, :], b, alpha)
     merged = np.concatenate([last, mixed], axis=-1)        # (..., B, 2d)
 
     def _bw(g):
         g = np.moveaxis(g.reshape((b,) + lead + (d,)), 0, -2)
         gm = g @ _t(w_m)
-        g_last, g_mixed = gm[..., :d], gm[..., d:].reshape(count, b, d)
-        gh = (a.T @ g_mixed.reshape(count * b, d)).reshape(lead + (m, d))
-        g_alpha = np.einsum("led,led->le", g_mixed[:, pos_session],
-                            xs.reshape(count, m, d)[:, alias])
-        g_score = np.zeros(lead + (m, 1))
-        np.add.at(g_score, (..., alias, 0), g_alpha.reshape(lead + (-1,)))
+        g_last, g_mixed = gm[..., :d], gm[..., d:]
+        gh = _scatter_rows(alias, g_mixed[..., pos_session, :], m, alpha)
+        g_alpha = np.einsum("...pd,...pd->...p", g_mixed[..., pos_session, :],
+                            hv[..., alias, :])
+        g_score = _scatter_rows(alias, g_alpha[..., None], m)
         g_pre = g_score * q[..., None, :] * hidden * (1.0 - hidden)
-        g_anchor = np.zeros_like(last)
-        np.add.at(g_anchor, (..., node_session, slice(None)), g_pre)
+        g_anchor = _scatter_rows(node_session, g_pre, b)
         gh += g_pre @ _t(w_c)
-        np.add.at(gh, (..., ends, slice(None)), g_last + g_anchor @ _t(w_l))
+        gh[..., ends, :] += g_last + g_anchor @ _t(w_l)
         grads = (gh, (_t(hidden) @ g_score)[..., 0], _t(hv) @ g_pre,
                  _t(last) @ g_anchor, _t(merged) @ g)
         for t, grad in zip(parents, grads):
@@ -584,8 +578,7 @@ def pair_contrast(anchor, positive, partner, neg_idx, weight) -> Tensor:
         g = g * weight
         g_pos = (-g * _sigmoid(-pos))[..., None]
         g_neg = (g * _sigmoid(neg))[..., None]
-        g_c = np.zeros_like(c)
-        np.add.at(g_c, key, g_neg * a)
+        g_c = _scatter_rows(neg_idx, g_neg * a, c.shape[-2])
         for t, grad in zip(parents,
                            (g_pos * p + g_neg * c_neg, g_pos * a, g_c)):
             _accum(t, grad)

@@ -510,6 +510,20 @@ class TestAblate:
             assert tr.epoch_losses, variant
             assert 0.0 <= report.overall.precision[10] <= 1.0
 
+    @pytest.mark.parametrize("variants,message", [
+        (("fp", "mega"), "unknown variant 'mega'"),
+        (("fp", "full", "fp"), "variant 'fp' listed twice")])
+    def test_bad_variants_refused_before_training(self, monkeypatch,
+                                                  variants, message):
+        def untrained(*args, **kwargs):
+            raise AssertionError("a variant was trained")
+
+        monkeypatch.setattr(harness, "train", untrained)
+        train_ex, test_ex, n_items = tiny_corpus()
+        with pytest.raises(ValueError, match=message):
+            ablate(train_ex, test_ex, n_items, tiny_config(),
+                   variants=variants)
+
     def test_variant_field_propagates(self):
         cfg = tiny_config(epochs=1, dim=6, factor_dim=2)
         train_ex, test_ex, n_items = tiny_corpus()

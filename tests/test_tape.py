@@ -286,6 +286,25 @@ class TestEdgeMatmul:
                                    atol=1e-10, rtol=0)
 
     @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_sums_in_edge_order(self, case):
+        # an output row adds its terms in edge order, the bits of the
+        # one-edge-at-a-time loop; the backward to x is the same sum with
+        # src and dst swapped.  Sixteen columns: some round differently
+        # in any other order
+        v_shape, x_shape = EDGE_CASES[case]
+        x_shape = x_shape[:-1] + (16,)
+        rng = np.random.default_rng(23)
+        v, x = Parameter(rng.normal(size=v_shape)), Parameter(
+            rng.normal(size=x_shape))
+        g = rng.normal(size=x_shape[:-2] + (5, x_shape[-1]))
+        out = tape.edge_matmul(v, x, SRC, DST, 5)
+        np.testing.assert_array_equal(
+            out.value, edge_oracle(v.value, x.value, SRC, DST, 5))
+        probe(out, g).backward()
+        np.testing.assert_array_equal(
+            x.grad, edge_oracle(v.value, g, DST, SRC, x_shape[-2]))
+
+    @pytest.mark.parametrize("case", EDGE_CASES)
     def test_gradients(self, case):
         v_shape, x_shape = EDGE_CASES[case]
         rng = np.random.default_rng(21)
@@ -814,6 +833,30 @@ class TestPairContrast:
 
         check(lambda: tape.pair_contrast(a, p, c, neg, CONTRAST_WEIGHT),
               params)
+
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["2d", "stacked"])
+    def test_partner_rows_sum_in_row_order(self, lead):
+        # each row's share reaches its partner row in row order, the bits
+        # of a one-row-at-a-time loop; every row's partner is its
+        # session's first row, which so takes several shares.  Anchors
+        # orthogonal to every partner row score 0, so row i's share is
+        # exactly w_i / 2 times a_i.  Sixteen columns: some round
+        # differently in any other order
+        rng = np.random.default_rng(43)
+        shape = lead + (CONTRAST_NODES.sum(), 16)
+        a, p, c = rng.normal(size=shape), rng.normal(size=shape), \
+            np.zeros(shape)
+        a[..., -1], c[..., -1] = 0.0, rng.normal(size=shape[:-1])
+        a, p, c = Parameter(a), Parameter(p), Parameter(c)
+        neg = np.broadcast_to(np.repeat(np.cumsum(CONTRAST_NODES)
+                                        - CONTRAST_NODES, CONTRAST_NODES),
+                              shape[:-1])
+        tape.pair_contrast(a, p, c, neg, CONTRAST_WEIGHT).backward()
+        want = np.zeros(shape)
+        for s in np.ndindex(*lead):
+            for i, n in enumerate(neg[s]):
+                want[s + (n,)] += CONTRAST_WEIGHT[i] * 0.5 * a.value[s + (i,)]
+        np.testing.assert_array_equal(c.grad, want)
 
     @pytest.mark.parametrize("case", CONTRAST_CASES)
     def test_lone_node_rows_get_zero_gradient(self, case):
