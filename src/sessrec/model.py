@@ -51,7 +51,7 @@ class PackedBatch:
     targets: np.ndarray        # (B,)
     session_indices: np.ndarray  # (B,) stable example ids for rng streams
 
-    # Per-row arrays, computed on first use and kept: a batch's fields
+    # Derived arrays, computed on first use and kept: a batch's fields
     # are not changed after packing.
     @cached_property
     def node_start(self) -> np.ndarray:   # (B,) each session's first row
@@ -66,18 +66,18 @@ class PackedBatch:
         return np.arange(self.node_ids.size) - np.repeat(self.node_start,
                                                          self.n_nodes)
 
+    @cached_property
+    def edges(self):
+        """The transitions as ``ggnn_step`` takes them, degree-normalized."""
+        return (self.src, self.dst,
+                *degree_weights(self.src, self.dst, self.node_ids.size))
+
     def draws(self, purpose, seed, epoch, rows, slots, stream=0):
         """``rng.uniforms`` at ``slots``, each keyed by the session id of
         the node row in ``rows`` (which broadcasts against ``slots``)."""
         return uniforms(seed, purpose, epoch,
                         self.session_indices[self.node_session[rows]], slots,
                         stream)
-
-    @property
-    def edges(self):
-        """The transitions as ``ggnn_step`` takes them, degree-normalized."""
-        return (self.src, self.dst,
-                *degree_weights(self.src, self.dst, self.node_ids.size))
 
     @property
     def node_mask(self) -> np.ndarray:

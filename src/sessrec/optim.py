@@ -38,7 +38,7 @@ class Adam:
         self.value, self.grad = np.empty(total), np.zeros(total)
         self._moments = np.zeros((2, total))
         self.touched = np.zeros(len(self.params), dtype=bool)
-        self._work = None           # see zero_grad
+        self._work = np.empty((2, min(CHUNK, total)))   # chunk scratch
         for i, (p, value, grad) in enumerate(zip(
                 self.params, self._views(self.value), self._views(self.grad))):
             p.bind(value, grad, self.touched[i:i + 1])
@@ -52,16 +52,6 @@ class Adam:
 
     def zero_grad(self):
         self.touched[:] = False
-        # Made at the first call, between a training step's forward and
-        # its backward, the chunk scratch sits above that forward's arrays
-        # in the heap, and glibc keeps their pages mapped between steps
-        # instead of returning them and faulting them in on every forward.
-        self._scratch()
-
-    def _scratch(self):
-        if self._work is None:
-            self._work = np.empty((2, min(CHUNK, len(self.value))))
-        return self._work
 
     def _chunks(self):
         """(lo, hi) element ranges, at most ``CHUNK`` long, that cover
@@ -99,11 +89,10 @@ class Adam:
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
         m_all, v_all = self._moments
-        work = self._scratch()
         for lo, hi in self._chunks():
             g, m, v, p = (a[lo:hi] for a in (self.grad, m_all, v_all,
                                               self.value))
-            buf, step = work[:, :hi - lo]
+            buf, step = self._work[:, :hi - lo]
             np.multiply(g, 1.0 - self.beta1, out=buf)
             m *= self.beta1
             m += buf

@@ -546,12 +546,29 @@ def test_entry_point_function_exists():
 
 def test_import_leaves_scipy_special_unloaded():
     # the package runs on numpy alone; importing scipy.sparse adds about
-    # 0.2 s and 20 MB to every process's start, scipy.special 0.1 s
+    # 0.2 s and 20 MB to every process's start, scipy.special 0.1 s.  No
+    # other third-party module is loaded from a file either, the heap
+    # policy set at import included (Cython's runtime modules, which
+    # numpy's extensions make in memory, have none).
     src = Path(cli.__file__).resolve().parents[1]
     for module in ("sessrec.cli", "sessrec.harness"):
-        code = (f"import sys; sys.path.insert(0, sys.argv[1]); import {module}; "
-                "print(sorted(m for m in sys.modules "
-                "if m == 'scipy' or m.startswith('scipy.')))")
+        code = (f"import sys; sys.path.insert(0, sys.argv[1]); "
+                f"before = set(sys.modules); import {module}; "
+                "print(sorted({m.split('.')[0] for m in set(sys.modules) - before "
+                "if getattr(sys.modules[m], '__file__', None)} "
+                "- set(sys.stdlib_module_names) - {'numpy', 'sessrec'}))")
         run = subprocess.run([sys.executable, "-c", code, str(src)],
                              capture_output=True, text=True, check=True)
-        assert run.stdout.strip() == "[]", module
+        assert run.stdout.strip() == "[]", (module, run.stdout)
+
+
+def test_import_sets_no_heap_policy_off_glibc():
+    # the policy is glibc's mallopt; under another C library the package
+    # imports without looking the call up
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import platform, sys; sys.path.insert(0, sys.argv[1]); "
+            "platform.libc_ver = lambda *args, **kwargs: ('', ''); "
+            "import sessrec.harness; print(hasattr(sessrec, '_mallopt'))")
+    run = subprocess.run([sys.executable, "-c", code, str(src)],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "False"

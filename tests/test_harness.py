@@ -1,6 +1,8 @@
 """Training loop, evaluation, metrics files, and the planted corpus."""
 
 import dataclasses
+import platform
+import resource
 import tracemalloc
 
 import numpy as np
@@ -539,3 +541,31 @@ def test_rank_of_agrees_with_sorting():
         t = int(rng.integers(12))
         order = sorted(range(12), key=lambda j: (-p[j], j))
         assert rank_of(p, t) == order.index(t) + 1
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the package sets a heap policy on glibc only")
+def test_steps_and_evaluation_passes_reuse_their_memory():
+    # Under glibc's default policy every desk step and evaluation pass
+    # faulted back in hundreds of pages that the one before had handed
+    # back to the kernel; the policy set at import keeps them mapped.
+    train_ex, test_ex, n_items = make_planted_corpus(seed=1)
+    cfg = TrainConfig(dim=32, factor_dim=8, num_factors=4, batch_size=100,
+                      lr=5e-3, seed=1)
+    params = init_parameters(n_items, cfg.dim, cfg.factor_dim,
+                             cfg.num_factors, cfg.layers, cfg.seed,
+                             cfg.disc_form)
+    optimizer = Adam(params.parameters(), lr=cfg.lr)
+
+    def faults(run, *args):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run(*args)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    steps = [faults(train_step, params, optimizer, train_ex[lo:lo + 100],
+                    np.arange(lo, lo + 100), cfg, 0)
+             for lo in range(0, 1500, 100)]
+    assert np.median(steps[5:]) < 50, steps
+    faults(evaluate, params, test_ex, cfg)
+    passes = faults(evaluate, params, test_ex, cfg)
+    assert passes < 50, passes
